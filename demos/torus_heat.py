@@ -59,8 +59,7 @@ def main():
     domain = TorusFundamental((1.0, 0.0), (0.0, 1.0))
     prob = ProblemSpec(domain, w="1 + cos(2*pi*x)/4", V="sin(2*pi*x)")
     grid = QuadratureGrid(domain, 64)
-    spec = solve_lowest(assemble(prob, grid),
-                        SolverOptions(k=45, method="iterative"))
+    spec = solve_lowest(assemble(prob, grid), SolverOptions(k=45))
     for t in (0.1, 0.3, 1.0):
         rep = heat_torus_bound(prob, t, grid, spec)
         print(f"  t={t:<4g} trace={rep.computed_value:.6f} "

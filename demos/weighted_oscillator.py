@@ -37,7 +37,7 @@ def main():
           f"   (exact 2 sqrt(Lambda) = {2 * math.sqrt(lam10):.4f})")
 
     fd = solve_lowest(assemble(prob, QuadratureGrid(prob.domain, 128)),
-                      SolverOptions(k=12, method="iterative"))
+                      SolverOptions(k=12))
     print("\nLowest levels (finite differences vs 2(n+m+1)):",
           ", ".join(f"{v:.3f}" for v in fd.values[:6]))
 

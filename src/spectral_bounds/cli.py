@@ -6,7 +6,8 @@
     spectral-bounds selftest [--seed 0]
 
 Exit status is 0 when every evaluated inequality holds, 1 when any
-report has holds=false, and 2 when a bound could not be evaluated.
+report has holds=false, and 2 when the scenario could not be loaded or
+solved or a bound could not be evaluated.
 """
 
 from __future__ import annotations
@@ -252,6 +253,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # bad fields, grid or spectrum request
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
 

@@ -65,7 +65,7 @@ class DiscreteForm:
 @dataclass(frozen=True)
 class SolverOptions:
     k: int
-    method: Optional[str] = None  # None = dense up to max_dense_dof
+    method: Optional[str] = None  # None = iterative unless k == dof
     tolerance: float = 1e-8
     max_dense_dof: int = 6400
 
@@ -211,7 +211,8 @@ def solve_lowest_detailed(form: DiscreteForm,
 
     method = opts.method
     if method is None:
-        method = "dense" if n <= opts.max_dense_dof else "iterative"
+        # ARPACK cannot return the whole spectrum; only dense can
+        method = "dense" if k == n else "iterative"
     if method == "dense" and n > opts.max_dense_dof:
         raise ValueError(
             f"dense method refused at dof={n} > {opts.max_dense_dof}; "
@@ -227,11 +228,16 @@ def solve_lowest_detailed(form: DiscreteForm,
     else:
         if k >= n:
             raise ValueError("iterative method needs k < dof_count")
-        a = sp.diags(d) @ form.stiffness @ sp.diags(d)
+        a = (sp.diags(d) @ form.stiffness @ sp.diags(d)).tocsc()
         sigma = min(0.0, form.potential_floor) - 1.0
+        # A = d G d + diag(V w) with G >= 0, so A - sigma I >= I: no pivoting
+        lu = spla.splu(a - sigma * sp.identity(n, format="csc"),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         v0 = np.full(n, 1.0 / math.sqrt(n))
-        eigvals, eigvecs = spla.eigsh(a.tocsc(), k=k, sigma=sigma,
-                                      which="LM", v0=v0, tol=0)
+        eigvals, eigvecs = spla.eigsh(a, k=k, sigma=sigma, which="LM",
+                                      v0=v0, tol=0, OPinv=opinv)
         order = np.argsort(eigvals)
         vals = eigvals[order]
         y = eigvecs[:, order]

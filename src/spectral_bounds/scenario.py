@@ -203,6 +203,9 @@ def load_scenario(path) -> Scenario:
     sphere_nu = _expect(spec, "nu", int, "spectrum", default=None)
     sphere_l_max = _expect(spec, "l_max", int, "spectrum", default=None)
     method = _expect(spec, "method", str, "spectrum", default=None)
+    if method not in (None, "dense", "iterative"):
+        raise ScenarioError(
+            "spectrum.method: expected 'dense' or 'iterative'")
     tolerance = float(_expect(spec, "tolerance", (int, float), "spectrum",
                               default=1e-8))
 

@@ -206,14 +206,32 @@ class TestWeighted:
             ProblemSpec(Box((2.0, 2.0), (-1.0, -1.0)), w="x")
 
 
+AGREEMENT_CASES = {
+    "potential": (ProblemSpec(Box((1.0, 1.0)), V="x*y"), (40, 40)),
+    # floor below zero, so the shift is floor - 1
+    "negative-potential": (ProblemSpec(Box((1.0, 1.0)), V="-5 + 3*x",
+                                       w="1 + x*y"), (40, 40)),
+    "disk-rho": (ProblemSpec(Disk(1.0), rho="0.3*x"), (40, 40)),
+    # degenerate pairs and a zero mode
+    "rect-torus": (ProblemSpec(TorusFundamental((2.0, 0.0), (0.0, 1.0))),
+                   (32, 16)),
+    "box-3d": (ProblemSpec(Box((1.0, 1.0, 2.0)), w="1 + 0.5*x",
+                           rho="0.2*z"), (10, 10, 20)),
+}
+
+
 class TestSolverOptions:
-    def test_dense_and_iterative_agree(self):
-        prob = ProblemSpec(Box((1.0, 1.0)), V="x*y")
-        grid = QuadratureGrid(prob.domain, (40, 40))
-        form = assemble(prob, grid)
-        dv = solve_lowest(form, SolverOptions(k=6, method="dense")).values
-        iv = solve_lowest(form, SolverOptions(k=6, method="iterative")).values
-        assert dv == pytest.approx(iv, rel=1e-9, abs=1e-9)
+    @pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+    def test_dense_and_iterative_agree(self, case):
+        prob, shape = AGREEMENT_CASES[case]
+        form = assemble(prob, QuadratureGrid(prob.domain, shape))
+        opts = SolverOptions(k=6)
+        dense = solve_lowest_detailed(form, SolverOptions(k=6, method="dense"))
+        default = solve_lowest_detailed(form, opts)
+        assert default.method == "iterative"
+        assert default.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-12)
+        assert default.residuals.max() <= opts.tolerance
 
     def test_dense_refused_over_cap(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
@@ -222,11 +240,19 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match="dense"):
             solve_lowest(form, SolverOptions(k=4, method="dense"))
 
-    def test_auto_picks_dense_when_small(self):
+    def test_default_is_iterative_except_whole_spectrum(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (20, 20))
         res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=4))
+        assert res.method == "iterative"
+        ref = neumann_dispersion(20, 1.0 / 20, 4)
+        assert res.spectrum.values == pytest.approx(ref, rel=1e-10, abs=1e-9)
+        # ARPACK cannot return all k == dof pairs, so dense takes them
+        grid = QuadratureGrid(prob.domain, (8, 8))
+        res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=64))
         assert res.method == "dense"
+        ref = neumann_dispersion(8, 1.0 / 8, 64)
+        assert res.spectrum.values == pytest.approx(ref, rel=1e-10, abs=1e-9)
 
     def test_residual_tolerance_enforced(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
@@ -262,9 +288,7 @@ class TestConvergence:
     def test_richardson_reference_without_oracle(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
         grids = [QuadratureGrid(prob.domain, n) for n in (20, 40, 80)]
-        # iterative keeps the 80^2 grid off the expensive dense path
-        study = convergence_study(prob, grids, k=3,
-                                  opts=SolverOptions(k=3, method="iterative"))
+        study = convergence_study(prob, grids, k=3)
         exact = rectangle_neumann_exact(1.0, 1.0, count=3).values
         # extrapolated reference should land much closer than the finest grid
         assert study.reference[1] == pytest.approx(exact[1], rel=2e-5)

@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +57,8 @@ BAD_CASES = [
     ({**BASE, "fields": {"w": "1 +"}}, "fields"),
     ({**BASE, "spectrum": {"source": "tarot"}}, "spectrum.source"),
     ({**BASE, "spectrum": {"source": "fd", "count": 0}}, "spectrum.count"),
+    ({**BASE, "spectrum": {"source": "fd", "method": "magic"}},
+     "spectrum.method"),
     ({**BASE, "bounds": ["kroger-avg"]}, r"bounds\[0\]"),
     ({**BASE, "bounds": [{"kind": "bogus", "k": [1]}]}, r"bounds\[0\].kind"),
     ({**BASE, "bounds": [{"kind": "kroger-avg", "k": []}]}, "empty"),
@@ -200,6 +204,23 @@ def test_cli_scenario_error_exit(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [{"fields": {"w": "x - 0.5"}},
+                                      {"grid": {"n": 4}}],
+                         ids=["negative-weight", "coarse-grid"])
+def test_cli_bad_input_exits_2_without_traceback(tmp_path, override):
+    cfg = scenario_with(tmp_path, spectrum={"source": "fd", "count": 8},
+                        bounds=[{"kind": "kroger-avg", "k": [2]}],
+                        **override)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectral_bounds.cli", "run",
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_run_byte_identical(tmp_path):
