@@ -254,7 +254,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # bad fields, grid or spectrum request
+    # bad fields, grid or spectrum request, overflow on extreme sizes, or a
+    # geometry the fd solver does not support
+    except (ValueError, ArithmeticError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -180,6 +180,11 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
 
+    if not (np.isfinite(stiffness.data).all() and
+            np.isfinite(mass_diag).all() and mass_diag.min() > 0.0):
+        raise ValueError(
+            f"operator entries overflow or underflow on grid {grid.shape}")
+
     vw = v_n * w_n
     return DiscreteForm(
         stiffness=stiffness,

@@ -15,15 +15,19 @@ Lipschitz constant of Vtilde on the sublevel set and the first zero of a
 Bessel function whose order is exposed for sensitivity runs because the
 choice nu/2 - 1 (ground state of the nu-ball) is adopted here.
 
-Tables are kept for reporting; all bound evaluations re-integrate on the
-stored quadrature nodes, so monotonicity in Lambda is inherited pointwise
-rather than interpolated.
+Each table set sorts its quadrature nodes by Vtilde once.  A volume at
+level L then touches only the sublevel prefix {Vtilde < L}: for odd nu it
+sums that prefix directly, and for even nu the integer power expands
+binomially about the floor min Vtilde, so every whole block of _BLOCK
+nodes below L is read from stored prefix moments and fewer than _BLOCK
+nodes are summed directly.  The Lipschitz constant of a sublevel set is a
+running maximum over the sorted nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,32 +48,19 @@ __all__ = [
     "phase_space_sum_bound",
 ]
 
-_CHUNK = 1 << 22
+# nodes per prefix block: a volume query sums fewer than _BLOCK nodes
+# directly, and the prefix moments take 1/_BLOCK of the node storage
+_BLOCK = 1024
 
 
 class PhaseSpaceRangeError(ValueError):
     """Raised when the tabulated Lambda range cannot reach the request."""
 
 
-def _pocket_sum(vt: np.ndarray, lam: float, power: float,
-                weight: Optional[np.ndarray] = None) -> float:
-    """Sum of (lam - vt)_+^power (optionally weighted), chunked."""
-    total = 0.0
-    for start in range(0, vt.size, _CHUNK):
-        part = lam - vt[start:start + _CHUNK]
-        np.clip(part, 0.0, None, out=part)
-        if power != 1.0:
-            np.power(part, power, out=part)
-        if weight is not None:
-            part *= weight[start:start + _CHUNK]
-        total += float(part.sum())
-    return total
-
-
 @dataclass
 class PhaseSpaceData:
     """Tabulated phase-space volumes plus the quadrature nodes that
-    produced them, for on-demand evaluation at arbitrary levels."""
+    produced them, sorted by Vtilde, for evaluation at arbitrary levels."""
 
     nu: int
     lam_grid: np.ndarray
@@ -78,53 +69,79 @@ class PhaseSpaceData:
     ew: np.ndarray
     lip: np.ndarray
     digest: str
-    vt_nodes: np.ndarray = field(repr=False)
-    w_nodes: np.ndarray = field(repr=False)
-    grad_nodes: np.ndarray = field(repr=False)
+    vt_nodes: np.ndarray = field(repr=False)    # ascending
+    w_nodes: np.ndarray = field(repr=False)     # in vt_nodes order
+    lip_nodes: np.ndarray = field(repr=False)   # running max of |grad Vtilde|
     cell_volume: float = field(repr=False)
+    # [a, b, j]: sum of w^a (Vtilde - min Vtilde)^j over the first
+    # b * _BLOCK nodes, a in {0, 1}; None for odd nu
+    block_moments: Optional[np.ndarray] = field(repr=False)
 
     @property
     def prefactor(self) -> float:
         return unit_ball_volume(self.nu) / (2.0 * math.pi) ** self.nu
 
+    def _volume_sum(self, lam: float, power: float, weighted: bool) -> float:
+        """Sum over the nodes of (lam - vt)_+^power, times w if weighted."""
+        vt = self.vt_nodes
+        p = int(power)
+        below = int(np.searchsorted(vt, lam, side="left"))
+        start = 0 if self.block_moments is None else below - below % _BLOCK
+        level_gap = lam - vt[start:below]
+        part = np.power(level_gap, p)
+        if power % 1:
+            # odd nu: x^(p + 1/2) as x^p sqrt(x), twice as fast as np.power
+            part *= np.sqrt(level_gap)
+        if weighted:
+            part *= self.w_nodes[start:below]
+        head = 0.0
+        if start:
+            # (lam - vt)^p = sum_j C(p, j) mu^(p-j) (-u)^j with
+            # mu = lam - min vt, u = vt - min vt
+            moments = self.block_moments[int(weighted), start // _BLOCK]
+            mu = lam - float(vt[0])
+            head = sum(math.comb(p, j) * mu ** (p - j) * (-1.0) ** j *
+                       float(moments[j]) for j in range(p + 1))
+        return head + float(part.sum())
+
     def phi1_at(self, lam: float) -> float:
         return self.prefactor * self.cell_volume * \
-            _pocket_sum(self.vt_nodes, lam, self.nu / 2.0)
+            self._volume_sum(lam, self.nu / 2.0, False)
 
     def phiw_at(self, lam: float) -> float:
         return self.prefactor * self.cell_volume * \
-            _pocket_sum(self.vt_nodes, lam, self.nu / 2.0, self.w_nodes)
+            self._volume_sum(lam, self.nu / 2.0, True)
 
     def ew_at(self, lam: float) -> float:
         return (self.nu / (self.nu + 2.0)) * self.prefactor * \
             self.cell_volume * \
-            _pocket_sum(self.vt_nodes, lam, 1.0 + self.nu / 2.0, self.w_nodes)
+            self._volume_sum(lam, 1.0 + self.nu / 2.0, True)
 
     def lip_at(self, lam: float) -> float:
         """Max of |grad Vtilde| over nodes in the sublevel set, 0 if none."""
-        best = 0.0
-        for start in range(0, self.vt_nodes.size, _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            below = self.vt_nodes[sl] <= lam
-            if below.any():
-                best = max(best, float(self.grad_nodes[sl][below].max()))
-        return best
+        count = int(np.searchsorted(self.vt_nodes, lam, side="right"))
+        return float(self.lip_nodes[count - 1]) if count else 0.0
+
+    def _extended_by(self, levels) -> "PhaseSpaceData":
+        """Copy whose tables continue over the further, higher levels."""
+        def more(at):
+            return [at(v) for v in levels]
+
+        data = replace(
+            self, lam_grid=np.concatenate([self.lam_grid, levels]),
+            phi1=np.concatenate([self.phi1, more(self.phi1_at)]),
+            phiw=np.concatenate([self.phiw, more(self.phiw_at)]),
+            ew=np.concatenate([self.ew, more(self.ew_at)]),
+            lip=np.concatenate([self.lip, more(self.lip_at)]))
+        _check_tables(data)
+        return data
 
     def extended_to(self, lam_max: float, points: int = 9) -> "PhaseSpaceData":
         """New tables reaching lam_max, reusing the stored nodes."""
         if lam_max <= self.lam_grid[-1]:
             return self
         extra = np.linspace(self.lam_grid[-1], lam_max, points + 1)[1:]
-        lam_grid = np.concatenate([self.lam_grid, extra])
-        phi1 = np.concatenate([self.phi1, [self.phi1_at(v) for v in extra]])
-        phiw = np.concatenate([self.phiw, [self.phiw_at(v) for v in extra]])
-        ew = np.concatenate([self.ew, [self.ew_at(v) for v in extra]])
-        lip = np.concatenate([self.lip, [self.lip_at(v) for v in extra]])
-        data = PhaseSpaceData(self.nu, lam_grid, phi1, phiw, ew, lip,
-                              self.digest, self.vt_nodes, self.w_nodes,
-                              self.grad_nodes, self.cell_volume)
-        _check_tables(data)
-        return data
+        return self._extended_by(extra)
 
 
 def _check_tables(data: PhaseSpaceData):
@@ -137,46 +154,76 @@ def _check_tables(data: PhaseSpaceData):
         tol = 1e-9 * (1.0 + float(np.abs(data.ew).max()))
         if np.diff(slopes).min(initial=0.0) < -tol:
             raise AssertionError("E_w table not convex")
-    vmin = float(data.vt_nodes.min())
-    below = data.lam_grid <= vmin
+    below = data.lam_grid <= data.vt_nodes[0]
     if np.any(data.phi1[below] != 0.0):
         raise AssertionError("Phi_1 must vanish below min Vtilde")
 
 
+def _nodes(problem: ProblemSpec, grid: QuadratureGrid):
+    """Vtilde and |grad Vtilde|^2 at the inside nodes, in grid order."""
+    vt_expr = problem.effective_potential()
+    vt = np.asarray(grid.inside_values(vt_expr), dtype=float)
+    grad_sq = np.zeros_like(vt)
+    for axis in range(problem.nu):
+        grad_sq += np.asarray(
+            grid.inside_values(differentiate(vt_expr, axis)), dtype=float) ** 2
+    return vt, grad_sq
+
+
+def _block_moments(vt: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
+    """Moments of the sorted nodes about vt[0] at every block boundary,
+    laid out as PhaseSpaceData.block_moments with j = 0..top."""
+    blocks = vt.size // _BLOCK
+    u = (vt[:blocks * _BLOCK] - vt[0]).reshape(blocks, _BLOCK)
+    wb = w[:blocks * _BLOCK].reshape(blocks, _BLOCK)
+    moments = np.zeros((2, blocks + 1, top + 1))
+    term = np.ones_like(u)
+    for j in range(top + 1):
+        moments[0, 1:, j] = term.sum(axis=1)
+        moments[1, 1:, j] = (term * wb).sum(axis=1)
+        term *= u
+    return np.cumsum(moments, axis=1)
+
+
 def phase_space_tables(problem: ProblemSpec, lam_grid,
                        grid: QuadratureGrid) -> PhaseSpaceData:
-    """Integrate the three volumes and the Lipschitz table over lam_grid."""
+    """Integrate the three volumes and the Lipschitz table over lam_grid.
+
+    lam_grid is an increasing sequence of levels, or a callable that
+    receives the floor min Vtilde over the grid and returns them.
+    """
+    vt, grad_sq = _nodes(problem, grid)
+    # a stable sort keeps tied nodes in grid order on every platform
+    order = np.argsort(vt, kind="stable")
+    vt = vt[order]
+    lip_nodes = grad_sq[order]
+    # free the grid-order copies before the moments add their temporaries
+    del grad_sq
+    np.maximum.accumulate(lip_nodes, out=lip_nodes)
+    np.sqrt(lip_nodes, out=lip_nodes)
+    w = np.asarray(grid.inside_values(problem.w), dtype=float)[order]
+    del order
+
+    if callable(lam_grid):
+        lam_grid = lam_grid(float(vt[0]))
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or lam_grid.size < 2:
         raise ValueError("lam_grid must hold at least two levels")
     if np.any(np.diff(lam_grid) <= 0):
         raise ValueError("lam_grid must be strictly increasing")
 
-    vt_expr = problem.effective_potential()
-    vt = np.ascontiguousarray(grid.inside_values(vt_expr), dtype=float)
-    w = np.ascontiguousarray(grid.inside_values(problem.w), dtype=float)
-
-    grad_sq = np.zeros_like(vt)
-    for axis in range(problem.nu):
-        component = grid.inside_values(differentiate(vt_expr, axis))
-        grad_sq += np.asarray(component, dtype=float) ** 2
-    grad = np.sqrt(grad_sq)
-
+    moments = None
+    if problem.nu % 2 == 0:
+        moments = _block_moments(vt, w, problem.nu // 2 + 1)
     digest = inputs_digest("phase-space", problem, grid.shape,
                            lam_grid[0], lam_grid[-1], lam_grid.size)
+    empty = np.empty(0)
     data = PhaseSpaceData(
-        nu=problem.nu, lam_grid=lam_grid,
-        phi1=np.empty(lam_grid.size), phiw=np.empty(lam_grid.size),
-        ew=np.empty(lam_grid.size), lip=np.empty(lam_grid.size),
-        digest=digest, vt_nodes=vt, w_nodes=w, grad_nodes=grad,
-        cell_volume=grid.cell_volume)
-    for i, lam in enumerate(lam_grid):
-        data.phi1[i] = data.phi1_at(lam)
-        data.phiw[i] = data.phiw_at(lam)
-        data.ew[i] = data.ew_at(lam)
-        data.lip[i] = data.lip_at(lam)
-    _check_tables(data)
-    return data
+        nu=problem.nu, lam_grid=empty, phi1=empty, phiw=empty, ew=empty,
+        lip=empty, digest=digest, vt_nodes=vt, w_nodes=w,
+        lip_nodes=lip_nodes, cell_volume=grid.cell_volume,
+        block_moments=moments)
+    return data._extended_by(lam_grid)
 
 
 def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
@@ -189,7 +236,7 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
             f"Phi_1 reaches only {psd.phi1[-1]} on the tabulated range, "
             f"needs {k}")
     hi = float(psd.lam_grid[np.searchsorted(psd.phi1, k, side="left")])
-    lo = float(psd.vt_nodes.min())
+    lo = float(psd.vt_nodes[0])
     if hi <= lo:
         return hi
     # near machine-tight: the flat-potential coincidence checks compare
@@ -212,12 +259,7 @@ def lip_constant(problem: ProblemSpec, lam: float,
                  grid: QuadratureGrid) -> float:
     """Grid-sampled sup of |grad Vtilde| over the sublevel set
     {Vtilde <= lam}; 0 when the set contains no node."""
-    vt_expr = problem.effective_potential()
-    vt = grid.inside_values(vt_expr)
-    grad_sq = np.zeros_like(vt)
-    for axis in range(problem.nu):
-        grad_sq += np.asarray(
-            grid.inside_values(differentiate(vt_expr, axis)), dtype=float) ** 2
+    vt, grad_sq = _nodes(problem, grid)
     below = vt <= lam
     if not below.any():
         return 0.0

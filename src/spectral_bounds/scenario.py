@@ -160,8 +160,17 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file; errors name the offending
     field by its JSON path."""
     path = Path(path)
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ScenarioError(f"{path}: number {text} is not finite")
+        return value
+
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), parse_float=finite,
+                          parse_int=lambda text: int(finite(text)),
+                          parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -390,13 +399,15 @@ def run_scenario(s: Scenario, jobs: Optional[int] = None) -> RunReport:
             lam_max = req.options.get("lam_max")
             if lam_max is None:
                 lam_max = max(float(spectrum.values[-1]) * 2.0, 1.0)
+
+            def levels(floor):
+                lam_grid = np.linspace(floor, float(lam_max), 33)
+                if lam_grid[0] == lam_grid[-1]:
+                    lam_grid = np.linspace(floor, floor + 1.0, 33)
+                return lam_grid
+
             psd_grid = QuadratureGrid(s.problem.domain, n)
-            vt = s.problem.effective_potential()
-            floor = float(np.min(psd_grid.inside_values(vt)))
-            lam_grid = np.linspace(floor, float(lam_max), 33)
-            if lam_grid[0] == lam_grid[-1]:
-                lam_grid = np.linspace(floor, floor + 1.0, 33)
-            psd_cache[key] = phase_space_tables(s.problem, lam_grid, psd_grid)
+            psd_cache[key] = phase_space_tables(s.problem, levels, psd_grid)
         return psd_cache[key]
 
     tasks = []

@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 
 from spectral_bounds.bounds import kroger_avg_bound
-from spectral_bounds.domains import Box, QuadratureGrid
+from spectral_bounds.domains import Box, Disk, QuadratureGrid
+from spectral_bounds.expressions import differentiate
 from spectral_bounds.fdsolver import SolverOptions, assemble, solve_lowest
-from spectral_bounds.phasespace import (PhaseSpaceRangeError, lambda_of_k,
-                                        lip_constant, phase_space_sum_bound,
+from spectral_bounds.phasespace import (_BLOCK, PhaseSpaceRangeError,
+                                        lambda_of_k, lip_constant,
+                                        phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
+from spectral_bounds.special import unit_ball_volume
 from spectral_bounds.spectra import Spectrum
 
 
@@ -174,3 +177,82 @@ def test_auto_extension_inside_bound():
     fake = Spectrum(np.zeros(40), cutoff=0.0)
     rep = phase_space_sum_bound(prob, 30, psd, fake)
     assert rep.bound_value == pytest.approx(2 * math.pi * 900, rel=1e-10)
+
+
+def direct_sweep(prob, grid, lam):
+    """Phi_1, Phi_w, E_w and the sublevel Lipschitz constant at lam by one
+    sweep over every inside node in grid order."""
+    vt_expr = prob.effective_potential()
+    vt = grid.inside_values(vt_expr)
+    w = grid.inside_values(prob.w)
+    grad_sq = np.zeros_like(vt)
+    for axis in range(prob.nu):
+        grad_sq += grid.inside_values(differentiate(vt_expr, axis)) ** 2
+    nu = prob.nu
+    scale = unit_ball_volume(nu) / (2 * math.pi) ** nu * grid.cell_volume
+    gap = np.clip(lam - vt, 0.0, None)
+    below = vt <= lam
+    return (scale * np.sum(gap ** (nu / 2)),
+            scale * np.sum(gap ** (nu / 2) * w),
+            nu / (nu + 2) * scale * np.sum(gap ** (1 + nu / 2) * w),
+            float(np.sqrt(grad_sq[below].max())) if below.any() else 0.0)
+
+
+SWEEP_CASES = {
+    "weighted": (ProblemSpec(Box((2.0, 2.0), origin=(-1.0, -1.0)),
+                             V="x^2 + y^2", w="1 + 0.5*x"), 96),
+    "nu3": (ProblemSpec(Box((2.0, 2.0, 2.0), origin=(-1.0, -1.0, -1.0)),
+                        V="x^2 + y^2 + 2*z^2", w="1 + 0.25*z"), 24),
+    "disk": (ProblemSpec(Disk(1.0), V="x^2 + 2*y^2", rho="0.5*x"), 96),
+    # a large offset cancels in lam^2 sum w - 2 lam sum w Vt + sum w Vt^2
+    # unless the expansion is taken about the floor
+    "offset": (ProblemSpec(Box((2.0, 2.0), origin=(-1.0, -1.0)),
+                           V="1e4 + x^2 + y^2"), 96),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sorted_kernel_matches_direct_sweep(case):
+    prob, n = SWEEP_CASES[case]
+    grid = QuadratureGrid(prob.domain, n)
+    psd = phase_space_tables(prob, [0.0, 1.0], grid)
+    vt = psd.vt_nodes
+    assert vt.size > 2 * _BLOCK
+    # below the floor, on node values (ties, both sides of a block
+    # boundary), between nodes, and above the top
+    levels = [vt[0] - 1.0, vt[0], vt[1], vt[_BLOCK - 1], vt[_BLOCK],
+              vt[2 * _BLOCK + 1], vt[vt.size // 2],
+              0.5 * (vt[vt.size // 3] + vt[vt.size // 3 + 1]),
+              vt[-1], vt[-1] + 1.0]
+    for lam in levels:
+        lam = float(lam)
+        phi1, phiw, ew, lip = direct_sweep(prob, grid, lam)
+        for got, want in ((psd.phi1_at(lam), phi1), (psd.phiw_at(lam), phiw),
+                          (psd.ew_at(lam), ew)):
+            assert abs(got - want) <= 1e-12 * abs(want), (lam, got, want)
+        assert psd.lip_at(lam) == lip
+        assert lip_constant(prob, lam, grid) == lip
+
+
+def test_nodes_stay_sorted_after_extension():
+    prob, n = SWEEP_CASES["weighted"]
+    grid = QuadratureGrid(prob.domain, n)
+    psd = phase_space_tables(prob, np.linspace(0.0, 1.0, 5), grid)
+    wider = psd.extended_to(4.0)
+    assert wider.lam_grid[-1] == 4.0
+    assert wider.vt_nodes is psd.vt_nodes
+    assert np.all(np.diff(wider.vt_nodes) >= 0)
+    assert np.all(np.diff(wider.lip_nodes) >= 0)
+    for lam, phi1 in zip(wider.lam_grid[5:], wider.phi1[5:]):
+        assert phi1 == pytest.approx(direct_sweep(prob, grid, lam)[0],
+                                     rel=1e-12)
+
+
+def test_tables_accept_levels_from_the_floor():
+    prob, n = SWEEP_CASES["offset"]
+    grid = QuadratureGrid(prob.domain, n)
+    psd = phase_space_tables(prob, lambda floor: floor + np.arange(3.0), grid)
+    assert psd.lam_grid[0] == psd.vt_nodes[0] == float(
+        np.min(grid.inside_values(prob.effective_potential())))
+    assert list(psd.lam_grid - psd.lam_grid[0]) == [0.0, 1.0, 2.0]
+    assert psd.phi1[0] == 0.0

@@ -1,11 +1,18 @@
 """Scenario loading, the run pipeline, and the command line surface."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_bounds.cli import main
 from spectral_bounds.scenario import (ScenarioError, default_jobs, emit,
@@ -223,6 +230,24 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, override):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("domain", [
+    {"type": "box", "sides": [1.0, float("nan")]},
+    {"type": "box", "sides": [1.0, 10 ** 400]},
+    {"type": "disk", "radius": 1e300},
+    {"type": "disk", "radius": 1e-300},
+    {"type": "torus", "e1": [1.0, 0.0], "e2": [0.5, 1.0]}],
+    ids=["nan-side", "huge-int-side", "overflow", "underflow", "skew-torus"])
+def test_cli_unevaluable_domain_exits_2(tmp_path, capsys, domain):
+    cfg = scenario_with(tmp_path, domain=domain, grid={"n": 8},
+                        spectrum={"source": "fd", "count": 4},
+                        bounds=[{"kind": "kroger-avg", "k": [2]}])
+    with np.errstate(all="ignore"):
+        status = main(["run", "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+    assert status == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_cli_run_byte_identical(tmp_path):
     cfg = scenario_with(tmp_path)
     assert main(["run", "--config", str(cfg), "--out",
@@ -292,3 +317,81 @@ def test_bundled_scenarios_load_and_run():
         report = run_scenario(s)
         assert report.all_hold, f.name
         assert not report.errors, f.name
+
+
+_EXPRESSIONS = ["1", "2.5", "x", "x - 0.5", "1 + 0.5*x", "x^2 + y^2",
+                "1/x", "log(x)", "sqrt(x - 1)", "exp(800*x)", "z", "(",
+                "", "0*x"]
+# moderate values only where they size an enumeration (torus basis,
+# cutoff, k): the exact spectra and Lambda(k) grow without a cap
+_NUMBERS = st.one_of(st.integers(-3, 12),
+                     st.sampled_from([0.0, -1.0, 0.5, 1.5, float("inf"),
+                                      float("nan")]))
+_LENGTHS = st.one_of(_NUMBERS, st.sampled_from([1e300, 1e-300, 10 ** 400]))
+_DOMAINS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("box"),
+                           "sides": st.lists(_LENGTHS, max_size=4)}),
+    st.fixed_dictionaries({"type": st.just("disk"), "radius": _LENGTHS}),
+    st.fixed_dictionaries({"type": st.just("masked_box"),
+                           "sides": st.lists(_LENGTHS, min_size=2,
+                                             max_size=2),
+                           "inside": st.sampled_from(_EXPRESSIONS)}),
+    st.fixed_dictionaries({"type": st.just("torus"),
+                           "e1": st.lists(_NUMBERS, min_size=2, max_size=2),
+                           "e2": st.lists(_NUMBERS, min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"type": st.sampled_from(["ball", 3])}))
+_KINDS = ["kroger-avg", "general-sum", "riesz-lower", "heat-lower",
+          "individual-sk", "individual-pos", "phase-space-sum", "heat-torus",
+          "no-such-kind"]
+
+
+@st.composite
+def _bound_entries(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    key = draw(st.sampled_from(["k", "z", "t"]))
+    entry = {"kind": kind, key: draw(st.lists(_NUMBERS, max_size=3))}
+    if kind == "phase-space-sum":
+        entry.update(draw(st.fixed_dictionaries(
+            {}, optional={"grid_n": st.integers(-1, 12),
+                          "lam_max": _NUMBERS, "lip_override": _NUMBERS,
+                          "bessel_order": _NUMBERS})))
+    return entry
+
+
+# the grid is always given: the default of 64 nodes per axis makes a 3-D
+# or 4-D box too large for a quick run
+_SCENARIOS = st.fixed_dictionaries(
+    {"domain": _DOMAINS,
+     "grid": st.fixed_dictionaries({"n": st.one_of(
+         st.integers(-1, 10), st.lists(st.integers(1, 10), max_size=3))})},
+    optional={
+        "fields": st.dictionaries(st.sampled_from(["w", "rho", "V", "q"]),
+                                  st.sampled_from(_EXPRESSIONS), max_size=3),
+        "spectrum": st.fixed_dictionaries({}, optional={
+            "source": st.sampled_from(["fd", "exact-rectangle",
+                                       "exact-torus", "exact-sphere",
+                                       "magic"]),
+            "count": st.integers(-1, 10),
+            "method": st.sampled_from(["dense", "iterative", "fast"]),
+            "cutoff": _NUMBERS,
+            "nu": st.integers(-1, 4),
+            "l_max": st.integers(-1, 6)}),
+        "bounds": st.lists(_bound_entries(), max_size=3),
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SCENARIOS)
+def test_cli_exit_status_contract(scenario):
+    # any input exits 0 (holds), 1 (violated) or 2 (could not evaluate),
+    # with a message instead of a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.json"
+        cfg.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            status = main(["run", "--config", str(cfg),
+                           "--out", str(Path(tmp) / "out")])
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
