@@ -15,7 +15,7 @@ import numpy as np
 
 from spectral_bounds import (Lattice2, ProblemSpec, QuadratureGrid,
                              SolverOptions, TorusFundamental, assemble,
-                             heat_torus_bound, hex_heat_floor,
+                             bound_context, heat_torus_bound, hex_heat_floor,
                              homog_riesz_compare, homog_sum_compare,
                              lattice_heat_trace, rectangle_neumann_exact,
                              solve_lowest, torus_spectrum)
@@ -60,8 +60,9 @@ def main():
     prob = ProblemSpec(domain, w="1 + cos(2*pi*x)/4", V="sin(2*pi*x)")
     grid = QuadratureGrid(domain, 64)
     spec = solve_lowest(assemble(prob, grid), SolverOptions(k=45))
+    ctx = bound_context(prob, grid)
     for t in (0.1, 0.3, 1.0):
-        rep = heat_torus_bound(prob, t, grid, spec)
+        rep = heat_torus_bound(ctx, t, spec)
         print(f"  t={t:<4g} trace={rep.computed_value:.6f} "
               f"floor={rep.bound_value:.6f}  "
               f"{'ok' if rep.holds else 'VIOLATED'}")

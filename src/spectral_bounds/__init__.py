@@ -12,13 +12,14 @@ and phase-space inequalities against them.
 Typical use:
 
     from spectral_bounds import (ProblemSpec, Box, QuadratureGrid,
-                                 SolverOptions, assemble, solve_lowest,
-                                 kroger_avg_bound)
+                                 SolverOptions, assemble, bound_context,
+                                 solve_lowest, kroger_avg_bound)
 
     problem = ProblemSpec(Box((1.0, 1.0)), w="1 + x/2", V="x^2 + y^2")
     grid = QuadratureGrid(problem.domain, (120, 120))
     spectrum = solve_lowest(assemble(problem, grid), SolverOptions(k=20))
-    report = kroger_avg_bound(problem, 10, grid, spectrum)
+    ctx = bound_context(problem, grid)      # |Omega|, w_mean, vweff_mean
+    report = kroger_avg_bound(ctx, 10, spectrum)
     assert report.holds
 
 The `spectral-bounds` CLI drives the same machinery from JSON scenario
@@ -46,7 +47,8 @@ from .fdsolver import (ConvergenceStudy, DiscreteForm, SolveResult,
                        SolverConvergenceError, SolverOptions, assemble,
                        convergence_study, solve_lowest, solve_lowest_detailed)
 from .report import BoundReport, inputs_digest, make_report
-from .bounds import (euclidean_H, general_sum_bound, heat_lower_bound,
+from .bounds import (BoundContext, bound_context, euclidean_H,
+                     general_sum_bound, heat_lower_bound,
                      individual_bound_pos, individual_bound_sk,
                      kroger_avg_bound, legendre_conjugate_power,
                      riesz_lower_bound)
@@ -57,7 +59,7 @@ from .phasespace import (PhaseSpaceData, PhaseSpaceRangeError,
 from .homog import (heat_homog_compare, heat_torus_bound,
                     homog_riesz_compare, homog_sum_compare)
 from .scenario import (BoundRequest, RunReport, Scenario, ScenarioError,
-                       emit, load_scenario, run_scenario)
+                       emit, load_scenario, run_scenario, scenario_from_dict)
 
 __all__ = [
     "__version__",
@@ -83,7 +85,7 @@ __all__ = [
     "solve_lowest_detailed", "ConvergenceStudy", "convergence_study",
     # reports and bounds
     "BoundReport", "make_report", "inputs_digest",
-    "euclidean_H", "kroger_avg_bound", "general_sum_bound",
+    "BoundContext", "bound_context", "euclidean_H", "kroger_avg_bound", "general_sum_bound",
     "riesz_lower_bound", "heat_lower_bound", "individual_bound_sk",
     "individual_bound_pos", "legendre_conjugate_power",
     "avp_check", "frame_constant", "tight_frame_bound",
@@ -93,5 +95,5 @@ __all__ = [
     "heat_torus_bound",
     # scenarios
     "Scenario", "BoundRequest", "RunReport", "ScenarioError",
-    "load_scenario", "run_scenario", "emit",
+    "load_scenario", "scenario_from_dict", "run_scenario", "emit",
 ]

@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .report import BoundReport, inputs_digest, make_report
+from .report import BoundReport, make_report
 
 __all__ = ["avp_check", "tight_frame_bound", "frame_constant"]
 
@@ -65,8 +65,7 @@ def avp_check(Hmat: np.ndarray, family: Family,
         f = F[:, zeta]
         rhs += w[zeta] * (z * float(f @ f) - float(f @ (H @ f)))
 
-    digest = inputs_digest("avp", H.shape[0], len(w), tuple(subset), z)
-    return make_report("avp", z, rhs, lhs, "lower", digest)
+    return make_report("avp", z, rhs, lhs, "lower")
 
 
 def frame_constant(Hmat_dim: int, family: Family) -> float:
@@ -108,7 +107,6 @@ def tight_frame_bound(Hmat: np.ndarray, family: Family,
 
     bound = (mu[k] * (a * k - w0) + e0) / (a * k)
     computed = float(mu[:k].sum()) / k
-    digest = inputs_digest("avp-tight-frame", n, len(w), tuple(subset), k)
-    return make_report("avp-tight-frame", k, bound, computed, "upper", digest,
+    return make_report("avp-tight-frame", k, bound, computed, "upper",
                        notes=(f"frame constant A = {a:.12g}, subset mass "
                               f"W0 = {w0:.12g}",))

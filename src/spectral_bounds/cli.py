@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .fdsolver import SolverConvergenceError
 from .report import BoundReport
-from .scenario import (ScenarioError, default_jobs, emit, load_scenario,
-                       run_scenario)
+from .scenario import (ScenarioError, emit, load_scenario, run_scenario,
+                       scenario_from_dict)
 
 __all__ = ["main", "build_parser"]
 
@@ -44,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--format", default="json",
                      choices=["json", "csv", "both"])
-    run.add_argument("--jobs", type=int, default=None,
-                     help="worker threads (default: SPECTRAL_BOUNDS_JOBS "
-                          "or 1)")
 
     spectrum = sub.add_parser("spectrum",
                               help="print the spectrum of a scenario")
@@ -62,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--kind", required=True)
     bound.add_argument("--param", type=float, nargs="+", required=True,
                        help="parameter values (k, z or t depending on kind)")
-    bound.add_argument("--jobs", type=int, default=None)
 
     selftest = sub.add_parser("selftest",
                               help="run randomized internal identity checks")
@@ -89,7 +85,7 @@ def _exit_code(report) -> int:
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.config)
     started = time.perf_counter()
-    report = run_scenario(scenario, jobs=args.jobs)
+    report = run_scenario(scenario)
     elapsed = time.perf_counter() - started
     written = emit(report, args.out, fmt=args.format)
     print(f"{scenario.label}: {len(report.reports)} bounds, "
@@ -105,12 +101,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .scenario import _scenario_spectrum
+    from .bounds import bound_context
     from .domains import QuadratureGrid
+    from .scenario import _scenario_spectrum
 
     scenario = load_scenario(args.config)
     grid = QuadratureGrid(scenario.problem.domain, scenario.grid_n)
-    spectrum, summary = _scenario_spectrum(scenario, grid)
+    spectrum, summary = _scenario_spectrum(
+        scenario, grid, bound_context(scenario.problem, grid))
     count = len(spectrum) if args.count is None else min(args.count,
                                                          len(spectrum))
     if args.json:
@@ -127,30 +125,19 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    scenario = load_scenario(args.config)
-    raw = dict(scenario.raw)
-    raw["bounds"] = [_bound_entry(args.kind, args.param)]
-    import tempfile
-    from pathlib import Path
+    from .scenario import _KINDS
 
-    with tempfile.TemporaryDirectory() as tmp:
-        patched = Path(tmp) / "patched.json"
-        patched.write_text(json.dumps(raw))
-        patched_scenario = load_scenario(patched)
-    report = run_scenario(patched_scenario, jobs=args.jobs)
+    if args.kind not in _KINDS:
+        raise ScenarioError(f"--kind: unknown bound kind {args.kind!r}")
+    scenario = load_scenario(args.config)
+    entry = {"kind": args.kind, _KINDS[args.kind][0]: list(args.param)}
+    report = run_scenario(scenario_from_dict(
+        dict(scenario.raw, bounds=[entry]), label=scenario.label))
     for err in report.errors:
         print(f"error: {err['kind']} parameter={err['parameter']:g}: "
               f"{err['message']}", file=sys.stderr)
     _print_reports(report.reports, sys.stdout)
     return _exit_code(report)
-
-
-def _bound_entry(kind: str, params: List[float]) -> dict:
-    from .scenario import _PARAM_KEY
-
-    if kind not in _PARAM_KEY:
-        raise ScenarioError(f"--kind: unknown bound kind {kind!r}")
-    return {"kind": kind, _PARAM_KEY[kind]: list(params)}
 
 
 def _cmd_selftest(args) -> int:

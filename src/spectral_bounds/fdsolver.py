@@ -234,6 +234,10 @@ def solve_lowest_detailed(form: DiscreteForm,
         if k >= n:
             raise ValueError("iterative method needs k < dof_count")
         a = (sp.diags(d) @ form.stiffness @ sp.diags(d)).tocsc()
+        if not np.isfinite(a.data).all():
+            # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
+            raise ValueError(
+                f"mass-scaled operator overflows on grid {form.grid.shape}")
         sigma = min(0.0, form.potential_floor) - 1.0
         # A = d G d + diag(V w) with G >= 0, so A - sigma I >= I: no pivoting
         lu = spla.splu(a - sigma * sp.identity(n, format="csc"),

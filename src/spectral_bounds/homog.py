@@ -20,9 +20,9 @@ from __future__ import annotations
 from math import exp
 from typing import Optional
 
-from .domains import QuadratureGrid, TorusFundamental
-from .problem import ProblemSpec
-from .report import BoundReport, inputs_digest, make_report
+from .bounds import BoundContext
+from .domains import TorusFundamental
+from .report import BoundReport, make_report
 from .special import hex_heat_floor
 from .spectra import (HomogeneousSpectrum, Spectrum, TailModel, heat_trace,
                       interp_partial_sum, riesz_mean_1)
@@ -47,9 +47,7 @@ def homog_riesz_compare(mu: Spectrum, shifted: HomogeneousSpectrum,
     computed = riesz_mean_1(mu, z)
     reference = shifted.flatten()
     bound = vol_ratio * riesz_mean_1(reference, z)
-    digest = inputs_digest("homog-riesz", mu.source, shifted.source,
-                           vol_ratio, z)
-    return make_report("homog-riesz", z, bound, computed, "lower", digest)
+    return make_report("homog-riesz", z, bound, computed, "lower")
 
 
 def homog_sum_compare(mu: Spectrum, shifted: HomogeneousSpectrum,
@@ -59,9 +57,7 @@ def homog_sum_compare(mu: Spectrum, shifted: HomogeneousSpectrum,
     computed = interp_partial_sum(mu, p)
     reference = shifted.flatten()
     bound = vol_ratio * interp_partial_sum(reference, p / vol_ratio)
-    digest = inputs_digest("homog-sum", mu.source, shifted.source,
-                           vol_ratio, p)
-    return make_report("homog-sum", p, bound, computed, "upper", digest)
+    return make_report("homog-sum", p, bound, computed, "upper")
 
 
 def heat_homog_compare(mu: Spectrum, shifted: HomogeneousSpectrum,
@@ -81,14 +77,12 @@ def heat_homog_compare(mu: Spectrum, shifted: HomogeneousSpectrum,
     reference = shifted.flatten()
     rhs = heat_trace(reference, t, reference_tail)
     bound = vol_ratio * (rhs.truncated + rhs.tail)
-    digest = inputs_digest("homog-heat", mu.source, shifted.source,
-                           vol_ratio, t)
-    return make_report("homog-heat", t, bound, computed, "lower", digest,
+    return make_report("homog-heat", t, bound, computed, "lower",
                        notes=("computed side truncated; reference side "
                               "includes its tail estimate",))
 
 
-def heat_torus_bound(problem: ProblemSpec, t: float, grid: QuadratureGrid,
+def heat_torus_bound(ctx: BoundContext, t: float,
                      spectrum: Spectrum) -> BoundReport:
     """Hexagonal heat-trace floor for periodic problems:
 
@@ -99,15 +93,11 @@ def heat_torus_bound(problem: ProblemSpec, t: float, grid: QuadratureGrid,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if not isinstance(problem.domain, TorusFundamental):
+    if not isinstance(ctx.domain, TorusFundamental):
         raise ValueError("heat_torus_bound needs a torus domain")
-    volume = abs(problem.domain.det())
-    w_mean = problem.mean_w(grid)
-    vw_mean = problem.mean_veff_w(grid)
-    bound = exp(-t * vw_mean) * hex_heat_floor(w_mean * t, volume)
+    bound = exp(-t * ctx.vw_mean) * hex_heat_floor(ctx.w_mean * t, ctx.volume)
     computed = heat_trace(spectrum, t).truncated
-    digest = inputs_digest("heat-torus", problem, t, grid.shape)
-    return make_report("heat-torus", t, bound, computed, "lower", digest,
+    return make_report("heat-torus", t, bound, computed, "lower",
                        notes=("hexagonal comparison lattice of equal "
                               "covolume (sharp constant)",
                               "computed side truncated at the spectrum "

@@ -35,7 +35,7 @@ import numpy as np
 from .domains import QuadratureGrid
 from .expressions import differentiate
 from .problem import ProblemSpec
-from .report import BoundReport, inputs_digest, make_report
+from .report import BoundReport, make_report
 from .special import bessel_first_zero, unit_ball_volume
 from .spectra import Spectrum
 
@@ -68,7 +68,6 @@ class PhaseSpaceData:
     phiw: np.ndarray
     ew: np.ndarray
     lip: np.ndarray
-    digest: str
     vt_nodes: np.ndarray = field(repr=False)    # ascending
     w_nodes: np.ndarray = field(repr=False)     # in vt_nodes order
     lip_nodes: np.ndarray = field(repr=False)   # running max of |grad Vtilde|
@@ -215,12 +214,10 @@ def phase_space_tables(problem: ProblemSpec, lam_grid,
     moments = None
     if problem.nu % 2 == 0:
         moments = _block_moments(vt, w, problem.nu // 2 + 1)
-    digest = inputs_digest("phase-space", problem, grid.shape,
-                           lam_grid[0], lam_grid[-1], lam_grid.size)
     empty = np.empty(0)
     data = PhaseSpaceData(
         nu=problem.nu, lam_grid=empty, phi1=empty, phiw=empty, ew=empty,
-        lip=empty, digest=digest, vt_nodes=vt, w_nodes=w,
+        lip=empty, vt_nodes=vt, w_nodes=w,
         lip_nodes=lip_nodes, cell_volume=grid.cell_volume,
         block_moments=moments)
     return data._extended_by(lam_grid)
@@ -307,7 +304,5 @@ def phase_space_sum_bound(problem: ProblemSpec, k: int,
         notes.append(f"Bessel order {order:g}, first zero {j:.12g}")
 
     computed = spectrum.partial_sum(k)
-    digest = inputs_digest("phase-space-sum", psd.digest, k, order,
-                           lip_override)
     return make_report("phase-space-sum", k, bound, computed, "upper",
-                       digest, notes=tuple(notes))
+                       notes=tuple(notes))

@@ -19,15 +19,15 @@ from .expressions import ScalarFieldExpr, const, differentiate, parse_field
 
 __all__ = ["ProblemSpec", "effective_potential"]
 
-_VALIDATION_NODES = 13  # per axis, for the cheap positivity screen
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """A weighted Neumann problem on a domain.
 
     w, rho, V may be given as expression source strings or parsed
-    expressions; omitted fields default to w = 1, rho = 0, V = 0.
+    expressions; omitted fields default to w = 1, rho = 0, V = 0.  The
+    sign of w is checked where a grid is known: by `bound_context` and by
+    `assemble`, at every node they use.
     """
 
     domain: Domain
@@ -45,19 +45,10 @@ class ProblemSpec:
             elif isinstance(value, str):
                 value = parse_field(value, nu)
             object.__setattr__(self, name, value)
-        self._check_weight_positive()
 
     @property
     def nu(self) -> int:
         return self.domain.nu
-
-    def _check_weight_positive(self):
-        grid = QuadratureGrid(self.domain, _VALIDATION_NODES)
-        w_vals = grid.inside_values(self.w)
-        if w_vals.min() <= 0:
-            raise ValueError(
-                f"weight w must be strictly positive on the domain; "
-                f"sampled minimum {w_vals.min():.3g}")
 
     def effective_potential(self) -> ScalarFieldExpr:
         return effective_potential(self)

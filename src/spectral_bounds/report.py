@@ -20,7 +20,7 @@ _HOLD_RTOL = 1e-9
 
 
 def inputs_digest(*parts) -> str:
-    """Short stable digest of the inputs that produced a report."""
+    """Short stable digest of a run's inputs."""
     text = json.dumps([repr(p) for p in parts], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -34,7 +34,6 @@ class BoundReport:
     direction: str               # "upper": computed <= bound; "lower": >=
     holds: bool
     slack_ratio: Optional[float]
-    digest: str = ""
     notes: Tuple[str, ...] = field(default=())
 
     def to_json_dict(self) -> dict:
@@ -57,7 +56,7 @@ class BoundReport:
 
 def make_report(kind: str, parameter: float, bound_value: float,
                 computed_value: float, direction: str,
-                digest: str = "", notes: Tuple[str, ...] = ()) -> BoundReport:
+                notes: Tuple[str, ...] = ()) -> BoundReport:
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', "
                          f"got {direction!r}")
@@ -74,4 +73,4 @@ def make_report(kind: str, parameter: float, bound_value: float,
             slack = bound_value / computed_value
     return BoundReport(kind, float(parameter), float(bound_value),
                        float(computed_value), direction, bool(holds),
-                       slack, digest, tuple(notes))
+                       slack, tuple(notes))

@@ -15,20 +15,33 @@ grids:
     }
 
 Domains: box {sides, origin?}, disk {radius, center?}, masked_box {sides,
-origin?, inside}, torus {e1, e2}.  Field expressions default to w=1,
-rho=0, V=0.  Spectrum sources: "fd" (finite differences on the grid),
-"exact-rectangle", "exact-torus", "exact-sphere"; exact sources apply the
-affine shift by (w_mean, vweff_mean), which matches the operator exactly
-when the fields are constant.
+origin?, inside}, torus {e1, e2}.  `fields` may set w, rho and V and
+nothing else; they default to w=1, rho=0, V=0.  Spectrum sources: "fd"
+(finite differences on the grid), "exact-rectangle", "exact-torus",
+"exact-sphere"; exact-torus applies the affine shift by (w_mean,
+vweff_mean), which matches the operator exactly when the fields are
+constant.
 
-Bound kinds and their parameter key:
-    kroger-avg k | general-sum k | riesz-lower z | heat-lower t |
-    individual-sk k | individual-pos k | phase-space-sum k | heat-torus t
+Each bound entry names a kind, the list of values of its parameter key,
+and the numeric options that kind reads; any other key is rejected.  The
+table _KINDS holds all three per kind:
 
-The run computes the spectrum once, evaluates every requested bound,
-sorts reports by (kind, parameter), and emits JSON/CSV whose bytes depend
-only on scenario content, seed, and package version (wall time goes to
-stderr, never into the files).
+    kroger-avg       k
+    general-sum      k   H_omega
+    riesz-lower      z   H_omega
+    heat-lower       t   H_omega
+    individual-sk    k   H_omega
+    individual-pos   k   H_omega
+    heat-torus       t
+    phase-space-sum  k   grid_n, lam_max, bessel_order, lip_override
+
+A run builds one BoundContext on the run grid (|Omega|, w_mean,
+vweff_mean; it also checks w > 0 at every inside node), then the
+spectrum, then evaluates every requested bound through the table; the
+phase-space tables are built once per (grid_n, lam_max).  Reports are
+sorted by (kind, parameter), and the JSON/CSV bytes depend only on
+scenario content, seed, and package version (wall time goes to stderr,
+never into the files).
 """
 
 from __future__ import annotations
@@ -37,8 +50,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -46,12 +57,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds import (general_sum_bound, heat_lower_bound, individual_bound_pos,
+from .bounds import (BoundContext, bound_context, general_sum_bound,
+                     heat_lower_bound, individual_bound_pos,
                      individual_bound_sk, kroger_avg_bound, riesz_lower_bound)
 from .domains import Box, Disk, MaskedBox, QuadratureGrid, TorusFundamental
 from .expressions import FieldSyntaxError
 from .homog import heat_torus_bound
-from .phasespace import phase_space_sum_bound, phase_space_tables
+from .phasespace import (PhaseSpaceData, phase_space_sum_bound,
+                         phase_space_tables)
 from .problem import ProblemSpec
 from .report import BoundReport, inputs_digest
 from .special import Lattice2
@@ -60,18 +73,10 @@ from .spectra import (Spectrum, rectangle_neumann_exact, shifted_spectrum,
 from .fdsolver import SolverOptions, assemble, solve_lowest_detailed
 
 __all__ = ["Scenario", "BoundRequest", "RunReport", "ScenarioError",
-           "load_scenario", "run_scenario", "emit", "default_jobs"]
+           "load_scenario", "scenario_from_dict", "run_scenario", "emit"]
 
-_PARAM_KEY = {
-    "kroger-avg": "k",
-    "general-sum": "k",
-    "riesz-lower": "z",
-    "heat-lower": "t",
-    "individual-sk": "k",
-    "individual-pos": "k",
-    "phase-space-sum": "k",
-    "heat-torus": "t",
-}
+_FIELDS = ("w", "rho", "V")
+_REQUIRED = object()   # default of a field that must be present
 
 
 class ScenarioError(ValueError):
@@ -105,11 +110,11 @@ class Scenario:
         return inputs_digest("scenario", json.dumps(self.raw, sort_keys=True))
 
 
-def _expect(mapping: dict, key: str, types, path: str, default=_PARAM_KEY):
+def _expect(mapping: dict, key: str, types, path: str, default=_REQUIRED):
     if key not in mapping:
-        if default is not _PARAM_KEY:
-            return default
-        raise ScenarioError(f"{path}.{key}: missing required field")
+        if default is _REQUIRED:
+            raise ScenarioError(f"{path}.{key}: missing required field")
+        return default
     value = mapping[key]
     if types is not None and not isinstance(value, types):
         raise ScenarioError(
@@ -117,12 +122,16 @@ def _expect(mapping: dict, key: str, types, path: str, default=_PARAM_KEY):
     return value
 
 
-def _vector(mapping: dict, key: str, path: str, length=None, default=_PARAM_KEY):
-    value = _expect(mapping, key, list, path, default)
-    if value is default and default is not _PARAM_KEY:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _vector(mapping: dict, key: str, path: str, length=None,
+            default=_REQUIRED):
+    if key not in mapping and default is not _REQUIRED:
         return default
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in value):
+    value = _expect(mapping, key, list, path)
+    if not all(_is_number(v) for v in value):
         raise ScenarioError(f"{path}.{key}: expected a list of numbers")
     if length is not None and len(value) != length:
         raise ScenarioError(f"{path}.{key}: expected {length} entries")
@@ -157,8 +166,8 @@ def _parse_domain(data: dict, path: str):
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file; errors name the offending
-    field by its JSON path."""
+    """Read and validate a scenario file; errors name the offending field
+    by its JSON path."""
     path = Path(path)
 
     def finite(text):
@@ -173,20 +182,26 @@ def load_scenario(path) -> Scenario:
                           parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: document must be an object")
+    return scenario_from_dict(data, label=path.stem)
 
-    label = _expect(data, "label", str, "$", default=path.stem)
+
+def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
+    """Validate a parsed scenario document; `label` names it when the
+    document has no label of its own."""
+    if not isinstance(data, dict):
+        raise ScenarioError("$: document must be an object")
+    label = _expect(data, "label", str, "$", default=label)
     domain = _parse_domain(_expect(data, "domain", dict, "$"), "domain")
 
     fields = _expect(data, "fields", dict, "$", default={})
+    for name in fields:
+        if name not in _FIELDS:
+            raise ScenarioError(
+                f"fields.{name}: unknown field (expected w, rho or V)")
     try:
-        problem = ProblemSpec(
-            domain,
-            w=_expect(fields, "w", str, "fields", default=None),
-            rho=_expect(fields, "rho", str, "fields", default=None),
-            V=_expect(fields, "V", str, "fields", default=None),
-            label=label)
+        problem = ProblemSpec(domain, label=label, **{
+            name: _expect(fields, name, str, "fields", default=None)
+            for name in _FIELDS})
     except FieldSyntaxError as exc:
         raise ScenarioError(f"fields: {exc}") from exc
 
@@ -224,26 +239,32 @@ def load_scenario(path) -> Scenario:
         if not isinstance(entry, dict):
             raise ScenarioError(f"{bpath}: expected an object")
         kind = _expect(entry, "kind", str, bpath)
-        if kind not in _PARAM_KEY:
+        if kind not in _KINDS:
             raise ScenarioError(f"{bpath}.kind: unknown bound kind {kind!r}")
-        key = _PARAM_KEY[kind]
+        key, option_keys, _ = _KINDS[kind]
         params = _vector(entry, key, bpath)
         if not params:
             raise ScenarioError(f"{bpath}.{key}: parameter list is empty")
-        options = {k: float(v) for k, v in entry.items()
-                   if k not in ("kind", key)
-                   and isinstance(v, (int, float)) and not isinstance(v, bool)}
-        if key == "k":
+        options = {}
+        for name, value in entry.items():
+            if name in ("kind", key):
+                continue
+            if name not in option_keys:
+                raise ScenarioError(
+                    f"{bpath}.{name}: {kind} reads no such key (it reads "
+                    f"{', '.join((key,) + option_keys)})")
+            if not _is_number(value):
+                raise ScenarioError(f"{bpath}.{name}: expected a number")
+            options[name] = float(value)
+        if key == "k" and source == "fd":
             needed = max(int(p) for p in params)
-            if kind in ("individual-sk", "individual-pos"):
-                needed += 1
-            if source != "exact-rectangle" and needed > count and \
-                    source in ("fd",):
+            if kind.startswith("individual"):
+                needed += 1     # these read mu_k itself
+            if needed > count:
                 raise ScenarioError(
                     f"{bpath}.{key}: needs {needed} eigenvalues but "
                     f"spectrum.count is {count}")
-        bounds.append(BoundRequest(kind, tuple(float(p) for p in params),
-                                   options))
+        bounds.append(BoundRequest(kind, tuple(params), options))
 
     seed = _expect(data, "seed", int, "$", default=0)
     return Scenario(label, problem, grid_n, source, count, cutoff,
@@ -289,7 +310,8 @@ class RunReport:
         return buf.getvalue()
 
 
-def _scenario_spectrum(s: Scenario, grid: QuadratureGrid):
+def _scenario_spectrum(s: Scenario, grid: QuadratureGrid,
+                       ctx: BoundContext):
     """Spectrum per the scenario source; returns (spectrum, summary)."""
     summary = {"source": s.source}
     if s.source == "fd":
@@ -321,9 +343,7 @@ def _scenario_spectrum(s: Scenario, grid: QuadratureGrid):
             # enough dual points to cover `count` eigenvalues, Weyl-sized
             cutoff = 4.0 * math.pi * (s.count + 4) / lattice.covolume()
         homog = torus_spectrum(lattice, float(cutoff))
-        w_mean = s.problem.mean_w(grid)
-        vw_mean = s.problem.mean_veff_w(grid)
-        spectrum = shifted_spectrum(homog, w_mean, vw_mean).flatten()
+        spectrum = shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten()
         summary["note"] = ("affine shift of the free torus spectrum; exact "
                            "for constant fields")
     else:  # exact-sphere
@@ -342,63 +362,25 @@ def _scenario_spectrum(s: Scenario, grid: QuadratureGrid):
     return spectrum, summary
 
 
-def _evaluate_request(s: Scenario, req: BoundRequest, grid: QuadratureGrid,
-                      spectrum: Spectrum, param: float):
-    kind = req.kind
-    H = req.options.get("H_omega")
-    if kind == "kroger-avg":
-        return [kroger_avg_bound(s.problem, int(param), grid, spectrum)]
-    if kind == "general-sum":
-        return [general_sum_bound(s.problem, int(param), grid,
-                                  H_omega=H, spectrum=spectrum)]
-    if kind == "riesz-lower":
-        return [riesz_lower_bound(s.problem, param, grid, spectrum,
-                                  H_omega=H)]
-    if kind == "heat-lower":
-        return [heat_lower_bound(s.problem, param, grid, spectrum,
-                                 H_omega=H)]
-    if kind == "individual-sk":
-        return [individual_bound_sk(s.problem, int(param), spectrum, grid,
-                                    H_omega=H)]
-    if kind == "individual-pos":
-        return list(individual_bound_pos(s.problem, int(param), spectrum,
-                                         grid, H_omega=H))
-    if kind == "heat-torus":
-        return [heat_torus_bound(s.problem, param, grid, spectrum)]
-    raise AssertionError(f"unhandled kind {kind}")
+@dataclass
+class _Run:
+    """What an evaluator reads: the scenario, its bound context and
+    spectrum, and the phase-space tables built so far."""
 
+    scenario: Scenario
+    ctx: BoundContext
+    spectrum: Spectrum
+    _tables: Dict[Tuple, PhaseSpaceData] = field(default_factory=dict)
 
-def default_jobs() -> int:
-    env = os.environ.get("SPECTRAL_BOUNDS_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def run_scenario(s: Scenario, jobs: Optional[int] = None) -> RunReport:
-    """Compute the spectrum once and evaluate every requested bound.
-
-    Individual bound failures become entries of `errors`; inequality
-    violations surface as reports with holds=False.
-    """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    grid = QuadratureGrid(s.problem.domain, s.grid_n)
-    spectrum, summary = _scenario_spectrum(s, grid)
-
-    reports: List[BoundReport] = []
-    errors: List[dict] = []
-
-    # phase-space requests share one table set per option signature
-    psd_cache: Dict[Tuple, object] = {}
-
-    def psd_for(req: BoundRequest):
-        key = (req.options.get("grid_n"), req.options.get("lam_max"))
-        if key not in psd_cache:
-            n = int(req.options.get("grid_n") or max(s.grid_n))
-            lam_max = req.options.get("lam_max")
+    def tables(self, opts: Dict[str, float]) -> PhaseSpaceData:
+        """Phase-space tables, built once per (grid_n, lam_max)."""
+        key = (opts.get("grid_n"), opts.get("lam_max"))
+        if key not in self._tables:
+            s = self.scenario
+            n = int(opts.get("grid_n") or max(s.grid_n))
+            lam_max = opts.get("lam_max")
             if lam_max is None:
-                lam_max = max(float(spectrum.values[-1]) * 2.0, 1.0)
+                lam_max = max(float(self.spectrum.values[-1]) * 2.0, 1.0)
 
             def levels(floor):
                 lam_grid = np.linspace(floor, float(lam_max), 33)
@@ -407,44 +389,64 @@ def run_scenario(s: Scenario, jobs: Optional[int] = None) -> RunReport:
                 return lam_grid
 
             psd_grid = QuadratureGrid(s.problem.domain, n)
-            psd_cache[key] = phase_space_tables(s.problem, levels, psd_grid)
-        return psd_cache[key]
+            self._tables[key] = phase_space_tables(s.problem, levels,
+                                                   psd_grid)
+        return self._tables[key]
 
-    tasks = []
+
+def _phase_space_sum(run: _Run, k: float, opts: Dict[str, float]):
+    return [phase_space_sum_bound(
+        run.scenario.problem, int(k), run.tables(opts), run.spectrum,
+        bessel_order=opts.get("bessel_order"),
+        lip_override=opts.get("lip_override"))]
+
+
+# kind -> (parameter key, option keys it reads, evaluator).  An evaluator
+# maps (run, parameter, options) to a list of reports.  The lambdas look
+# each bound function up by its module-global name when they are called,
+# so a function replaced on this module after import is the one that runs.
+_KINDS = {
+    "kroger-avg": ("k", (), lambda r, k, o: [
+        kroger_avg_bound(r.ctx, int(k), r.spectrum)]),
+    "general-sum": ("k", ("H_omega",), lambda r, k, o: [
+        general_sum_bound(r.ctx, int(k), r.spectrum, o.get("H_omega"))]),
+    "riesz-lower": ("z", ("H_omega",), lambda r, z, o: [
+        riesz_lower_bound(r.ctx, z, r.spectrum, o.get("H_omega"))]),
+    "heat-lower": ("t", ("H_omega",), lambda r, t, o: [
+        heat_lower_bound(r.ctx, t, r.spectrum, o.get("H_omega"))]),
+    "individual-sk": ("k", ("H_omega",), lambda r, k, o: [
+        individual_bound_sk(r.ctx, int(k), r.spectrum, o.get("H_omega"))]),
+    "individual-pos": ("k", ("H_omega",), lambda r, k, o: list(
+        individual_bound_pos(r.ctx, int(k), r.spectrum, o.get("H_omega")))),
+    "heat-torus": ("t", (), lambda r, t, o: [
+        heat_torus_bound(r.ctx, t, r.spectrum)]),
+    "phase-space-sum": ("k", ("grid_n", "lam_max", "bessel_order",
+                              "lip_override"), _phase_space_sum),
+}
+
+
+def run_scenario(s: Scenario) -> RunReport:
+    """Build the bound context, compute the spectrum once and evaluate
+    every requested bound.
+
+    Individual bound failures become entries of `errors`; inequality
+    violations surface as reports with holds=False.
+    """
+    grid = QuadratureGrid(s.problem.domain, s.grid_n)
+    ctx = bound_context(s.problem, grid)
+    spectrum, summary = _scenario_spectrum(s, grid, ctx)
+    run = _Run(s, ctx, spectrum)
+
+    reports: List[BoundReport] = []
+    errors: List[dict] = []
     for req in s.bounds:
+        evaluate = _KINDS[req.kind][2]
         for param in req.parameters:
-            tasks.append((req, param))
-
-    def run_one(item):
-        req, param = item
-        try:
-            if req.kind == "phase-space-sum":
-                psd = psd_for(req)
-                order = req.options.get("bessel_order")
-                lip = req.options.get("lip_override")
-                return [phase_space_sum_bound(
-                    s.problem, int(param), psd, spectrum,
-                    bessel_order=order, lip_override=lip)], None
-            return _evaluate_request(s, req, grid, spectrum, param), None
-        except Exception as exc:  # collected, run continues
-            return [], {"kind": req.kind, "parameter": param,
-                        "message": f"{type(exc).__name__}: {exc}"}
-
-    if jobs > 1 and len(tasks) > 1:
-        # phase-space tables are built serially first: the cache is not
-        # thread-safe and the tables dominate the cost anyway
-        for req in s.bounds:
-            if req.kind == "phase-space-sum":
-                psd_for(req)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, tasks))
-    else:
-        outcomes = [run_one(t) for t in tasks]
-
-    for found, err in outcomes:
-        reports.extend(found)
-        if err is not None:
-            errors.append(err)
+            try:
+                reports.extend(evaluate(run, param, req.options))
+            except Exception as exc:  # collected, run continues
+                errors.append({"kind": req.kind, "parameter": param,
+                               "message": f"{type(exc).__name__}: {exc}"})
 
     reports.sort(key=lambda r: (r.kind, r.parameter))
     errors.sort(key=lambda e: (e["kind"], e["parameter"]))

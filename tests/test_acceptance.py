@@ -17,7 +17,8 @@ import numpy as np
 
 import spectral_bounds
 from spectral_bounds.avp import avp_check, tight_frame_bound
-from spectral_bounds.bounds import (euclidean_H, general_sum_bound,
+from spectral_bounds.bounds import (bound_context, euclidean_H,
+                                    general_sum_bound,
                                     individual_bound_pos, individual_bound_sk,
                                     kroger_avg_bound, legendre_conjugate_power,
                                     riesz_lower_bound)
@@ -92,8 +93,9 @@ def test_02_averaged_bound_every_k():
 
     started = time.perf_counter()
     slacks = {}
+    ctx = bound_context(prob, grid)
     for k in range(1, 51):
-        rep = kroger_avg_bound(prob, k, grid, spectrum=spec)
+        rep = kroger_avg_bound(ctx, k, spec)
         if not rep.holds:
             failures.append(f"violated at k={k}")
         if abs(rep.bound_value - 2 * math.pi * k * k) > \
@@ -124,17 +126,18 @@ def test_03_weighted_variants():
         grid = QuadratureGrid(prob.domain, 120)
         spec = solve_lowest(assemble(prob, grid),
                             SolverOptions(k=21, method="iterative"))
+        ctx = bound_context(prob, grid)
         for k in range(1, 21):
-            if not general_sum_bound(prob, k, grid, spectrum=spec).holds:
+            if not general_sum_bound(ctx, k, spec).holds:
                 failures.append(f"{name}: sum bound violated at k={k}")
         for k in (5, 10, 20):
-            sk = individual_bound_sk(prob, k, spec, grid)
+            sk = individual_bound_sk(ctx, k, spec)
             if not sk.holds:
                 failures.append(f"{name}: S_k bound violated at k={k}")
             ratio = float(sk.notes[0].split("=")[-1])
             if not 0.0 < ratio <= 1.0:
                 failures.append(f"{name}: S_k = {ratio} outside (0, 1]")
-            ri, rm = individual_bound_pos(prob, k, spec, grid)
+            ri, rm = individual_bound_pos(ctx, k, spec)
             if not (ri.holds and rm.holds):
                 failures.append(f"{name}: positivity pair violated at k={k}")
     _verdict("weighted variants on [-1,1]^2 at 120^2", failures,
@@ -147,9 +150,10 @@ def test_04_riesz_legendre_laplace():
     grid = QuadratureGrid(prob.domain, 64)
     spec = rectangle_neumann_exact(1.0, 1.0, count=60)
     cutoff = float(spec.cutoff)
+    ctx = bound_context(prob, grid)
 
     for z in np.linspace(1.0, cutoff, 20):
-        if not riesz_lower_bound(prob, float(z), grid, spec).holds:
+        if not riesz_lower_bound(ctx, float(z), spec).holds:
             failures.append(f"Riesz bound violated at z={z:.3g}")
 
     H = euclidean_H(2)
@@ -157,7 +161,7 @@ def test_04_riesz_legendre_laplace():
     worst = 0.0
     for k in range(1, 51):
         dual = legendre_conjugate_power(A, 0.0, 2, float(k))
-        direct = general_sum_bound(prob, k, grid, spectrum=spec).bound_value
+        direct = general_sum_bound(ctx, k, spec).bound_value
         worst = max(worst, abs(dual - direct) / direct)
     if worst > 1e-9:
         failures.append(f"Legendre dual off by {worst:.3g} (tol 1e-9)")
@@ -185,10 +189,11 @@ def test_05_phase_space_bound():
     fgrid = QuadratureGrid(flat.domain, 64)
     psd = phase_space_tables(flat, np.linspace(0.0, 660.0, 34), fgrid)
     spec = rectangle_neumann_exact(1.0, 1.0, count=51)
+    fctx = bound_context(flat, fgrid)
     worst = 0.0
     for k in (1, 5, 20, 50):
         psb = phase_space_sum_bound(flat, k, psd, spec)
-        avg = kroger_avg_bound(flat, k, fgrid, spectrum=spec)
+        avg = kroger_avg_bound(fctx, k, spec)
         worst = max(worst, abs(psb.bound_value - avg.bound_value),
                     abs(psb.bound_value - 2 * math.pi * k * k))
         if not psb.holds:
@@ -282,8 +287,9 @@ def test_07_lattice_identities_and_periodic_heat():
         prob = ProblemSpec(domain, **fields)
         spec = solve_lowest(assemble(prob, grid),
                             SolverOptions(k=45, method="iterative"))
+        ctx = bound_context(prob, grid)
         for t in (0.1, 0.3, 1.0):
-            rep = heat_torus_bound(prob, t, grid, spec)
+            rep = heat_torus_bound(ctx, t, spec)
             margins.append(rep.computed_value / rep.bound_value - 1.0)
             if not rep.holds:
                 failures.append(

@@ -7,7 +7,7 @@ import scipy.linalg
 from spectral_bounds import (Box, Disk, MaskedBox, ProblemSpec,
                              QuadratureGrid, SolverConvergenceError,
                              SolverOptions, TorusFundamental, assemble,
-                             convergence_study, parse_field,
+                             bound_context, convergence_study, parse_field,
                              rectangle_neumann_exact, solve_lowest,
                              solve_lowest_detailed)
 
@@ -201,9 +201,13 @@ class TestWeighted:
         assert v1 == pytest.approx(v0, rel=1e-11, abs=1e-10)
 
     def test_nonpositive_weight_rejected(self):
-        # caught at problem construction by the positivity sampling
+        # caught where a grid is known: by assembly and by the bound context
+        prob = ProblemSpec(Box((2.0, 2.0), (-1.0, -1.0)), w="x")
+        grid = QuadratureGrid(prob.domain, 16)
         with pytest.raises(ValueError, match="positive"):
-            ProblemSpec(Box((2.0, 2.0), (-1.0, -1.0)), w="x")
+            assemble(prob, grid)
+        with pytest.raises(ValueError, match="positive"):
+            bound_context(prob, grid)
 
 
 AGREEMENT_CASES = {

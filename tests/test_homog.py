@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_bounds.bounds import bound_context
 from spectral_bounds.domains import QuadratureGrid, TorusFundamental
 from spectral_bounds.homog import (heat_homog_compare, heat_torus_bound,
                                    homog_riesz_compare, homog_sum_compare)
@@ -113,17 +114,16 @@ def test_heat_compare_tail_raises_the_bar(half_pair):
 
 def test_heat_torus_bound_formula_and_floor():
     domain = TorusFundamental((1.0, 0.0), (0.0, 1.0))
-    prob = ProblemSpec(domain)
-    grid = QuadratureGrid(domain, 32)
+    ctx = bound_context(ProblemSpec(domain), QuadratureGrid(domain, 32))
     mu = torus_spectrum(UNIT, CUTOFF).flatten()
     for t in (0.2, 0.5, 1.0):
-        rep = heat_torus_bound(prob, t, grid, mu)
+        rep = heat_torus_bound(ctx, t, mu)
         # constant unit fields: the bound is the bare hexagonal floor
         assert rep.bound_value == pytest.approx(hex_heat_floor(t, 1.0),
                                                 rel=1e-13)
         assert rep.holds, t
     with pytest.raises(ValueError, match="positive"):
-        heat_torus_bound(prob, -1.0, grid, mu)
+        heat_torus_bound(ctx, -1.0, mu)
 
 
 def test_heat_torus_bound_hexagonal_equality():
@@ -133,11 +133,10 @@ def test_heat_torus_bound_hexagonal_equality():
     e1 = (beta, 0.0)
     e2 = (beta / 2.0, beta * math.sqrt(3.0) / 2.0)
     domain = TorusFundamental(e1, e2)
-    prob = ProblemSpec(domain)
-    grid = QuadratureGrid(domain, 32)
+    ctx = bound_context(ProblemSpec(domain), QuadratureGrid(domain, 32))
     mu = torus_spectrum(Lattice2(e1, e2), CUTOFF).flatten()
     t = 0.3
-    rep = heat_torus_bound(prob, t, grid, mu)
+    rep = heat_torus_bound(ctx, t, mu)
     assert rep.holds
     assert rep.computed_value == pytest.approx(rep.bound_value, rel=1e-12)
 
@@ -145,20 +144,20 @@ def test_heat_torus_bound_hexagonal_equality():
 def test_heat_torus_bound_rejects_box():
     from spectral_bounds.domains import Box
     prob = ProblemSpec(Box((1.0, 1.0)))
-    grid = QuadratureGrid(prob.domain, 16)
+    ctx = bound_context(prob, QuadratureGrid(prob.domain, 16))
     mu = torus_spectrum(UNIT, CUTOFF).flatten()
     with pytest.raises(ValueError, match="torus"):
-        heat_torus_bound(prob, 0.5, grid, mu)
+        heat_torus_bound(ctx, 0.5, mu)
 
 
 def test_heat_torus_bound_with_potential_shift():
     domain = TorusFundamental((1.0, 0.0), (0.0, 1.0))
-    prob = ProblemSpec(domain, V="2")
-    grid = QuadratureGrid(domain, 32)
+    ctx = bound_context(ProblemSpec(domain, V="2"),
+                        QuadratureGrid(domain, 32))
     base = torus_spectrum(UNIT, CUTOFF)
     mu = shifted_spectrum(base, 1.0, 2.0).flatten()
     t = 0.5
-    rep = heat_torus_bound(prob, t, grid, mu)
+    rep = heat_torus_bound(ctx, t, mu)
     assert rep.bound_value == pytest.approx(
         math.exp(-2.0 * t) * hex_heat_floor(t, 1.0), rel=1e-13)
     assert rep.holds

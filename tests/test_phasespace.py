@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_bounds.bounds import kroger_avg_bound
+from spectral_bounds.bounds import bound_context, kroger_avg_bound
 from spectral_bounds.domains import Box, Disk, QuadratureGrid
 from spectral_bounds.expressions import differentiate
 from spectral_bounds.fdsolver import SolverOptions, assemble, solve_lowest
@@ -124,11 +124,11 @@ def test_flat_bound_coincides_with_averaged_bound():
     # V = 0 on the unit square: the sum bound must land on the averaged
     # (Kroger) value 2 pi k^2 to near machine precision
     prob, psd = flat_tables()
-    grid = QuadratureGrid(prob.domain, 64)
+    ctx = bound_context(prob, QuadratureGrid(prob.domain, 64))
     fake = Spectrum(np.zeros(60), cutoff=0.0)
     for k in (1, 5, 20, 50):
         rep = phase_space_sum_bound(prob, k, psd, fake)
-        averaged = kroger_avg_bound(prob, k, grid, spectrum=fake)
+        averaged = kroger_avg_bound(ctx, k, fake)
         assert abs(rep.bound_value - averaged.bound_value) <= 1e-10
         assert abs(rep.bound_value - 2 * math.pi * k * k) <= 1e-10
         assert "flat effective potential" in rep.notes[-1]

@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_bounds.cli import main
-from spectral_bounds.scenario import (ScenarioError, default_jobs, emit,
-                                      load_scenario, run_scenario)
+from spectral_bounds.domains import QuadratureGrid
+from spectral_bounds.scenario import (ScenarioError, emit, load_scenario,
+                                      run_scenario, scenario_from_dict)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 BASE = {
     "label": "square",
@@ -71,6 +74,16 @@ BAD_CASES = [
     ({**BASE, "bounds": [{"kind": "kroger-avg", "k": []}]}, "empty"),
     ({**BASE, "bounds": [{"kind": "kroger-avg"}]}, r"bounds\[0\].k"),
     ({**BASE, "seed": "zero"}, "seed"),
+    ({**BASE, "fields": {"v": "1000"}}, r"fields\.v: unknown field"),
+    ({**BASE, "bounds": [{"kind": "kroger-avg", "k": [1], "H_omega": 5}]},
+     r"bounds\[0\]\.H_omega: kroger-avg reads no such key"),
+    ({**BASE, "bounds": [{"kind": "general-sum", "k": [1], "H_omgea": 5}]},
+     r"bounds\[0\]\.H_omgea"),
+    ({**BASE, "bounds": [{"kind": "general-sum", "k": [1], "H_omega": "5"}]},
+     r"bounds\[0\]\.H_omega: expected a number"),
+    ({**BASE, "bounds": [{"kind": "phase-space-sum", "k": [1],
+                          "grid_n": True}]},
+     r"bounds\[0\]\.grid_n: expected a number"),
 ]
 
 
@@ -122,17 +135,37 @@ def test_run_report_contents(tmp_path):
     assert len(csv_text.splitlines()) == 1 + len(report.reports)
 
 
-def test_run_deterministic_across_jobs(tmp_path):
-    cfg = scenario_with(
-        tmp_path,
-        bounds=[{"kind": "kroger-avg", "k": [1, 5, 10]},
-                {"kind": "riesz-lower", "z": [40.0, 80.0, 120.0]},
-                {"kind": "heat-lower", "t": [0.5, 1.0]},
-                {"kind": "individual-sk", "k": [3, 7]}])
-    serial = run_scenario(load_scenario(cfg), jobs=1)
-    threaded = run_scenario(load_scenario(cfg), jobs=4)
-    assert serial.to_json_text() == threaded.to_json_text()
-    assert serial.to_csv_text() == threaded.to_csv_text()
+def test_scenario_from_dict_matches_file(tmp_path):
+    doc = dict(BASE, bounds=[{"kind": "general-sum", "k": [2, 8],
+                              "H_omega": 20},
+                             {"kind": "riesz-lower", "z": [60.0]}])
+    from_file = load_scenario(write(tmp_path, doc))
+    from_dict = scenario_from_dict(doc)
+    assert from_dict.bounds == from_file.bounds
+    assert from_dict.bounds[0].options == {"H_omega": 20.0}
+    assert from_dict.digest() == from_file.digest()
+    assert run_scenario(from_dict).to_json_text() == \
+        run_scenario(from_file).to_json_text()
+    unlabeled = {k: v for k, v in doc.items() if k != "label"}
+    assert scenario_from_dict(unlabeled, label="named").label == "named"
+    with pytest.raises(ScenarioError, match="must be an object"):
+        scenario_from_dict([doc])
+
+
+def test_run_looks_bound_functions_up_when_called(tmp_path, monkeypatch):
+    # the kind table must not hold the function objects it saw at import
+    import spectral_bounds.scenario as scenario
+
+    original = scenario.kroger_avg_bound
+    seen = []
+
+    def spy(ctx, k, spectrum):
+        seen.append(k)
+        return original(ctx, k, spectrum)
+
+    monkeypatch.setattr(scenario, "kroger_avg_bound", spy)
+    assert run_scenario(load_scenario(scenario_with(tmp_path))).all_hold
+    assert seen == [1, 5, 10]
 
 
 def test_emit_writes_requested_formats(tmp_path):
@@ -213,13 +246,16 @@ def test_cli_scenario_error_exit(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", [{"fields": {"w": "x - 0.5"}},
-                                      {"grid": {"n": 4}}],
-                         ids=["negative-weight", "coarse-grid"])
+@pytest.mark.parametrize("override", [
+    {"fields": {"w": "x - 0.5"}},
+    {"grid": {"n": 4}},
+    # the exact rectangle never assembles; the run grid still checks w
+    {"fields": {"w": "x - 0.5"}, "spectrum": {"source": "exact-rectangle"}}],
+    ids=["negative-weight", "coarse-grid", "exact-negative-weight"])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, override):
-    cfg = scenario_with(tmp_path, spectrum={"source": "fd", "count": 8},
-                        bounds=[{"kind": "kroger-avg", "k": [2]}],
-                        **override)
+    cfg = scenario_with(tmp_path, **{
+        "spectrum": {"source": "fd", "count": 8},
+        "bounds": [{"kind": "kroger-avg", "k": [2]}], **override})
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_bounds.cli", "run",
          "--config", str(cfg), "--out", str(tmp_path / "o")],
@@ -230,13 +266,47 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, override):
     assert proc.stderr.count("\n") == 1
 
 
+def test_cli_small_masked_region_runs(tmp_path):
+    # a disk of radius 0.03: no node of a 13-grid falls inside, but the
+    # 256-grid the run solves on has 185 inside nodes
+    domain = {"type": "masked_box", "sides": [1.0, 1.0],
+              "inside": "(x-0.3)^2 + (y-0.3)^2 - 0.0009"}
+    cfg = scenario_with(tmp_path, domain=domain, grid={"n": 256},
+                        spectrum={"source": "fd", "count": 8},
+                        bounds=[{"kind": "kroger-avg", "k": [2, 4]}])
+    s = load_scenario(cfg)
+    assert int(QuadratureGrid(s.problem.domain, s.grid_n).mask.sum()) == 185
+    with pytest.raises(ValueError, match="no grid node"):
+        QuadratureGrid(s.problem.domain, 13)
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("name", ["square-kroger", "torus-kinds"])
+def test_cli_output_matches_golden_bytes(tmp_path, name):
+    # square-kroger is bundled; torus-kinds (tests/golden) requests the
+    # H_omega, heat, individual and heat-torus kinds on an exact torus
+    import spectral_bounds
+
+    cfg = GOLDEN / f"{name}.scenario.json"
+    if not cfg.exists():
+        cfg = Path(spectral_bounds.__path__[0], "scenarios", f"{name}.json")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                 "--format", "both"]) == 0
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"{name}.{ext}").read_bytes() == \
+            (GOLDEN / f"{name}.{ext}").read_bytes(), ext
+
+
 @pytest.mark.parametrize("domain", [
     {"type": "box", "sides": [1.0, float("nan")]},
     {"type": "box", "sides": [1.0, 10 ** 400]},
     {"type": "disk", "radius": 1e300},
     {"type": "disk", "radius": 1e-300},
-    {"type": "torus", "e1": [1.0, 0.0], "e2": [0.5, 1.0]}],
-    ids=["nan-side", "huge-int-side", "overflow", "underflow", "skew-torus"])
+    {"type": "torus", "e1": [1.0, 0.0], "e2": [0.5, 1.0]},
+    {"type": "box", "sides": [1.0, 1e-300]}],
+    ids=["nan-side", "huge-int-side", "overflow", "underflow", "skew-torus",
+         "scaled-overflow"])
 def test_cli_unevaluable_domain_exits_2(tmp_path, capsys, domain):
     cfg = scenario_with(tmp_path, domain=domain, grid={"n": 8},
                         spectrum={"source": "fd", "count": 4},
@@ -291,17 +361,6 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "OK: 5/5" in out
     assert out.count("PASS") == 5
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("SPECTRAL_BOUNDS_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("SPECTRAL_BOUNDS_JOBS", "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv("SPECTRAL_BOUNDS_JOBS", "junk")
-    assert default_jobs() == 1
-    monkeypatch.setenv("SPECTRAL_BOUNDS_JOBS", "0")
-    assert default_jobs() == 1
 
 
 def test_bundled_scenarios_load_and_run():
