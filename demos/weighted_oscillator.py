@@ -43,7 +43,7 @@ def main():
 
     print(f"\n{'k':>4} {'sum mu_j':>10} {'bound':>10} {'status':>9}")
     for k in (2, 5, 10):
-        rep = phase_space_sum_bound(prob, k, psd, fd)
+        rep = phase_space_sum_bound(k, psd, fd)
         status = "ok" if rep.holds else "VIOLATED"
         print(f"{k:>4} {rep.computed_value:>10.2f} {rep.bound_value:>10.2f}"
               f" {status:>9}")

@@ -16,21 +16,27 @@ min-max semantics carry over.
 Periodic problems (rectangular torus fundamental domains) get wrap-around
 faces; the seam face is evaluated at the left edge, i.e. fields are read
 modulo the period.
+
+scipy is imported inside `assemble` (after its input checks) and on the
+iterative path of `solve_lowest_detailed`, not with this module: a run
+whose spectrum is exact, or whose input is rejected before assembly,
+never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .domains import QuadratureGrid, TorusFundamental
 from .problem import ProblemSpec
 from .spectra import Spectrum
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DiscreteForm",
@@ -176,6 +182,7 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
                 else full_coords[b][last][both] for b in range(nu))
             add_faces(p_idx, q_idx, face_pts)
 
+    import scipy.sparse as sp
     stiffness = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
@@ -233,6 +240,8 @@ def solve_lowest_detailed(form: DiscreteForm,
     else:
         if k >= n:
             raise ValueError("iterative method needs k < dof_count")
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
         a = (sp.diags(d) @ form.stiffness @ sp.diags(d)).tocsc()
         if not np.isfinite(a.data).all():
             # finite K and M can still overflow in M^(-1/2) K M^(-1/2)

@@ -263,8 +263,7 @@ def lip_constant(problem: ProblemSpec, lam: float,
     return float(np.sqrt(grad_sq[below].max()))
 
 
-def phase_space_sum_bound(problem: ProblemSpec, k: int,
-                          psd: PhaseSpaceData, spectrum: Spectrum,
+def phase_space_sum_bound(k: int, psd: PhaseSpaceData, spectrum: Spectrum,
                           bessel_order: Optional[float] = None,
                           lip_override: Optional[float] = None) -> BoundReport:
     """Eigenvalue-sum bound from phase-space volumes:

@@ -18,9 +18,9 @@ Domains: box {sides, origin?}, disk {radius, center?}, masked_box {sides,
 origin?, inside}, torus {e1, e2}.  `fields` may set w, rho and V and
 nothing else; they default to w=1, rho=0, V=0.  Spectrum sources: "fd"
 (finite differences on the grid), "exact-rectangle", "exact-torus",
-"exact-sphere"; exact-torus applies the affine shift by (w_mean,
-vweff_mean), which matches the operator exactly when the fields are
-constant.
+"exact-sphere".  Every exact source applies the affine shift
+Lambda -> w_mean Lambda + vweff_mean to the bare Laplacian values, which
+matches the operator exactly when the fields are constant.
 
 Each bound entry names a kind, the list of values of its parameter key,
 and the numeric options that kind reads; any other key is rejected.  The
@@ -310,6 +310,14 @@ class RunReport:
         return buf.getvalue()
 
 
+def _shift_note(ctx: BoundContext) -> str:
+    """Note on the affine shift of an exact spectrum; empty when the shift
+    is the identity (w_mean = 1, vweff_mean = 0)."""
+    if (ctx.w_mean, ctx.vw_mean) == (1.0, 0.0):
+        return ""
+    return "; affine shift by (w_mean, vweff_mean), exact for constant fields"
+
+
 def _scenario_spectrum(s: Scenario, grid: QuadratureGrid,
                        ctx: BoundContext):
     """Spectrum per the scenario source; returns (spectrum, summary)."""
@@ -330,8 +338,11 @@ def _scenario_spectrum(s: Scenario, grid: QuadratureGrid,
             raise ScenarioError(
                 "spectrum.source: exact-rectangle needs a 2-D box domain")
         lx, ly = s.problem.domain.sides
-        spectrum = rectangle_neumann_exact(lx, ly, count=s.count)
-        summary["note"] = "analytic Neumann rectangle values"
+        spectrum = shifted_spectrum(
+            rectangle_neumann_exact(lx, ly, count=s.count),
+            ctx.w_mean, ctx.vw_mean)
+        summary["note"] = "analytic Neumann rectangle values" + \
+            _shift_note(ctx)
     elif s.source == "exact-torus":
         if not isinstance(s.problem.domain, TorusFundamental):
             raise ScenarioError(
@@ -353,8 +364,8 @@ def _scenario_spectrum(s: Scenario, grid: QuadratureGrid,
             raise ScenarioError(
                 "spectrum: exact-sphere needs `nu` and `l_max`")
         homog = sphere_spectrum(nu, l_max)
-        spectrum = homog.flatten()
-        summary["note"] = "round-sphere Laplacian values"
+        spectrum = shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten()
+        summary["note"] = "round-sphere Laplacian values" + _shift_note(ctx)
 
     summary["count"] = len(spectrum)
     summary["cutoff"] = float(spectrum.cutoff)
@@ -396,7 +407,7 @@ class _Run:
 
 def _phase_space_sum(run: _Run, k: float, opts: Dict[str, float]):
     return [phase_space_sum_bound(
-        run.scenario.problem, int(k), run.tables(opts), run.spectrum,
+        int(k), run.tables(opts), run.spectrum,
         bessel_order=opts.get("bessel_order"),
         lip_override=opts.get("lip_override"))]
 

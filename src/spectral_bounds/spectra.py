@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _GROUP_RTOL = 1e-9
+_MAX_DUAL_POINTS = 10 ** 6   # torus enumeration box; ~1 s of Python loop
 
 
 class SpectrumRangeError(ValueError):
@@ -179,6 +180,12 @@ def torus_spectrum(lattice: Lattice2, cutoff: float) -> HomogeneousSpectrum:
     # m = xi . e1, so |m| <= |xi| |e1|; same for n: a provably complete box
     m_max = int(math.floor(radius * math.hypot(*lattice.e1))) + 1
     n_max = int(math.floor(radius * math.hypot(*lattice.e2))) + 1
+    points = (2.0 * m_max + 1.0) * (2.0 * n_max + 1.0)
+    if points > _MAX_DUAL_POINTS:
+        raise ValueError(
+            f"torus enumeration needs {points:.3g} dual points, more than "
+            f"{_MAX_DUAL_POINTS}; use a smaller cutoff or a less elongated "
+            "lattice")
     values = []
     for m in range(-m_max, m_max + 1):
         for n in range(-n_max, n_max + 1):
@@ -209,14 +216,17 @@ def sphere_spectrum(nu: int, l_max: int) -> HomogeneousSpectrum:
                                float(l_max * (l_max + nu - 1)), "exact-sphere")
 
 
-def shifted_spectrum(spec: HomogeneousSpectrum, w_mean: float,
-                     Vw_mean: float) -> HomogeneousSpectrum:
-    """Affine image {Lambda * w_mean + Vw_mean} with multiplicities kept."""
+def shifted_spectrum(spec, w_mean: float, Vw_mean: float):
+    """Affine image {Lambda * w_mean + Vw_mean} of a Spectrum or of a
+    HomogeneousSpectrum (multiplicities kept), of the same type."""
     if w_mean <= 0:
         raise ValueError("w_mean must be positive")
+    cutoff = w_mean * spec.cutoff + Vw_mean
+    if isinstance(spec, Spectrum):
+        return Spectrum(w_mean * spec.values + Vw_mean, cutoff, spec.source)
     levels = tuple((w_mean * v + Vw_mean, m) for v, m in spec.levels)
-    return HomogeneousSpectrum(levels, spec.manifold_volume,
-                               w_mean * spec.cutoff + Vw_mean, spec.source)
+    return HomogeneousSpectrum(levels, spec.manifold_volume, cutoff,
+                               spec.source)
 
 
 def _values_of(s) -> np.ndarray:

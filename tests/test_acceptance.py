@@ -192,7 +192,7 @@ def test_05_phase_space_bound():
     fctx = bound_context(flat, fgrid)
     worst = 0.0
     for k in (1, 5, 20, 50):
-        psb = phase_space_sum_bound(flat, k, psd, spec)
+        psb = phase_space_sum_bound(k, psd, spec)
         avg = kroger_avg_bound(fctx, k, spec)
         worst = max(worst, abs(psb.bound_value - avg.bound_value),
                     abs(psb.bound_value - 2 * math.pi * k * k))
@@ -221,7 +221,7 @@ def test_05_phase_space_bound():
 
     fd = solve_lowest(assemble(osc, QuadratureGrid(osc.domain, 128)),
                       SolverOptions(k=10, method="iterative"))
-    rep = phase_space_sum_bound(osc, 10, opsd, fd)
+    rep = phase_space_sum_bound(10, opsd, fd)
     if not rep.holds:
         failures.append("oscillator sum bound violated")
     if not rep.bound_value > fd.partial_sum(10):

@@ -127,7 +127,7 @@ def test_flat_bound_coincides_with_averaged_bound():
     ctx = bound_context(prob, QuadratureGrid(prob.domain, 64))
     fake = Spectrum(np.zeros(60), cutoff=0.0)
     for k in (1, 5, 20, 50):
-        rep = phase_space_sum_bound(prob, k, psd, fake)
+        rep = phase_space_sum_bound(k, psd, fake)
         averaged = kroger_avg_bound(ctx, k, fake)
         assert abs(rep.bound_value - averaged.bound_value) <= 1e-10
         assert abs(rep.bound_value - 2 * math.pi * k * k) <= 1e-10
@@ -140,7 +140,7 @@ def test_oscillator_bound_dominates_fd_sum():
     result = solve_lowest(assemble(prob, grid),
                           SolverOptions(k=10, method="iterative"))
     spectrum = Spectrum(result.values, cutoff=float(result.values[-1]))
-    rep = phase_space_sum_bound(prob, 10, psd, spectrum)
+    rep = phase_space_sum_bound(10, psd, spectrum)
     # sum of the first ten oscillator levels is 60; the phase-space bound
     # carries a large Lipschitz correction and sits far above it
     assert spectrum.partial_sum(10) == pytest.approx(60.0, rel=2e-2)
@@ -150,32 +150,32 @@ def test_oscillator_bound_dominates_fd_sum():
 
 
 def test_bessel_order_override_weakens_bound():
-    prob, psd = oscillator_tables(n=128)
+    _, psd = oscillator_tables(n=128)
     fake = Spectrum(np.zeros(20), cutoff=0.0)
-    base = phase_space_sum_bound(prob, 10, psd, fake)
-    shifted = phase_space_sum_bound(prob, 10, psd, fake, bessel_order=1.0)
+    base = phase_space_sum_bound(10, psd, fake)
+    shifted = phase_space_sum_bound(10, psd, fake, bessel_order=1.0)
     assert shifted.bound_value > base.bound_value
     assert any("first zero 3.83" in note for note in shifted.notes)
 
 
 def test_lip_override_paths():
-    prob, psd = oscillator_tables(n=128)
+    _, psd = oscillator_tables(n=128)
     fake = Spectrum(np.zeros(20), cutoff=0.0)
-    manual = phase_space_sum_bound(prob, 10, psd, fake, lip_override=20.0)
-    sampled = phase_space_sum_bound(prob, 10, psd, fake)
+    manual = phase_space_sum_bound(10, psd, fake, lip_override=20.0)
+    sampled = phase_space_sum_bound(10, psd, fake)
     assert any("user-supplied" in n for n in manual.notes)
     assert any("grid-sampled" in n for n in sampled.notes)
     assert manual.bound_value > sampled.bound_value
     # forcing L = 0 drops the correction term entirely
-    flat = phase_space_sum_bound(prob, 10, psd, fake, lip_override=0.0)
+    flat = phase_space_sum_bound(10, psd, fake, lip_override=0.0)
     lam10 = lambda_of_k(psd, 10)
     assert flat.bound_value == pytest.approx(psd.ew_at(lam10), rel=1e-12)
 
 
 def test_auto_extension_inside_bound():
-    prob, psd = flat_tables(n=32, lam_max=20.0)
+    _, psd = flat_tables(n=32, lam_max=20.0)
     fake = Spectrum(np.zeros(40), cutoff=0.0)
-    rep = phase_space_sum_bound(prob, 30, psd, fake)
+    rep = phase_space_sum_bound(30, psd, fake)
     assert rep.bound_value == pytest.approx(2 * math.pi * 900, rel=1e-10)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -298,24 +299,29 @@ def test_cli_output_matches_golden_bytes(tmp_path, name):
             (GOLDEN / f"{name}.{ext}").read_bytes(), ext
 
 
-@pytest.mark.parametrize("domain", [
-    {"type": "box", "sides": [1.0, float("nan")]},
-    {"type": "box", "sides": [1.0, 10 ** 400]},
-    {"type": "disk", "radius": 1e300},
-    {"type": "disk", "radius": 1e-300},
-    {"type": "torus", "e1": [1.0, 0.0], "e2": [0.5, 1.0]},
-    {"type": "box", "sides": [1.0, 1e-300]}],
+@pytest.mark.parametrize("domain,source", [
+    ({"type": "box", "sides": [1.0, float("nan")]}, "fd"),
+    ({"type": "box", "sides": [1.0, 10 ** 400]}, "fd"),
+    ({"type": "disk", "radius": 1e300}, "fd"),
+    ({"type": "disk", "radius": 1e-300}, "fd"),
+    ({"type": "torus", "e1": [1.0, 0.0], "e2": [0.5, 1.0]}, "fd"),
+    ({"type": "box", "sides": [1.0, 1e-300]}, "fd"),
+    # about 1e300 dual points: refused before the loop, not enumerated
+    ({"type": "torus", "e1": [1e300, 0.0], "e2": [0.0, 1e-300]},
+     "exact-torus")],
     ids=["nan-side", "huge-int-side", "overflow", "underflow", "skew-torus",
-         "scaled-overflow"])
-def test_cli_unevaluable_domain_exits_2(tmp_path, capsys, domain):
+         "scaled-overflow", "torus-enumeration"])
+def test_cli_unevaluable_domain_exits_2(tmp_path, capsys, domain, source):
     cfg = scenario_with(tmp_path, domain=domain, grid={"n": 8},
-                        spectrum={"source": "fd", "count": 4},
+                        spectrum={"source": source, "count": 4},
                         bounds=[{"kind": "kroger-avg", "k": [2]}])
     with np.errstate(all="ignore"):
         status = main(["run", "--config", str(cfg),
                        "--out", str(tmp_path / "o")])
     assert status == 2
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert err.count("\n") == 1
 
 
 def test_cli_run_byte_identical(tmp_path):
@@ -343,6 +349,56 @@ def test_cli_spectrum_text_and_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["values"] == pytest.approx(
         [0.0, 9.869604401089358, 9.869604401089358, 19.739208802178716])
+
+
+@pytest.mark.parametrize("spectrum,bare", [
+    ({"source": "exact-rectangle", "count": 40},
+     [0.0, math.pi ** 2, math.pi ** 2]),
+    ({"source": "exact-sphere", "nu": 2, "l_max": 3}, [0.0, 2.0, 2.0])],
+    ids=["rectangle", "sphere"])
+def test_exact_sources_shift_by_constant_fields(tmp_path, capsys, spectrum,
+                                               bare):
+    # w = 2, V = 5: the operator's values are 2 lambda + 10
+    expected = [2.0 * v + 10.0 for v in bare]
+    cfg = scenario_with(tmp_path, fields={"w": "2", "V": "5"},
+                        grid={"n": 16}, spectrum=spectrum, bounds=[])
+    assert main(["spectrum", "--config", str(cfg), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["values"][:3] == pytest.approx(expected, rel=1e-12)
+    assert "affine shift" in payload["summary"]["note"]
+
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "square.json").read_text())
+    assert report["spectrum"]["first_values"][:3] == \
+        pytest.approx(expected, rel=1e-12)
+
+
+_SCIPY_PROBE = """
+import sys
+from spectral_bounds.cli import main
+status = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(status, any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("source,loads_scipy", [("exact", False),
+                                                ("fd", True)])
+def test_run_imports_scipy_only_for_fd(tmp_path, source, loads_scipy):
+    # the fd case shows the probe does see scipy when a solve needs it
+    import spectral_bounds
+
+    if source == "exact":
+        cfg = Path(spectral_bounds.__path__[0], "scenarios",
+                   "square-kroger.json")
+    else:
+        cfg = scenario_with(tmp_path, grid={"n": 16},
+                            spectrum={"source": "fd", "count": 12})
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(cfg), str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
 
 
 def test_cli_bound_subcommand(tmp_path, capsys):

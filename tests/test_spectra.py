@@ -94,6 +94,12 @@ class TestTorus:
                 assert v1 == pytest.approx(v2, rel=1e-11)
                 assert m1 == m2
 
+    def test_enumeration_box_is_capped(self):
+        # about 1e150 dual points would loop for ever: refused up front
+        lat = Lattice2((1e300, 0.0), (0.0, 1e-300))
+        with pytest.raises(ValueError, match="dual points"):
+            torus_spectrum(lat, 100.0)
+
     def test_volume_is_covolume(self):
         lat = Lattice2((2.0, 0.0), (0.0, 0.5))
         s = torus_spectrum(lat, 50.0)
@@ -155,6 +161,13 @@ class TestSpectrumType:
         sh = shifted_spectrum(h, 2.0, 0.5)
         assert sh.levels == ((0.5, 1), (4.5, 2))
         assert sh.cutoff == pytest.approx(2.0 * 2.0 + 0.5)
+
+    def test_shifted_flat_spectrum(self):
+        s = Spectrum(np.array([0.0, 2.0, 2.0]), cutoff=3.0, source="t")
+        sh = shifted_spectrum(s, 2.0, 0.5)
+        assert isinstance(sh, Spectrum)
+        assert sh.values.tolist() == [0.5, 4.5, 4.5]
+        assert (sh.cutoff, sh.source) == (6.5, "t")
 
 
 class TestFunctionals:
