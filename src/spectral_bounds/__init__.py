@@ -53,8 +53,7 @@ from .bounds import (BoundContext, bound_context, euclidean_H,
                      kroger_avg_bound, legendre_conjugate_power,
                      riesz_lower_bound)
 from .avp import avp_check, frame_constant, tight_frame_bound
-from .phasespace import (PhaseSpaceData, PhaseSpaceRangeError,
-                         lambda_of_k, lip_constant, phase_space_sum_bound,
+from .phasespace import (PhaseSpaceData, lambda_of_k, phase_space_sum_bound,
                          phase_space_tables)
 from .homog import (heat_homog_compare, heat_torus_bound,
                     homog_riesz_compare, homog_sum_compare)
@@ -89,8 +88,8 @@ __all__ = [
     "riesz_lower_bound", "heat_lower_bound", "individual_bound_sk",
     "individual_bound_pos", "legendre_conjugate_power",
     "avp_check", "frame_constant", "tight_frame_bound",
-    "PhaseSpaceData", "PhaseSpaceRangeError", "phase_space_tables",
-    "lambda_of_k", "lip_constant", "phase_space_sum_bound",
+    "PhaseSpaceData", "phase_space_tables", "lambda_of_k",
+    "phase_space_sum_bound",
     "homog_riesz_compare", "homog_sum_compare", "heat_homog_compare",
     "heat_torus_bound",
     # scenarios

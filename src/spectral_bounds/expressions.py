@@ -49,6 +49,13 @@ Coords = Sequence[Union[float, np.ndarray]]
 
 _AXIS_NAMES = ("x", "y", "z")
 
+# deepest nesting a source may have, both while it is parsed and in the
+# parsed tree.  Differentiating twice (Vtilde holds |grad rho|^2, and the
+# phase-space bound differentiates Vtilde) and evaluating a tree this deep
+# take about 8 Python frames per level, well under the default limit of
+# 1000
+_MAX_DEPTH = 64
+
 
 class FieldSyntaxError(ValueError):
     """Raised on malformed expression source; carries the 0-based position."""
@@ -505,6 +512,7 @@ class _Parser:
     def __init__(self, tokens, nu: int, length: int):
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
         self.nu = nu
         self.end = length
 
@@ -529,6 +537,17 @@ class _Parser:
         t = self.peek()
         if t is not None:
             raise FieldSyntaxError(f"unexpected token {t.text!r}", t.pos)
+        return e
+
+    def nested(self, min_prec, pos):
+        """expr one level deeper: in parentheses, in call arguments or
+        under a unary minus."""
+        if self.depth == _MAX_DEPTH:
+            raise FieldSyntaxError(
+                f"expression nests deeper than {_MAX_DEPTH} levels", pos)
+        self.depth += 1
+        e = self.expr(min_prec)
+        self.depth -= 1
         return e
 
     def expr(self, min_prec):
@@ -556,7 +575,7 @@ class _Parser:
         if t is not None and t.kind == "op" and t.text == "-":
             self.next()
             # ^ binds tighter than unary minus: parse operand above ADD/MUL
-            return Neg(self.expr(_PREC_UNARY))
+            return Neg(self.nested(_PREC_UNARY, t.pos))
         return self.atom_with_power()
 
     def atom_with_power(self):
@@ -611,7 +630,7 @@ class _Parser:
         if t.kind == "num":
             return Const(float(t.text))
         if t.kind == "op" and t.text == "(":
-            e = self.expr(0)
+            e = self.nested(0, t.pos)
             self.expect_op(")")
             return e
         if t.kind == "ident":
@@ -625,12 +644,12 @@ class _Parser:
             if name not in _UNARY_FUNCS and name not in _BINARY_FUNCS:
                 raise FieldSyntaxError(f"unknown function {name!r}", t.pos)
             self.next()
-            args = [self.expr(0)]
+            args = [self.nested(0, nxt.pos)]
             while True:
                 t2 = self.peek()
                 if t2 is not None and t2.kind == "op" and t2.text == ",":
                     self.next()
-                    args.append(self.expr(0))
+                    args.append(self.nested(0, t2.pos))
                 else:
                     break
             self.expect_op(")")
@@ -663,4 +682,21 @@ def parse_field(source: str, nu: int) -> ScalarFieldExpr:
     tokens = _tokenize(source)
     if not tokens:
         raise FieldSyntaxError("empty expression", 0)
-    return _Parser(tokens, nu, len(source)).parse()
+    tree = _Parser(tokens, nu, len(source)).parse()
+    if _depth(tree) > _MAX_DEPTH:
+        raise FieldSyntaxError(
+            f"expression nests deeper than {_MAX_DEPTH} levels", 0)
+    return tree
+
+
+def _depth(root: ScalarFieldExpr) -> int:
+    """Levels of an expression tree, counted without recursion."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, ScalarFieldExpr):
+                    stack.append((child, level + 1))
+    return deepest

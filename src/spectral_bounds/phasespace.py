@@ -5,29 +5,38 @@ With Vtilde = V + |grad rho|^2 and the normalization that carries the
 
     Phi_1(L) = (omega_nu/(2 pi)^nu) int (L - Vtilde)_+^(nu/2)
     Phi_w(L) = same integrand weighted by w
-    E_w(L)   = (nu/(nu+2)) (omega_nu/(2 pi)^nu) int (L - Vtilde)_+^(1+nu/2) w
+    E_w(L)   = (omega_nu/(2 pi)^nu) int ((nu/(nu+2)) (L - Vtilde)_+^(1+nu/2)
+                                         + Vtilde (L - Vtilde)_+^(nu/2)) w
 
-Phi_1 counts states, E_w is the classical energy below L.  Lambda(k) is
-the minimal level with Phi_1 >= k; this normalized reading makes the
-V = 0 case reproduce the averaged (Kroger) bound exactly, which the test
-suite pins down.  The sum bound adds a correction term driven by the
-Lipschitz constant of Vtilde on the sublevel set and the first zero of a
-Bessel function whose order is exposed for sensitivity runs because the
-choice nu/2 - 1 (ground state of the nu-ball) is adopted here.
+Phi_1 counts states, E_w is the classical energy below L: the
+phase-space integral (2 pi)^-nu int int_{|p|^2 + Vtilde < L}
+(|p|^2 + Vtilde) w dp dx of the Berezin / Li-Yau form (Li and Yau 1983,
+Comm. Math. Phys. 88; Laptev 1997, J. Funct. Anal. 151).  Its kinetic
+part integrates |p|^2 over the ball of radius (L - Vtilde)^(1/2); its
+potential part is Vtilde times that ball's volume, summed directly rather
+than as L Phi_w minus the rest, which would cancel when Vtilde is large
+and negative.  Lambda(k) is the minimal level with Phi_1 >= k; this
+normalized reading makes the V = 0 case reproduce the averaged (Kroger)
+bound exactly, which the test suite pins down.  The sum bound adds a
+correction term driven by the Lipschitz constant of Vtilde on the
+sublevel set and the first zero of a Bessel function whose order is
+exposed for sensitivity runs because the choice nu/2 - 1 (ground state of
+the nu-ball) is adopted here.
 
-Each table set sorts its quadrature nodes by Vtilde once.  A volume at
-level L then touches only the sublevel prefix {Vtilde < L}: for odd nu it
-sums that prefix directly, and for even nu the integer power expands
-binomially about the floor min Vtilde, so every whole block of _BLOCK
-nodes below L is read from stored prefix moments and fewer than _BLOCK
-nodes are summed directly.  The Lipschitz constant of a sublevel set is a
-running maximum over the sorted nodes.
+phase_space_tables sorts the quadrature nodes by Vtilde once.  A volume
+at any level L then touches only the sublevel prefix {Vtilde < L}: for
+odd nu it sums that prefix directly, and for even nu the integer power
+expands binomially about the floor min Vtilde, so every whole block of
+_BLOCK nodes below L is read from stored prefix moments and fewer than
+_BLOCK nodes are summed directly.  The Lipschitz
+constant of a sublevel set is a running maximum over the sorted nodes,
+and Lambda(k) is bisected on Phi_1 itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -41,10 +50,8 @@ from .spectra import Spectrum
 
 __all__ = [
     "PhaseSpaceData",
-    "PhaseSpaceRangeError",
     "phase_space_tables",
     "lambda_of_k",
-    "lip_constant",
     "phase_space_sum_bound",
 ]
 
@@ -53,21 +60,12 @@ __all__ = [
 _BLOCK = 1024
 
 
-class PhaseSpaceRangeError(ValueError):
-    """Raised when the tabulated Lambda range cannot reach the request."""
-
-
 @dataclass
 class PhaseSpaceData:
-    """Tabulated phase-space volumes plus the quadrature nodes that
-    produced them, sorted by Vtilde, for evaluation at arbitrary levels."""
+    """Quadrature nodes sorted by Vtilde, with the prefix moments that
+    answer every phase-space volume at an arbitrary level."""
 
     nu: int
-    lam_grid: np.ndarray
-    phi1: np.ndarray
-    phiw: np.ndarray
-    ew: np.ndarray
-    lip: np.ndarray
     vt_nodes: np.ndarray = field(repr=False)    # ascending
     w_nodes: np.ndarray = field(repr=False)     # in vt_nodes order
     lip_nodes: np.ndarray = field(repr=False)   # running max of |grad Vtilde|
@@ -80,8 +78,10 @@ class PhaseSpaceData:
     def prefactor(self) -> float:
         return unit_ball_volume(self.nu) / (2.0 * math.pi) ** self.nu
 
-    def _volume_sum(self, lam: float, power: float, weighted: bool) -> float:
-        """Sum over the nodes of (lam - vt)_+^power, times w if weighted."""
+    def _volume_sum(self, lam: float, power: float, weighted: bool,
+                    potential: bool = False) -> float:
+        """Sum over the nodes of (lam - vt)_+^power, times w if weighted
+        and times vt if potential."""
         vt = self.vt_nodes
         p = int(power)
         below = int(np.searchsorted(vt, lam, side="left"))
@@ -93,14 +93,22 @@ class PhaseSpaceData:
             part *= np.sqrt(level_gap)
         if weighted:
             part *= self.w_nodes[start:below]
+        if potential:
+            part *= vt[start:below]
         head = 0.0
         if start:
             # (lam - vt)^p = sum_j C(p, j) mu^(p-j) (-u)^j with
-            # mu = lam - min vt, u = vt - min vt
+            # mu = lam - min vt, u = vt - min vt; the factor vt = min vt + u
+            # moves each term to the next moment
             moments = self.block_moments[int(weighted), start // _BLOCK]
-            mu = lam - float(vt[0])
-            head = sum(math.comb(p, j) * mu ** (p - j) * (-1.0) ** j *
-                       float(moments[j]) for j in range(p + 1))
+            floor = float(vt[0])
+            mu = lam - floor
+            coef = [math.comb(p, j) * mu ** (p - j) * (-1.0) ** j
+                    for j in range(p + 1)]
+            head = sum(c * float(moments[j]) for j, c in enumerate(coef))
+            if potential:
+                head = floor * head + sum(c * float(moments[j + 1])
+                                          for j, c in enumerate(coef))
         return head + float(part.sum())
 
     def phi1_at(self, lam: float) -> float:
@@ -112,50 +120,16 @@ class PhaseSpaceData:
             self._volume_sum(lam, self.nu / 2.0, True)
 
     def ew_at(self, lam: float) -> float:
-        return (self.nu / (self.nu + 2.0)) * self.prefactor * \
+        kinetic = (self.nu / (self.nu + 2.0)) * self.prefactor * \
             self.cell_volume * \
             self._volume_sum(lam, 1.0 + self.nu / 2.0, True)
+        return kinetic + self.prefactor * self.cell_volume * \
+            self._volume_sum(lam, self.nu / 2.0, True, potential=True)
 
     def lip_at(self, lam: float) -> float:
         """Max of |grad Vtilde| over nodes in the sublevel set, 0 if none."""
         count = int(np.searchsorted(self.vt_nodes, lam, side="right"))
         return float(self.lip_nodes[count - 1]) if count else 0.0
-
-    def _extended_by(self, levels) -> "PhaseSpaceData":
-        """Copy whose tables continue over the further, higher levels."""
-        def more(at):
-            return [at(v) for v in levels]
-
-        data = replace(
-            self, lam_grid=np.concatenate([self.lam_grid, levels]),
-            phi1=np.concatenate([self.phi1, more(self.phi1_at)]),
-            phiw=np.concatenate([self.phiw, more(self.phiw_at)]),
-            ew=np.concatenate([self.ew, more(self.ew_at)]),
-            lip=np.concatenate([self.lip, more(self.lip_at)]))
-        _check_tables(data)
-        return data
-
-    def extended_to(self, lam_max: float, points: int = 9) -> "PhaseSpaceData":
-        """New tables reaching lam_max, reusing the stored nodes."""
-        if lam_max <= self.lam_grid[-1]:
-            return self
-        extra = np.linspace(self.lam_grid[-1], lam_max, points + 1)[1:]
-        return self._extended_by(extra)
-
-
-def _check_tables(data: PhaseSpaceData):
-    for name, table in (("Phi_1", data.phi1), ("Phi_w", data.phiw)):
-        drop = np.diff(table).min(initial=0.0)
-        if drop < -1e-12 * (1.0 + float(np.abs(table).max())):
-            raise AssertionError(f"{name} table not non-decreasing: {drop}")
-    if data.lam_grid.size >= 3:
-        slopes = np.diff(data.ew) / np.diff(data.lam_grid)
-        tol = 1e-9 * (1.0 + float(np.abs(data.ew).max()))
-        if np.diff(slopes).min(initial=0.0) < -tol:
-            raise AssertionError("E_w table not convex")
-    below = data.lam_grid <= data.vt_nodes[0]
-    if np.any(data.phi1[below] != 0.0):
-        raise AssertionError("Phi_1 must vanish below min Vtilde")
 
 
 def _nodes(problem: ProblemSpec, grid: QuadratureGrid):
@@ -184,13 +158,10 @@ def _block_moments(vt: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
     return np.cumsum(moments, axis=1)
 
 
-def phase_space_tables(problem: ProblemSpec, lam_grid,
+def phase_space_tables(problem: ProblemSpec,
                        grid: QuadratureGrid) -> PhaseSpaceData:
-    """Integrate the three volumes and the Lipschitz table over lam_grid.
-
-    lam_grid is an increasing sequence of levels, or a callable that
-    receives the floor min Vtilde over the grid and returns them.
-    """
+    """Sort the inside nodes of grid by Vtilde and store the prefix
+    moments, so that every volume can be evaluated at any level."""
     vt, grad_sq = _nodes(problem, grid)
     # a stable sort keeps tied nodes in grid order on every platform
     order = np.argsort(vt, kind="stable")
@@ -203,39 +174,25 @@ def phase_space_tables(problem: ProblemSpec, lam_grid,
     w = np.asarray(grid.inside_values(problem.w), dtype=float)[order]
     del order
 
-    if callable(lam_grid):
-        lam_grid = lam_grid(float(vt[0]))
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    if lam_grid.ndim != 1 or lam_grid.size < 2:
-        raise ValueError("lam_grid must hold at least two levels")
-    if np.any(np.diff(lam_grid) <= 0):
-        raise ValueError("lam_grid must be strictly increasing")
-
     moments = None
     if problem.nu % 2 == 0:
         moments = _block_moments(vt, w, problem.nu // 2 + 1)
-    empty = np.empty(0)
-    data = PhaseSpaceData(
-        nu=problem.nu, lam_grid=empty, phi1=empty, phiw=empty, ew=empty,
-        lip=empty, vt_nodes=vt, w_nodes=w,
-        lip_nodes=lip_nodes, cell_volume=grid.cell_volume,
-        block_moments=moments)
-    return data._extended_by(lam_grid)
+    return PhaseSpaceData(
+        nu=problem.nu, vt_nodes=vt, w_nodes=w, lip_nodes=lip_nodes,
+        cell_volume=grid.cell_volume, block_moments=moments)
 
 
 def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     """Minimal level with Phi_1(Lambda) >= k, bisected between the floor of
-    Vtilde and the first table node reaching k."""
+    Vtilde and floor + g, with g doubled from max(1, |floor|) until Phi_1
+    reaches k there."""
     if k <= 0:
         raise ValueError("k must be positive")
-    if psd.phi1[-1] < k:
-        raise PhaseSpaceRangeError(
-            f"Phi_1 reaches only {psd.phi1[-1]} on the tabulated range, "
-            f"needs {k}")
-    hi = float(psd.lam_grid[np.searchsorted(psd.phi1, k, side="left")])
     lo = float(psd.vt_nodes[0])
-    if hi <= lo:
-        return hi
+    gap = max(1.0, abs(lo))
+    while psd.phi1_at(lo + gap) < k:
+        gap *= 2.0
+    hi = lo + gap
     # near machine-tight: the flat-potential coincidence checks compare
     # the resulting bound at absolute 1e-10 scale
     while hi - lo > 1e-15 * max(1.0, abs(hi)):
@@ -252,17 +209,6 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     return hi
 
 
-def lip_constant(problem: ProblemSpec, lam: float,
-                 grid: QuadratureGrid) -> float:
-    """Grid-sampled sup of |grad Vtilde| over the sublevel set
-    {Vtilde <= lam}; 0 when the set contains no node."""
-    vt, grad_sq = _nodes(problem, grid)
-    below = vt <= lam
-    if not below.any():
-        return 0.0
-    return float(np.sqrt(grad_sq[below].max()))
-
-
 def phase_space_sum_bound(k: int, psd: PhaseSpaceData, spectrum: Spectrum,
                           bessel_order: Optional[float] = None,
                           lip_override: Optional[float] = None) -> BoundReport:
@@ -273,15 +219,9 @@ def phase_space_sum_bound(k: int, psd: PhaseSpaceData, spectrum: Spectrum,
 
     with L the Lipschitz constant of Vtilde on the sublevel set and j the
     first zero of the Bessel function of order nu/2 - 1 (overridable).
-    When L = 0 the bound is E_w(Lambda(k)) alone.  The table range
-    auto-extends when k lies beyond it.
+    When L = 0 the bound is E_w(Lambda(k)) alone.
     """
-    while True:
-        try:
-            lam_k = lambda_of_k(psd, k)
-            break
-        except PhaseSpaceRangeError:
-            psd = psd.extended_to(2.0 * max(float(psd.lam_grid[-1]), 1.0))
+    lam_k = lambda_of_k(psd, k)
 
     order = 0.5 * psd.nu - 1.0 if bessel_order is None else bessel_order
     notes = ["level rule: minimal Lambda with normalized Phi_1 >= k"]

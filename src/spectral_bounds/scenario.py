@@ -15,12 +15,14 @@ grids:
     }
 
 Domains: box {sides, origin?}, disk {radius, center?}, masked_box {sides,
-origin?, inside}, torus {e1, e2}.  `fields` may set w, rho and V and
-nothing else; they default to w=1, rho=0, V=0.  Spectrum sources: "fd"
-(finite differences on the grid), "exact-rectangle", "exact-torus",
-"exact-sphere".  Every exact source applies the affine shift
-Lambda -> w_mean Lambda + vweff_mean to the bare Laplacian values, which
-matches the operator exactly when the fields are constant.
+origin?, inside}, torus {e1, e2}.  `fields` may set w, rho and V; they
+default to w=1, rho=0, V=0.  Spectrum sources: "fd" (finite differences
+on the grid), "exact-rectangle", "exact-torus", "exact-sphere".  A key
+that nothing reads is rejected wherever it appears, and so is a grid of
+more than _MAX_NODES nodes, before anything is allocated.  Every exact
+source applies the affine shift Lambda -> w_mean Lambda + vweff_mean to
+the bare Laplacian values, which matches the operator exactly when the
+fields are constant.
 
 Each bound entry names a kind, the list of values of its parameter key,
 and the numeric options that kind reads; any other key is rejected.  The
@@ -33,12 +35,12 @@ table _KINDS holds all three per kind:
     individual-sk    k   H_omega
     individual-pos   k   H_omega
     heat-torus       t
-    phase-space-sum  k   grid_n, lam_max, bessel_order, lip_override
+    phase-space-sum  k   grid_n, bessel_order, lip_override
 
 A run builds one BoundContext on the run grid (|Omega|, w_mean,
 vweff_mean; it also checks w > 0 at every inside node), then the
 spectrum, then evaluates every requested bound through the table; the
-phase-space tables are built once per (grid_n, lam_max).  Reports are
+sorted phase-space nodes are built once per grid_n.  Reports are
 sorted by (kind, parameter), and the JSON/CSV bytes depend only on
 scenario content, seed, and package version (wall time goes to stderr,
 never into the files).
@@ -53,8 +55,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from . import __version__
 from .bounds import (BoundContext, bound_context, general_sum_bound,
@@ -77,6 +77,22 @@ __all__ = ["Scenario", "BoundRequest", "RunReport", "ScenarioError",
 
 _FIELDS = ("w", "rho", "V")
 _REQUIRED = object()   # default of a field that must be present
+_TOP_KEYS = ("label", "domain", "fields", "grid", "spectrum", "bounds",
+             "seed")
+# domain type -> the keys it reads
+_DOMAIN_KEYS = {"box": ("type", "sides", "origin"),
+                "disk": ("type", "radius", "center"),
+                "masked_box": ("type", "sides", "origin", "inside"),
+                "torus": ("type", "e1", "e2")}
+# spectrum source -> the keys it reads
+_SOURCE_KEYS = {"fd": ("source", "count", "method", "tolerance"),
+                "exact-rectangle": ("source", "count"),
+                "exact-torus": ("source", "count", "cutoff"),
+                "exact-sphere": ("source", "nu", "l_max")}
+# most quadrature nodes one grid may have (grid.n or a phase-space
+# grid_n), checked before anything is allocated: 2^21 holds a 1024^2 or
+# a 128^3 grid and refuses the 64^4 default of a 4-D box
+_MAX_NODES = 2 ** 21
 
 
 class ScenarioError(ValueError):
@@ -122,6 +138,21 @@ def _expect(mapping: dict, key: str, types, path: str, default=_REQUIRED):
     return value
 
 
+def _known(mapping: dict, keys, path: str, reader: str):
+    """Reject every key of mapping that is not among the keys reader reads."""
+    for name in mapping:
+        if name not in keys:
+            raise ScenarioError(f"{path}.{name}: {reader} reads no such key "
+                                f"(it reads {', '.join(keys)})")
+
+
+def _check_nodes(counts, path: str):
+    nodes = math.prod(abs(n) for n in counts)
+    if nodes > _MAX_NODES:
+        raise ScenarioError(f"{path}: {nodes:g} grid nodes exceed the "
+                            f"limit of {_MAX_NODES}")
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -140,6 +171,9 @@ def _vector(mapping: dict, key: str, path: str, length=None,
 
 def _parse_domain(data: dict, path: str):
     kind = _expect(data, "type", str, path)
+    if kind not in _DOMAIN_KEYS:
+        raise ScenarioError(f"{path}.type: unknown domain type {kind!r}")
+    _known(data, _DOMAIN_KEYS[kind], path, kind)
     if kind == "box":
         sides = _vector(data, "sides", path)
         origin = _vector(data, "origin", path, length=len(sides),
@@ -158,11 +192,9 @@ def _parse_domain(data: dict, path: str):
         box = Box(tuple(sides), None if origin is None else tuple(origin))
         from .expressions import parse_field
         return MaskedBox(box, parse_field(inside, len(sides)))
-    if kind == "torus":
-        e1 = _vector(data, "e1", path, length=2)
-        e2 = _vector(data, "e2", path, length=2)
-        return TorusFundamental(tuple(e1), tuple(e2))
-    raise ScenarioError(f"{path}.type: unknown domain type {kind!r}")
+    e1 = _vector(data, "e1", path, length=2)
+    e2 = _vector(data, "e2", path, length=2)
+    return TorusFundamental(tuple(e1), tuple(e2))
 
 
 def load_scenario(path) -> Scenario:
@@ -190,6 +222,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     document has no label of its own."""
     if not isinstance(data, dict):
         raise ScenarioError("$: document must be an object")
+    _known(data, _TOP_KEYS, "$", "a scenario")
     label = _expect(data, "label", str, "$", default=label)
     domain = _parse_domain(_expect(data, "domain", dict, "$"), "domain")
 
@@ -206,6 +239,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
         raise ScenarioError(f"fields: {exc}") from exc
 
     grid = _expect(data, "grid", dict, "$", default={"n": 64})
+    _known(grid, ("n",), "grid", "grid")
     n_raw = grid.get("n", 64)
     if isinstance(n_raw, int) and not isinstance(n_raw, bool):
         grid_n = (n_raw,) * domain.nu
@@ -215,11 +249,13 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
         raise ScenarioError("grid.n: expected an integer or list")
     if any(n < 2 for n in grid_n):
         raise ScenarioError(f"grid.n: resolutions must be >= 2, got {grid_n}")
+    _check_nodes(grid_n, "grid.n")
 
     spec = _expect(data, "spectrum", dict, "$", default={"source": "fd"})
     source = _expect(spec, "source", str, "spectrum", default="fd")
-    if source not in ("fd", "exact-rectangle", "exact-torus", "exact-sphere"):
+    if source not in _SOURCE_KEYS:
         raise ScenarioError(f"spectrum.source: unknown source {source!r}")
+    _known(spec, _SOURCE_KEYS[source], "spectrum", source)
     count = _expect(spec, "count", int, "spectrum", default=16)
     if count < 1:
         raise ScenarioError("spectrum.count: must be >= 1")
@@ -242,20 +278,18 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
         if kind not in _KINDS:
             raise ScenarioError(f"{bpath}.kind: unknown bound kind {kind!r}")
         key, option_keys, _ = _KINDS[kind]
+        _known(entry, ("kind", key) + option_keys, bpath, kind)
         params = _vector(entry, key, bpath)
         if not params:
             raise ScenarioError(f"{bpath}.{key}: parameter list is empty")
         options = {}
-        for name, value in entry.items():
-            if name in ("kind", key):
-                continue
-            if name not in option_keys:
-                raise ScenarioError(
-                    f"{bpath}.{name}: {kind} reads no such key (it reads "
-                    f"{', '.join((key,) + option_keys)})")
-            if not _is_number(value):
-                raise ScenarioError(f"{bpath}.{name}: expected a number")
-            options[name] = float(value)
+        for name in option_keys:
+            if name in entry:
+                if not _is_number(entry[name]):
+                    raise ScenarioError(f"{bpath}.{name}: expected a number")
+                options[name] = float(entry[name])
+        if "grid_n" in options:
+            _check_nodes([options["grid_n"]] * domain.nu, f"{bpath}.grid_n")
         if key == "k" and source == "fd":
             needed = max(int(p) for p in params)
             if kind.startswith("individual"):
@@ -381,33 +415,22 @@ class _Run:
     scenario: Scenario
     ctx: BoundContext
     spectrum: Spectrum
-    _tables: Dict[Tuple, PhaseSpaceData] = field(default_factory=dict)
+    _tables: Dict[int, PhaseSpaceData] = field(default_factory=dict)
 
-    def tables(self, opts: Dict[str, float]) -> PhaseSpaceData:
-        """Phase-space tables, built once per (grid_n, lam_max)."""
-        key = (opts.get("grid_n"), opts.get("lam_max"))
-        if key not in self._tables:
-            s = self.scenario
-            n = int(opts.get("grid_n") or max(s.grid_n))
-            lam_max = opts.get("lam_max")
-            if lam_max is None:
-                lam_max = max(float(self.spectrum.values[-1]) * 2.0, 1.0)
-
-            def levels(floor):
-                lam_grid = np.linspace(floor, float(lam_max), 33)
-                if lam_grid[0] == lam_grid[-1]:
-                    lam_grid = np.linspace(floor, floor + 1.0, 33)
-                return lam_grid
-
-            psd_grid = QuadratureGrid(s.problem.domain, n)
-            self._tables[key] = phase_space_tables(s.problem, levels,
-                                                   psd_grid)
-        return self._tables[key]
+    def tables(self, grid_n: Optional[float]) -> PhaseSpaceData:
+        """Phase-space tables on grid_n nodes per axis (default: the run
+        grid's finest axis), built once per resolution."""
+        n = int(grid_n or max(self.scenario.grid_n))
+        if n not in self._tables:
+            problem = self.scenario.problem
+            self._tables[n] = phase_space_tables(
+                problem, QuadratureGrid(problem.domain, n))
+        return self._tables[n]
 
 
 def _phase_space_sum(run: _Run, k: float, opts: Dict[str, float]):
     return [phase_space_sum_bound(
-        int(k), run.tables(opts), run.spectrum,
+        int(k), run.tables(opts.get("grid_n")), run.spectrum,
         bessel_order=opts.get("bessel_order"),
         lip_override=opts.get("lip_override"))]
 
@@ -431,8 +454,8 @@ _KINDS = {
         individual_bound_pos(r.ctx, int(k), r.spectrum, o.get("H_omega")))),
     "heat-torus": ("t", (), lambda r, t, o: [
         heat_torus_bound(r.ctx, t, r.spectrum)]),
-    "phase-space-sum": ("k", ("grid_n", "lam_max", "bessel_order",
-                              "lip_override"), _phase_space_sum),
+    "phase-space-sum": ("k", ("grid_n", "bessel_order", "lip_override"),
+                        _phase_space_sum),
 }
 
 

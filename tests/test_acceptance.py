@@ -187,7 +187,7 @@ def test_05_phase_space_bound():
     # flat potential reproduces the averaged bound
     flat = ProblemSpec(Box((1.0, 1.0)))
     fgrid = QuadratureGrid(flat.domain, 64)
-    psd = phase_space_tables(flat, np.linspace(0.0, 660.0, 34), fgrid)
+    psd = phase_space_tables(flat, fgrid)
     spec = rectangle_neumann_exact(1.0, 1.0, count=51)
     fctx = bound_context(flat, fgrid)
     worst = 0.0
@@ -207,7 +207,7 @@ def test_05_phase_space_bound():
                       V="x^2 + y^2")
     n = 2048
     ogrid = QuadratureGrid(osc.domain, n)
-    opsd = phase_space_tables(osc, np.linspace(0.0, 120.0, 25), ogrid)
+    opsd = phase_space_tables(osc, ogrid)
     lam10 = lambda_of_k(opsd, 10)
     lam_err = abs(lam10 - math.sqrt(80.0))
     if lam_err > 1e-6:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_bounds import (FieldEvaluationError, FieldSyntaxError,
-                             differentiate, parse_field)
+from spectral_bounds import (Box, FieldEvaluationError, FieldSyntaxError,
+                             ProblemSpec, QuadratureGrid, bound_context,
+                             differentiate, parse_field, phase_space_tables)
+from spectral_bounds.expressions import _MAX_DEPTH
 
 
 def ev(expr, nu, *points):
@@ -91,6 +93,46 @@ class TestErrors:
             ev("log(x)", 1, (-1.0,))
         with pytest.raises(FieldEvaluationError):
             ev("sqrt(x)", 1, (-4.0,))
+
+
+class TestNestingLimit:
+    # sqrt(x/(2 + x/(2 + ... x))): two tree levels per "x/(2+", and the
+    # quotient rule makes its derivatives the deepest per level
+    @staticmethod
+    def quotients(levels):
+        return "sqrt(" + "x/(2+" * levels + "x" + ")" * levels + ")"
+
+    @pytest.mark.parametrize("source", [
+        "1 + 0*" + "(" * 2000 + "x" + ")" * 2000,
+        "x" + "+x" * 5000,
+        "-" * (_MAX_DEPTH + 1) + "x"],
+        ids=["parentheses", "long-sum", "unary-minus"])
+    def test_too_deep_sources_are_refused(self, source):
+        with pytest.raises(FieldSyntaxError, match="nests deeper than"):
+            parse_field(source, 2)
+
+    def test_limit_is_exact(self):
+        parse_field("x" + "+x" * (_MAX_DEPTH - 1), 2)
+        with pytest.raises(FieldSyntaxError, match="nests deeper than"):
+            parse_field("x" + "+x" * _MAX_DEPTH, 2)
+        parse_field("(" * _MAX_DEPTH + "x" + ")" * _MAX_DEPTH, 2)
+        with pytest.raises(FieldSyntaxError, match="nests deeper than"):
+            parse_field("(" * (_MAX_DEPTH + 1) + "x" + ")" * (_MAX_DEPTH + 1),
+                        2)
+
+    def test_source_at_the_limit_survives_rho(self):
+        # Vtilde = V + |grad rho|^2 holds first derivatives of rho, and the
+        # phase-space nodes differentiate Vtilde again
+        source = self.quotients((_MAX_DEPTH - 2) // 2)
+        with pytest.raises(FieldSyntaxError):
+            parse_field("sqrt(" + source + ")", 2)
+        problem = ProblemSpec(Box((1.0, 1.0)), rho=source, V=source)
+        grid = QuadratureGrid(problem.domain, 8)
+        vt = problem.effective_potential()
+        for axis in range(2):
+            assert str(differentiate(vt, axis))
+        assert np.isfinite(bound_context(problem, grid).vw_mean)
+        assert phase_space_tables(problem, grid).lip_at(np.inf) > 0.0
 
 
 class TestDifferentiate:

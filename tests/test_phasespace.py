@@ -2,8 +2,8 @@
 
 Closed-form oracles: a flat potential on the unit square gives
 Phi_1(L) = L/(4 pi) and E_w(L) = L^2/(8 pi); the isotropic oscillator
-V = x^2 + y^2 gives Phi_1(L) = L^2/8, E_w(L) = L^3/24 and
-Lambda(k) = sqrt(8 k).
+V = x^2 + y^2 gives Phi_1(L) = L^2/8, E_w(L) = L^3/12 (kinetic and
+potential energy L^3/24 each) and Lambda(k) = sqrt(8 k).
 """
 
 import math
@@ -15,8 +15,7 @@ from spectral_bounds.bounds import bound_context, kroger_avg_bound
 from spectral_bounds.domains import Box, Disk, QuadratureGrid
 from spectral_bounds.expressions import differentiate
 from spectral_bounds.fdsolver import SolverOptions, assemble, solve_lowest
-from spectral_bounds.phasespace import (_BLOCK, PhaseSpaceRangeError,
-                                        lambda_of_k, lip_constant,
+from spectral_bounds.phasespace import (_BLOCK, lambda_of_k,
                                         phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
@@ -24,17 +23,17 @@ from spectral_bounds.special import unit_ball_volume
 from spectral_bounds.spectra import Spectrum
 
 
-def flat_tables(n=64, lam_max=300.0):
-    prob = ProblemSpec(Box((1.0, 1.0)))
+def flat_tables(n=64, V="0"):
+    prob = ProblemSpec(Box((1.0, 1.0)), V=V)
     grid = QuadratureGrid(prob.domain, n)
-    return prob, phase_space_tables(prob, np.linspace(0.0, lam_max, 31), grid)
+    return prob, phase_space_tables(prob, grid)
 
 
-def oscillator_tables(n=512, lam_max=120.0):
+def oscillator_tables(n=512):
     prob = ProblemSpec(Box((16.0, 16.0), origin=(-8.0, -8.0)),
                        V="x1^2 + x2^2")
     grid = QuadratureGrid(prob.domain, n)
-    return prob, phase_space_tables(prob, np.linspace(0.0, lam_max, 25), grid)
+    return prob, phase_space_tables(prob, grid)
 
 
 def test_flat_volumes_closed_form():
@@ -63,7 +62,7 @@ def test_oscillator_volumes_and_level():
     # i.e. for lam <= 64
     for lam in (4.0, 30.0, 60.0):
         assert psd.phi1_at(lam) == pytest.approx(lam ** 2 / 8, rel=2e-4)
-        assert psd.ew_at(lam) == pytest.approx(lam ** 3 / 24, rel=2e-4)
+        assert psd.ew_at(lam) == pytest.approx(lam ** 3 / 12, rel=2e-4)
     lam10 = lambda_of_k(psd, 10)
     assert lam10 == pytest.approx(math.sqrt(80.0), rel=2e-4)
 
@@ -84,40 +83,37 @@ def test_oscillator_lip_constant():
     # |grad Vtilde| = 2 r, so the sublevel sup is 2 sqrt(lam)
     for lam in (4.0, 25.0):
         expected = 2.0 * math.sqrt(lam)
-        assert abs(lip_constant(prob, lam, grid) - expected) < 4 * h
+        assert abs(direct_sweep(prob, grid, lam)[3] - expected) < 4 * h
         assert abs(psd.lip_at(lam) - expected) < 4 * h
-    empty = lip_constant(prob, -1.0, grid)
-    assert empty == 0.0
+    assert psd.lip_at(-1.0) == 0.0
 
 
-def test_tables_are_monotone_and_convex():
+def test_volumes_never_decrease_with_the_level():
     _, psd = oscillator_tables(n=128)
-    assert np.all(np.diff(psd.phi1) >= 0)
-    assert np.all(np.diff(psd.phiw) >= 0)
-    slopes = np.diff(psd.ew) / np.diff(psd.lam_grid)
-    assert np.diff(slopes).min() >= -1e-9 * psd.ew.max()
+    levels = np.linspace(-1.0, 150.0, 303)
+    for at in (psd.phi1_at, psd.phiw_at):
+        values = np.array([at(lam) for lam in levels])
+        assert values[0] == 0.0
+        assert np.all(np.diff(values) >= 0)
 
 
-def test_lam_grid_validation():
-    prob = ProblemSpec(Box((1.0, 1.0)))
-    grid = QuadratureGrid(prob.domain, 16)
-    with pytest.raises(ValueError, match="two levels"):
-        phase_space_tables(prob, [1.0], grid)
-    with pytest.raises(ValueError, match="increasing"):
-        phase_space_tables(prob, [0.0, 2.0, 1.0], grid)
+def test_lambda_of_k_needs_positive_k():
+    _, psd = flat_tables(n=16)
     with pytest.raises(ValueError, match="positive"):
-        _, psd = flat_tables(n=16)
         lambda_of_k(psd, 0)
 
 
-def test_range_error_and_extension():
-    _, psd = flat_tables(n=16, lam_max=10.0)
-    # Phi_1 tops out at 10/(4 pi) < 1
-    with pytest.raises(PhaseSpaceRangeError, match="Phi_1"):
-        lambda_of_k(psd, 5)
-    wider = psd.extended_to(400.0)
-    assert lambda_of_k(wider, 5) == pytest.approx(20 * math.pi, rel=1e-12)
-    assert wider.extended_to(100.0) is wider
+@pytest.mark.parametrize("floor", [0.0, -1e4])
+def test_lambda_of_k_far_above_the_spectrum(floor):
+    # Phi_1(L) = (L - floor)/(4 pi) on the unit square: Lambda(900) lies
+    # 11310 above the floor, 14 doublings of the first step for a floor
+    # of 0 and a level past zero for a floor of -1e4
+    _, psd = flat_tables(n=16, V=repr(floor))
+    assert psd.vt_nodes[0] == floor
+    assert psd.phi1_at(floor) == 0.0
+    for k in (5, 900):
+        assert lambda_of_k(psd, k) - floor == pytest.approx(
+            4 * math.pi * k, rel=1e-12)
 
 
 def test_flat_bound_coincides_with_averaged_bound():
@@ -173,7 +169,7 @@ def test_lip_override_paths():
 
 
 def test_auto_extension_inside_bound():
-    _, psd = flat_tables(n=32, lam_max=20.0)
+    _, psd = flat_tables(n=32)
     fake = Spectrum(np.zeros(40), cutoff=0.0)
     rep = phase_space_sum_bound(30, psd, fake)
     assert rep.bound_value == pytest.approx(2 * math.pi * 900, rel=1e-10)
@@ -194,7 +190,8 @@ def direct_sweep(prob, grid, lam):
     below = vt <= lam
     return (scale * np.sum(gap ** (nu / 2)),
             scale * np.sum(gap ** (nu / 2) * w),
-            nu / (nu + 2) * scale * np.sum(gap ** (1 + nu / 2) * w),
+            scale * np.sum((nu / (nu + 2) * gap ** (1 + nu / 2) +
+                            vt * gap ** (nu / 2)) * w),
             float(np.sqrt(grad_sq[below].max())) if below.any() else 0.0)
 
 
@@ -208,6 +205,12 @@ SWEEP_CASES = {
     # unless the expansion is taken about the floor
     "offset": (ProblemSpec(Box((2.0, 2.0), origin=(-1.0, -1.0)),
                            V="1e4 + x^2 + y^2"), 96),
+    # the potential energy changes sign across the sublevel set
+    "negative": (ProblemSpec(Box((2.0, 2.0), origin=(-1.0, -1.0)),
+                             V="x^2 + y^2 - 1", w="1 + 0.5*y"), 96),
+    "negative-nu3": (ProblemSpec(Box((2.0, 2.0, 2.0),
+                                     origin=(-1.0, -1.0, -1.0)),
+                                 V="x^2 + y^2 + z^2 - 2"), 24),
 }
 
 
@@ -215,9 +218,11 @@ SWEEP_CASES = {
 def test_sorted_kernel_matches_direct_sweep(case):
     prob, n = SWEEP_CASES[case]
     grid = QuadratureGrid(prob.domain, n)
-    psd = phase_space_tables(prob, [0.0, 1.0], grid)
+    psd = phase_space_tables(prob, grid)
     vt = psd.vt_nodes
     assert vt.size > 2 * _BLOCK
+    assert np.all(np.diff(vt) >= 0)
+    assert np.all(np.diff(psd.lip_nodes) >= 0)
     # below the floor, on node values (ties, both sides of a block
     # boundary), between nodes, and above the top
     levels = [vt[0] - 1.0, vt[0], vt[1], vt[_BLOCK - 1], vt[_BLOCK],
@@ -231,28 +236,3 @@ def test_sorted_kernel_matches_direct_sweep(case):
                           (psd.ew_at(lam), ew)):
             assert abs(got - want) <= 1e-12 * abs(want), (lam, got, want)
         assert psd.lip_at(lam) == lip
-        assert lip_constant(prob, lam, grid) == lip
-
-
-def test_nodes_stay_sorted_after_extension():
-    prob, n = SWEEP_CASES["weighted"]
-    grid = QuadratureGrid(prob.domain, n)
-    psd = phase_space_tables(prob, np.linspace(0.0, 1.0, 5), grid)
-    wider = psd.extended_to(4.0)
-    assert wider.lam_grid[-1] == 4.0
-    assert wider.vt_nodes is psd.vt_nodes
-    assert np.all(np.diff(wider.vt_nodes) >= 0)
-    assert np.all(np.diff(wider.lip_nodes) >= 0)
-    for lam, phi1 in zip(wider.lam_grid[5:], wider.phi1[5:]):
-        assert phi1 == pytest.approx(direct_sweep(prob, grid, lam)[0],
-                                     rel=1e-12)
-
-
-def test_tables_accept_levels_from_the_floor():
-    prob, n = SWEEP_CASES["offset"]
-    grid = QuadratureGrid(prob.domain, n)
-    psd = phase_space_tables(prob, lambda floor: floor + np.arange(3.0), grid)
-    assert psd.lam_grid[0] == psd.vt_nodes[0] == float(
-        np.min(grid.inside_values(prob.effective_potential())))
-    assert list(psd.lam_grid - psd.lam_grid[0]) == [0.0, 1.0, 2.0]
-    assert psd.phi1[0] == 0.0

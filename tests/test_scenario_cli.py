@@ -85,6 +85,25 @@ BAD_CASES = [
     ({**BASE, "bounds": [{"kind": "phase-space-sum", "k": [1],
                           "grid_n": True}]},
      r"bounds\[0\]\.grid_n: expected a number"),
+    ({**BASE, "bounds": [{"kind": "phase-space-sum", "k": [1],
+                          "lam_max": 50}]},
+     r"bounds\[0\]\.lam_max: phase-space-sum reads no such key"),
+    ({**BASE, "sed": 5}, r"\$\.sed: a scenario reads no such key"),
+    ({**BASE, "grid": {"N": 8}}, r"grid\.N: grid reads no such key"),
+    ({**BASE, "domain": {"type": "disk", "radius": 1.0,
+                         "centre": [0.0, 0.0]}},
+     r"domain\.centre: disk reads no such key"),
+    ({**BASE, "domain": {"type": "box", "sides": [1, 1], "radius": 1}},
+     r"domain\.radius: box reads no such key"),
+    ({**BASE, "spectrum": {"source": "fd", "metod": "dense",
+                           "tolerence": 1e-30}},
+     r"spectrum\.metod: fd reads no such key"),
+    ({**BASE, "spectrum": {"source": "exact-rectangle", "count": 40,
+                           "tolerance": 1e-9}},
+     r"spectrum\.tolerance: exact-rectangle reads no such key"),
+    ({**BASE, "spectrum": {"source": "exact-sphere", "nu": 2, "l_max": 4,
+                           "count": 9}},
+     r"spectrum\.count: exact-sphere reads no such key"),
 ]
 
 
@@ -324,6 +343,52 @@ def test_cli_unevaluable_domain_exits_2(tmp_path, capsys, domain, source):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field,source", [
+    ("w", "1 + 0*" + "(" * 2000 + "x" + ")" * 2000),
+    ("V", "x" + "+x" * 5000)], ids=["parentheses", "long-sum"])
+def test_cli_too_deep_field_exits_2(tmp_path, capsys, field, source):
+    cfg = scenario_with(tmp_path, fields={field: source})
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "nests deeper than" in err
+    assert err.count("\n") == 1
+
+
+# nodes are counted at load, so neither case allocates a grid
+@pytest.mark.parametrize("override,match", [
+    ({"domain": {"type": "box", "sides": [1.0, 1.0, 1.0, 1.0]},
+      "grid": {}, "bounds": []}, r"grid\.n: 1\.67772e\+07 grid nodes"),
+    ({"bounds": [{"kind": "phase-space-sum", "k": [1], "grid_n": 100000}]},
+     r"bounds\[0\]\.grid_n: 1e\+10 grid nodes")],
+    ids=["4d-default-grid", "phase-space-grid-n"])
+def test_cli_refuses_oversized_grids(tmp_path, capsys, override, match):
+    cfg = scenario_with(tmp_path, **override)
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(match, err)
+    assert err.count("\n") == 1
+
+
+def test_cli_phase_space_counts_potential_energy(tmp_path, capsys):
+    # a constant 1e4 in V raises every eigenvalue by 1e4; the classical
+    # energy must carry it too, or the sum bound is violated by a factor
+    # of hundreds
+    cfg = scenario_with(
+        tmp_path, domain={"type": "disk", "radius": 2.0},
+        fields={"V": "1e4 + x^2 + y^2"}, grid={"n": 48},
+        spectrum={"source": "fd", "count": 10},
+        bounds=[{"kind": "phase-space-sum", "k": [2, 10], "grid_n": 300}])
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--format", "csv"]) == 0
+    rows = (tmp_path / "o" / "square.csv").read_text().splitlines()[1:]
+    for row in rows:
+        _, _, bound, computed, slack, holds = row.split(",")
+        assert holds == "true"
+        assert 0.99 < float(slack) < 1.0
+
+
 def test_cli_run_byte_identical(tmp_path):
     cfg = scenario_with(tmp_path)
     assert main(["run", "--config", str(cfg), "--out",
@@ -468,7 +533,7 @@ def _bound_entries(draw):
     if kind == "phase-space-sum":
         entry.update(draw(st.fixed_dictionaries(
             {}, optional={"grid_n": st.integers(-1, 12),
-                          "lam_max": _NUMBERS, "lip_override": _NUMBERS,
+                          "lip_override": _NUMBERS,
                           "bessel_order": _NUMBERS})))
     return entry
 
