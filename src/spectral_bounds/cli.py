@@ -227,14 +227,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
+        # a floating-point overflow, invalid operation or division by zero
+        # raises instead of printing a numpy warning and running on
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "spectrum":
+                return _cmd_spectrum(args)
+            if args.command == "bound":
+                return _cmd_bound(args)
+            if args.command == "selftest":
+                return _cmd_selftest(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

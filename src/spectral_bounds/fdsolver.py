@@ -17,10 +17,23 @@ Periodic problems (rectangular torus fundamental domains) get wrap-around
 faces; the seam face is evaluated at the left edge, i.e. fields are read
 modulo the period.
 
+Eigenpairs come from one of three paths.  When the mask is full and the
+nodal mass, the nodal V*w and each axis's face coefficients are single
+values, K x = mu M x is a Kronecker sum of 1-D cell-centred stencils plus
+the shift V*w, and the default ("separable") takes the lowest pairs from
+closed forms.  With s = face coefficient / nodal mass (w/h^2 for constant
+fields), an axis of n nodes has the values 4 s sin^2(pi m/2n) with vectors
+cos(pi m (i+1/2)/n) when Neumann, and 4 s sin^2(pi m/n) with a cos/sin
+pair per frequency when periodic; the lowest sums of one value per axis
+are merged, with tensor-product vectors.  Every other form defaults to
+sparse shift-invert ("iterative"), or to dense `eigh` when all pairs are
+asked for.  Every path's pairs must pass the same residual gate against
+the assembled K.
+
 scipy is imported inside `assemble` (after its input checks) and on the
 iterative path of `solve_lowest_detailed`, not with this module: a run
 whose spectrum is exact, or whose input is rejected before assembly,
-never loads it.
+never loads it, and the separable path never loads `scipy.sparse.linalg`.
 """
 
 from __future__ import annotations
@@ -66,12 +79,17 @@ class DiscreteForm:
     zero_potential: bool       # nodal V vanishes, so K annihilates constants
     potential_floor: float     # min nodal V*w, a lower bound for the spectrum
     grid: QuadratureGrid = field(repr=False, default=None)
+    # (per-axis face coefficient over nodal mass, nodal V*w) when the form
+    # is a Kronecker sum of 1-D stencils; None otherwise
+    separable: Optional[Tuple[Tuple[float, ...], float]] = None
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     k: int
-    method: Optional[str] = None  # None = iterative unless k == dof
+    # None = separable for a Kronecker-sum form, otherwise iterative
+    # unless k == dof (then dense)
+    method: Optional[str] = None
     tolerance: float = 1e-8
     max_dense_dof: int = 6400
 
@@ -140,6 +158,8 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
     vals.append(v_n * w_n * dens_n * cellvol)
 
     box = grid.domain.bounding_box()
+    # least and greatest face coefficient per axis, seam included
+    coefficients = [set() for _ in range(nu)]
 
     def add_faces(p_idx, q_idx, face_pts):
         w_f = np.broadcast_to(np.asarray(problem.w.evaluate(face_pts),
@@ -153,6 +173,8 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
         rows.extend((p_idx, q_idx, p_idx, q_idx))
         cols.extend((p_idx, q_idx, q_idx, p_idx))
         vals.extend((c, c, -c, -c))
+        if c.size:
+            coefficients[axis].update((float(c.min()), float(c.max())))
 
     for axis in range(nu):
         h = grid.spacing[axis]
@@ -193,6 +215,12 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
             f"operator entries overflow or underflow on grid {grid.shape}")
 
     vw = v_n * w_n
+    separable = None
+    if n == mask.size and mass_diag.min() == mass_diag.max() and \
+            vw.min() == vw.max() and all(len(c) == 1 for c in coefficients):
+        mass = float(mass_diag[0])
+        separable = (tuple(c.pop() / mass for c in coefficients),
+                     float(vw[0]))
     return DiscreteForm(
         stiffness=stiffness,
         mass_diag=mass_diag,
@@ -201,6 +229,7 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
         zero_potential=bool(np.max(np.abs(v_n)) == 0.0),
         potential_floor=float(vw.min()),
         grid=grid,
+        separable=separable,
     )
 
 
@@ -213,9 +242,51 @@ def _snap_zeros(values: np.ndarray, zero_potential: bool) -> np.ndarray:
     return np.sort(snapped)
 
 
+def _axis_pairs(n: int, scale: float, periodic: bool, count: int):
+    """The count lowest pairs of one axis's 1-D stencil: ascending values
+    and unit eigenvectors as columns."""
+    m = np.arange(count)
+    # periodic: the constant, then sin and cos of each frequency in turn
+    wave = 2 * ((m + 1) // 2) if periodic else m
+    angle = (math.pi / n) * (np.arange(n)[:, None] + 0.5) * wave
+    vectors = np.where(periodic & (m % 2 == 1), np.sin(angle), np.cos(angle))
+    values = 4.0 * scale * np.sin(math.pi * wave / (2 * n)) ** 2
+    return values, vectors / np.linalg.norm(vectors, axis=0)
+
+
+def _separable_pairs(form: DiscreteForm, k: int):
+    """Lowest k pairs of a Kronecker-sum form: the k smallest sums of one
+    closed-form value per axis, with tensor-product vectors scaled to
+    x^T M x = 1."""
+    scales, shift = form.separable
+    grid = form.grid
+    if not np.isfinite(scales).all():
+        # finite K and M can still overflow in K/M, as on the other paths
+        raise ValueError(
+            f"mass-scaled operator overflows on grid {grid.shape}")
+    total = np.full(1, shift)
+    picks = np.zeros((1, 0), dtype=np.int64)
+    vectors = []
+    for n, scale in zip(grid.shape, scales):
+        # a pair among the k lowest uses one of the k lowest of every axis
+        values, axis_vectors = _axis_pairs(n, scale, grid.periodic,
+                                           min(k, n))
+        sums = np.add.outer(total, values).ravel()
+        keep = np.argsort(sums, kind="stable")[:k]
+        total = sums[keep]
+        picks = np.column_stack((picks[keep // values.size],
+                                 keep % values.size))
+        vectors.append(axis_vectors)
+    x = np.full((1, k), 1.0 / math.sqrt(float(form.mass_diag[0])))
+    for axis_vectors, pick in zip(vectors, picks.T):
+        x = (x[:, None, :] * axis_vectors[:, pick][None, :, :]).reshape(-1, k)
+    return total, x
+
+
 def solve_lowest_detailed(form: DiscreteForm,
                           opts: SolverOptions) -> SolveResult:
-    """Lowest-k eigenpairs of K x = mu M x via M^(-1/2) K M^(-1/2)."""
+    """Lowest-k eigenpairs of K x = mu M x: closed forms for a separable
+    form, otherwise through M^(-1/2) K M^(-1/2)."""
     n = form.dof_count
     k = opts.k
     if k > n:
@@ -224,12 +295,40 @@ def solve_lowest_detailed(form: DiscreteForm,
     method = opts.method
     if method is None:
         # ARPACK cannot return the whole spectrum; only dense can
-        method = "dense" if k == n else "iterative"
-    if method == "dense" and n > opts.max_dense_dof:
+        method = "separable" if form.separable is not None else \
+            "dense" if k == n else "iterative"
+    if n > opts.max_dense_dof and (method == "dense" or k == n):
+        # all k == dof pairs take dof^2 doubles on every path
         raise ValueError(
-            f"dense method refused at dof={n} > {opts.max_dense_dof}; "
-            "use method='iterative' or raise max_dense_dof")
+            f"dense-sized solve ({method}, {k} pairs) refused at dof={n} > "
+            f"{opts.max_dense_dof}; use method='iterative' with k < dof or "
+            "raise max_dense_dof")
 
+    if method == "separable":
+        vals, x = _separable_pairs(form, k)
+    else:
+        vals, x = _mass_scaled_pairs(form, k, method)
+
+    kx = form.stiffness @ x
+    mx = form.mass_diag[:, None] * x
+    residuals = np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
+        np.linalg.norm(x, axis=0)
+    bad = residuals > opts.tolerance
+    if np.any(bad):
+        worst = float(residuals.max())
+        raise SolverConvergenceError(
+            f"eigenpair residual {worst:.3e} exceeds tolerance "
+            f"{opts.tolerance:.3e} ({int(bad.sum())} of {k} pairs)")
+
+    vals = _snap_zeros(vals, form.zero_potential)
+    spectrum = Spectrum(vals, float(vals[-1]), f"fd-{method}")
+    return SolveResult(spectrum, x, residuals, method)
+
+
+def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
+    """Lowest k pairs from A = M^(-1/2) K M^(-1/2), by dense `eigh` or by
+    sparse shift-invert; returns the values and x = M^(-1/2) y."""
+    n = form.dof_count
     d = 1.0 / np.sqrt(form.mass_diag)
     if method == "dense":
         a = form.stiffness.toarray() * d[:, None] * d[None, :]
@@ -259,22 +358,7 @@ def solve_lowest_detailed(form: DiscreteForm,
         order = np.argsort(eigvals)
         vals = eigvals[order]
         y = eigvecs[:, order]
-
-    x = d[:, None] * y
-    kx = form.stiffness @ x
-    mx = form.mass_diag[:, None] * x
-    residuals = np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
-        np.linalg.norm(x, axis=0)
-    bad = residuals > opts.tolerance
-    if np.any(bad):
-        worst = float(residuals.max())
-        raise SolverConvergenceError(
-            f"eigenpair residual {worst:.3e} exceeds tolerance "
-            f"{opts.tolerance:.3e} ({int(bad.sum())} of {k} pairs)")
-
-    vals = _snap_zeros(vals, form.zero_potential)
-    spectrum = Spectrum(vals, float(vals[-1]), f"fd-{method}")
-    return SolveResult(spectrum, x, residuals, method)
+    return vals, d[:, None] * y
 
 
 def solve_lowest(form: DiscreteForm, opts: SolverOptions) -> Spectrum:

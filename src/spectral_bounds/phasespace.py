@@ -219,8 +219,10 @@ def phase_space_sum_bound(k: int, psd: PhaseSpaceData, spectrum: Spectrum,
 
     with L the Lipschitz constant of Vtilde on the sublevel set and j the
     first zero of the Bessel function of order nu/2 - 1 (overridable).
-    When L = 0 the bound is E_w(Lambda(k)) alone.
+    When L = 0 the bound is E_w(Lambda(k)) alone.  The spectrum is read
+    first, so a k beyond it is refused before any node sweep.
     """
+    computed = spectrum.partial_sum(k)
     lam_k = lambda_of_k(psd, k)
 
     order = 0.5 * psd.nu - 1.0 if bessel_order is None else bessel_order
@@ -242,6 +244,5 @@ def phase_space_sum_bound(k: int, psd: PhaseSpaceData, spectrum: Spectrum,
         bound = psd.ew_at(lam_k) + 3.0 * shift * psd.phiw_at(lam_k + shift)
         notes.append(f"Bessel order {order:g}, first zero {j:.12g}")
 
-    computed = spectrum.partial_sum(k)
     return make_report("phase-space-sum", k, bound, computed, "upper",
                        notes=tuple(notes))

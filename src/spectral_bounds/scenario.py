@@ -18,8 +18,10 @@ Domains: box {sides, origin?}, disk {radius, center?}, masked_box {sides,
 origin?, inside}, torus {e1, e2}.  `fields` may set w, rho and V; they
 default to w=1, rho=0, V=0.  Spectrum sources: "fd" (finite differences
 on the grid), "exact-rectangle", "exact-torus", "exact-sphere".  A key
-that nothing reads is rejected wherever it appears, and so is a grid of
-more than _MAX_NODES nodes, before anything is allocated.  Every exact
+that nothing reads is rejected wherever it appears, and so is, before
+anything is allocated, a grid of more than _MAX_NODES nodes, a spectrum
+of more than _MAX_NODES values (count, or exact-sphere through l_max) and
+an fd count x grid nodes above _MAX_VECTOR_ENTRIES.  Every exact
 source applies the affine shift Lambda -> w_mean Lambda + vweff_mean to
 the bare Laplacian values, which matches the operator exactly when the
 fields are constant.
@@ -90,9 +92,14 @@ _SOURCE_KEYS = {"fd": ("source", "count", "method", "tolerance"),
                 "exact-torus": ("source", "count", "cutoff"),
                 "exact-sphere": ("source", "nu", "l_max")}
 # most quadrature nodes one grid may have (grid.n or a phase-space
-# grid_n), checked before anything is allocated: 2^21 holds a 1024^2 or
-# a 128^3 grid and refuses the 64^4 default of a 4-D box
+# grid_n), and most eigenvalues one spectrum may hold (count, or the
+# exact-sphere values through l_max), checked before anything is
+# allocated: 2^21 holds a 1024^2 or a 128^3 grid and refuses the 64^4
+# default of a 4-D box
 _MAX_NODES = 2 ** 21
+# most eigenvector entries (count x grid nodes) an fd solve may hold:
+# 2^26 doubles, 512 MiB, hold every pair of a grid at the dense cap
+_MAX_VECTOR_ENTRIES = 2 ** 26
 
 
 class ScenarioError(ValueError):
@@ -146,11 +153,32 @@ def _known(mapping: dict, keys, path: str, reader: str):
                                 f"(it reads {', '.join(keys)})")
 
 
+def _check_size(size: int, limit: int, path: str, what: str):
+    if size > limit:
+        raise ScenarioError(f"{path}: {size:g} {what} exceed the limit of "
+                            f"{limit}")
+
+
 def _check_nodes(counts, path: str):
-    nodes = math.prod(abs(n) for n in counts)
-    if nodes > _MAX_NODES:
-        raise ScenarioError(f"{path}: {nodes:g} grid nodes exceed the "
-                            f"limit of {_MAX_NODES}")
+    _check_size(math.prod(abs(n) for n in counts), _MAX_NODES, path,
+                "grid nodes")
+
+
+def _check_sphere_size(nu: int, l_max: int):
+    """Refuse an exact-sphere spectrum of more than _MAX_NODES values.
+    S^nu has C(l_max + nu, nu) + C(l_max + nu - 1, nu) of them through
+    degree l_max; C(top, i) >= 2^i for i <= top/2, so each product below
+    passes the limit within 22 steps however large nu and l_max are."""
+    total = 0
+    for top in range(max(nu, l_max + nu - 1), l_max + nu + 1):
+        binom = 1
+        for i in range(1, min(nu, top - nu) + 1):
+            binom = binom * (top - i + 1) // i
+            if total + binom > _MAX_NODES:
+                raise ScenarioError(
+                    f"spectrum.l_max: more than {_MAX_NODES} eigenvalues "
+                    f"on S^{nu} through degree {l_max}")
+        total += binom
 
 
 def _is_number(value) -> bool:
@@ -259,9 +287,16 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     count = _expect(spec, "count", int, "spectrum", default=16)
     if count < 1:
         raise ScenarioError("spectrum.count: must be >= 1")
+    _check_size(count, _MAX_NODES, "spectrum.count", "eigenvalues")
+    if source == "fd":
+        _check_size(count * math.prod(grid_n), _MAX_VECTOR_ENTRIES,
+                    "spectrum.count", "eigenvector entries (count x grid "
+                    "nodes)")
     cutoff = _expect(spec, "cutoff", (int, float), "spectrum", default=None)
     sphere_nu = _expect(spec, "nu", int, "spectrum", default=None)
     sphere_l_max = _expect(spec, "l_max", int, "spectrum", default=None)
+    if sphere_nu is not None and sphere_l_max is not None:
+        _check_sphere_size(sphere_nu, sphere_l_max)
     method = _expect(spec, "method", str, "spectrum", default=None)
     if method not in (None, "dense", "iterative"):
         raise ScenarioError(

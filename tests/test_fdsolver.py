@@ -232,7 +232,9 @@ class TestSolverOptions:
         opts = SolverOptions(k=6)
         dense = solve_lowest_detailed(form, SolverOptions(k=6, method="dense"))
         default = solve_lowest_detailed(form, opts)
-        assert default.method == "iterative"
+        # constant fields on a full rectangular torus: a Kronecker sum
+        assert default.method == ("separable" if case == "rect-torus"
+                                  else "iterative")
         assert default.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-12)
         assert default.residuals.max() <= opts.tolerance
@@ -245,18 +247,22 @@ class TestSolverOptions:
             solve_lowest(form, SolverOptions(k=4, method="dense"))
 
     def test_default_is_iterative_except_whole_spectrum(self):
-        prob = ProblemSpec(Box((1.0, 1.0)))
-        grid = QuadratureGrid(prob.domain, (20, 20))
-        res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=4))
+        # a varying weight keeps the form off the separable path
+        prob = ProblemSpec(Box((1.0, 1.0)), w="1 + x*y")
+        form = assemble(prob, QuadratureGrid(prob.domain, (20, 20)))
+        res = solve_lowest_detailed(form, SolverOptions(k=4))
         assert res.method == "iterative"
-        ref = neumann_dispersion(20, 1.0 / 20, 4)
-        assert res.spectrum.values == pytest.approx(ref, rel=1e-10, abs=1e-9)
-        # ARPACK cannot return all k == dof pairs, so dense takes them
-        grid = QuadratureGrid(prob.domain, (8, 8))
-        res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=64))
+        dense = solve_lowest_detailed(form, SolverOptions(k=4,
+                                                          method="dense"))
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-9)
+        # ARPACK cannot return all k == dof pairs, so dense takes them;
+        # together they sum to the trace of M^(-1) K
+        form = assemble(prob, QuadratureGrid(prob.domain, (8, 8)))
+        res = solve_lowest_detailed(form, SolverOptions(k=64))
         assert res.method == "dense"
-        ref = neumann_dispersion(8, 1.0 / 8, 64)
-        assert res.spectrum.values == pytest.approx(ref, rel=1e-10, abs=1e-9)
+        trace = float((form.stiffness.diagonal() / form.mass_diag).sum())
+        assert res.spectrum.values.sum() == pytest.approx(trace, rel=1e-10)
 
     def test_residual_tolerance_enforced(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
@@ -278,6 +284,81 @@ class TestSolverOptions:
         grid = QuadratureGrid(prob.domain, (8, 8))
         with pytest.raises(ValueError):
             solve_lowest(assemble(prob, grid), SolverOptions(k=100))
+
+
+SEPARABLE_CASES = {
+    "unequal-sides": (ProblemSpec(Box((1.0, 1.7))), (20, 28), 12),
+    # 1 + 3 + 3 + 1 + 3: ends on a whole triple cluster
+    "cube-triples": (ProblemSpec(Box((1.0, 1.0, 1.0))), (9, 9, 9), 11),
+    "torus-odd-even": (ProblemSpec(TorusFundamental((1.3, 0.0),
+                                                    (0.0, 0.8))),
+                       (9, 12), 14),
+    "constant-fields": (ProblemSpec(Box((1.0, 1.2), (-0.5, 0.3)), w="2.5",
+                                    rho="0.3", V="-4"), (16, 18), 10),
+    "masked-whole-box": (ProblemSpec(MaskedBox(
+        Box((1.0, 1.0)), parse_field("x - 2", 2))), (16, 16), 8),
+    "whole-spectrum": (ProblemSpec(Box((1.0, 1.5))), (8, 9), 72),
+}
+
+
+class TestSeparable:
+    @pytest.mark.parametrize("case", list(SEPARABLE_CASES))
+    def test_matches_iterative_and_dense(self, case):
+        prob, shape, k = SEPARABLE_CASES[case]
+        form = assemble(prob, QuadratureGrid(prob.domain, shape))
+        assert form.separable is not None
+        opts = SolverOptions(k=k)
+        res = solve_lowest_detailed(form, opts)
+        assert res.method == "separable"
+        assert res.residuals.max() <= opts.tolerance
+        others = ("dense",) if k == form.dof_count else ("dense", "iterative")
+        for method in others:
+            other = solve_lowest_detailed(form, SolverOptions(k=k,
+                                                              method=method))
+            assert other.residuals.max() <= opts.tolerance
+            assert res.spectrum.values == pytest.approx(
+                other.spectrum.values, rel=1e-10, abs=1e-12), method
+        # the vectors are M-orthonormal, like those of the other paths
+        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        assert gram == pytest.approx(np.eye(k), abs=1e-12)
+
+    def test_torus_odd_even_matches_dispersion(self):
+        prob, shape, k = SEPARABLE_CASES["torus-odd-even"]
+        res = solve_lowest_detailed(
+            assemble(prob, QuadratureGrid(prob.domain, shape)),
+            SolverOptions(k=k))
+        axes = [[4.0 * n * n / side ** 2 * math.sin(math.pi * m / n) ** 2
+                 for m in range(n)] for n, side in zip(shape, (1.3, 0.8))]
+        ref = sorted(a + b for a in axes[0] for b in axes[1])[:k]
+        assert res.spectrum.values == pytest.approx(ref, rel=1e-12,
+                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("prob,shape", [
+        (ProblemSpec(Disk(1.0)), (24, 24)),
+        # constant at the nodes (cos(pi (i + 1/2)) = 0), 1 or 3 at faces
+        (ProblemSpec(Box((1.0, 1.0)), w="2 + cos(8*pi*x)"), (8, 8)),
+        (ProblemSpec(Box((1.0, 1.0)), rho="0.1*y"), (12, 12)),
+        (ProblemSpec(Box((1.0, 1.0)), V="x"), (12, 12)),
+    ], ids=["disk", "faces-only-weight", "rho", "potential"])
+    def test_not_taken_for_varying_forms(self, prob, shape):
+        form = assemble(prob, QuadratureGrid(prob.domain, shape))
+        assert form.separable is None
+        assert solve_lowest_detailed(form, SolverOptions(k=4)).method == \
+            "iterative"
+
+    def test_wrong_closed_form_fails_the_residual_gate(self):
+        prob = ProblemSpec(Box((1.0, 1.0)))
+        form = assemble(prob, QuadratureGrid(prob.domain, (12, 12)))
+        scales, shift = form.separable
+        form.separable = ((scales[0] * (1 + 1e-6), scales[1]), shift)
+        with pytest.raises(SolverConvergenceError):
+            solve_lowest(form, SolverOptions(k=4))
+
+    def test_whole_spectrum_over_dense_cap_refused(self):
+        prob = ProblemSpec(Box((1.0, 1.0)))
+        form = assemble(prob, QuadratureGrid(prob.domain, (81, 81)))
+        with pytest.raises(ValueError, match="dense-sized"):
+            solve_lowest(form, SolverOptions(k=81 * 81))
 
 
 class TestConvergence:

@@ -15,12 +15,12 @@ from spectral_bounds.bounds import bound_context, kroger_avg_bound
 from spectral_bounds.domains import Box, Disk, QuadratureGrid
 from spectral_bounds.expressions import differentiate
 from spectral_bounds.fdsolver import SolverOptions, assemble, solve_lowest
-from spectral_bounds.phasespace import (_BLOCK, lambda_of_k,
+from spectral_bounds.phasespace import (_BLOCK, PhaseSpaceData, lambda_of_k,
                                         phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
 from spectral_bounds.special import unit_ball_volume
-from spectral_bounds.spectra import Spectrum
+from spectral_bounds.spectra import Spectrum, SpectrumRangeError
 
 
 def flat_tables(n=64, V="0"):
@@ -114,6 +114,19 @@ def test_lambda_of_k_far_above_the_spectrum(floor):
     for k in (5, 900):
         assert lambda_of_k(psd, k) - floor == pytest.approx(
             4 * math.pi * k, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [11, 10 ** 17, int(1e300)])
+def test_k_beyond_the_spectrum_refused_before_any_sweep(k, monkeypatch):
+    # at k = 1e300 the bracket for Lambda(k) would overflow
+    _, psd = flat_tables(n=16)
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("node sweep")
+
+    monkeypatch.setattr(PhaseSpaceData, "_volume_sum", sweep)
+    with pytest.raises(SpectrumRangeError, match="have 10"):
+        phase_space_sum_bound(k, psd, Spectrum(np.zeros(10), cutoff=0.0))
 
 
 def test_flat_bound_coincides_with_averaged_bound():

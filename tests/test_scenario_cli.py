@@ -10,7 +10,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,9 +333,7 @@ def test_cli_unevaluable_domain_exits_2(tmp_path, capsys, domain, source):
     cfg = scenario_with(tmp_path, domain=domain, grid={"n": 8},
                         spectrum={"source": source, "count": 4},
                         bounds=[{"kind": "kroger-avg", "k": [2]}])
-    with np.errstate(all="ignore"):
-        status = main(["run", "--config", str(cfg),
-                       "--out", str(tmp_path / "o")])
+    status = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert status == 2
     err = capsys.readouterr().err
     assert "error: " in err
@@ -369,6 +366,44 @@ def test_cli_refuses_oversized_grids(tmp_path, capsys, override, match):
     err = capsys.readouterr().err
     assert re.search(match, err)
     assert err.count("\n") == 1
+
+
+# counts and degrees are refused at load; without that check the first
+# ran past a minute and the second exited 1 with a MemoryError traceback
+@pytest.mark.parametrize("spectrum,grid,match", [
+    ({"source": "exact-rectangle", "count": 3 * 10 ** 9}, 64,
+     r"spectrum\.count: 3e\+09 eigenvalues exceed the limit"),
+    ({"source": "exact-sphere", "nu": 2, "l_max": 10 ** 8}, 64,
+     r"spectrum\.l_max: more than 2097152 eigenvalues on S\^2"),
+    ({"source": "fd", "count": 2 ** 20}, 128,
+     r"spectrum\.count: 1\.71799e\+10 eigenvector entries")],
+    ids=["rectangle-count", "sphere-l-max", "fd-count-times-nodes"])
+def test_cli_refuses_oversized_spectra(tmp_path, capsys, spectrum, grid,
+                                       match):
+    cfg = scenario_with(tmp_path, spectrum=spectrum, grid={"n": grid},
+                        bounds=[])
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(match, err)
+    assert err.count("\n") == 1
+
+
+def test_cli_torus_theta_matches_periodic_dispersion(capsys):
+    # constant fields on a full rectangular torus take the closed-form
+    # path; the cell-centred periodic stencil on n = 48 has the values
+    # 4 n^2 (sin^2(pi a/n) + sin^2(pi b/n))
+    import spectral_bounds
+
+    cfg = Path(spectral_bounds.__path__[0], "scenarios", "torus-theta.json")
+    assert main(["spectrum", "--config", str(cfg), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"]["method"] == "separable"
+    assert payload["summary"]["max_residual"] <= 1e-8
+    n = 48
+    axis = [4.0 * n * n * math.sin(math.pi * m / n) ** 2 for m in range(n)]
+    ref = sorted(a + b for a in axis for b in axis)[:40]
+    assert payload["values"] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_cli_phase_space_counts_potential_energy(tmp_path, capsys):
@@ -525,6 +560,13 @@ _KINDS = ["kroger-avg", "general-sum", "riesz-lower", "heat-lower",
           "no-such-kind"]
 
 
+def _sized(small):
+    """Small values, or sizes past the load-time limits in every dimension
+    (grid nodes, spectrum values, sphere degree): refused before anything
+    is allocated, so the run stays quick."""
+    return st.one_of(small, st.sampled_from([2 ** 22, 3 * 10 ** 9]))
+
+
 @st.composite
 def _bound_entries(draw):
     kind = draw(st.sampled_from(_KINDS))
@@ -532,18 +574,19 @@ def _bound_entries(draw):
     entry = {"kind": kind, key: draw(st.lists(_NUMBERS, max_size=3))}
     if kind == "phase-space-sum":
         entry.update(draw(st.fixed_dictionaries(
-            {}, optional={"grid_n": st.integers(-1, 12),
+            {}, optional={"grid_n": _sized(st.integers(-1, 12)),
                           "lip_override": _NUMBERS,
                           "bessel_order": _NUMBERS})))
     return entry
 
 
 # the grid is always given: the default of 64 nodes per axis makes a 3-D
-# or 4-D box too large for a quick run
+# box too large for a quick run
 _SCENARIOS = st.fixed_dictionaries(
     {"domain": _DOMAINS,
      "grid": st.fixed_dictionaries({"n": st.one_of(
-         st.integers(-1, 10), st.lists(st.integers(1, 10), max_size=3))})},
+         _sized(st.integers(-1, 10)),
+         st.lists(_sized(st.integers(1, 10)), max_size=3))})},
     optional={
         "fields": st.dictionaries(st.sampled_from(["w", "rho", "V", "q"]),
                                   st.sampled_from(_EXPRESSIONS), max_size=3),
@@ -551,11 +594,11 @@ _SCENARIOS = st.fixed_dictionaries(
             "source": st.sampled_from(["fd", "exact-rectangle",
                                        "exact-torus", "exact-sphere",
                                        "magic"]),
-            "count": st.integers(-1, 10),
+            "count": _sized(st.integers(-1, 10)),
             "method": st.sampled_from(["dense", "iterative", "fast"]),
             "cutoff": _NUMBERS,
             "nu": st.integers(-1, 4),
-            "l_max": st.integers(-1, 6)}),
+            "l_max": _sized(st.integers(-1, 6))}),
         "bounds": st.lists(_bound_entries(), max_size=3),
     })
 
