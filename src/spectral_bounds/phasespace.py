@@ -30,7 +30,8 @@ expands binomially about the floor min Vtilde, so every whole block of
 _BLOCK nodes below L is read from stored prefix moments and fewer than
 _BLOCK nodes are summed directly.  The Lipschitz
 constant of a sublevel set is a running maximum over the sorted nodes,
-and Lambda(k) is bisected on Phi_1 itself.
+and Lambda(k) is a root of Phi_1 itself, found by bracketed secant steps
+(Anderson-Bjorck regula falsi) in about a dozen volume sweeps.
 """
 
 from __future__ import annotations
@@ -87,10 +88,14 @@ class PhaseSpaceData:
         below = int(np.searchsorted(vt, lam, side="left"))
         start = 0 if self.block_moments is None else below - below % _BLOCK
         level_gap = lam - vt[start:below]
-        part = np.power(level_gap, p)
         if power % 1:
-            # odd nu: x^(p + 1/2) as x^p sqrt(x), twice as fast as np.power
-            part *= np.sqrt(level_gap)
+            # odd nu: x^(p + 1/2) as sqrt(x) x^p, twice as fast as np.power,
+            # and with no power pass at all for p of 0 or 1
+            part = np.sqrt(level_gap)
+            if p:
+                part *= level_gap if p == 1 else np.power(level_gap, p)
+        else:
+            part = np.power(level_gap, p)
         if weighted:
             part *= self.w_nodes[start:below]
         if potential:
@@ -183,28 +188,57 @@ def phase_space_tables(problem: ProblemSpec,
 
 
 def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
-    """Minimal level with Phi_1(Lambda) >= k, bisected between the floor of
-    Vtilde and floor + g, with g doubled from max(1, |floor|) until Phi_1
-    reaches k there."""
+    """Minimal level with Phi_1(Lambda) >= k.
+
+    The bracket starts at the floor of Vtilde, where Phi_1 = 0, and its top
+    steps up by g, doubled from max(1, |floor|), until Phi_1 reaches k.
+    Regula falsi with the Anderson-Bjorck weight closes it: an end kept
+    twice in a row has its residual scaled down, so the secant turns
+    towards it.  A step keeps a few ulps off both ends, so a secant that
+    lands on the root is settled by the next one, and it bisects where the
+    secant leaves the bracket or the last three steps did not halve it (a
+    kink of Phi_1 at a node, seen at ulp scale).  Every level goes through
+    phi1_at, and the bracket keeps Phi_1(lo) < k <= Phi_1(hi)."""
     if k <= 0:
         raise ValueError("k must be positive")
-    lo = float(psd.vt_nodes[0])
-    gap = max(1.0, abs(lo))
-    while psd.phi1_at(lo + gap) < k:
+    floor = float(psd.vt_nodes[0])
+    lo, f_lo = floor, -float(k)
+    gap = max(1.0, abs(floor))
+    while True:
+        hi = floor + gap
+        value = psd.phi1_at(hi)
+        if value >= k:
+            break
+        lo, f_lo = hi, value - k
         gap *= 2.0
-    hi = lo + gap
+    f_hi = value - k
+    moved = 1                       # the end the last step moved: +1 hi
+    spans = [math.inf] * 3          # the bracket three to one steps back
     # near machine-tight: the flat-potential coincidence checks compare
     # the resulting bound at absolute 1e-10 scale
     while hi - lo > 1e-15 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if psd.phi1_at(mid) >= k:
-            hi = mid
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo <= x <= hi or hi - lo > 0.5 * spans[0]:
+            x = 0.5 * (lo + hi)
+            moved = 0
+        spans = spans[1:] + [hi - lo]
+        nudge = min(0.5e-15 * max(1.0, abs(lo), abs(hi)), 0.5 * (hi - lo))
+        x = min(max(x, lo + nudge), hi - nudge)
+        phi = psd.phi1_at(x)
+        f_x = phi - k
+        if f_x >= 0:
+            if moved > 0:
+                m = 1.0 - f_x / f_hi if f_hi else 0.5
+                f_lo *= m if m > 0 else 0.5
+            hi, f_hi, value, moved = x, f_x, phi, 1
         else:
-            lo = mid
-    value = psd.phi1_at(hi)
+            if moved < 0:
+                m = 1.0 - f_x / f_lo
+                f_hi *= m if m > 0 else 0.5
+            lo, f_lo, moved = x, f_x, -1
     if not (k <= value <= k * (1.0 + 1e-6)):
         raise AssertionError(
-            f"bisection landed at Phi_1 = {value}, outside "
+            f"root solve landed at Phi_1 = {value}, outside "
             f"[{k}, {k * (1 + 1e-6)}]")
     return hi
 

@@ -21,7 +21,9 @@ on the grid), "exact-rectangle", "exact-torus", "exact-sphere".  A key
 that nothing reads is rejected wherever it appears, and so is, before
 anything is allocated, a grid of more than _MAX_NODES nodes, a spectrum
 of more than _MAX_NODES values (count, or exact-sphere through l_max) and
-an fd count x grid nodes above _MAX_VECTOR_ENTRIES.  Every exact
+an fd count x grid nodes above _MAX_VECTOR_ENTRIES.  A grid resolution
+(grid.n, a phase-space grid_n) must be an integer, and so must every k,
+in [1, _MAX_NODES]: none is truncated or left to overflow.  Every exact
 source applies the affine shift Lambda -> w_mean Lambda + vweff_mean to
 the bare Laplacian values, which matches the operator exactly when the
 fields are constant.
@@ -272,7 +274,10 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     if isinstance(n_raw, int) and not isinstance(n_raw, bool):
         grid_n = (n_raw,) * domain.nu
     elif isinstance(n_raw, list):
-        grid_n = tuple(int(v) for v in _vector(grid, "n", "grid"))
+        values = _vector(grid, "n", "grid")
+        if not all(v.is_integer() for v in values):
+            raise ScenarioError(f"grid.n: expected integers, got {n_raw}")
+        grid_n = tuple(int(v) for v in values)
     else:
         raise ScenarioError("grid.n: expected an integer or list")
     if any(n < 2 for n in grid_n):
@@ -317,6 +322,11 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
         params = _vector(entry, key, bpath)
         if not params:
             raise ScenarioError(f"{bpath}.{key}: parameter list is empty")
+        if key == "k":
+            for p in params:
+                if not (p.is_integer() and 1 <= p <= _MAX_NODES):
+                    raise ScenarioError(f"{bpath}.k: expected integers in "
+                                        f"[1, {_MAX_NODES}], got {p:g}")
         options = {}
         for name in option_keys:
             if name in entry:
@@ -324,7 +334,11 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
                     raise ScenarioError(f"{bpath}.{name}: expected a number")
                 options[name] = float(entry[name])
         if "grid_n" in options:
-            _check_nodes([options["grid_n"]] * domain.nu, f"{bpath}.grid_n")
+            n = options["grid_n"]
+            if not (n.is_integer() and n >= 2):
+                raise ScenarioError(
+                    f"{bpath}.grid_n: expected an integer >= 2, got {n:g}")
+            _check_nodes([n] * domain.nu, f"{bpath}.grid_n")
         if key == "k" and source == "fd":
             needed = max(int(p) for p in params)
             if kind.startswith("individual"):

@@ -16,6 +16,7 @@ profile for periodic heat traces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -106,11 +107,13 @@ def bessel_j(p: float, x: float) -> float:
     return _bessel_miller(p, x)
 
 
+@functools.lru_cache(maxsize=64)
 def bessel_first_zero(p: float, tol: float = 1e-10) -> float:
     """First positive zero of J_p for 0 <= p <= 50.
 
     The zero lies in [max(p, 1), p + 3 p^(1/3) + 3]; the interval is scanned
-    for the first sign change and the change is bisected to `tol`.
+    for the first sign change and the change is bisected to `tol`.  Each
+    call costs a few hundred Bessel series, so the zeros are kept per order.
     """
     if not 0.0 <= p <= 50.0:
         raise ValueError("order must lie in [0, 50]")

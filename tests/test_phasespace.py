@@ -116,6 +116,81 @@ def test_lambda_of_k_far_above_the_spectrum(floor):
             4 * math.pi * k, rel=1e-12)
 
 
+def bisected_level(psd, k):
+    """Lambda(k) by plain bisection to the stop width of lambda_of_k, with
+    the number of volume sweeps it took."""
+    floor = float(psd.vt_nodes[0])
+    gap, sweeps = max(1.0, abs(floor)), 1
+    while psd.phi1_at(floor + gap) < k:
+        gap, sweeps = 2.0 * gap, sweeps + 1
+    lo, hi = floor, floor + gap
+    while hi - lo > 1e-15 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        sweeps += 1
+        if psd.phi1_at(mid) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return hi, sweeps
+
+
+ROOT_CASES = {
+    "nu1": (ProblemSpec(Box((4.0,), origin=(-2.0,)), V="x^2"), 2000),
+    "nu2-weighted": (ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
+                                 V="x^2 + y^2", w="1 + 0.1*x"), 128),
+    "nu3": (ProblemSpec(Box((2.0, 2.0, 2.0), origin=(-1.0, -1.0, -1.0)),
+                        V="x^2 + y^2 + 2*z^2", w="1 + 0.25*z"), 24),
+    "nu4": (ProblemSpec(Box((4.0,) * 4, origin=(-2.0,) * 4),
+                        V="x1^2 + x2^2 + x3^2 + x4^2"), 12),
+    "negative-floor": (ProblemSpec(Box((2.0, 2.0), origin=(-1.0, -1.0)),
+                                   V="x^2 + y^2 - 1e4"), 96),
+    # every node right of x = 0.5 ties at Vtilde = 0.5
+    "tied": (ProblemSpec(Box((2.0, 2.0)), V="min(x, 0.5)"), 64),
+}
+
+
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call to PhaseSpaceData.<name>."""
+    calls = []
+    real = getattr(PhaseSpaceData, name)
+    monkeypatch.setattr(PhaseSpaceData, name, lambda self, *args:
+                        calls.append(args) or real(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_lambda_of_k_matches_bisection(case, monkeypatch):
+    prob, n = ROOT_CASES[case]
+    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, n))
+    vt = psd.vt_nodes
+    # integer k, and k equal to Phi_1 at a node value (tied nodes, and
+    # for nu = 1 a square-root kink right at the root)
+    ks = [1, 2, 5, 37] + [psd.phi1_at(float(vt[m]))
+                          for m in (vt.size // 7, vt.size // 2)]
+    if case == "tied":
+        ks.append(psd.phi1_at(0.5))
+    calls = count_calls(monkeypatch, "phi1_at")
+    for k in ks:
+        want, bisect_sweeps = bisected_level(psd, k)
+        calls.clear()
+        got = lambda_of_k(psd, k)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (k, got, want)
+        assert len(calls) <= bisect_sweeps, (k, len(calls), bisect_sweeps)
+        assert psd.phi1_at(got) >= k
+
+
+def test_lambda_of_k_sweeps_on_the_cube_oscillator(monkeypatch):
+    # the 80^3 box of the phase-space benchmark: bisection to the same
+    # stop width takes about 55 sweeps at k = 10
+    prob = ProblemSpec(Box((6.0,) * 3, origin=(-3.0,) * 3),
+                       V="x^2 + y^2 + z^2")
+    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 80))
+    calls = count_calls(monkeypatch, "_volume_sum")
+    lam = lambda_of_k(psd, 10)
+    assert len(calls) <= 30
+    assert lam == pytest.approx(bisected_level(psd, 10)[0], rel=1e-14)
+
+
 @pytest.mark.parametrize("k", [11, 10 ** 17, int(1e300)])
 def test_k_beyond_the_spectrum_refused_before_any_sweep(k, monkeypatch):
     # at k = 1e300 the bracket for Lambda(k) would overflow

@@ -87,6 +87,20 @@ BAD_CASES = [
     ({**BASE, "bounds": [{"kind": "phase-space-sum", "k": [1],
                           "lam_max": 50}]},
      r"bounds\[0\]\.lam_max: phase-space-sum reads no such key"),
+    # k and grid resolutions are integers: none is truncated or run
+    ({**BASE, "bounds": [{"kind": "kroger-avg", "k": [2.5]}]},
+     r"bounds\[0\]\.k: expected integers in \[1, 2097152\], got 2\.5"),
+    ({**BASE, "bounds": [{"kind": "general-sum", "k": [3, 0]}]},
+     r"bounds\[0\]\.k: expected integers in \[1, 2097152\], got 0"),
+    ({**BASE, "bounds": [{"kind": "phase-space-sum", "k": [1e300]}]},
+     r"bounds\[0\]\.k: expected integers in \[1, 2097152\], got 1e\+300"),
+    ({**BASE, "bounds": [{"kind": "phase-space-sum", "k": [2],
+                          "grid_n": 64.9}]},
+     r"bounds\[0\]\.grid_n: expected an integer >= 2, got 64\.9"),
+    ({**BASE, "bounds": [{"kind": "phase-space-sum", "k": [2],
+                          "grid_n": 1}]},
+     r"bounds\[0\]\.grid_n: expected an integer >= 2, got 1"),
+    ({**BASE, "grid": {"n": [64.9, 64]}}, r"grid\.n: expected integers"),
     ({**BASE, "sed": 5}, r"\$\.sed: a scenario reads no such key"),
     ({**BASE, "grid": {"N": 8}}, r"grid\.N: grid reads no such key"),
     ({**BASE, "domain": {"type": "disk", "radius": 1.0,
@@ -387,6 +401,20 @@ def test_cli_refuses_oversized_spectra(tmp_path, capsys, spectrum, grid,
     err = capsys.readouterr().err
     assert re.search(match, err)
     assert err.count("\n") == 1
+
+
+def test_cli_refuses_k_past_the_limit_in_one_short_line(tmp_path, capsys):
+    # against a spectrum of 10 values a k of 1e300 used to reach
+    # Spectrum.partial_sum, which printed it as a 301-digit integer twice
+    cfg = scenario_with(tmp_path, spectrum={"source": "exact-rectangle",
+                                            "count": 10},
+                        bounds=[{"kind": "phase-space-sum", "k": [1e300]}])
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: bounds[0].k: expected integers" in err
+    assert err.count("\n") == 1
+    assert len(err) < 100
 
 
 def test_cli_torus_theta_matches_periodic_dispersion(capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from spectral_bounds import (Lattice2, bessel_first_zero, bessel_j,
                              hex_heat_floor, hex_theta, lattice_heat_trace,
-                             lattice_heat_trace_poisson, unit_ball_volume)
+                             lattice_heat_trace_poisson, special,
+                             unit_ball_volume)
 
 
 class TestUnitBallVolume:
@@ -66,6 +67,15 @@ class TestBessel:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             bessel_first_zero(-0.5)
+
+    def test_first_zero_kept_per_order(self, monkeypatch):
+        first = bessel_first_zero(1.75)
+
+        def no_series(p, x):
+            raise AssertionError("Bessel series evaluated again")
+
+        monkeypatch.setattr(special, "bessel_j", no_series)
+        assert bessel_first_zero(1.75) == first
 
 
 def brute_gaussian_sum(lat: Lattice2, alpha: float, radius: int = 60) -> float:
