@@ -11,13 +11,15 @@ grammar is
     power   := atom ('^' exponent)*
     atom    := NUMBER | 'pi' | IDENT | IDENT '(' expr (',' expr)* ')'
              | '(' expr ')'
-    exponent:= NUMBER | '(' ['-'] INT ['/' INT] ')'
+    exponent:= NUMBER | '(' ['-'] NUMBER ['/' NUMBER] ')'
 
-``^`` takes a constant integer or rational exponent and binds tighter than
-unary minus, so ``-x^2`` means ``-(x^2)``.  Available functions: sin, cos,
-exp, log, sqrt, abs, min, max, step.  ``step(u)`` is 0 for u <= 0 and 1 for
-u > 0; it exists so that derivatives of the kinked functions (abs, min, max)
-stay inside the language.
+``^`` takes a constant exponent, read as an exact rational (``x^(2/1.5)``
+is ``x^(4/3)``), and binds tighter than unary minus, so ``-x^2`` means
+``-(x^2)``.  A NUMBER is a decimal literal such as ``2``, ``.5`` or
+``1.5e-3``; one that is not finite as a float is refused.  Available
+functions: sin, cos, exp, log, sqrt, abs, min, max, step.  ``step(u)`` is 0
+for u <= 0 and 1 for u > 0; it exists so that derivatives of the kinked
+functions (abs, min, max) stay inside the language.
 
 Differentiation is symbolic and one-sided at kinks: the branch that is
 active just below the kink is used, so d|u| at u = 0 contributes -u',
@@ -29,6 +31,9 @@ the result raises FieldEvaluationError.
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -42,7 +47,6 @@ __all__ = [
     "parse_field",
     "differentiate",
     "const",
-    "coordinate",
 ]
 
 Coords = Sequence[Union[float, np.ndarray]]
@@ -107,9 +111,6 @@ class ScalarFieldExpr:
     def __str__(self) -> str:
         return self._to_str()
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._to_str()!r})"
-
     def _wrap(self, parent_prec: int) -> str:
         s = self._to_str()
         return f"({s})" if self.precedence < parent_prec else s
@@ -147,8 +148,6 @@ class ScalarFieldExpr:
 class Const(ScalarFieldExpr):
     value: float
 
-    precedence = _PREC_ATOM
-
     def diff(self, axis):
         return Const(0.0)
 
@@ -158,7 +157,8 @@ class Const(ScalarFieldExpr):
     def _to_str(self):
         if self.value < 0:
             return f"({self.value!r})"
-        if self.value == int(self.value) and abs(self.value) < 1e16:
+        # is_integer() is False for inf and nan, which print by repr
+        if self.value.is_integer() and self.value < 1e16:
             return str(int(self.value))
         return repr(self.value)
 
@@ -166,8 +166,6 @@ class Const(ScalarFieldExpr):
 @dataclass(frozen=True, eq=True)
 class Var(ScalarFieldExpr):
     axis: int  # 0-based
-
-    precedence = _PREC_ATOM
 
     def diff(self, axis):
         return Const(1.0 if axis == self.axis else 0.0)
@@ -182,76 +180,41 @@ class Var(ScalarFieldExpr):
         return f"x{self.axis + 1}"
 
 
-@dataclass(frozen=True, eq=True)
-class Add(ScalarFieldExpr):
-    left: ScalarFieldExpr
-    right: ScalarFieldExpr
-
-    precedence = _PREC_ADD
-
-    def diff(self, axis):
-        return _add(self.left.diff(axis), self.right.diff(axis))
-
-    def _eval(self, coords):
-        return np.asarray(self.left._eval(coords)) + self.right._eval(coords)
-
-    def _to_str(self):
-        return f"{self.left._wrap(_PREC_ADD)}+{self.right._wrap(_PREC_ADD + 1)}"
+# operator -> (precedence, operation, derivative rule(u, v, du, dv)); all
+# four operators are left-associative
+_BINARY = {
+    "+": (_PREC_ADD, operator.add, lambda u, v, du, dv: _add(du, dv)),
+    "-": (_PREC_ADD, operator.sub, lambda u, v, du, dv: _sub(du, dv)),
+    "*": (_PREC_MUL, operator.mul,
+          lambda u, v, du, dv: _add(_mul(du, v), _mul(u, dv))),
+    # (u/v)' = u'/v - u v'/v^2
+    "/": (_PREC_MUL, operator.truediv,
+          lambda u, v, du, dv: _sub(_div(du, v), _div(
+              _mul(u, dv), _pow(v, Fraction(2))))),
+}
 
 
 @dataclass(frozen=True, eq=True)
-class Sub(ScalarFieldExpr):
+class Binary(ScalarFieldExpr):
+    op: str
     left: ScalarFieldExpr
     right: ScalarFieldExpr
 
-    precedence = _PREC_ADD
+    @property
+    def precedence(self):
+        return _BINARY[self.op][0]
 
     def diff(self, axis):
-        return _sub(self.left.diff(axis), self.right.diff(axis))
+        return _BINARY[self.op][2](self.left, self.right,
+                                   self.left.diff(axis), self.right.diff(axis))
 
     def _eval(self, coords):
-        return np.asarray(self.left._eval(coords)) - self.right._eval(coords)
+        return _BINARY[self.op][1](np.asarray(self.left._eval(coords)),
+                                   self.right._eval(coords))
 
     def _to_str(self):
-        return f"{self.left._wrap(_PREC_ADD)}-{self.right._wrap(_PREC_ADD + 1)}"
-
-
-@dataclass(frozen=True, eq=True)
-class Mul(ScalarFieldExpr):
-    left: ScalarFieldExpr
-    right: ScalarFieldExpr
-
-    precedence = _PREC_MUL
-
-    def diff(self, axis):
-        return _add(_mul(self.left.diff(axis), self.right),
-                    _mul(self.left, self.right.diff(axis)))
-
-    def _eval(self, coords):
-        return np.asarray(self.left._eval(coords)) * self.right._eval(coords)
-
-    def _to_str(self):
-        return f"{self.left._wrap(_PREC_MUL)}*{self.right._wrap(_PREC_MUL + 1)}"
-
-
-@dataclass(frozen=True, eq=True)
-class Div(ScalarFieldExpr):
-    left: ScalarFieldExpr
-    right: ScalarFieldExpr
-
-    precedence = _PREC_MUL
-
-    def diff(self, axis):
-        # (u/v)' = u'/v - u v'/v^2
-        u, v = self.left, self.right
-        return _sub(_div(u.diff(axis), v),
-                    _div(_mul(u, v.diff(axis)), _pow(v, Fraction(2))))
-
-    def _eval(self, coords):
-        return np.asarray(self.left._eval(coords)) / self.right._eval(coords)
-
-    def _to_str(self):
-        return f"{self.left._wrap(_PREC_MUL)}/{self.right._wrap(_PREC_MUL + 1)}"
+        prec = self.precedence
+        return f"{self.left._wrap(prec)}{self.op}{self.right._wrap(prec + 1)}"
 
 
 @dataclass(frozen=True, eq=True)
@@ -306,17 +269,24 @@ def _np_step(u):
     return np.where(np.asarray(u) > 0, 1.0, 0.0)
 
 
-_UNARY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "step": _np_step,
+# name -> (arity, numpy function, derivative rule(f, *args, *dargs)), where
+# f is the call node itself
+_FUNCS = {
+    "sin": (1, np.sin, lambda f, u, du: _mul(_call("cos", u), du)),
+    "cos": (1, np.cos, lambda f, u, du: _neg(_mul(_call("sin", u), du))),
+    "exp": (1, np.exp, lambda f, u, du: _mul(f, du)),
+    "log": (1, np.log, lambda f, u, du: _div(du, u)),
+    "sqrt": (1, np.sqrt, lambda f, u, du: _div(du, _mul(Const(2.0), f))),
+    # left branch at u = 0: sign factor 2*step(u) - 1 equals -1 there
+    "abs": (1, np.abs, lambda f, u, du: _mul(
+        _sub(_mul(Const(2.0), _call("step", u)), Const(1.0)), du)),
+    "step": (1, _np_step, lambda f, u, du: Const(0.0)),
+    # first argument wins ties; step(u) = 0 at u = 0 selects it
+    "min": (2, np.minimum, lambda f, u, v, du, dv: _add(
+        du, _mul(_call("step", _sub(u, v)), _sub(dv, du)))),
+    "max": (2, np.maximum, lambda f, u, v, du, dv: _add(
+        du, _mul(_call("step", _sub(v, u)), _sub(dv, du)))),
 }
-
-_BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
 
 
 @dataclass(frozen=True, eq=True)
@@ -324,41 +294,13 @@ class Call(ScalarFieldExpr):
     name: str
     args: tuple
 
-    precedence = _PREC_ATOM
-
     def diff(self, axis):
-        a = self.args[0]
-        da = a.diff(axis)
-        if self.name == "sin":
-            return _mul(_call("cos", a), da)
-        if self.name == "cos":
-            return _neg(_mul(_call("sin", a), da))
-        if self.name == "exp":
-            return _mul(self, da)
-        if self.name == "log":
-            return _div(da, a)
-        if self.name == "sqrt":
-            return _div(da, _mul(Const(2.0), self))
-        if self.name == "abs":
-            # left branch at u = 0: sign factor 2*step(u) - 1 equals -1 there
-            sign = _sub(_mul(Const(2.0), _call("step", a)), Const(1.0))
-            return _mul(sign, da)
-        if self.name == "step":
-            return Const(0.0)
-        if self.name in ("min", "max"):
-            b = self.args[1]
-            db = b.diff(axis)
-            # first argument wins ties; step(u) = 0 at u = 0 selects it
-            gap = _sub(a, b) if self.name == "min" else _sub(b, a)
-            return _add(da, _mul(_call("step", gap), _sub(db, da)))
-        raise AssertionError(f"unhandled function {self.name}")
+        return _FUNCS[self.name][2](self, *self.args,
+                                    *(a.diff(axis) for a in self.args))
 
     def _eval(self, coords):
-        if self.name in _UNARY_FUNCS:
-            return _UNARY_FUNCS[self.name](np.asarray(self.args[0]._eval(coords)))
-        f = _BINARY_FUNCS[self.name]
-        return f(np.asarray(self.args[0]._eval(coords)),
-                 np.asarray(self.args[1]._eval(coords)))
+        return _FUNCS[self.name][1](
+            *(np.asarray(a._eval(coords)) for a in self.args))
 
     def _to_str(self):
         inner = ",".join(a._to_str() for a in self.args)
@@ -385,7 +327,7 @@ def _add(a, b):
         return b
     if _is_const(b, 0.0):
         return a
-    return Add(a, b)
+    return Binary("+", a, b)
 
 
 def _sub(a, b):
@@ -395,7 +337,7 @@ def _sub(a, b):
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    return Sub(a, b)
+    return Binary("-", a, b)
 
 
 def _mul(a, b):
@@ -407,7 +349,7 @@ def _mul(a, b):
         return b
     if _is_const(b, 1.0):
         return a
-    return Mul(a, b)
+    return Binary("*", a, b)
 
 
 def _div(a, b):
@@ -415,7 +357,7 @@ def _div(a, b):
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    return Div(a, b)
+    return Binary("/", a, b)
 
 
 def _pow(base, exponent: Fraction):
@@ -447,13 +389,6 @@ def const(value: float) -> ScalarFieldExpr:
     return Const(float(value))
 
 
-def coordinate(axis: int) -> ScalarFieldExpr:
-    """The coordinate function x_{axis+1}."""
-    if axis < 0:
-        raise ValueError("axis must be non-negative")
-    return Var(axis)
-
-
 def differentiate(f: ScalarFieldExpr, axis: int) -> ScalarFieldExpr:
     """Symbolic partial derivative along the given 0-based axis."""
     return f.diff(axis)
@@ -469,42 +404,22 @@ class _Token:
     pos: int
 
 
+# one token and the white space after it; "1.2.3" reads as "1.2" ".3"
+_TOKEN = re.compile(r"""(?:
+    (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^(),])
+)\s*""", re.VERBOSE)
+
+
 def _tokenize(src: str):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            seen_e = False
-            while j < n:
-                c = src[j]
-                if c.isdigit() or c == ".":
-                    j += 1
-                elif c in "eE" and not seen_e and j + 1 < n and (
-                        src[j + 1].isdigit() or src[j + 1] in "+-"):
-                    seen_e = True
-                    j += 2 if src[j + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(_Token("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise FieldSyntaxError(f"unexpected character {ch!r}", i)
+    tokens, i = [], len(src) - len(src.lstrip())
+    while i < len(src):
+        m = _TOKEN.match(src, i)
+        if m is None:
+            raise FieldSyntaxError(f"unexpected character {src[i]!r}", i)
+        tokens.append(_Token(m.lastgroup, m[m.lastgroup], i))
+        i = m.end()
     return tokens
 
 
@@ -525,12 +440,19 @@ class _Parser:
             self.k += 1
         return t
 
+    def accept(self, text):
+        """Take the next token if it is the operator `text`."""
+        t = self.peek()
+        if t is not None and t.kind == "op" and t.text == text:
+            self.k += 1
+            return t
+        return None
+
     def expect_op(self, text):
-        t = self.next()
-        if t is None or t.kind != "op" or t.text != text:
-            pos = t.pos if t else self.end
-            raise FieldSyntaxError(f"expected {text!r}", pos)
-        return t
+        if self.accept(text) is None:
+            t = self.peek()
+            raise FieldSyntaxError(f"expected {text!r}",
+                                   t.pos if t else self.end)
 
     def parse(self):
         e = self.expr(0)
@@ -554,114 +476,84 @@ class _Parser:
         left = self.unary()
         while True:
             t = self.peek()
-            if t is None or t.kind != "op":
+            if t is None or t.text not in _BINARY:
                 return left
-            if t.text in "+-" and _PREC_ADD >= min_prec:
-                self.next()
-                right = self.expr(_PREC_ADD + 1)
-                left = Add(left, right) if t.text == "+" else Sub(left, right)
-            elif t.text in "*/" and _PREC_MUL >= min_prec:
-                self.next()
-                right = self.expr(_PREC_MUL + 1)
-                left = Mul(left, right) if t.text == "*" else Div(left, right)
-            elif t.text == "^" and _PREC_POW >= min_prec:
-                self.next()
-                left = Pow(left, self.exponent())
-            else:
+            prec = _BINARY[t.text][0]
+            if prec < min_prec:
                 return left
+            self.next()
+            left = Binary(t.text, left, self.expr(prec + 1))
 
     def unary(self):
-        t = self.peek()
-        if t is not None and t.kind == "op" and t.text == "-":
-            self.next()
+        t = self.accept("-")
+        if t is not None:
             # ^ binds tighter than unary minus: parse operand above ADD/MUL
             return Neg(self.nested(_PREC_UNARY, t.pos))
-        return self.atom_with_power()
-
-    def atom_with_power(self):
         e = self.atom()
-        while True:
-            t = self.peek()
-            if t is not None and t.kind == "op" and t.text == "^":
-                self.next()
-                e = Pow(e, self.exponent())
-            else:
-                return e
+        while self.accept("^") is not None:
+            e = Pow(e, self.exponent())
+        return e
+
+    def literal(self, t, what):
+        """The text of number token `t`, refused unless finite as a float."""
+        if t is None or t.kind != "num":
+            raise FieldSyntaxError(f"expected {what}",
+                                   t.pos if t else self.end)
+        if not math.isfinite(float(t.text)):
+            raise FieldSyntaxError(f"number {t.text} is not finite", t.pos)
+        return t.text
 
     def exponent(self) -> Fraction:
         t = self.peek()
         if t is None:
             raise FieldSyntaxError("missing exponent", self.end)
         if t.kind == "num":
-            self.next()
-            try:
-                return Fraction(t.text)
-            except ValueError:
-                raise FieldSyntaxError(
-                    f"exponent {t.text!r} is not an exact rational", t.pos)
-        if t.kind == "op" and t.text == "(":
-            self.next()
-            sign = 1
-            t2 = self.peek()
-            if t2 is not None and t2.kind == "op" and t2.text == "-":
-                self.next()
-                sign = -1
-            num_tok = self.next()
-            if num_tok is None or num_tok.kind != "num":
-                pos = num_tok.pos if num_tok else self.end
-                raise FieldSyntaxError("expected a rational exponent", pos)
-            value = Fraction(num_tok.text)
-            t3 = self.peek()
-            if t3 is not None and t3.kind == "op" and t3.text == "/":
-                self.next()
-                den_tok = self.next()
-                if den_tok is None or den_tok.kind != "num":
-                    pos = den_tok.pos if den_tok else self.end
-                    raise FieldSyntaxError("expected exponent denominator", pos)
-                value = value / Fraction(den_tok.text)
-            self.expect_op(")")
-            return sign * value
-        raise FieldSyntaxError("exponent must be a constant", t.pos)
+            return Fraction(self.literal(self.next(), "an exponent"))
+        if self.accept("(") is None:
+            raise FieldSyntaxError("exponent must be a constant", t.pos)
+        sign = -1 if self.accept("-") is not None else 1
+        value = Fraction(self.literal(self.next(), "a rational exponent"))
+        if self.accept("/") is not None:
+            t = self.next()
+            den = Fraction(self.literal(t, "exponent denominator"))
+            if den == 0:
+                raise FieldSyntaxError("exponent denominator is zero", t.pos)
+            value /= den
+        self.expect_op(")")
+        return sign * value
 
     def atom(self):
         t = self.next()
         if t is None:
             raise FieldSyntaxError("unexpected end of expression", self.end)
         if t.kind == "num":
-            return Const(float(t.text))
-        if t.kind == "op" and t.text == "(":
+            return Const(float(self.literal(t, "a number")))
+        if t.kind == "ident":
+            return self.identifier(t)
+        if t.text == "(":
             e = self.nested(0, t.pos)
             self.expect_op(")")
             return e
-        if t.kind == "ident":
-            return self.identifier(t)
         raise FieldSyntaxError(f"unexpected token {t.text!r}", t.pos)
 
     def identifier(self, t):
         name = t.text
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "op" and nxt.text == "(":
-            if name not in _UNARY_FUNCS and name not in _BINARY_FUNCS:
-                raise FieldSyntaxError(f"unknown function {name!r}", t.pos)
-            self.next()
-            args = [self.nested(0, nxt.pos)]
-            while True:
-                t2 = self.peek()
-                if t2 is not None and t2.kind == "op" and t2.text == ",":
-                    self.next()
-                    args.append(self.nested(0, t2.pos))
-                else:
-                    break
-            self.expect_op(")")
-            want = 2 if name in _BINARY_FUNCS else 1
-            if len(args) != want:
-                raise FieldSyntaxError(
-                    f"{name} takes {want} argument(s), got {len(args)}", t.pos)
-            return Call(name, tuple(args))
-        if name == "pi":
-            return Const(np.pi)
-        axis = self.axis_of(name, t.pos)
-        return Var(axis)
+        paren = self.accept("(")
+        if paren is None:
+            if name == "pi":
+                return Const(np.pi)
+            return Var(self.axis_of(name, t.pos))
+        if name not in _FUNCS:
+            raise FieldSyntaxError(f"unknown function {name!r}", t.pos)
+        args = [self.nested(0, paren.pos)]
+        while (comma := self.accept(",")) is not None:
+            args.append(self.nested(0, comma.pos))
+        self.expect_op(")")
+        arity = _FUNCS[name][0]
+        if len(args) != arity:
+            raise FieldSyntaxError(
+                f"{name} takes {arity} argument(s), got {len(args)}", t.pos)
+        return Call(name, tuple(args))
 
     def axis_of(self, name, pos):
         if self.nu <= 3 and name in _AXIS_NAMES[:self.nu]:

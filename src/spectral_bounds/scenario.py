@@ -221,7 +221,10 @@ def _parse_domain(data: dict, path: str):
         inside = _expect(data, "inside", str, path)
         box = Box(tuple(sides), None if origin is None else tuple(origin))
         from .expressions import parse_field
-        return MaskedBox(box, parse_field(inside, len(sides)))
+        try:
+            return MaskedBox(box, parse_field(inside, len(sides)))
+        except FieldSyntaxError as exc:
+            raise ScenarioError(f"{path}.inside: {exc}") from exc
     e1 = _vector(data, "e1", path, length=2)
     e2 = _vector(data, "e2", path, length=2)
     return TorusFundamental(tuple(e1), tuple(e2))

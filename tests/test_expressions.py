@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spectral_bounds import (Box, FieldEvaluationError, FieldSyntaxError,
                              ProblemSpec, QuadratureGrid, bound_context,
                              differentiate, parse_field, phase_space_tables)
-from spectral_bounds.expressions import _MAX_DEPTH
+from spectral_bounds.expressions import _MAX_DEPTH, const
 
 
 def ev(expr, nu, *points):
@@ -95,6 +95,22 @@ class TestErrors:
             ev("sqrt(x)", 1, (-4.0,))
 
 
+    @pytest.mark.parametrize("source,position", [
+        ("1.2.3", 3), ("1e+", 1), ("x^(1.2.3)", 6), ("x^(1/0)", 5),
+        ("x^(2/0.0)", 5), ("1e400*x", 0), ("x^1e400", 2)])
+    def test_bad_literal_position(self, source, position):
+        with pytest.raises(FieldSyntaxError) as err:
+            parse_field(source, 1)
+        assert err.value.position == position
+
+    def test_non_finite_constant_prints(self):
+        assert str(const(math.inf)) == "inf"
+        assert str(const(-math.inf)) == "(-inf)"
+        assert str(const(math.nan)) == "nan"
+        with pytest.raises(FieldEvaluationError, match="'inf'"):
+            const(math.inf).evaluate([])
+
+
 class TestNestingLimit:
     # sqrt(x/(2 + x/(2 + ... x))): two tree levels per "x/(2+", and the
     # quotient rule makes its derivatives the deepest per level
@@ -175,6 +191,96 @@ class TestDifferentiate:
         g = differentiate(parse_field("min(x, 2*x)", 1), 0)
         # at x = 0 the arguments tie; the first argument's slope 1 wins
         assert g.evaluate([np.array([0.0])])[0] == 1.0
+        g = differentiate(parse_field("max(x, 2*x)", 1), 0)
+        assert g.evaluate([np.array([0.0])])[0] == 1.0
+
+
+# str() of a parsed source, of its derivative along x1 and of that
+# derivative along x_nu: every node type and every function's rule, ties
+# included.  Error entries in a report carry str() of the field.
+PRINTED = [
+    ("1", 1, "1",
+     "0",
+     "0"),
+    ("2.5*x", 1, "2.5*x1",
+     "2.5",
+     "0"),
+    ("x^2 + 3*y - 1", 2, "x1^2+3*x2-1",
+     "2*x1",
+     "0"),
+    ("x/4 - -x", 1, "x1/4--x1",
+     "1/4-(-1.0)",
+     "0"),
+    ("(x - y)*(x + y)/(1 + x^2)", 2, "(x1-x2)*(x1+x2)/(1+x1^2)",
+     "(x1+x2+(x1-x2))/(1+x1^2)-(x1-x2)*(x1+x2)*(2*x1)/(1+x1^2)^2",
+     "-(((-1.0)*(x1+x2)+(x1-x2))*(2*x1)/(1+x1^2)^2)"),
+    ("-x^2", 1, "-x1^2",
+     "-(2*x1)",
+     "(-2.0)"),
+    ("x^(1/2) + y^(-2) + x^(-3/2)", 2, "x1^(1/2)+x2^(-2)+x1^(-3/2)",
+     "0.5*x1^(-1/2)+(-1.5)*x1^(-5/2)",
+     "0"),
+    ("2^3^2*x", 1, "(2^3)^2*x1",
+     "(2^3)^2",
+     "0"),
+    ("sin(2*x)*cos(y)", 2, "sin(2*x1)*cos(x2)",
+     "cos(2*x1)*2*cos(x2)",
+     "cos(2*x1)*2*-sin(x2)"),
+    ("exp(-x^2)*log(1 + y^2)", 2, "exp(-x1^2)*log(1+x2^2)",
+     "exp(-x1^2)*-(2*x1)*log(1+x2^2)",
+     "exp(-x1^2)*-(2*x1)*(2*x2/(1+x2^2))"),
+    ("sqrt(1 + x^2)", 1, "sqrt(1+x1^2)",
+     "2*x1/(2*sqrt(1+x1^2))",
+     "2/(2*sqrt(1+x1^2))-2*x1*(2*(2*x1/(2*sqrt(1+x1^2))))/(2*sqrt(1+x1^2))^2"),
+    ("abs(x - y)", 2, "abs(x1-x2)",
+     "2*step(x1-x2)-1",
+     "0"),
+    ("step(x)*x^2", 1, "step(x1)*x1^2",
+     "step(x1)*(2*x1)",
+     "step(x1)*2"),
+    ("min(x, 2*y) + max(y, x^2)", 2, "min(x1,2*x2)+max(x2,x1^2)",
+     "1+step(x1-2*x2)*(-1.0)+step(x1^2-x2)*(2*x1)",
+     "0"),
+    ("min(x, x) - max(y, y)", 2, "min(x1,x1)-max(x2,x2)",
+     "1",
+     "0"),
+    ("pi*x1 + 1e20*y - 0.25", 2, "3.141592653589793*x1+1e+20*x2-0.25",
+     "3.141592653589793",
+     "0"),
+    ("x/(1 - y)^2", 2, "x1/(1-x2)^2",
+     "1/(1-x2)^2",
+     "-(2*(1-x2)*(-1.0)/((1-x2)^2)^2)"),
+    ("-(x - 1)*-y", 2, "-(x1-1)*-x2",
+     "(-1.0)*-x2",
+     "1"),
+    ("x1*x4 - x3/x2", 4, "x1*x4-x3/x2",
+     "x4",
+     "1"),
+    ("0*x + 1*y", 2, "0*x1+1*x2",
+     "0",
+     "0"),
+    ("cos(x)", 1, "cos(x1)",
+     "-sin(x1)",
+     "-cos(x1)"),
+    ("abs(x)", 1, "abs(x1)",
+     "2*step(x1)-1",
+     "0"),
+    ("exp(x)/sqrt(y)", 2, "exp(x1)/sqrt(x2)",
+     "exp(x1)/sqrt(x2)",
+     "-(exp(x1)*(1/(2*sqrt(x2)))/sqrt(x2)^2)"),
+    (".5e1*x^(2/1.5)", 1, "5*x1^(4/3)",
+     "5*(1.3333333333333333*x1^(1/3))",
+     "5*(1.3333333333333333*(0.3333333333333333*x1^(-2/3)))"),
+]
+
+
+@pytest.mark.parametrize("source,nu,printed,first,second", PRINTED,
+                         ids=[row[0] for row in PRINTED])
+def test_printed_trees(source, nu, printed, first, second):
+    f = parse_field(source, nu)
+    d = differentiate(f, 0)
+    assert [str(f), str(d), str(differentiate(d, nu - 1))] == [
+        printed, first, second]
 
 
 @settings(max_examples=60, deadline=None)

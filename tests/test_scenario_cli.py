@@ -65,6 +65,15 @@ BAD_CASES = [
     ({**BASE, "grid": {"n": 1}}, "grid.n"),
     ({**BASE, "grid": {"n": "many"}}, "grid.n"),
     ({**BASE, "fields": {"w": "1 +"}}, "fields"),
+    ({**BASE, "fields": {"V": "1.2.3"}},
+     r"fields: unexpected token '\.3' \(at position 3\)"),
+    ({**BASE, "fields": {"V": "1e400*x"}},
+     r"fields: number 1e400 is not finite \(at position 0\)"),
+    ({**BASE, "fields": {"V": "x^(1/0)"}},
+     r"fields: exponent denominator is zero \(at position 5\)"),
+    ({**BASE, "domain": {"type": "masked_box", "sides": [1, 1],
+                         "inside": "("}},
+     r"domain\.inside: unexpected end of expression \(at position 1\)"),
     ({**BASE, "spectrum": {"source": "tarot"}}, "spectrum.source"),
     ({**BASE, "spectrum": {"source": "fd", "count": 0}}, "spectrum.count"),
     ({**BASE, "spectrum": {"source": "fd", "method": "magic"}},
@@ -564,7 +573,7 @@ def test_bundled_scenarios_load_and_run():
 
 _EXPRESSIONS = ["1", "2.5", "x", "x - 0.5", "1 + 0.5*x", "x^2 + y^2",
                 "1/x", "log(x)", "sqrt(x - 1)", "exp(800*x)", "z", "(",
-                "", "0*x"]
+                "", "0*x", "1.2.3", "1e+", "x^(1.2.3)", "x^(1/0)", "1e400*x"]
 # moderate values only where they size an enumeration (torus basis,
 # cutoff, k): the exact spectra and Lambda(k) grow without a cap
 _NUMBERS = st.one_of(st.integers(-3, 12),
