@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from spectral_bounds import (Lattice2, ProblemSpec, QuadratureGrid,
-                             SolverOptions, TorusFundamental, assemble,
-                             bound_context, heat_torus_bound, hex_heat_floor,
+                             TorusFundamental, assemble, bound_context,
+                             heat_torus_bound, hex_heat_floor,
                              homog_riesz_compare, homog_sum_compare,
                              lattice_heat_trace, rectangle_neumann_exact,
                              solve_lowest, torus_spectrum)
@@ -24,7 +24,7 @@ CUTOFF = 4.0 * math.pi ** 2 * 30.0
 
 
 def main():
-    unit = Lattice2((1.0, 0.0), (0.0, 1.0))
+    unit = TorusFundamental((1.0, 0.0), (0.0, 1.0))
     mu = rectangle_neumann_exact(0.5, 1.0, cutoff=CUTOFF)
     ref = torus_spectrum(unit, CUTOFF)
 
@@ -56,10 +56,9 @@ def main():
           "lattice attains it")
 
     print("\nPeriodic problem with varying coefficients on the unit torus")
-    domain = TorusFundamental((1.0, 0.0), (0.0, 1.0))
-    prob = ProblemSpec(domain, w="1 + cos(2*pi*x)/4", V="sin(2*pi*x)")
-    grid = QuadratureGrid(domain, 64)
-    spec = solve_lowest(assemble(prob, grid), SolverOptions(k=45))
+    prob = ProblemSpec(unit, w="1 + cos(2*pi*x)/4", V="sin(2*pi*x)")
+    grid = QuadratureGrid(unit, 64)
+    spec = solve_lowest(assemble(prob, grid), 45)
     ctx = bound_context(prob, grid)
     for t in (0.1, 0.3, 1.0):
         rep = heat_torus_bound(ctx, t, spec)

@@ -12,8 +12,8 @@ Run:  python3 demos/weighted_oscillator.py
 
 import math
 
-from spectral_bounds import (Box, ProblemSpec, QuadratureGrid, SolverOptions,
-                             assemble, lambda_of_k, phase_space_sum_bound,
+from spectral_bounds import (Box, ProblemSpec, QuadratureGrid, assemble,
+                             lambda_of_k, phase_space_sum_bound,
                              phase_space_tables, solve_lowest)
 
 
@@ -35,8 +35,7 @@ def main():
     print(f"Lipschitz constant on the sublevel set: {psd.lip_at(lam10):.4f}"
           f"   (exact 2 sqrt(Lambda) = {2 * math.sqrt(lam10):.4f})")
 
-    fd = solve_lowest(assemble(prob, QuadratureGrid(prob.domain, 128)),
-                      SolverOptions(k=12))
+    fd = solve_lowest(assemble(prob, QuadratureGrid(prob.domain, 128)), 12)
     print("\nLowest levels (finite differences vs 2(n+m+1)):",
           ", ".join(f"{v:.3f}" for v in fd.values[:6]))
 

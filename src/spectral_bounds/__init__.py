@@ -12,12 +12,12 @@ and phase-space inequalities against them.
 Typical use:
 
     from spectral_bounds import (ProblemSpec, Box, QuadratureGrid,
-                                 SolverOptions, assemble, bound_context,
-                                 solve_lowest, kroger_avg_bound)
+                                 assemble, bound_context, solve_lowest,
+                                 kroger_avg_bound)
 
     problem = ProblemSpec(Box((1.0, 1.0)), w="1 + x/2", V="x^2 + y^2")
     grid = QuadratureGrid(problem.domain, (120, 120))
-    spectrum = solve_lowest(assemble(problem, grid), SolverOptions(k=20))
+    spectrum = solve_lowest(assemble(problem, grid), 20)
     ctx = bound_context(problem, grid)      # |Omega|, w_mean, vweff_mean
     report = kroger_avg_bound(ctx, 10, spectrum)
     assert report.holds
@@ -44,8 +44,8 @@ from .spectra import (HeatTraceResult, HomogeneousSpectrum, Spectrum,
                       sphere_spectrum, torus_spectrum,
                       truncated_laplace_transform)
 from .fdsolver import (ConvergenceStudy, DiscreteForm, SolveResult,
-                       SolverConvergenceError, SolverOptions, assemble,
-                       convergence_study, solve_lowest, solve_lowest_detailed)
+                       SolverConvergenceError, assemble, convergence_study,
+                       solve_lowest, solve_lowest_detailed)
 from .report import BoundReport, inputs_digest, make_report
 from .bounds import (BoundContext, bound_context, euclidean_H,
                      general_sum_bound, heat_lower_bound,
@@ -79,7 +79,7 @@ __all__ = [
     "legendre_of_riesz", "truncated_laplace_transform",
     "TailModel", "HeatTraceResult", "heat_trace",
     # solver
-    "DiscreteForm", "SolverOptions", "SolveResult",
+    "DiscreteForm", "SolveResult",
     "SolverConvergenceError", "assemble", "solve_lowest",
     "solve_lowest_detailed", "ConvergenceStudy", "convergence_study",
     # reports and bounds

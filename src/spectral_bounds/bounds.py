@@ -74,7 +74,12 @@ def euclidean_H(nu: int) -> float:
 
 
 def _H(ctx: BoundContext, H_omega: Optional[float]) -> float:
-    return euclidean_H(ctx.nu) if H_omega is None else H_omega
+    """H_omega, which must be positive, or the Euclidean value for None."""
+    if H_omega is None:
+        return euclidean_H(ctx.nu)
+    if H_omega <= 0:
+        raise ValueError("H_omega must be positive")
+    return H_omega
 
 
 def kroger_avg_bound(ctx: BoundContext, k: int,
@@ -96,8 +101,6 @@ def general_sum_bound(ctx: BoundContext, k: int, spectrum: Spectrum,
     (1/k) sum mu_j <= (nu/(nu+2)) (H k/|Omega|)^(2/nu) w_mean + vweff_mean."""
     nu = ctx.nu
     H = _H(ctx, H_omega)
-    if H <= 0:
-        raise ValueError("H_omega must be positive")
     mean_rhs = (nu / (nu + 2.0)) * (H * k / ctx.volume) ** (2.0 / nu) * \
         ctx.w_mean + ctx.vw_mean
     return make_report("general-sum", k, k * mean_rhs,

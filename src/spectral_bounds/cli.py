@@ -44,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--format", default="json",
                      choices=["json", "csv", "both"])
+    run.set_defaults(handler=_cmd_run)
 
     spectrum = sub.add_parser("spectrum",
                               help="print the spectrum of a scenario")
@@ -52,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print at most this many eigenvalues")
     spectrum.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON")
+    spectrum.set_defaults(handler=_cmd_spectrum)
 
     bound = sub.add_parser("bound", help="evaluate one bound kind")
     bound.add_argument("--config", required=True,
@@ -59,10 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--kind", required=True)
     bound.add_argument("--param", type=float, nargs="+", required=True,
                        help="parameter values (k, z or t depending on kind)")
+    bound.set_defaults(handler=_cmd_bound)
 
     selftest = sub.add_parser("selftest",
                               help="run randomized internal identity checks")
     selftest.add_argument("--seed", type=int, default=0)
+    selftest.set_defaults(handler=_cmd_selftest)
 
     return parser
 
@@ -230,14 +234,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # a floating-point overflow, invalid operation or division by zero
         # raises instead of printing a numpy warning and running on
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if args.command == "run":
-                return _cmd_run(args)
-            if args.command == "spectrum":
-                return _cmd_spectrum(args)
-            if args.command == "bound":
-                return _cmd_bound(args)
-            if args.command == "selftest":
-                return _cmd_selftest(args)
+            return args.handler(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -249,7 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, ArithmeticError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

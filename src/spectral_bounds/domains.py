@@ -9,12 +9,13 @@ cell centers lie inside, which staircases the boundary at O(h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .expressions import ScalarFieldExpr
+from .special import Lattice2
 
 __all__ = [
     "Box",
@@ -96,32 +97,22 @@ class MaskedBox:
         return self.box
 
 
-@dataclass(frozen=True)
-class TorusFundamental:
+class TorusFundamental(Lattice2):
     """Fundamental domain of the 2-D lattice spanned by basis rows e1, e2.
 
     Fields on this domain are understood as lattice-periodic; the solver
     identifies opposite edges.  Non-rectangular bases are supported for
     quadrature (nodes are midpoints in lattice coordinates), while the
     finite-difference path requires an axis-aligned rectangular basis.
+    The domain is its lattice, so `torus_spectrum` takes it as it is.
     """
-
-    e1: Tuple[float, float]
-    e2: Tuple[float, float]
-
-    def __post_init__(self):
-        if abs(self.det()) < 1e-300:
-            raise ValueError("lattice basis is singular")
-
-    def det(self) -> float:
-        return self.e1[0] * self.e2[1] - self.e1[1] * self.e2[0]
 
     @property
     def nu(self) -> int:
         return 2
 
     def exact_volume(self) -> Optional[float]:
-        return abs(self.det())
+        return self.covolume()
 
     def is_rectangular(self) -> bool:
         return self.e1[1] == 0.0 and self.e2[0] == 0.0 and \

@@ -16,7 +16,8 @@ grammar is
 ``^`` takes a constant exponent, read as an exact rational (``x^(2/1.5)``
 is ``x^(4/3)``), and binds tighter than unary minus, so ``-x^2`` means
 ``-(x^2)``.  A NUMBER is a decimal literal such as ``2``, ``.5`` or
-``1.5e-3``; one that is not finite as a float is refused.  Available
+``1.5e-3``; one that is not finite as a float, or that rounds to 0.0
+although its digits are not all zero, is refused.  Available
 functions: sin, cos, exp, log, sqrt, abs, min, max, step.  ``step(u)`` is 0
 for u <= 0 and 1 for u > 0; it exists so that derivatives of the kinked
 functions (abs, min, max) stay inside the language.
@@ -365,11 +366,15 @@ def _pow(base, exponent: Fraction):
         return Const(1.0)
     if exponent == 1:
         return base
-    if _is_const(base):
-        if exponent.denominator == 1:
-            return Const(float(base.value ** int(exponent)))
-        if base.value >= 0:
-            return Const(float(base.value ** float(exponent)))
+    if _is_const(base) and (exponent.denominator == 1 or base.value >= 0):
+        try:   # an int exponent is made a float by `**` all the same
+            value = base.value ** float(exponent)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        # a power that is not a finite float stays a node: evaluating it
+        # raises FieldEvaluationError like any other non-finite value
+        if math.isfinite(value):
+            return Const(value)
     return Pow(base, exponent)
 
 
@@ -495,12 +500,21 @@ class _Parser:
         return e
 
     def literal(self, t, what):
-        """The text of number token `t`, refused unless finite as a float."""
+        """The text of number token `t`, refused unless finite as a float
+        and, when a digit before its exponent is nonzero, nonzero as a
+        float.  A zero reads as "0": the exact rational of "1e-4000000" or
+        "0e4000000" would expand the power of ten in its exponent."""
         if t is None or t.kind != "num":
             raise FieldSyntaxError(f"expected {what}",
                                    t.pos if t else self.end)
-        if not math.isfinite(float(t.text)):
+        value = float(t.text)
+        if not math.isfinite(value):
             raise FieldSyntaxError(f"number {t.text} is not finite", t.pos)
+        if value == 0.0:
+            if re.search("[1-9]", re.split("[eE]", t.text)[0]):
+                raise FieldSyntaxError(f"number {t.text} underflows to zero",
+                                       t.pos)
+            return "0"
         return t.text
 
     def exponent(self) -> Fraction:

@@ -53,7 +53,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DiscreteForm",
-    "SolverOptions",
     "SolveResult",
     "SolverConvergenceError",
     "ConvergenceStudy",
@@ -62,6 +61,9 @@ __all__ = [
     "solve_lowest_detailed",
     "convergence_study",
 ]
+
+
+_MAX_DENSE_DOF = 6400   # most dof of a dense or an all-pairs solve
 
 
 class SolverConvergenceError(RuntimeError):
@@ -75,31 +77,12 @@ class DiscreteForm:
     stiffness: sp.csr_matrix
     mass_diag: np.ndarray
     dof_count: int
-    spacing: Tuple[float, ...]
     zero_potential: bool       # nodal V vanishes, so K annihilates constants
     potential_floor: float     # min nodal V*w, a lower bound for the spectrum
     grid: QuadratureGrid = field(repr=False, default=None)
     # (per-axis face coefficient over nodal mass, nodal V*w) when the form
     # is a Kronecker sum of 1-D stencils; None otherwise
     separable: Optional[Tuple[Tuple[float, ...], float]] = None
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    k: int
-    # None = separable for a Kronecker-sum form, otherwise iterative
-    # unless k == dof (then dense)
-    method: Optional[str] = None
-    tolerance: float = 1e-8
-    max_dense_dof: int = 6400
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.method not in (None, "dense", "iterative"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -225,7 +208,6 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
         stiffness=stiffness,
         mass_diag=mass_diag,
         dof_count=n,
-        spacing=tuple(grid.spacing),
         zero_potential=bool(np.max(np.abs(v_n)) == 0.0),
         potential_floor=float(vw.min()),
         grid=grid,
@@ -283,26 +265,32 @@ def _separable_pairs(form: DiscreteForm, k: int):
     return total, x
 
 
-def solve_lowest_detailed(form: DiscreteForm,
-                          opts: SolverOptions) -> SolveResult:
+def solve_lowest_detailed(form: DiscreteForm, k: int,
+                          method: Optional[str] = None,
+                          tolerance: float = 1e-8) -> SolveResult:
     """Lowest-k eigenpairs of K x = mu M x: closed forms for a separable
-    form, otherwise through M^(-1/2) K M^(-1/2)."""
+    form, otherwise through M^(-1/2) K M^(-1/2).  Every pair's residual
+    must be within `tolerance`."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    if method not in (None, "dense", "iterative"):
+        raise ValueError(f"unknown method {method!r}")
     n = form.dof_count
-    k = opts.k
     if k > n:
         raise ValueError(f"requested {k} eigenpairs from {n} dof")
 
-    method = opts.method
     if method is None:
+        # separable for a Kronecker-sum form, otherwise shift-invert;
         # ARPACK cannot return the whole spectrum; only dense can
         method = "separable" if form.separable is not None else \
             "dense" if k == n else "iterative"
-    if n > opts.max_dense_dof and (method == "dense" or k == n):
+    if n > _MAX_DENSE_DOF and (method == "dense" or k == n):
         # all k == dof pairs take dof^2 doubles on every path
         raise ValueError(
             f"dense-sized solve ({method}, {k} pairs) refused at dof={n} > "
-            f"{opts.max_dense_dof}; use method='iterative' with k < dof or "
-            "raise max_dense_dof")
+            f"{_MAX_DENSE_DOF}; use method='iterative' with k < dof")
 
     if method == "separable":
         vals, x = _separable_pairs(form, k)
@@ -313,12 +301,12 @@ def solve_lowest_detailed(form: DiscreteForm,
     mx = form.mass_diag[:, None] * x
     residuals = np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
         np.linalg.norm(x, axis=0)
-    bad = residuals > opts.tolerance
+    bad = residuals > tolerance
     if np.any(bad):
         worst = float(residuals.max())
         raise SolverConvergenceError(
             f"eigenpair residual {worst:.3e} exceeds tolerance "
-            f"{opts.tolerance:.3e} ({int(bad.sum())} of {k} pairs)")
+            f"{tolerance:.3e} ({int(bad.sum())} of {k} pairs)")
 
     vals = _snap_zeros(vals, form.zero_potential)
     spectrum = Spectrum(vals, float(vals[-1]), f"fd-{method}")
@@ -361,8 +349,9 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
     return vals, d[:, None] * y
 
 
-def solve_lowest(form: DiscreteForm, opts: SolverOptions) -> Spectrum:
-    return solve_lowest_detailed(form, opts).spectrum
+def solve_lowest(form: DiscreteForm, k: int, method: Optional[str] = None,
+                 tolerance: float = 1e-8) -> Spectrum:
+    return solve_lowest_detailed(form, k, method, tolerance).spectrum
 
 
 @dataclass
@@ -386,9 +375,8 @@ class ConvergenceStudy:
 
 
 def convergence_study(problem: ProblemSpec, grids: Sequence[QuadratureGrid],
-                      k: int,
-                      oracle: Optional[Sequence[float]] = None,
-                      opts: Optional[SolverOptions] = None) -> ConvergenceStudy:
+                      k: int, oracle: Optional[Sequence[float]] = None
+                      ) -> ConvergenceStudy:
     """Solve on successively refined grids and report observed orders.
 
     With no oracle, the reference comes from Richardson extrapolation of
@@ -401,11 +389,9 @@ def convergence_study(problem: ProblemSpec, grids: Sequence[QuadratureGrid],
             raise ValueError(
                 f"grids must refine by 2x per axis: {a.shape} -> {b.shape}")
 
-    base = opts if opts is not None else SolverOptions(k=k)
     values = np.empty((len(grids), k))
     for i, grid in enumerate(grids):
-        form = assemble(problem, grid)
-        values[i] = solve_lowest(form, base).values[:k]
+        values[i] = solve_lowest(assemble(problem, grid), k).values[:k]
 
     if oracle is not None:
         reference = np.asarray(list(oracle), dtype=float)[:k]

@@ -71,10 +71,9 @@ from .phasespace import (PhaseSpaceData, phase_space_sum_bound,
                          phase_space_tables)
 from .problem import ProblemSpec
 from .report import BoundReport, inputs_digest
-from .special import Lattice2
 from .spectra import (Spectrum, rectangle_neumann_exact, shifted_spectrum,
                       sphere_spectrum, torus_spectrum)
-from .fdsolver import SolverOptions, assemble, solve_lowest_detailed
+from .fdsolver import assemble, solve_lowest_detailed
 
 __all__ = ["Scenario", "BoundRequest", "RunReport", "ScenarioError",
            "load_scenario", "scenario_from_dict", "run_scenario", "emit"]
@@ -409,10 +408,8 @@ def _scenario_spectrum(s: Scenario, grid: QuadratureGrid,
     """Spectrum per the scenario source; returns (spectrum, summary)."""
     summary = {"source": s.source}
     if s.source == "fd":
-        form = assemble(s.problem, grid)
-        opts = SolverOptions(k=s.count, method=s.method,
-                             tolerance=s.tolerance)
-        result = solve_lowest_detailed(form, opts)
+        result = solve_lowest_detailed(assemble(s.problem, grid), s.count,
+                                       s.method, s.tolerance)
         spectrum = result.spectrum
         summary["method"] = result.method
         summary["max_residual"] = float(result.residuals.max())
@@ -430,16 +427,15 @@ def _scenario_spectrum(s: Scenario, grid: QuadratureGrid,
         summary["note"] = "analytic Neumann rectangle values" + \
             _shift_note(ctx)
     elif s.source == "exact-torus":
-        if not isinstance(s.problem.domain, TorusFundamental):
+        torus = s.problem.domain
+        if not isinstance(torus, TorusFundamental):
             raise ScenarioError(
                 "spectrum.source: exact-torus needs a torus domain")
-        lattice = Lattice2(tuple(s.problem.domain.e1),
-                           tuple(s.problem.domain.e2))
         cutoff = s.cutoff
         if cutoff is None:
             # enough dual points to cover `count` eigenvalues, Weyl-sized
-            cutoff = 4.0 * math.pi * (s.count + 4) / lattice.covolume()
-        homog = torus_spectrum(lattice, float(cutoff))
+            cutoff = 4.0 * math.pi * (s.count + 4) / torus.covolume()
+        homog = torus_spectrum(torus, float(cutoff))
         spectrum = shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten()
         summary["note"] = ("affine shift of the free torus spectrum; exact "
                            "for constant fields")

@@ -154,8 +154,12 @@ class Lattice2:
     e2: Tuple[float, float]
 
     def __post_init__(self):
-        if self.det() == 0.0:
-            raise ValueError("lattice basis is singular")
+        # the dual's covolume is the inverse, so it is in range too
+        covolume = abs(self.det())
+        if not 1e-300 <= covolume <= 1e300:
+            raise ValueError(f"lattice basis is singular or too large: "
+                             f"covolume {covolume:.3g} is outside "
+                             "[1e-300, 1e300]")
 
     def det(self) -> float:
         return self.e1[0] * self.e2[1] - self.e1[1] * self.e2[0]

@@ -15,8 +15,6 @@ comparisons can stay one-sided.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -89,14 +87,6 @@ class Spectrum:
             "cutoff": self.cutoff,
             "values": [float(v) for v in self.values],
         }
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for j, v in enumerate(self.values):
-            writer.writerow([j, repr(float(v))])
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from spectral_bounds.bounds import (bound_context, euclidean_H,
                                     kroger_avg_bound, legendre_conjugate_power,
                                     riesz_lower_bound)
 from spectral_bounds.domains import Box, QuadratureGrid, TorusFundamental
-from spectral_bounds.fdsolver import SolverOptions, assemble, solve_lowest
+from spectral_bounds.fdsolver import assemble, solve_lowest
 from spectral_bounds.homog import (heat_torus_bound, homog_riesz_compare,
                                    homog_sum_compare)
 from spectral_bounds.phasespace import (lambda_of_k, phase_space_sum_bound,
@@ -48,8 +48,7 @@ def _verdict(tag, failures, detail=""):
 
 def _solve(problem, n, k, method=None):
     grid = QuadratureGrid(problem.domain, n)
-    return solve_lowest(assemble(problem, grid), SolverOptions(k=k,
-                                                               method=method))
+    return solve_lowest(assemble(problem, grid), k, method=method)
 
 
 def test_01_unit_square_fd_spectrum():
@@ -124,8 +123,7 @@ def test_03_weighted_variants():
     for name, fields in cases:
         prob = ProblemSpec(Box((2.0, 2.0), (-1.0, -1.0)), **fields)
         grid = QuadratureGrid(prob.domain, 120)
-        spec = solve_lowest(assemble(prob, grid),
-                            SolverOptions(k=21, method="iterative"))
+        spec = solve_lowest(assemble(prob, grid), 21, method="iterative")
         ctx = bound_context(prob, grid)
         for k in range(1, 21):
             if not general_sum_bound(ctx, k, spec).holds:
@@ -220,7 +218,7 @@ def test_05_phase_space_bound():
                         f"grid resolution {4 * h:.3g}")
 
     fd = solve_lowest(assemble(osc, QuadratureGrid(osc.domain, 128)),
-                      SolverOptions(k=10, method="iterative"))
+                      10, method="iterative")
     rep = phase_space_sum_bound(10, opsd, fd)
     if not rep.holds:
         failures.append("oscillator sum bound violated")
@@ -285,8 +283,7 @@ def test_07_lattice_identities_and_periodic_heat():
     margins = []
     for fields in ({}, {"w": "1 + cos(2*pi*x)/4", "V": "sin(2*pi*x)"}):
         prob = ProblemSpec(domain, **fields)
-        spec = solve_lowest(assemble(prob, grid),
-                            SolverOptions(k=45, method="iterative"))
+        spec = solve_lowest(assemble(prob, grid), 45, method="iterative")
         ctx = bound_context(prob, grid)
         for t in (0.1, 0.3, 1.0):
             rep = heat_torus_bound(ctx, t, spec)

@@ -204,11 +204,10 @@ WEIGHTED_CASES = [
 @pytest.fixture(scope="module", params=WEIGHTED_CASES,
                 ids=["potential", "weight", "drift"])
 def weighted_case(request):
-    from spectral_bounds import SolverOptions, assemble, solve_lowest
+    from spectral_bounds import assemble, solve_lowest
     prob = ProblemSpec(Box((2.0, 2.0), (-1.0, -1.0)), **request.param)
     grid = QuadratureGrid(prob.domain, (72, 72))
-    spec = solve_lowest(assemble(prob, grid),
-                        SolverOptions(k=12, method="iterative"))
+    spec = solve_lowest(assemble(prob, grid), 12, method="iterative")
     return bound_context(prob, grid), spec
 
 

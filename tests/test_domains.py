@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spectral_bounds import (Box, Disk, MaskedBox, QuadratureGrid,
+from spectral_bounds import (Box, Disk, Lattice2, MaskedBox, QuadratureGrid,
                              TorusFundamental, domain_volume, integral_value,
-                             mean_value, parse_field)
+                             mean_value, parse_field, torus_spectrum)
 
 ONE_2D = parse_field("1", 2)
 
@@ -38,6 +38,17 @@ class TestDomainTypes:
         assert skew.exact_volume() == pytest.approx(math.sqrt(3) / 2)
         with pytest.raises(ValueError):
             TorusFundamental((1.0, 0.0), (2.0, 0.0))
+
+    def test_torus_is_its_lattice(self):
+        skew = TorusFundamental((1.0, 0.0), (0.5, 0.8))
+        assert isinstance(skew, Lattice2)
+        assert torus_spectrum(skew, 300.0) == \
+            torus_spectrum(Lattice2(skew.e1, skew.e2), 300.0)
+        # the lattice checks the basis, and keeps the dual's in range
+        with pytest.raises(ValueError, match="singular"):
+            Lattice2((1.0, 0.0), (0.0, 1e-301))
+        with pytest.raises(ValueError, match="too large"):
+            TorusFundamental((1e151, 0.0), (0.0, 1e151))
 
     def test_masked_box_volume_needs_grid(self):
         mb = MaskedBox(Box((2.0, 2.0), (-1.0, -1.0)),

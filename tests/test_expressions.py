@@ -103,6 +103,20 @@ class TestErrors:
             parse_field(source, 1)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("source,position", [
+        ("x^1e-4000000", 2), ("1e-400*x", 0), ("x^(2/1e-400)", 5)])
+    def test_underflowing_literal_refused(self, source, position):
+        # the exact rational of 1e-4000000 would take seconds to build
+        with pytest.raises(FieldSyntaxError, match="underflows") as err:
+            parse_field(source, 1)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("source,value", [
+        ("x^1e-300", 1.0), ("0e5", 0.0), ("0.0", 0.0), ("x^0e-4000000", 1.0),
+        ("1e-320*x", 2e-320)])
+    def test_zero_and_tiny_literals_parse(self, source, value):
+        assert ev(source, 1, (2.0,))[0] == value
+
     def test_non_finite_constant_prints(self):
         assert str(const(math.inf)) == "inf"
         assert str(const(-math.inf)) == "(-inf)"

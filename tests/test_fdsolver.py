@@ -6,8 +6,8 @@ import scipy.linalg
 
 from spectral_bounds import (Box, Disk, MaskedBox, ProblemSpec,
                              QuadratureGrid, SolverConvergenceError,
-                             SolverOptions, TorusFundamental, assemble,
-                             bound_context, convergence_study, parse_field,
+                             TorusFundamental, assemble, bound_context,
+                             convergence_study, parse_field,
                              rectangle_neumann_exact, solve_lowest,
                              solve_lowest_detailed)
 
@@ -37,14 +37,14 @@ class TestPlainLaplacian:
         n = 24
         prob = ProblemSpec(Box((1.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (n, n))
-        res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=10))
+        res = solve_lowest_detailed(assemble(prob, grid), 10)
         ref = neumann_dispersion(n, 1.0 / n, 10)
         assert res.spectrum.values == pytest.approx(ref, rel=1e-10, abs=1e-9)
 
     def test_unit_square_continuum(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (100, 100))
-        res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=6))
+        res = solve_lowest_detailed(assemble(prob, grid), 6)
         exact = [0.0, PI2, PI2, 2 * PI2, 4 * PI2, 4 * PI2]
         for got, ref in zip(res.spectrum.values, exact):
             assert got == pytest.approx(ref, rel=0.01, abs=1e-8)
@@ -53,28 +53,28 @@ class TestPlainLaplacian:
     def test_rectangle(self):
         prob = ProblemSpec(Box((1.0, 2.0)))
         grid = QuadratureGrid(prob.domain, (60, 120))
-        got = solve_lowest(assemble(prob, grid), SolverOptions(k=6))
+        got = solve_lowest(assemble(prob, grid), 6)
         ref = rectangle_neumann_exact(1.0, 2.0, count=6)
         assert got.values == pytest.approx(ref.values, rel=3e-3, abs=1e-8)
 
     def test_one_dimensional(self):
         prob = ProblemSpec(Box((1.0,)))
         grid = QuadratureGrid(prob.domain, (128,))
-        got = solve_lowest(assemble(prob, grid), SolverOptions(k=4))
+        got = solve_lowest(assemble(prob, grid), 4)
         for m, v in enumerate(got.values):
             assert v == pytest.approx(PI2 * m * m, rel=2e-3, abs=1e-9)
 
     def test_three_dimensional(self):
         prob = ProblemSpec(Box((1.0, 1.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (14, 14, 14))
-        got = solve_lowest(assemble(prob, grid), SolverOptions(k=5))
+        got = solve_lowest(assemble(prob, grid), 5)
         ref = [0.0, PI2, PI2, PI2, 2 * PI2]
         assert got.values == pytest.approx(ref, rel=0.02, abs=1e-8)
 
     def test_zero_mode_snapped(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (30, 30))
-        got = solve_lowest(assemble(prob, grid), SolverOptions(k=3))
+        got = solve_lowest(assemble(prob, grid), 3)
         assert got.values[0] == 0.0
 
 
@@ -83,14 +83,14 @@ class TestPeriodic:
         n = 20
         prob = ProblemSpec(TorusFundamental((1.0, 0.0), (0.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (n, n))
-        res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=9))
+        res = solve_lowest_detailed(assemble(prob, grid), 9)
         ref = periodic_dispersion(n, 1.0 / n, 9)
         assert res.spectrum.values == pytest.approx(ref, rel=1e-10, abs=1e-9)
 
     def test_rectangular_torus_sides(self):
         prob = ProblemSpec(TorusFundamental((2.0, 0.0), (0.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (64, 32))
-        got = solve_lowest(assemble(prob, grid), SolverOptions(k=4))
+        got = solve_lowest(assemble(prob, grid), 4)
         # lowest nonzero: (2 pi / 2)^2 = pi^2, doubled
         assert got.values[0] == 0.0
         assert got.values[1] == pytest.approx(PI2, rel=5e-3)
@@ -110,8 +110,7 @@ class TestPeriodic:
         vals = []
         for n in (24, 48, 96):
             grid = QuadratureGrid(prob.domain, (n, n))
-            vals.append(solve_lowest(assemble(prob, grid),
-                                     SolverOptions(k=2)).values[1])
+            vals.append(solve_lowest(assemble(prob, grid), 2).values[1])
         e1, e2 = abs(vals[0] - vals[2]), abs(vals[1] - vals[2])
         assert e2 < e1 / 3.0
 
@@ -122,7 +121,7 @@ class TestMaskedDomains:
         mu1 = scipy.special.jnp_zeros(1, 1)[0] ** 2
         prob = ProblemSpec(Disk(1.0))
         grid = QuadratureGrid(prob.domain, (160, 160))
-        got = solve_lowest(assemble(prob, grid), SolverOptions(k=3))
+        got = solve_lowest(assemble(prob, grid), 3)
         # staircase boundary costs O(h); allow 2 percent
         assert got.values[1] == pytest.approx(mu1, rel=0.02)
         assert got.values[2] == pytest.approx(mu1, rel=0.02)
@@ -133,15 +132,15 @@ class TestMaskedDomains:
         dprob = ProblemSpec(Disk(1.0))
         mg = QuadratureGrid(mprob.domain, (48, 48))
         dg = QuadratureGrid(dprob.domain, (48, 48))
-        mv = solve_lowest(assemble(mprob, mg), SolverOptions(k=5)).values
-        dv = solve_lowest(assemble(dprob, dg), SolverOptions(k=5)).values
+        mv = solve_lowest(assemble(mprob, mg), 5).values
+        dv = solve_lowest(assemble(dprob, dg), 5).values
         assert mv == pytest.approx(dv, rel=1e-12, abs=1e-12)
 
     def test_field_only_evaluated_inside(self):
         # 1/x is singular on the x=0 line, outside the shifted disk
         prob = ProblemSpec(Disk(0.4, (1.0, 0.0)), V="1/x")
         grid = QuadratureGrid(prob.domain, (40, 40))
-        res = solve_lowest_detailed(assemble(prob, grid), SolverOptions(k=2))
+        res = solve_lowest_detailed(assemble(prob, grid), 2)
         assert res.residuals.max() < 1e-8
 
 
@@ -179,7 +178,7 @@ class TestWeighted:
         ref = self.galerkin_cosine("1 + x/2")
         prob = ProblemSpec(Box((2.0, 2.0), (-1.0, -1.0)), w="1 + x/2")
         grid = QuadratureGrid(prob.domain, (140, 140))
-        got = solve_lowest(assemble(prob, grid), SolverOptions(k=6))
+        got = solve_lowest(assemble(prob, grid), 6)
         assert got.values == pytest.approx(ref[:6], rel=2e-3, abs=1e-7)
 
     def test_potential_shifts_constant_mode(self):
@@ -187,8 +186,8 @@ class TestWeighted:
         base = ProblemSpec(Box((1.0, 1.0)))
         lifted = ProblemSpec(Box((1.0, 1.0)), V="3/2")
         g = QuadratureGrid(base.domain, (40, 40))
-        v0 = solve_lowest(assemble(base, g), SolverOptions(k=4)).values
-        v1 = solve_lowest(assemble(lifted, g), SolverOptions(k=4)).values
+        v0 = solve_lowest(assemble(base, g), 4).values
+        v1 = solve_lowest(assemble(lifted, g), 4).values
         assert v1 == pytest.approx(v0 + 1.5, rel=1e-11, abs=1e-10)
 
     def test_density_gauge_equivalence_of_constant_rho(self):
@@ -196,8 +195,8 @@ class TestWeighted:
         base = ProblemSpec(Box((1.0, 1.0)))
         gauged = ProblemSpec(Box((1.0, 1.0)), rho="1/4")
         g = QuadratureGrid(base.domain, (40, 40))
-        v0 = solve_lowest(assemble(base, g), SolverOptions(k=5)).values
-        v1 = solve_lowest(assemble(gauged, g), SolverOptions(k=5)).values
+        v0 = solve_lowest(assemble(base, g), 5).values
+        v1 = solve_lowest(assemble(gauged, g), 5).values
         assert v1 == pytest.approx(v0, rel=1e-11, abs=1e-10)
 
     def test_nonpositive_weight_rejected(self):
@@ -229,37 +228,35 @@ class TestSolverOptions:
     def test_dense_and_iterative_agree(self, case):
         prob, shape = AGREEMENT_CASES[case]
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
-        opts = SolverOptions(k=6)
-        dense = solve_lowest_detailed(form, SolverOptions(k=6, method="dense"))
-        default = solve_lowest_detailed(form, opts)
+        dense = solve_lowest_detailed(form, 6, method="dense")
+        default = solve_lowest_detailed(form, 6)
         # constant fields on a full rectangular torus: a Kronecker sum
         assert default.method == ("separable" if case == "rect-torus"
                                   else "iterative")
         assert default.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-12)
-        assert default.residuals.max() <= opts.tolerance
+        assert default.residuals.max() <= 1e-8  # the default tolerance
 
     def test_dense_refused_over_cap(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (90, 90))
         form = assemble(prob, grid)
         with pytest.raises(ValueError, match="dense"):
-            solve_lowest(form, SolverOptions(k=4, method="dense"))
+            solve_lowest(form, 4, method="dense")
 
     def test_default_is_iterative_except_whole_spectrum(self):
         # a varying weight keeps the form off the separable path
         prob = ProblemSpec(Box((1.0, 1.0)), w="1 + x*y")
         form = assemble(prob, QuadratureGrid(prob.domain, (20, 20)))
-        res = solve_lowest_detailed(form, SolverOptions(k=4))
+        res = solve_lowest_detailed(form, 4)
         assert res.method == "iterative"
-        dense = solve_lowest_detailed(form, SolverOptions(k=4,
-                                                          method="dense"))
+        dense = solve_lowest_detailed(form, 4, method="dense")
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-9)
         # ARPACK cannot return all k == dof pairs, so dense takes them;
         # together they sum to the trace of M^(-1) K
         form = assemble(prob, QuadratureGrid(prob.domain, (8, 8)))
-        res = solve_lowest_detailed(form, SolverOptions(k=64))
+        res = solve_lowest_detailed(form, 64)
         assert res.method == "dense"
         trace = float((form.stiffness.diagonal() / form.mass_diag).sum())
         assert res.spectrum.values.sum() == pytest.approx(trace, rel=1e-10)
@@ -269,21 +266,23 @@ class TestSolverOptions:
         grid = QuadratureGrid(prob.domain, (30, 30))
         form = assemble(prob, grid)
         with pytest.raises(SolverConvergenceError):
-            solve_lowest(form, SolverOptions(k=3, tolerance=1e-30))
+            solve_lowest(form, 3, tolerance=1e-30)
 
     def test_option_validation(self):
+        prob = ProblemSpec(Box((1.0, 1.0)))
+        form = assemble(prob, QuadratureGrid(prob.domain, (8, 8)))
         with pytest.raises(ValueError):
-            SolverOptions(k=0)
+            solve_lowest(form, 0)
         with pytest.raises(ValueError):
-            SolverOptions(k=2, method="magic")
+            solve_lowest(form, 2, method="magic")
         with pytest.raises(ValueError):
-            SolverOptions(k=2, tolerance=-1.0)
+            solve_lowest(form, 2, tolerance=-1.0)
 
     def test_k_capped_by_dof(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
         grid = QuadratureGrid(prob.domain, (8, 8))
         with pytest.raises(ValueError):
-            solve_lowest(assemble(prob, grid), SolverOptions(k=100))
+            solve_lowest(assemble(prob, grid), 100)
 
 
 SEPARABLE_CASES = {
@@ -307,15 +306,13 @@ class TestSeparable:
         prob, shape, k = SEPARABLE_CASES[case]
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
         assert form.separable is not None
-        opts = SolverOptions(k=k)
-        res = solve_lowest_detailed(form, opts)
+        res = solve_lowest_detailed(form, k)
         assert res.method == "separable"
-        assert res.residuals.max() <= opts.tolerance
+        assert res.residuals.max() <= 1e-8  # the default tolerance
         others = ("dense",) if k == form.dof_count else ("dense", "iterative")
         for method in others:
-            other = solve_lowest_detailed(form, SolverOptions(k=k,
-                                                              method=method))
-            assert other.residuals.max() <= opts.tolerance
+            other = solve_lowest_detailed(form, k, method=method)
+            assert other.residuals.max() <= 1e-8
             assert res.spectrum.values == pytest.approx(
                 other.spectrum.values, rel=1e-10, abs=1e-12), method
         # the vectors are M-orthonormal, like those of the other paths
@@ -325,8 +322,7 @@ class TestSeparable:
     def test_torus_odd_even_matches_dispersion(self):
         prob, shape, k = SEPARABLE_CASES["torus-odd-even"]
         res = solve_lowest_detailed(
-            assemble(prob, QuadratureGrid(prob.domain, shape)),
-            SolverOptions(k=k))
+            assemble(prob, QuadratureGrid(prob.domain, shape)), k)
         axes = [[4.0 * n * n / side ** 2 * math.sin(math.pi * m / n) ** 2
                  for m in range(n)] for n, side in zip(shape, (1.3, 0.8))]
         ref = sorted(a + b for a in axes[0] for b in axes[1])[:k]
@@ -343,8 +339,7 @@ class TestSeparable:
     def test_not_taken_for_varying_forms(self, prob, shape):
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
         assert form.separable is None
-        assert solve_lowest_detailed(form, SolverOptions(k=4)).method == \
-            "iterative"
+        assert solve_lowest_detailed(form, 4).method == "iterative"
 
     def test_wrong_closed_form_fails_the_residual_gate(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
@@ -352,13 +347,13 @@ class TestSeparable:
         scales, shift = form.separable
         form.separable = ((scales[0] * (1 + 1e-6), scales[1]), shift)
         with pytest.raises(SolverConvergenceError):
-            solve_lowest(form, SolverOptions(k=4))
+            solve_lowest(form, 4)
 
     def test_whole_spectrum_over_dense_cap_refused(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
         form = assemble(prob, QuadratureGrid(prob.domain, (81, 81)))
         with pytest.raises(ValueError, match="dense-sized"):
-            solve_lowest(form, SolverOptions(k=81 * 81))
+            solve_lowest(form, 81 * 81)
 
 
 class TestConvergence:

@@ -14,7 +14,7 @@ import pytest
 from spectral_bounds.bounds import bound_context, kroger_avg_bound
 from spectral_bounds.domains import Box, Disk, QuadratureGrid
 from spectral_bounds.expressions import differentiate
-from spectral_bounds.fdsolver import SolverOptions, assemble, solve_lowest
+from spectral_bounds.fdsolver import assemble, solve_lowest
 from spectral_bounds.phasespace import (_BLOCK, PhaseSpaceData, lambda_of_k,
                                         phase_space_sum_bound,
                                         phase_space_tables)
@@ -221,8 +221,7 @@ def test_flat_bound_coincides_with_averaged_bound():
 def test_oscillator_bound_dominates_fd_sum():
     prob, psd = oscillator_tables(n=512)
     grid = QuadratureGrid(prob.domain, 128)
-    result = solve_lowest(assemble(prob, grid),
-                          SolverOptions(k=10, method="iterative"))
+    result = solve_lowest(assemble(prob, grid), 10, method="iterative")
     spectrum = Spectrum(result.values, cutoff=float(result.values[-1]))
     rep = phase_space_sum_bound(10, psd, spectrum)
     # sum of the first ten oscillator levels is 60; the phase-space bound

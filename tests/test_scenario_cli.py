@@ -260,6 +260,36 @@ def test_cli_run_flags_errors(tmp_path, capsys):
     assert "kroger-avg" in captured.out
 
 
+@pytest.mark.parametrize("kind,key,param", [
+    ("general-sum", "k", 5), ("riesz-lower", "z", 50.0),
+    ("heat-lower", "t", 0.05), ("individual-sk", "k", 5),
+    ("individual-pos", "k", 5)])
+def test_cli_refuses_nonpositive_H_omega(tmp_path, kind, key, param):
+    # H <= 0 makes the riesz-lower and heat-lower bounds negative (-1250 and
+    # -20 here), which every spectrum would pass
+    cfg = scenario_with(
+        tmp_path, spectrum={"source": "exact-rectangle", "count": 60},
+        bounds=[{"kind": kind, key: [param], "H_omega": -1}])
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    payload = json.loads((tmp_path / "o" / "square.json").read_text())
+    assert payload["bounds"] == []
+    assert payload["errors"] == [{
+        "kind": kind, "parameter": param,
+        "message": "ValueError: H_omega must be positive"}]
+
+
+def test_cli_overflowing_constant_power_in_rho_exits_2(tmp_path, capsys):
+    # the derivative of rho holds 1e300^2, which must not be folded into an
+    # OverflowError
+    cfg = scenario_with(tmp_path, fields={"rho": "1e300^3*x"})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "non-finite" in err
+
+
 def test_run_with_no_bounds_is_spectrum_only(tmp_path, capsys):
     cfg = scenario_with(tmp_path, bounds=[])
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
