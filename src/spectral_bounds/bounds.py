@@ -12,10 +12,18 @@ omega_nu = unit-ball volume):
     to the classical averaged form.
 
 The three domain constants |Omega|, w_mean and vweff_mean come from one
-BoundContext, built once per grid by `bound_context`.  Every evaluator
-takes (ctx, parameter, spectrum[, H_omega]) and returns a BoundReport:
-upper bounds compare against computed partial sums, lower bounds against
-Riesz means or truncated heat traces.
+BoundContext, built once per grid by `bound_context`.
+
+The averaged variational principle gives one Riesz-mean minorant
+R(z) <= sum (z - mu_j)_+, here the power law of `WeylMinorant`.  The
+sum, Riesz and heat bounds are its three reads: the sum bound is its
+Legendre conjugate, sum_{j<k} mu_j <= sup_z (k z - R(z)); the Riesz
+bound is R itself; the heat bound is its Laplace transform,
+sum exp(-t mu_j) >= t^2 int exp(-t z) R(z) dz.  `sum_report`,
+`riesz_report` and `heat_report` pair a read with the computed side of
+any minorant, also the homogeneous reference of `homog.ReferenceMinorant`.
+Every evaluator takes (ctx, parameter, spectrum[, H_omega]) and returns a
+BoundReport.
 """
 
 from __future__ import annotations
@@ -34,13 +42,16 @@ __all__ = [
     "BoundContext",
     "bound_context",
     "euclidean_H",
+    "WeylMinorant",
+    "sum_report",
+    "riesz_report",
+    "heat_report",
     "kroger_avg_bound",
     "general_sum_bound",
     "riesz_lower_bound",
     "heat_lower_bound",
     "individual_bound_sk",
     "individual_bound_pos",
-    "legendre_conjugate_power",
 ]
 
 
@@ -95,52 +106,97 @@ def kroger_avg_bound(ctx: BoundContext, k: int,
                        "upper")
 
 
+class WeylMinorant:
+    """The power-law Riesz minorant
+
+        R(z) = (2|Omega|/((nu+2) H)) w_mean^(-nu/2) (z - vweff_mean)_+^(1+nu/2)
+
+    with H = H_omega, or the Euclidean value for None.  Every read refuses
+    a non-positive H_omega, after its own argument check.  Each read keeps
+    its closed form term for term."""
+
+    heat_note = ("computed side truncated at the spectrum cutoff; omitted "
+                 "tail is positive")
+
+    def __init__(self, ctx: BoundContext, H_omega: Optional[float] = None):
+        self.ctx = ctx
+        self.H_omega = H_omega
+
+    @property
+    def shift(self) -> float:
+        """The heat read carries the factor exp(t vweff_mean)."""
+        return self.ctx.vw_mean
+
+    def riesz(self, z: float) -> float:
+        """R(z)."""
+        ctx, nu = self.ctx, self.ctx.nu
+        H = _H(ctx, self.H_omega)
+        excess = max(z - ctx.vw_mean, 0.0)
+        return (2.0 * ctx.volume / ((nu + 2.0) * H)) * \
+            ctx.w_mean ** (-nu / 2.0) * excess ** (1.0 + nu / 2.0)
+
+    def sum(self, k: float) -> float:
+        """sup_z (k z - R(z))
+        = k ((nu/(nu+2)) (H k/|Omega|)^(2/nu) w_mean + vweff_mean)."""
+        ctx, nu = self.ctx, self.ctx.nu
+        H = _H(ctx, self.H_omega)
+        return k * ((nu / (nu + 2.0)) * (H * k / ctx.volume) ** (2.0 / nu) *
+                    ctx.w_mean + ctx.vw_mean)
+
+    def heat(self, t: float) -> float:
+        """exp(t vweff_mean) t^2 int exp(-t z) R(z) dz
+        = (pi/t)^(nu/2) |Omega| / (omega_nu H) w_mean^(-nu/2)."""
+        if t <= 0:
+            raise ValueError("t must be positive")
+        ctx, nu = self.ctx, self.ctx.nu
+        H = _H(ctx, self.H_omega)
+        return (math.pi / t) ** (nu / 2.0) * ctx.volume / \
+            (unit_ball_volume(nu) * H) * ctx.w_mean ** (-nu / 2.0)
+
+
+def sum_report(kind: str, minorant, k: float,
+               spectrum: Spectrum) -> BoundReport:
+    """Partial sum of the lowest k eigenvalues (linearly interpolated at a
+    real k) against the minorant's Legendre conjugate."""
+    return make_report(kind, k, minorant.sum(k), spectrum.partial_sum(k),
+                       "upper")
+
+
+def riesz_report(kind: str, minorant, z: float,
+                 spectrum: Spectrum) -> BoundReport:
+    """sum (z - mu_j)_+ against the minorant itself."""
+    return make_report(kind, z, minorant.riesz(z), riesz_mean_1(spectrum, z),
+                       "lower")
+
+
+def heat_report(kind: str, minorant, t: float,
+                spectrum: Spectrum) -> BoundReport:
+    """exp(t shift) times the truncated heat trace against the minorant's
+    Laplace transform.  The omitted tail is positive, so a passing report
+    is conservative."""
+    bound = minorant.heat(t)
+    computed = math.exp(t * minorant.shift) * heat_trace(spectrum, t).truncated
+    return make_report(kind, t, bound, computed, "lower",
+                       notes=(minorant.heat_note,))
+
+
 def general_sum_bound(ctx: BoundContext, k: int, spectrum: Spectrum,
                       H_omega: Optional[float] = None) -> BoundReport:
-    """Sum bound with explicit geometric constant H:
-    (1/k) sum mu_j <= (nu/(nu+2)) (H k/|Omega|)^(2/nu) w_mean + vweff_mean."""
-    nu = ctx.nu
-    H = _H(ctx, H_omega)
-    mean_rhs = (nu / (nu + 2.0)) * (H * k / ctx.volume) ** (2.0 / nu) * \
-        ctx.w_mean + ctx.vw_mean
-    return make_report("general-sum", k, k * mean_rhs,
-                       spectrum.partial_sum(k), "upper")
+    """(1/k) sum mu_j <= (nu/(nu+2)) (H k/|Omega|)^(2/nu) w_mean + vweff_mean."""
+    return sum_report("general-sum", WeylMinorant(ctx, H_omega), k, spectrum)
 
 
 def riesz_lower_bound(ctx: BoundContext, z: float, spectrum: Spectrum,
                       H_omega: Optional[float] = None) -> BoundReport:
-    """Riesz-mean lower bound:
-    sum (z - mu_j)_+ >= (2|Omega|/((nu+2) H)) w_mean^(-nu/2)
-                        (z - vweff_mean)_+^(1+nu/2)."""
-    nu = ctx.nu
-    H = _H(ctx, H_omega)
-    excess = max(z - ctx.vw_mean, 0.0)
-    bound = (2.0 * ctx.volume / ((nu + 2.0) * H)) * \
-        ctx.w_mean ** (-nu / 2.0) * excess ** (1.0 + nu / 2.0)
-    return make_report("riesz-lower", z, bound, riesz_mean_1(spectrum, z),
-                       "lower")
+    """sum (z - mu_j)_+ >= R(z) of the Weyl minorant."""
+    return riesz_report("riesz-lower", WeylMinorant(ctx, H_omega), z, spectrum)
 
 
 def heat_lower_bound(ctx: BoundContext, t: float, spectrum: Spectrum,
                      H_omega: Optional[float] = None) -> BoundReport:
-    """Heat-trace lower bound:
-    sum exp(-t (mu_j - vweff_mean)) >= (pi/t)^(nu/2) |Omega|
-    / (omega_nu H) * w_mean^(-nu/2).
-
-    The computed side uses the truncated trace only; the omitted tail is
-    positive, so a passing report is conservative.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    nu = ctx.nu
-    H = _H(ctx, H_omega)
-    bound = (math.pi / t) ** (nu / 2.0) * ctx.volume / \
-        (unit_ball_volume(nu) * H) * ctx.w_mean ** (-nu / 2.0)
-    truncated = heat_trace(spectrum, t).truncated
-    computed = math.exp(t * ctx.vw_mean) * truncated
-    return make_report("heat-lower", t, bound, computed, "lower",
-                       notes=("computed side truncated at the spectrum "
-                              "cutoff; omitted tail is positive",))
+    """sum exp(-t (mu_j - vweff_mean)) >= (pi/t)^(nu/2) |Omega|
+    / (omega_nu H) * w_mean^(-nu/2)."""
+    return heat_report("heat-lower", WeylMinorant(ctx, H_omega), t, spectrum)
 
 
 def individual_bound_sk(ctx: BoundContext, k: int, spectrum: Spectrum,
@@ -207,18 +263,3 @@ def individual_bound_pos(ctx: BoundContext, k: int, spectrum: Spectrum,
     explicit = make_report("individual-pos-max", k, max_rhs, mu_k, "upper")
     return implicit, explicit
 
-
-def legendre_conjugate_power(A: float, B: float, nu: int, p: float) -> float:
-    """Legendre transform of f(z) = A (z - B)_+^(1+nu/2):
-
-    f^(p) = (2/A)^(2/nu) * nu/(nu+2)^(1+2/nu) * p^(1+2/nu) + B p.
-
-    At integer p this turns the Riesz lower bound back into the sum upper
-    bound with the same constants.
-    """
-    if A <= 0:
-        raise ValueError("A must be positive")
-    if p < 0:
-        raise ValueError("p must be non-negative")
-    return (2.0 / A) ** (2.0 / nu) * nu / \
-        (nu + 2.0) ** (1.0 + 2.0 / nu) * p ** (1.0 + 2.0 / nu) + B * p

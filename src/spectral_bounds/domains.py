@@ -25,7 +25,6 @@ __all__ = [
     "Domain",
     "QuadratureGrid",
     "mean_value",
-    "integral_value",
     "domain_volume",
 ]
 
@@ -222,11 +221,6 @@ def mean_value(f: ScalarFieldExpr, grid: QuadratureGrid) -> float:
     """
     vals = grid.inside_values(f)
     return float(vals.sum() / vals.size)
-
-
-def integral_value(f: ScalarFieldExpr, grid: QuadratureGrid) -> float:
-    """Quadrature integral of f over the domain."""
-    return float(grid.inside_values(f).sum() * grid.cell_volume)
 
 
 def domain_volume(domain: Domain, grid: Optional[QuadratureGrid] = None) -> float:

@@ -140,11 +140,13 @@ class PhaseSpaceData:
 def _nodes(problem: ProblemSpec, grid: QuadratureGrid):
     """Vtilde and |grad Vtilde|^2 at the inside nodes, in grid order."""
     vt_expr = problem.effective_potential()
-    vt = np.asarray(grid.inside_values(vt_expr), dtype=float)
-    grad_sq = np.zeros_like(vt)
-    for axis in range(problem.nu):
-        grad_sq += np.asarray(
-            grid.inside_values(differentiate(vt_expr, axis)), dtype=float) ** 2
+    with problem.naming_fields(
+            "effective potential V + |grad rho|^2 or its gradient"):
+        vt = np.asarray(grid.inside_values(vt_expr), dtype=float)
+        grad_sq = np.zeros_like(vt)
+        for axis in range(problem.nu):
+            grad_sq += np.asarray(grid.inside_values(
+                differentiate(vt_expr, axis)), dtype=float) ** 2
     return vt, grad_sq
 
 
@@ -198,7 +200,9 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     lands on the root is settled by the next one, and it bisects where the
     secant leaves the bracket or the last three steps did not halve it (a
     kink of Phi_1 at a node, seen at ulp scale).  Every level goes through
-    phi1_at, and the bracket keeps Phi_1(lo) < k <= Phi_1(hi)."""
+    phi1_at, and the bracket keeps Phi_1(lo) < k <= Phi_1(hi).  A level
+    whose Phi_1 does not land within 1e-6 relative of k is refused with a
+    ValueError."""
     if k <= 0:
         raise ValueError("k must be positive")
     floor = float(psd.vt_nodes[0])
@@ -237,9 +241,13 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
                 f_hi *= m if m > 0 else 0.5
             lo, f_lo, moved = x, f_x, -1
     if not (k <= value <= k * (1.0 + 1e-6)):
-        raise AssertionError(
-            f"root solve landed at Phi_1 = {value}, outside "
-            f"[{k}, {k * (1 + 1e-6)}]")
+        # the level is settled to 1e-15 max(1, |Lambda|) only, which is too
+        # coarse when Phi_1 climbs from 0 to k over less than about 1e-9
+        # (a tiny fractional k, or a domain of enormous volume)
+        raise ValueError(
+            f"Lambda(k) for k = {k:.6g} cannot be resolved: Phi_1 at the "
+            f"settled level {hi:.6g} is {value:.6g}, not within 1e-6 "
+            "relative of k")
     return hi
 
 

@@ -11,11 +11,12 @@ potential V + |grad rho|^2 is what enters all shifted spectral bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from .domains import Domain, QuadratureGrid, mean_value
-from .expressions import ScalarFieldExpr, const, differentiate, parse_field
+from .expressions import (FieldEvaluationError, ScalarFieldExpr, const,
+                          differentiate, parse_field)
 
 __all__ = ["ProblemSpec", "effective_potential"]
 
@@ -59,7 +60,23 @@ class ProblemSpec:
 
     def mean_veff_w(self, grid: QuadratureGrid) -> float:
         """Mean of (V + |grad rho|^2) w over the domain."""
-        return mean_value(self.effective_potential() * self.w, grid)
+        with self.naming_fields(
+                "effective potential V + |grad rho|^2 times w",
+                ("V", "rho", "w")):
+            return mean_value(self.effective_potential() * self.w, grid)
+
+    @contextmanager
+    def naming_fields(self, what: str, names=("V", "rho")):
+        """Re-raise a non-finite value met in the block, or a numpy
+        floating-point error raised in it, as one line that names `what`
+        and the fields it is built from: the error of a derived expression
+        prints only the derived tree."""
+        try:
+            yield
+        except (FieldEvaluationError, FloatingPointError) as exc:
+            sources = ", ".join(f"{n} = '{getattr(self, n)}'" for n in names)
+            raise FieldEvaluationError(
+                f"{what} is not finite ({sources}): {exc}") from exc
 
 
 def effective_potential(problem: ProblemSpec) -> ScalarFieldExpr:

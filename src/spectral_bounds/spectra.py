@@ -4,13 +4,16 @@ A Spectrum is a sorted finite list of eigenvalues complete up to a stated
 cutoff.  Exact spectra are provided for Neumann rectangles, flat tori
 (through the dual lattice) and round spheres; discretized spectra come from
 the finite-difference solver.  On top of these live the functionals used by
-the bounds: interpolated partial sums, the first Riesz mean
+the bounds: partial sums (linearly interpolated at a real order), the
+first Riesz mean
 
     R1(z) = sum over j of (z - mu_j)_+,
 
-its Legendre transform (which recovers partial sums), and truncated heat
-traces with an optional Weyl-law tail estimate, reported separately so that
-comparisons can stay one-sided.
+and truncated heat traces with an optional Weyl-law tail estimate,
+reported separately so that comparisons can stay one-sided.  The partial
+sum at order p is the Legendre conjugate sup_z (p z - R1(z)), and the heat
+trace is the Laplace transform t^2 int exp(-t z) R1(z) dz; the minorants
+of `bounds` and `homog` are read through these same two transforms.
 """
 
 from __future__ import annotations
@@ -33,10 +36,7 @@ __all__ = [
     "torus_spectrum",
     "sphere_spectrum",
     "shifted_spectrum",
-    "interp_partial_sum",
     "riesz_mean_1",
-    "legendre_of_riesz",
-    "truncated_laplace_transform",
     "heat_trace",
 ]
 
@@ -70,12 +70,18 @@ class Spectrum:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def partial_sum(self, k: int) -> float:
-        if not 0 <= k <= len(self):
+    def partial_sum(self, p: float) -> float:
+        """Sum of the lowest floor(p) values plus the fractional part of p
+        times the next one; the plain partial sum at an integer p."""
+        if not 0 <= p <= len(self):
             raise SpectrumRangeError(
-                f"partial sum of {k} terms needs {k} eigenvalues, "
+                f"partial sum of {p} terms needs {p} eigenvalues, "
                 f"have {len(self)}")
-        return float(self.values[:k].sum())
+        k = int(p)
+        total = float(self.values[:k].sum())
+        if p > k:
+            total += (p - k) * float(self.values[k])
+        return total
 
     def counting(self, z: float) -> int:
         """Number of eigenvalues <= z (z must not exceed the cutoff)."""
@@ -219,86 +225,16 @@ def shifted_spectrum(spec, w_mean: float, Vw_mean: float):
                                spec.source)
 
 
-def _values_of(s) -> np.ndarray:
-    if isinstance(s, Spectrum):
-        return s.values
-    return np.asarray(s, dtype=float)
-
-
-def interp_partial_sum(s, p: float) -> float:
-    """Linearly interpolated partial sum: sum of the lowest floor(p)
-    values plus the fractional part times the next one."""
-    values = _values_of(s)
-    n = values.size
-    if p < 0 or p > n:
-        raise SpectrumRangeError(
-            f"partial sum order p={p} outside [0, {n}]")
-    k = int(math.floor(p))
-    frac = p - k
-    total = float(values[:k].sum())
-    if frac > 0.0:
-        total += frac * float(values[k])
-    return total
-
-
-def riesz_mean_1(s, z: float) -> float:
+def riesz_mean_1(s: Spectrum, z: float) -> float:
     """First Riesz mean sum of (z - mu)_+ over the known eigenvalues.
 
-    When s is a Spectrum, z must not exceed its cutoff; otherwise the
-    truncated sum would silently undercount.
+    z must not exceed the cutoff of s; otherwise the truncated sum would
+    silently undercount.
     """
-    if isinstance(s, Spectrum) and z > s.cutoff * (1 + 1e-12) + 1e-12:
+    if z > s.cutoff + 1e-12 * (1.0 + abs(s.cutoff)):
         raise SpectrumRangeError(
             f"Riesz mean at z={z} beyond spectrum cutoff {s.cutoff}")
-    values = _values_of(s)
-    return float(np.clip(z - values, 0.0, None).sum())
-
-
-def legendre_of_riesz(s, p: float) -> float:
-    """sup_z (p z - R1(z)), evaluated over the breakpoint grid z in {mu_j}.
-
-    p z - R1(z) is piecewise linear in z with slope p - N(z), so for
-    0 < p <= n the supremum sits at an eigenvalue; it equals the
-    interpolated partial sum at order p.
-    """
-    values = _values_of(s)
-    if p < 0 or p > values.size:
-        raise SpectrumRangeError(
-            f"Legendre order p={p} outside [0, {values.size}]")
-    if p == 0:
-        return 0.0
-    best = -math.inf
-    for z in np.unique(values):
-        cand = p * z - float(np.clip(z - values, 0.0, None).sum())
-        if cand > best:
-            best = cand
-    return best
-
-
-def truncated_laplace_transform(s: Spectrum, t: float) -> float:
-    """t^2 * integral of exp(-z t) R1(z) over 0 <= z <= cutoff, exactly.
-
-    R1 is piecewise linear with slope N(z) between eigenvalues, so each
-    segment integrates in closed form.  The result satisfies
-
-        t^2 int = sum_{mu_j <= Z} exp(-mu_j t)
-                  - exp(-Z t) (t R1(Z) + N(Z)),   Z = cutoff,
-
-    which is the truncated Laplace identity linking the Riesz mean to the
-    heat trace; the second term decays like exp(-Z t).
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    z_end = s.cutoff
-    breakpoints = [v for v in np.unique(s.values) if 0.0 < v < z_end]
-    nodes = [0.0] + breakpoints + [z_end]
-    total = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        r_a = riesz_mean_1(s, a)
-        slope = s.counting(a)  # N(z) is constant on (a, b)
-        ea, eb = math.exp(-a * t), math.exp(-b * t)
-        total += (t * r_a + slope) * (ea - eb) - slope * t * (b - a) * eb
-    return total
+    return float(np.clip(z - s.values, 0.0, None).sum())
 
 
 @dataclass(frozen=True)

@@ -14,26 +14,25 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 import spectral_bounds
 from spectral_bounds.avp import avp_check, tight_frame_bound
-from spectral_bounds.bounds import (bound_context, euclidean_H,
-                                    general_sum_bound,
+from spectral_bounds.bounds import (WeylMinorant, bound_context,
+                                    general_sum_bound, heat_lower_bound,
                                     individual_bound_pos, individual_bound_sk,
-                                    kroger_avg_bound, legendre_conjugate_power,
-                                    riesz_lower_bound)
+                                    kroger_avg_bound, riesz_lower_bound,
+                                    riesz_report, sum_report)
 from spectral_bounds.domains import Box, QuadratureGrid, TorusFundamental
 from spectral_bounds.fdsolver import assemble, solve_lowest
-from spectral_bounds.homog import (heat_torus_bound, homog_riesz_compare,
-                                   homog_sum_compare)
+from spectral_bounds.homog import ReferenceMinorant, heat_torus_bound
 from spectral_bounds.phasespace import (lambda_of_k, phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
 from spectral_bounds.special import (Lattice2, hex_theta, lattice_heat_trace,
                                      lattice_heat_trace_poisson)
-from spectral_bounds.spectra import (rectangle_neumann_exact, riesz_mean_1,
-                                     torus_spectrum,
-                                     truncated_laplace_transform)
+from spectral_bounds.spectra import rectangle_neumann_exact, torus_spectrum
 
 PI2 = math.pi ** 2
 
@@ -154,29 +153,30 @@ def test_04_riesz_legendre_laplace():
         if not riesz_lower_bound(ctx, float(z), spec).holds:
             failures.append(f"Riesz bound violated at z={z:.3g}")
 
-    H = euclidean_H(2)
-    A = 2.0 / (4.0 * H)
+    # R(z) = z^2 / (8 pi) on the unit square: its Legendre conjugate
+    # sup_z (k z - R(z)) = 2 pi k^2 sits at z = 4 pi k
+    riesz = WeylMinorant(ctx).riesz
     worst = 0.0
     for k in range(1, 51):
-        dual = legendre_conjugate_power(A, 0.0, 2, float(k))
+        best = minimize_scalar(lambda z: riesz(z) - k * z, method="bounded",
+                               bounds=(0.0, 8.0 * math.pi * k))
+        dual = -best.fun
         direct = general_sum_bound(ctx, k, spec).bound_value
         worst = max(worst, abs(dual - direct) / direct)
     if worst > 1e-9:
         failures.append(f"Legendre dual off by {worst:.3g} (tol 1e-9)")
 
     lap_worst = 0.0
-    Z = cutoff
-    n_at = spec.counting(Z)
-    r_at = riesz_mean_1(spec, Z)
     for t in np.linspace(0.5, 2.0, 7):
-        lhs = truncated_laplace_transform(spec, float(t))
-        rhs = float(np.exp(-t * spec.values).sum()) - \
-            math.exp(-Z * t) * (t * r_at + n_at)
-        lap_worst = max(lap_worst, abs(lhs - rhs) / abs(rhs))
+        integral = quad(lambda z: math.exp(-t * z) * riesz(z), 0.0, math.inf,
+                        epsabs=0.0, epsrel=1e-12)[0]
+        bound = heat_lower_bound(ctx, float(t), spec).bound_value
+        lap_worst = max(lap_worst, abs(t * t * integral - bound) / bound)
     if lap_worst > 1e-6:
-        failures.append(f"Laplace identity off by {lap_worst:.3g} (tol 1e-6)")
+        failures.append(f"Laplace transform off by {lap_worst:.3g} "
+                        "(tol 1e-6)")
 
-    _verdict("Riesz grid, Legendre duality, Laplace identity", failures,
+    _verdict("Riesz grid, Legendre duality, Laplace transform", failures,
              f"Legendre err {worst:.1e}, Laplace err {lap_worst:.1e}")
 
 
@@ -236,18 +236,19 @@ def test_06_torus_comparisons():
     unit = Lattice2((1.0, 0.0), (0.0, 1.0))
     mu = rectangle_neumann_exact(0.5, 1.0, cutoff=cutoff)
     ref = torus_spectrum(unit, cutoff)
+    half = ReferenceMinorant(ref, 0.5)
 
     for p in range(1, 31):
-        if not homog_sum_compare(mu, ref, 0.5, p).holds:
+        if not sum_report("homog-sum", half, p, mu).holds:
             failures.append(f"sum comparison violated at k={p}")
     for z in np.linspace(1.0, 4.0 * PI2 * 10.0, 25):
-        if not homog_riesz_compare(mu, ref, 0.5, float(z)).holds:
+        if not riesz_report("homog-riesz", half, float(z), mu).holds:
             failures.append(f"Riesz comparison violated at z={z:.3g}")
 
     whole = ref.flatten()
     worst = 0.0
     for p in range(1, 31):
-        rep = homog_sum_compare(whole, ref, 1.0, p)
+        rep = sum_report("homog-sum", ReferenceMinorant(ref, 1.0), p, whole)
         worst = max(worst, abs(rep.computed_value - rep.bound_value))
         if not rep.holds:
             failures.append(f"whole-space case violated at k={p}")

@@ -1,17 +1,51 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
-from spectral_bounds import (Box, ProblemSpec, QuadratureGrid, Spectrum,
-                             bound_context, euclidean_H, general_sum_bound,
+from spectral_bounds import (BoundContext, Box, ProblemSpec, QuadratureGrid,
+                             Spectrum, WeylMinorant, bound_context,
+                             euclidean_H, general_sum_bound,
                              heat_lower_bound,
                              individual_bound_pos, individual_bound_sk,
-                             kroger_avg_bound, legendre_conjugate_power,
-                             rectangle_neumann_exact, riesz_lower_bound,
-                             riesz_mean_1)
+                             kroger_avg_bound, rectangle_neumann_exact,
+                             riesz_lower_bound, riesz_mean_1)
 
 PI2 = math.pi ** 2
+
+
+def numeric_conjugate(riesz, k, start):
+    """sup_z (k z - R(z)) for a convex R that vanishes up to `start`.
+
+    k z - R(z) is concave and rises up to `start`, so once it falls
+    between start + d and start + 2d its maximum lies in
+    [start, start + 2d]; bounded Brent finds it there.
+    """
+    def gain(z):
+        return k * z - riesz(z)
+
+    d = 1e-9 * max(1.0, abs(start))
+    while gain(start + 2.0 * d) >= gain(start + d):
+        d *= 2.0
+    best = minimize_scalar(lambda z: -gain(z), bounds=(start, start + 2 * d),
+                           method="bounded",
+                           options={"xatol": 1e-12 * (abs(start) + d)})
+    return gain(best.x)
+
+
+def contexts():
+    """A BoundContext from any positive |Omega|, w_mean and an H, with
+    vweff_mean of either sign, in dimensions 1 to 4."""
+    positive = st.floats(min_value=0.1, max_value=10.0)
+    return st.tuples(st.integers(min_value=1, max_value=4), positive,
+                     positive, st.floats(min_value=-5.0, max_value=5.0),
+                     positive).map(lambda a: (
+                         BoundContext(None, a[0], a[1], a[2], a[3]), a[4]))
 
 
 @pytest.fixture(scope="module")
@@ -133,18 +167,49 @@ class TestRieszHeat:
 
     def test_legendre_conjugate_reproduces_sum_bound(self, square):
         ctx, spec = square
-        H = euclidean_H(2)
-        A = 2.0 / (4 * H)  # 2 |Omega| / ((nu+2) H), nu = 2
+        riesz = WeylMinorant(ctx).riesz
         for k in (1, 5, 10, 20, 50):
-            dual = legendre_conjugate_power(A, 0.0, 2, float(k))
+            dual = numeric_conjugate(riesz, float(k), ctx.vw_mean)
             direct = general_sum_bound(ctx, k, spec).bound_value
-            assert dual == pytest.approx(direct, rel=1e-12)
+            assert dual == pytest.approx(direct, rel=1e-10)
 
-    def test_legendre_conjugate_shift_term(self):
-        # nonzero B adds B*p linearly
-        a, nu, p = 0.03, 2, 4.0
-        assert legendre_conjugate_power(a, 7.0, nu, p) == pytest.approx(
-            legendre_conjugate_power(a, 0.0, nu, p) + 7.0 * p, rel=1e-13)
+    def test_legendre_conjugate_shift_term(self, square):
+        # vweff_mean = B moves R right by B and adds B*k to its conjugate
+        ctx, _ = square
+        lifted = WeylMinorant(dataclasses.replace(ctx, vw_mean=7.0))
+        for k in (1.0, 4.0, 12.5):
+            assert lifted.sum(k) == pytest.approx(
+                WeylMinorant(ctx).sum(k) + 7.0 * k, rel=1e-13)
+            assert numeric_conjugate(lifted.riesz, k, 7.0) == pytest.approx(
+                lifted.sum(k), rel=1e-10)
+
+    def test_heat_checks_t_before_H(self, square):
+        # the order a heat-lower entry with both faults has always reported
+        ctx, spec = square
+        with pytest.raises(ValueError, match="t must be positive"):
+            heat_lower_bound(ctx, 0.0, spec, H_omega=-1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contexts(), st.floats(min_value=0.5, max_value=200.0))
+def test_weyl_sum_is_the_legendre_conjugate_of_riesz(context, k):
+    ctx, H = context
+    minorant = WeylMinorant(ctx, H)
+    assert minorant.sum(k) == pytest.approx(
+        numeric_conjugate(minorant.riesz, k, ctx.vw_mean),
+        rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contexts(), st.floats(min_value=0.05, max_value=5.0))
+def test_weyl_heat_is_the_laplace_transform_of_riesz(context, t):
+    ctx, H = context
+    minorant = WeylMinorant(ctx, H)
+    # R vanishes below vweff_mean
+    integral = quad(lambda z: math.exp(-t * z) * minorant.riesz(z),
+                    ctx.vw_mean, math.inf, epsabs=0.0, epsrel=1e-12)[0]
+    assert minorant.heat(t) * math.exp(-t * minorant.shift) == \
+        pytest.approx(t * t * integral, rel=1e-8)
 
 
 class TestIndividual:

@@ -10,16 +10,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectral_bounds.bounds import bound_context
+from spectral_bounds.bounds import (bound_context, heat_report, riesz_report,
+                                    sum_report)
 from spectral_bounds.domains import QuadratureGrid, TorusFundamental
-from spectral_bounds.homog import (heat_homog_compare, heat_torus_bound,
-                                   homog_riesz_compare, homog_sum_compare)
+from spectral_bounds.homog import ReferenceMinorant, heat_torus_bound
 from spectral_bounds.problem import ProblemSpec
 from spectral_bounds.special import Lattice2, hex_heat_floor
-from spectral_bounds.spectra import (TailModel, heat_trace,
-                                     rectangle_neumann_exact, shifted_spectrum,
-                                     torus_spectrum)
+from spectral_bounds.spectra import (HomogeneousSpectrum, TailModel,
+                                     heat_trace, rectangle_neumann_exact,
+                                     shifted_spectrum, torus_spectrum)
 
 CUTOFF = 4.0 * math.pi ** 2 * 30.0
 
@@ -36,15 +38,17 @@ def half_pair():
 def test_half_torus_riesz_holds(half_pair):
     mu, ref = half_pair
     for z in np.linspace(1.0, CUTOFF, 40):
-        rep = homog_riesz_compare(mu, ref, 0.5, float(z))
+        rep = riesz_report("homog-riesz", ReferenceMinorant(ref, 0.5),
+                           float(z), mu)
         assert rep.holds, z
 
 
 def test_half_torus_sums_hold(half_pair):
     mu, ref = half_pair
     count = len(mu.values)
+    minorant = ReferenceMinorant(ref, 0.5)
     for p in range(1, min(count, len(ref.flatten().values) // 2) + 1):
-        rep = homog_sum_compare(mu, ref, 0.5, p)
+        rep = sum_report("homog-sum", minorant, p, mu)
         assert rep.holds, p
         assert rep.direction == "upper"
 
@@ -52,7 +56,7 @@ def test_half_torus_sums_hold(half_pair):
 def test_half_torus_heat_holds(half_pair):
     mu, ref = half_pair
     for t in (0.05, 0.2, 1.0):
-        rep = heat_homog_compare(mu, ref, 0.5, t)
+        rep = heat_report("homog-heat", ReferenceMinorant(ref, 0.5), t, mu)
         assert rep.holds, t
 
 
@@ -60,16 +64,17 @@ def test_whole_space_equalities():
     # Omega = M: every comparison collapses to equality
     ref = torus_spectrum(UNIT, CUTOFF)
     mu = ref.flatten()
+    whole = ReferenceMinorant(ref, 1.0)
     for z in (10.0, 100.0, 500.0):
-        rep = homog_riesz_compare(mu, ref, 1.0, z)
+        rep = riesz_report("homog-riesz", whole, z, mu)
         assert rep.computed_value == pytest.approx(rep.bound_value, abs=1e-10)
         assert rep.holds
     for p in (1, 5, 17):
-        rep = homog_sum_compare(mu, ref, 1.0, p)
+        rep = sum_report("homog-sum", whole, p, mu)
         assert rep.computed_value == pytest.approx(rep.bound_value, abs=1e-10)
         assert rep.holds
     for t in (0.2, 0.7):
-        rep = heat_homog_compare(mu, ref, 1.0, t)
+        rep = heat_report("homog-heat", whole, t, mu)
         assert rep.computed_value == pytest.approx(rep.bound_value,
                                                    rel=1e-13, abs=1e-13)
         assert rep.holds
@@ -80,22 +85,17 @@ def test_shifted_reference_still_dominated(half_pair):
     mu, ref = half_pair
     lifted = shifted_spectrum(ref, 1.0, 3.0)
     grown = shifted_spectrum(ref, 1.25, 0.0)
+    base = ReferenceMinorant(ref, 0.5)
     for z in (50.0, 200.0):
-        assert homog_riesz_compare(mu, lifted, 0.5, z).bound_value <= \
-            homog_riesz_compare(mu, ref, 0.5, z).bound_value
-        assert homog_riesz_compare(mu, grown, 0.5, z).bound_value <= \
-            homog_riesz_compare(mu, ref, 0.5, z).bound_value
+        assert ReferenceMinorant(lifted, 0.5).riesz(z) <= base.riesz(z)
+        assert ReferenceMinorant(grown, 0.5).riesz(z) <= base.riesz(z)
 
 
 def test_vol_ratio_validation(half_pair):
-    mu, ref = half_pair
+    _, ref = half_pair
     for bad in (0.0, -0.3, 1.5):
         with pytest.raises(ValueError, match="ratio"):
-            homog_riesz_compare(mu, ref, bad, 10.0)
-        with pytest.raises(ValueError, match="ratio"):
-            homog_sum_compare(mu, ref, bad, 3)
-        with pytest.raises(ValueError, match="ratio"):
-            heat_homog_compare(mu, ref, bad, 0.5)
+            ReferenceMinorant(ref, bad)
 
 
 def test_heat_compare_tail_raises_the_bar(half_pair):
@@ -104,12 +104,33 @@ def test_heat_compare_tail_raises_the_bar(half_pair):
     short = torus_spectrum(UNIT, 4.0 * math.pi ** 2 * 2.0)
     tail = TailModel(nu=2, volume=1.0, w_mean=1.0, shift=0.0)
     t = 0.05
-    plain = heat_homog_compare(mu, short, 0.5, t)
-    with_tail = heat_homog_compare(mu, short, 0.5, t, reference_tail=tail)
+    plain = heat_report("homog-heat", ReferenceMinorant(short, 0.5), t, mu)
+    with_tail = heat_report("homog-heat",
+                            ReferenceMinorant(short, 0.5, tail=tail), t, mu)
     assert with_tail.bound_value > plain.bound_value * (1.0 + 1e-4)
     assert with_tail.holds
     with pytest.raises(ValueError, match="positive"):
-        heat_homog_compare(mu, ref, 0.5, 0.0)
+        heat_report("homog-heat", ReferenceMinorant(ref, 0.5), 0.0, mu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=-5.0, max_value=50.0),
+                          st.integers(min_value=1, max_value=4)),
+                min_size=1, max_size=8),
+       st.floats(min_value=0.05, max_value=1.0),
+       st.floats(min_value=0.0, max_value=0.99))
+def test_reference_sum_is_the_max_over_breakpoints(levels, vol_ratio,
+                                                   fraction):
+    # p z - R(z) is piecewise linear with slope p - vol_ratio N(z), so for
+    # 0 <= p <= vol_ratio n its supremum sits at a reference eigenvalue
+    levels = sorted(levels)
+    top = levels[-1][0]
+    minorant = ReferenceMinorant(
+        HomogeneousSpectrum(tuple(levels), 1.0, top), vol_ratio)
+    p = fraction * vol_ratio * len(minorant.reference)
+    best = max(p * z - minorant.riesz(z) for z, _ in levels)
+    assert minorant.sum(p) == pytest.approx(
+        best, abs=1e-9 * (1.0 + abs(top)) * len(minorant.reference))
 
 
 def test_heat_torus_bound_formula_and_floor():

@@ -103,6 +103,25 @@ def test_lambda_of_k_needs_positive_k():
         lambda_of_k(psd, 0)
 
 
+@pytest.mark.parametrize("case", ["tiny-k", "huge-volume"])
+def test_lambda_of_k_refuses_a_level_it_cannot_resolve(case):
+    # the level is settled to an absolute 1e-15 while |Lambda| < 1, so
+    # Phi_1 cannot land within 1e-6 of k when it climbs from 0 to k over
+    # much less than that: a tiny k at the second node of an oscillator,
+    # or k = 1 on an interval of length 1e9
+    if case == "tiny-k":
+        prob = ProblemSpec(Box((2.0,) * 3, origin=(-1.0,) * 3),
+                           V="x^2 + y^2 + 2*z^2")
+        psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 40))
+        k = psd.phi1_at(float(psd.vt_nodes[1]))
+    else:
+        prob = ProblemSpec(Box((1e9,)))
+        psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 16))
+        k = 1
+    with pytest.raises(ValueError, match="cannot be resolved"):
+        lambda_of_k(psd, k)
+
+
 @pytest.mark.parametrize("floor", [0.0, -1e4])
 def test_lambda_of_k_far_above_the_spectrum(floor):
     # Phi_1(L) = (L - floor)/(4 pi) on the unit square: Lambda(900) lies

@@ -288,6 +288,26 @@ def test_cli_overflowing_constant_power_in_rho_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "non-finite" in err
+    # the failing tree is the derived V + |grad rho|^2, whose printed form
+    # names no field
+    assert err.startswith("error: effective potential V + |grad rho|^2 ")
+    assert "rho = '1e+300^3*x1'" in err
+
+
+def test_cli_phase_space_names_an_overflowing_effective_potential(tmp_path,
+                                                                  capsys):
+    # V is finite, but the square of its gradient in the Lipschitz
+    # constant overflows on the phase-space nodes
+    cfg = scenario_with(tmp_path, fields={"V": "1e200*x"}, bounds=[
+        {"kind": "phase-space-sum", "k": [2]}])
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "effective potential V + |grad rho|^2 or its gradient" in \
+        errors[0]
+    assert "V = '1e+200*x1'" in errors[0]
 
 
 def test_run_with_no_bounds_is_spectrum_only(tmp_path, capsys):

@@ -5,14 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.integrate import quad
+
 from spectral_bounds import (HomogeneousSpectrum, Lattice2, Spectrum,
                              SpectrumRangeError, TailModel, heat_trace,
-                             interp_partial_sum, legendre_of_riesz,
                              rectangle_neumann_exact, riesz_mean_1,
                              shifted_spectrum, sphere_spectrum,
-                             torus_spectrum, truncated_laplace_transform)
+                             torus_spectrum)
 
 PI2 = math.pi ** 2
+
+
+def legendre_over_breakpoints(s, p):
+    """max of p z - R1(z) over z in {mu_j}: p z - R1(z) is piecewise
+    linear with slope p - N(z), so for 0 <= p <= n the supremum over all
+    z sits at an eigenvalue."""
+    return max(p * float(z) - riesz_mean_1(s, float(z)) for z in s.values)
+
+
+def laplace_by_quadrature(s, t, top):
+    """t^2 times the integral of exp(-t z) R1(z) over 0 <= z <= top, by
+    adaptive quadrature split at the eigenvalues, where R1 has kinks."""
+    kinks = sorted({float(v) for v in s.values if 0.0 < v < top})
+    nodes = [0.0] + kinks + [top]
+    return t * t * sum(
+        quad(lambda z: math.exp(-t * z) * riesz_mean_1(s, z), a, b,
+             epsabs=0.0, epsrel=1e-13)[0]
+        for a, b in zip(nodes[:-1], nodes[1:]) if b > a)
 
 
 def brute_rectangle(lx, ly, count):
@@ -176,12 +195,16 @@ class TestFunctionals:
     def spectrum(self):
         return Spectrum(self.vals.copy(), cutoff=4.0, source="test")
 
-    def test_interp_partial_sum(self):
+    def test_partial_sum_interpolates(self):
         s = self.spectrum()
-        assert interp_partial_sum(s, 3.0) == 2.0
-        assert interp_partial_sum(s, 3.5) == pytest.approx(2.0 + 0.5 * 2.5)
-        with pytest.raises(SpectrumRangeError):
-            interp_partial_sum(s, 5.5)
+        assert s.partial_sum(3.0) == 2.0
+        assert s.partial_sum(3.5) == pytest.approx(2.0 + 0.5 * 2.5)
+        assert s.partial_sum(0.25) == 0.0
+        assert s.partial_sum(4.5) == pytest.approx(4.5 + 0.5 * 4.0)
+        assert s.partial_sum(5.0) == 8.5
+        for bad in (5.5, -0.5):
+            with pytest.raises(SpectrumRangeError):
+                s.partial_sum(bad)
 
     def test_riesz_mean(self):
         s = self.spectrum()
@@ -191,16 +214,24 @@ class TestFunctionals:
         with pytest.raises(SpectrumRangeError):
             riesz_mean_1(s, 4.5)  # beyond the completeness cutoff
 
+    def test_riesz_mean_at_a_negative_cutoff(self):
+        # the tolerance on the cutoff is relative to |cutoff|: below -1 a
+        # factor (1 + 1e-12) on the cutoff itself would refuse z = cutoff
+        s = Spectrum(np.array([-3.0, -2.0]), cutoff=-2.0)
+        assert riesz_mean_1(s, -2.0) == 1.0
+        with pytest.raises(SpectrumRangeError):
+            riesz_mean_1(s, -1.999)
+
     def test_legendre_recovers_partial_sums(self):
         s = self.spectrum()
         for p in np.linspace(0.2, 5.0, 25):
-            assert legendre_of_riesz(s, float(p)) == pytest.approx(
-                interp_partial_sum(s, float(p)), abs=1e-12)
+            assert legendre_over_breakpoints(s, float(p)) == pytest.approx(
+                s.partial_sum(float(p)), abs=1e-12)
 
     def test_truncated_laplace_identity(self):
         s = self.spectrum()
         for t in (0.25, 0.5, 1.0, 2.0):
-            lhs = truncated_laplace_transform(s, t)
+            lhs = laplace_by_quadrature(s, t, s.cutoff)
             rhs = sum(math.exp(-t * v) for v in self.vals) - \
                 math.exp(-t * s.cutoff) * (t * riesz_mean_1(s, s.cutoff) +
                                            s.counting(s.cutoff))
@@ -251,8 +282,8 @@ def test_legendre_duality_property(raw):
     vals = np.sort(np.array(raw, dtype=float))
     s = Spectrum(vals, cutoff=float(vals[-1]))
     for p in (0.5, 1.0, len(vals) / 2, float(len(vals))):
-        assert legendre_of_riesz(s, p) == pytest.approx(
-            interp_partial_sum(s, p), abs=1e-9 * (1 + abs(vals).max()))
+        assert legendre_over_breakpoints(s, p) == pytest.approx(
+            s.partial_sum(p), abs=1e-9 * (1 + abs(vals).max()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +294,7 @@ def test_laplace_identity_property(raw, t):
     vals = np.sort(np.array(raw, dtype=float))
     s = Spectrum(vals, cutoff=float(vals[-1]))
     z = s.cutoff
-    lhs = truncated_laplace_transform(s, t)
+    lhs = laplace_by_quadrature(s, t, z)
     rhs = float(np.exp(-t * vals).sum()) - math.exp(-t * z) * (
         t * riesz_mean_1(s, z) + s.counting(z))
     assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(rhs)))
