@@ -18,7 +18,7 @@ Typical use:
     problem = ProblemSpec(Box((1.0, 1.0)), w="1 + x/2", V="x^2 + y^2")
     grid = QuadratureGrid(problem.domain, (120, 120))
     spectrum = solve_lowest(assemble(problem, grid), 20)
-    ctx = bound_context(problem, grid)      # |Omega|, w_mean, vweff_mean
+    ctx = bound_context(problem, grid, solved=True)  # |Omega|, means
     report = kroger_avg_bound(ctx, 10, spectrum)
     assert report.holds
 

@@ -67,15 +67,22 @@ class BoundContext:
     vw_mean: float
 
 
-def bound_context(problem: ProblemSpec, grid: QuadratureGrid) -> BoundContext:
-    """Check w > 0 at every inside node of `grid` and take the means there."""
+def bound_context(problem: ProblemSpec, grid: QuadratureGrid,
+                  solved: bool = False) -> BoundContext:
+    """Check w > 0 at every inside node of `grid` and take the means there.
+
+    With `solved` (the spectrum is solved on the grid's inside cells, as fd
+    does), |Omega| is the measure of those cells wherever the mask does not
+    fill the grid, say a disk's staircase; otherwise it is exact where a
+    closed form exists."""
     w_min = float(grid.inside_values(problem.w).min())
     if w_min <= 0:
         raise ValueError(
             f"weight w must be strictly positive on the domain; minimum "
             f"{w_min:.3g} on the {'x'.join(map(str, grid.shape))} grid")
-    return BoundContext(problem.domain, problem.nu,
-                        domain_volume(problem.domain, grid),
+    volume = grid.measure() if solved and not grid.mask.all() else \
+        domain_volume(problem.domain, grid)
+    return BoundContext(problem.domain, problem.nu, volume,
                         problem.mean_w(grid), problem.mean_veff_w(grid))
 
 

@@ -26,21 +26,24 @@ fields), an axis of n nodes has the values 4 s sin^2(pi m/2n) with vectors
 cos(pi m (i+1/2)/n) when Neumann, and 4 s sin^2(pi m/n) with a cos/sin
 pair per frequency when periodic; the lowest sums of one value per axis
 are merged, with tensor-product vectors.  Every other form defaults to
-sparse shift-invert ("iterative"), or to dense `eigh` when all pairs are
-asked for.  Every path's pairs must pass the same residual gate against
-the assembled K.
+numpy's dense `eigh` ("dense") up to _DENSE_DEFAULT_DOF dof or when all
+pairs are asked for, and to sparse shift-invert ("iterative") above.
+Every path's pairs must pass the same residual gate, through the stencil
+matvec of the assembled form.
 
-scipy is imported inside `assemble` (after its input checks) and on the
-iterative path of `solve_lowest_detailed`, not with this module: a run
-whose spectrum is exact, or whose input is rejected before assembly,
-never loads it, and the separable path never loads `scipy.sparse.linalg`.
+The form holds the stencil itself (K's diagonal, one array of face
+coefficients per axis on the full grid, the nodal mass), not a matrix.
+scipy loads only when the CSR `DiscreteForm.stiffness` is first read,
+which in the package only the shift-invert path does: an exact-source,
+separable or dense run never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +67,32 @@ __all__ = [
 
 
 _MAX_DENSE_DOF = 6400   # most dof of a dense or an all-pairs solve
+# most dof the default solves by dense `eigh`.  With one BLAS thread, eigh
+# took 0.26 s at 1024 dof and 0.47 s at 1296; importing scipy.sparse and
+# scipy.sparse.linalg for shift-invert took 0.29 s, and the solve itself
+# about 0.02 s more.
+_DENSE_DEFAULT_DOF = 1024
+
+# the parts of an axis that face pairs join: interior faces (node i to
+# i+1), then the seam (last node to first) of a periodic axis
+_INTERIOR = (slice(None, -1), slice(1, None))
+_SEAM = (slice(-1, None), slice(None, 1))
+
+
+def _along(axis: int, nu: int, part: slice) -> Tuple[slice, ...]:
+    """Index taking `part` along `axis` and all of every other axis."""
+    return tuple(part if b == axis else slice(None) for b in range(nu))
+
+
+def _face_parts(grid: QuadratureGrid
+                ) -> Iterator[Tuple[int, bool, Tuple, Tuple]]:
+    """(axis, seam, lower-end index, upper-end index) for each part of the
+    faces: per axis the interior faces, then the seam when periodic."""
+    for axis in range(grid.nu):
+        for seam in (False, True)[:1 + grid.periodic]:
+            lower, upper = _SEAM if seam else _INTERIOR
+            yield (axis, seam, _along(axis, grid.nu, lower),
+                   _along(axis, grid.nu, upper))
 
 
 class SolverConvergenceError(RuntimeError):
@@ -72,9 +101,15 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass
 class DiscreteForm:
-    """Stiffness/mass pair for the generalized problem K x = mu M x."""
+    """The flux stencil of the generalized problem K x = mu M x.
 
-    stiffness: sp.csr_matrix
+    `faces[axis]` has the grid's shape: its entry at node i along `axis`
+    is the coefficient of the face to node i+1, or of the seam to node 0
+    when i is the last node of a periodic axis; it is 0 where that face is
+    absent.  K x = diagonal x - sum over faces of c times the neighbour."""
+
+    diagonal: np.ndarray       # K's diagonal: potential plus the node's faces
+    faces: Tuple[np.ndarray, ...]
     mass_diag: np.ndarray
     dof_count: int
     zero_potential: bool       # nodal V vanishes, so K annihilates constants
@@ -83,6 +118,61 @@ class DiscreteForm:
     # (per-axis face coefficient over nodal mass, nodal V*w) when the form
     # is a Kronecker sum of 1-D stencils; None otherwise
     separable: Optional[Tuple[Tuple[float, ...], float]] = None
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """K x for x of shape (dof,) or (dof, m): x is placed on the grid
+        (0 outside the mask; on a full grid x is the grid, in C order)
+        and each neighbour term is a slice product."""
+        grid = self.grid
+        column = (Ellipsis,) + (None,) * (x.ndim - 1)
+        full = self.dof_count == grid.mask.size
+        if full:
+            u = x.reshape(grid.shape + x.shape[1:])
+        else:
+            u = np.zeros(grid.shape + x.shape[1:])
+            u[grid.mask] = x
+        off = np.zeros_like(u)
+        for axis, _, lo, hi in _face_parts(grid):
+            c = self.faces[axis][lo][column]
+            off[lo] += c * u[hi]
+            off[hi] += c * u[lo]
+        off = off.reshape(x.shape) if full else off[grid.mask]
+        return self.diagonal[column] * x - off
+
+    def _pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, q, c): the inside-node indices of each present face's ends
+        and its coefficient, in assembly order."""
+        grid = self.grid
+        index = np.full(grid.shape, -1, dtype=np.int64)
+        index[grid.mask] = np.arange(self.dof_count)
+        parts = []
+        for axis, _, lo, hi in _face_parts(grid):
+            both = grid.mask[lo] & grid.mask[hi]
+            parts.append((index[lo][both], index[hi][both],
+                          self.faces[axis][lo][both]))
+        return tuple(np.concatenate(a) for a in zip(*parts))
+
+    def dense(self) -> np.ndarray:
+        """K as an n x n array."""
+        n = self.dof_count
+        p, q, c = self._pairs()
+        k = np.zeros((n, n))
+        k.flat[::n + 1] = self.diagonal
+        k[p, q] = -c
+        k[q, p] = -c
+        return k
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """K as a CSR matrix, built from the same stencil on first read;
+        only shift-invert needs it, so only it imports scipy."""
+        import scipy.sparse as sp
+        p, q, c = self._pairs()
+        diag = np.arange(self.dof_count)
+        return sp.csr_matrix(
+            (np.concatenate((self.diagonal, -c, -c)),
+             (np.concatenate((diag, p, q)), np.concatenate((diag, q, p)))),
+            shape=(self.dof_count,) * 2)
 
 
 @dataclass
@@ -101,7 +191,7 @@ def _node_points(grid: QuadratureGrid):
 
 
 def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
-    """Build the stiffness and mass matrices for a problem on a grid."""
+    """Build the stiffness stencil and the mass for a problem on a grid."""
     if isinstance(grid.domain, TorusFundamental) and \
             not grid.domain.is_rectangular():
         raise NotImplementedError(
@@ -113,9 +203,7 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
     nu = grid.nu
     cellvol = grid.cell_volume
     mask = grid.mask
-    index = -np.ones(grid.shape, dtype=np.int64)
     n = int(mask.sum())
-    index[mask] = np.arange(n)
 
     node_pts, full_coords = _node_points(grid)
     w_n = np.broadcast_to(np.asarray(problem.w.evaluate(node_pts),
@@ -131,81 +219,60 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
     dens_n = np.exp(-2.0 * rho_n)
     mass_diag = dens_n * cellvol
 
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-
-    # potential term on the diagonal
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(v_n * w_n * dens_n * cellvol)
-
     box = grid.domain.bounding_box()
-    # least and greatest face coefficient per axis, seam included
-    coefficients = [set() for _ in range(nu)]
-
-    def add_faces(p_idx, q_idx, face_pts):
+    faces = tuple(np.zeros(grid.shape) for _ in range(nu))
+    # K's diagonal sums the potential, then each face at its lower and at
+    # its upper end, part by part: the order in which scipy sums the same
+    # entries given as a COO list, so `stiffness` equals that matrix bit
+    # for bit and shift-invert spectra do not move in the last digits
+    diagonal = np.zeros(grid.shape)
+    diagonal[mask] = v_n * w_n * dens_n * cellvol
+    for axis, seam, lo, hi in _face_parts(grid):
+        h = grid.spacing[axis]
+        both = mask[lo] & mask[hi]
+        count = (int(both.sum()),)
+        if seam:
+            # seam face sits on the identified edge: read fields there
+            face_pts = tuple(
+                np.full(count, box.origin[b]) if b == axis
+                else full_coords[b][lo][both] for b in range(nu))
+        else:
+            face_pts = tuple(
+                full_coords[b][lo][both] + (0.5 * h if b == axis else 0.0)
+                for b in range(nu))
         w_f = np.broadcast_to(np.asarray(problem.w.evaluate(face_pts),
-                                         dtype=float), p_idx.shape)
+                                         dtype=float), count)
         rho_f = np.broadcast_to(np.asarray(problem.rho.evaluate(face_pts),
-                                           dtype=float), p_idx.shape)
+                                           dtype=float), count)
         if np.any(w_f <= 0):
             raise ValueError(
                 f"weight must be positive; sampled minimum {w_f.min()}")
-        c = w_f * np.exp(-2.0 * rho_f) * cellvol / h / h
-        rows.extend((p_idx, q_idx, p_idx, q_idx))
-        cols.extend((p_idx, q_idx, q_idx, p_idx))
-        vals.extend((c, c, -c, -c))
-        if c.size:
-            coefficients[axis].update((float(c.min()), float(c.max())))
+        c = faces[axis][lo]     # a view: writes land in faces[axis]
+        c[both] = w_f * np.exp(-2.0 * rho_f) * cellvol / h / h
+        diagonal[lo] += c
+        diagonal[hi] += c
+    diagonal = diagonal[mask]
 
-    for axis in range(nu):
-        h = grid.spacing[axis]
-        lower = tuple(slice(None, -1) if b == axis else slice(None)
-                      for b in range(nu))
-        upper = tuple(slice(1, None) if b == axis else slice(None)
-                      for b in range(nu))
-        both = mask[lower] & mask[upper]
-        p_idx = index[lower][both]
-        q_idx = index[upper][both]
-        face_pts = tuple(
-            full_coords[b][lower][both] + (0.5 * h if b == axis else 0.0)
-            for b in range(nu))
-        add_faces(p_idx, q_idx, face_pts)
-
-        if grid.periodic:
-            last = tuple(slice(-1, None) if b == axis else slice(None)
-                         for b in range(nu))
-            first = tuple(slice(None, 1) if b == axis else slice(None)
-                          for b in range(nu))
-            both = mask[last] & mask[first]
-            p_idx = index[last][both]
-            q_idx = index[first][both]
-            # seam face sits on the identified edge: read fields there
-            face_pts = tuple(
-                np.full(p_idx.shape, box.origin[b]) if b == axis
-                else full_coords[b][last][both] for b in range(nu))
-            add_faces(p_idx, q_idx, face_pts)
-
-    import scipy.sparse as sp
-    stiffness = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-
-    if not (np.isfinite(stiffness.data).all() and
+    if not (np.isfinite(diagonal).all() and
+            all(np.isfinite(c).all() for c in faces) and
             np.isfinite(mass_diag).all() and mass_diag.min() > 0.0):
         raise ValueError(
             f"operator entries overflow or underflow on grid {grid.shape}")
 
     vw = v_n * w_n
+    # a full grid has every face: the seam's too when periodic
+    present = [c if grid.periodic else c[_along(a, nu, _INTERIOR[0])]
+               for a, c in enumerate(faces)]
     separable = None
     if n == mask.size and mass_diag.min() == mass_diag.max() and \
-            vw.min() == vw.max() and all(len(c) == 1 for c in coefficients):
+            vw.min() == vw.max() and \
+            all(c.min() == c.max() for c in present):
         mass = float(mass_diag[0])
-        separable = (tuple(c.pop() / mass for c in coefficients),
+        separable = (tuple(float(c.flat[0]) / mass for c in present),
                      float(vw[0]))
     return DiscreteForm(
-        stiffness=stiffness,
+        diagonal=diagonal,
+        faces=faces,
         mass_diag=mass_diag,
         dof_count=n,
         zero_potential=bool(np.max(np.abs(v_n)) == 0.0),
@@ -282,10 +349,11 @@ def solve_lowest_detailed(form: DiscreteForm, k: int,
         raise ValueError(f"requested {k} eigenpairs from {n} dof")
 
     if method is None:
-        # separable for a Kronecker-sum form, otherwise shift-invert;
-        # ARPACK cannot return the whole spectrum; only dense can
+        # closed forms for a Kronecker-sum form; otherwise dense while eigh
+        # costs less than loading scipy for shift-invert, and for the whole
+        # spectrum, which ARPACK cannot return
         method = "separable" if form.separable is not None else \
-            "dense" if k == n else "iterative"
+            "dense" if n <= _DENSE_DEFAULT_DOF or k == n else "iterative"
     if n > _MAX_DENSE_DOF and (method == "dense" or k == n):
         # all k == dof pairs take dof^2 doubles on every path
         raise ValueError(
@@ -297,7 +365,7 @@ def solve_lowest_detailed(form: DiscreteForm, k: int,
     else:
         vals, x = _mass_scaled_pairs(form, k, method)
 
-    kx = form.stiffness @ x
+    kx = form.matvec(x)
     mx = form.mass_diag[:, None] * x
     residuals = np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
         np.linalg.norm(x, axis=0)
@@ -319,7 +387,11 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
     n = form.dof_count
     d = 1.0 / np.sqrt(form.mass_diag)
     if method == "dense":
-        a = form.stiffness.toarray() * d[:, None] * d[None, :]
+        a = form.dense() * d[:, None] * d[None, :]
+        if not np.isfinite(a).all():
+            # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
+            raise ValueError(
+                f"mass-scaled operator overflows on grid {form.grid.shape}")
         a = 0.5 * (a + a.T)
         eigvals, eigvecs = np.linalg.eigh(a)
         vals = eigvals[:k]

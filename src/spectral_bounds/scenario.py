@@ -42,7 +42,8 @@ table _KINDS holds all three per kind:
     phase-space-sum  k   grid_n, bessel_order, lip_override
 
 A run builds one BoundContext on the run grid (|Omega|, w_mean,
-vweff_mean; it also checks w > 0 at every inside node), then the
+vweff_mean; it also checks w > 0 at every inside node; an fd run takes
+|Omega| from the cells it solves on, a disk's staircase), then the
 spectrum, then evaluates every requested bound through the table; the
 sorted phase-space nodes are built once per grid_n.  Reports are
 sorted by (kind, parameter), and the JSON/CSV bytes depend only on
@@ -515,7 +516,7 @@ def run_scenario(s: Scenario) -> RunReport:
     violations surface as reports with holds=False.
     """
     grid = QuadratureGrid(s.problem.domain, s.grid_n)
-    ctx = bound_context(s.problem, grid)
+    ctx = bound_context(s.problem, grid, solved=s.source == "fd")
     spectrum, summary = _scenario_spectrum(s, grid, ctx)
     run = _Run(s, ctx, spectrum)
 

@@ -83,10 +83,6 @@ class Spectrum:
             total += (p - k) * float(self.values[k])
         return total
 
-    def counting(self, z: float) -> int:
-        """Number of eigenvalues <= z (z must not exceed the cutoff)."""
-        return int(np.searchsorted(self.values, z, side="right"))
-
     def to_json_dict(self) -> dict:
         return {
             "source": self.source,

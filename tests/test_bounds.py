@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from spectral_bounds import (BoundContext, Box, ProblemSpec, QuadratureGrid,
-                             Spectrum, WeylMinorant, bound_context,
+from spectral_bounds import (BoundContext, Box, Disk, ProblemSpec,
+                             QuadratureGrid, Spectrum, WeylMinorant,
+                             bound_context,
                              euclidean_H, general_sum_bound,
                              heat_lower_bound,
                              individual_bound_pos, individual_bound_sk,
@@ -79,6 +80,20 @@ class TestBoundContext:
             bound_context(prob, QuadratureGrid(prob.domain, (64, 64)))
         ctx = bound_context(prob, QuadratureGrid(prob.domain, (32, 32)))
         assert ctx.w_mean == pytest.approx(0.49, rel=1e-12)
+
+    def test_solved_measure_for_fd(self):
+        # fd solves the staircase of inside cells: on the unit disk at
+        # n=16 that is 3.45% more than pi; a box fills its grid and keeps
+        # the exact measure
+        disk = ProblemSpec(Disk(1.0))
+        grid = QuadratureGrid(disk.domain, 16)
+        assert grid.measure() == pytest.approx(1.0345 * math.pi, rel=1e-4)
+        assert bound_context(disk, grid, solved=True).volume == \
+            grid.measure()
+        assert bound_context(disk, grid).volume == math.pi
+        box = ProblemSpec(Box((2.0, 0.5)))
+        assert bound_context(box, QuadratureGrid(box.domain, 16),
+                             solved=True).volume == 1.0
 
 
 class TestEuclideanH:

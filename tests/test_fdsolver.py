@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_bounds import (Box, Disk, MaskedBox, ProblemSpec,
                              QuadratureGrid, SolverConvergenceError,
@@ -10,6 +12,7 @@ from spectral_bounds import (Box, Disk, MaskedBox, ProblemSpec,
                              convergence_study, parse_field,
                              rectangle_neumann_exact, solve_lowest,
                              solve_lowest_detailed)
+from spectral_bounds.fdsolver import _DENSE_DEFAULT_DOF
 
 PI2 = math.pi ** 2
 
@@ -244,22 +247,36 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match="dense"):
             solve_lowest(form, 4, method="dense")
 
-    def test_default_is_iterative_except_whole_spectrum(self):
-        # a varying weight keeps the form off the separable path
+    def test_default_is_dense_to_crossover_then_iterative(self):
+        # a varying weight keeps the form off the separable path: dense
+        # eigh up to the crossover, shift-invert above it
         prob = ProblemSpec(Box((1.0, 1.0)), w="1 + x*y")
-        form = assemble(prob, QuadratureGrid(prob.domain, (20, 20)))
-        res = solve_lowest_detailed(form, 4)
-        assert res.method == "iterative"
-        dense = solve_lowest_detailed(form, 4, method="dense")
-        assert res.spectrum.values == pytest.approx(
-            dense.spectrum.values, rel=1e-10, abs=1e-9)
+        side = math.isqrt(_DENSE_DEFAULT_DOF)
+        for n, method, other in ((20, "dense", "iterative"),
+                                 (side, "dense", "iterative"),
+                                 (side + 1, "iterative", "dense")):
+            form = assemble(prob, QuadratureGrid(prob.domain, (n, n)))
+            res = solve_lowest_detailed(form, 4)
+            assert res.method == method, n
+            check = solve_lowest_detailed(form, 4, method=other)
+            assert res.spectrum.values == pytest.approx(
+                check.spectrum.values, rel=1e-10, abs=1e-9)
         # ARPACK cannot return all k == dof pairs, so dense takes them;
         # together they sum to the trace of M^(-1) K
         form = assemble(prob, QuadratureGrid(prob.domain, (8, 8)))
         res = solve_lowest_detailed(form, 64)
         assert res.method == "dense"
-        trace = float((form.stiffness.diagonal() / form.mass_diag).sum())
+        trace = float((form.diagonal / form.mass_diag).sum())
         assert res.spectrum.values.sum() == pytest.approx(trace, rel=1e-10)
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_mass_scaled_overflow_refused(self, method):
+        # K and M are finite (M is subnormal), M^(-1/2) K M^(-1/2) is not
+        prob = ProblemSpec(Disk(1e-160))
+        form = assemble(prob, QuadratureGrid(prob.domain, 8))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="operator overflows"):
+            solve_lowest(form, 2, method=method)
 
     def test_residual_tolerance_enforced(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
@@ -283,6 +300,35 @@ class TestSolverOptions:
         grid = QuadratureGrid(prob.domain, (8, 8))
         with pytest.raises(ValueError):
             solve_lowest(assemble(prob, grid), 100)
+
+
+# one of each grid shape the stencil handles: full, curved and re-entrant
+# masks, a seam per axis, and three axes
+STENCIL_DOMAINS = {
+    "box": (Box((1.0, 1.3)), (12, 9)),
+    "disk": (Disk(1.0, (0.1, -0.2)), (14, 14)),
+    "l-shape": (MaskedBox(Box((1.0, 1.0)),
+                          parse_field("min(x - 0.5, y - 0.5)", 2)), (12, 12)),
+    "rect-torus": (TorusFundamental((2.0, 0.0), (0.0, 1.0)), (12, 8)),
+    "box-3d": (Box((1.0, 1.0, 2.0)), (8, 8, 10)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(STENCIL_DOMAINS)),
+       *[st.integers(-40, 40).map(lambda i: i / 100) for _ in range(3)])
+def test_stencil_matches_csr(name, a, b, c):
+    domain, shape = STENCIL_DOMAINS[name]
+    prob = ProblemSpec(domain, w=f"1 + {a}*x*y", rho=f"{b}*x + {c}*y",
+                       V=f"{c}*x^2 - {b}")
+    form = assemble(prob, QuadratureGrid(domain, shape))
+    x = np.random.default_rng(0).standard_normal((form.dof_count, 3))
+    ref = form.stiffness @ x
+    scale = np.abs(ref).max()
+    assert np.abs(form.matvec(x) - ref).max() <= 1e-13 * scale
+    assert np.abs(form.matvec(x[:, 1]) - ref[:, 1]).max() <= 1e-13 * scale
+    ref = form.stiffness.toarray()
+    assert np.abs(form.dense() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 SEPARABLE_CASES = {
@@ -339,7 +385,8 @@ class TestSeparable:
     def test_not_taken_for_varying_forms(self, prob, shape):
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
         assert form.separable is None
-        assert solve_lowest_detailed(form, 4).method == "iterative"
+        # below the dense crossover, so the default is dense
+        assert solve_lowest_detailed(form, 4).method == "dense"
 
     def test_wrong_closed_form_fails_the_residual_gate(self):
         prob = ProblemSpec(Box((1.0, 1.0)))

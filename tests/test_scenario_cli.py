@@ -177,6 +177,21 @@ def test_run_report_contents(tmp_path):
     assert len(csv_text.splitlines()) == 1 + len(report.reports)
 
 
+@pytest.mark.parametrize("source,volume", [
+    ("fd", "solved"), ("exact-sphere", "exact")])
+def test_fd_disk_bounds_use_the_solved_measure(tmp_path, source, volume):
+    # kroger-avg on a disk in 2-D is 2 pi k^2 / |Omega|
+    spectrum = {"source": source, "count": 4} if source == "fd" else \
+        {"source": source, "nu": 2, "l_max": 3}
+    s = load_scenario(scenario_with(
+        tmp_path, domain={"type": "disk", "radius": 1.0}, grid={"n": 16},
+        spectrum=spectrum, bounds=[{"kind": "kroger-avg", "k": [2]}]))
+    area = QuadratureGrid(s.problem.domain, 16).measure() \
+        if volume == "solved" else math.pi
+    (rep,) = run_scenario(s).reports
+    assert rep.bound_value == pytest.approx(8 * math.pi / area, rel=1e-12)
+
+
 def test_scenario_from_dict_matches_file(tmp_path):
     doc = dict(BASE, bounds=[{"kind": "general-sum", "k": [2, 8],
                               "H_omega": 20},
@@ -569,23 +584,33 @@ print(status, any(m.split(".")[0] == "scipy" for m in sys.modules))
 """
 
 
-@pytest.mark.parametrize("source,loads_scipy", [("exact", False),
-                                                ("fd", True)])
+# fd-separable: constant fields on a box (closed forms); fd-dense: a
+# weighted 24^2 box, below the dense crossover; fd: a weighted 40^2 box
+# (1600 dof) solved by shift-invert, which shows the probe does see scipy
+@pytest.mark.parametrize("source,loads_scipy", [
+    ("exact", False), ("fd-separable", False), ("fd-dense", False),
+    ("fd", True)])
 def test_run_imports_scipy_only_for_fd(tmp_path, source, loads_scipy):
-    # the fd case shows the probe does see scipy when a solve needs it
     import spectral_bounds
 
     if source == "exact":
         cfg = Path(spectral_bounds.__path__[0], "scenarios",
                    "square-kroger.json")
     else:
-        cfg = scenario_with(tmp_path, grid={"n": 16},
+        n = {"fd-separable": 16, "fd-dense": 24, "fd": 40}[source]
+        fields = {} if source == "fd-separable" else {"w": "1 + x*y"}
+        cfg = scenario_with(tmp_path, grid={"n": n}, fields=fields,
                             spectrum={"source": "fd", "count": 12})
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(cfg), str(tmp_path / "o")],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+    if source != "exact":
+        report = json.loads((tmp_path / "o" / "square.json").read_text())
+        method = {"fd-separable": "separable", "fd-dense": "dense",
+                  "fd": "iterative"}[source]
+        assert report["spectrum"]["method"] == method
 
 
 def test_cli_bound_subcommand(tmp_path, capsys):
