@@ -17,31 +17,39 @@ Periodic problems (rectangular torus fundamental domains) get wrap-around
 faces; the seam face is evaluated at the left edge, i.e. fields are read
 modulo the period.
 
-Eigenpairs come from one of three paths.  When the mask is full and the
-nodal mass, the nodal V*w and each axis's face coefficients are single
-values, K x = mu M x is a Kronecker sum of 1-D cell-centred stencils plus
-the shift V*w, and the default ("separable") takes the lowest pairs from
-closed forms.  With s = face coefficient / nodal mass (w/h^2 for constant
-fields), an axis of n nodes has the values 4 s sin^2(pi m/2n) with vectors
-cos(pi m (i+1/2)/n) when Neumann, and 4 s sin^2(pi m/n) with a cos/sin
-pair per frequency when periodic; the lowest sums of one value per axis
-are merged, with tensor-product vectors.  Every other form defaults to
-numpy's dense `eigh` ("dense") up to _DENSE_DEFAULT_DOF dof or when all
-pairs are asked for, and to sparse shift-invert ("iterative") above.
-Every path's pairs must pass the same residual gate, through the stencil
-matvec of the assembled form.
+Eigenpairs come from one of three paths.  `assemble` finds the axes
+along which the form is constant: the nodal potential, the mass, every
+face array and the mask repeat unchanged along them.  For such an axis a,
+K = K_rest (x) I + C_a (x) L_a, with L_a the unit 1-D cell-centred stencil
+(modes cos(pi m (i+1/2)/n) with values 4 sin^2(pi m/2n) when Neumann, a
+cos/sin pair with 4 sin^2(pi m/n) per frequency when periodic).  Each mode
+l_m then leaves one block (K_rest + l_m C_a, M_rest) on the slice across a,
+and the default ("peeled") solves blocks in ascending l_m, each by the
+same rule (peeled again, dense or shift-invert), with tensor-product
+vectors.  Block m's j-th value is at least block m-1's plus
+(l_m - l_(m-1)) min(C_a/M_rest) (Weyl), so a block is asked only for the
+pairs that bound lets below the current k-th value, and the sweep stops at
+the first block asked for none.  When C_a/M_rest is one number s, every
+block is block 0 shifted by l_m s, and the lowest sums are merged in
+closed form; a form constant along every axis is a Kronecker sum of 1-D
+stencils plus the shift V*w and reports "separable".  Every other form
+defaults to numpy's dense `eigh` ("dense") up to _DENSE_DEFAULT_DOF dof
+or when all pairs are asked for, and to sparse shift-invert ("iterative")
+above; a pinned method solves the whole form.  Every path's pairs must
+pass the same residual gate, through the stencil matvec of the assembled
+form.
 
-The form holds the stencil itself (K's diagonal, one array of face
-coefficients per axis on the full grid, the nodal mass), not a matrix.
-scipy loads only when the CSR `DiscreteForm.stiffness` is first read,
-which in the package only the shift-invert path does: an exact-source,
-separable or dense run never loads it.
+The form holds the stencil itself (the nodal potential, one array of
+face coefficients per axis on the full grid, the nodal mass), not a
+matrix.  scipy loads only when the CSR `DiscreteForm.stiffness` is first
+read, which in the package only the shift-invert path does: an
+exact-source, separable, dense or densely peeled run never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,20 +87,21 @@ _INTERIOR = (slice(None, -1), slice(1, None))
 _SEAM = (slice(-1, None), slice(None, 1))
 
 
-def _along(axis: int, nu: int, part: slice) -> Tuple[slice, ...]:
-    """Index taking `part` along `axis` and all of every other axis."""
+def _along(axis: int, nu: int, part) -> Tuple:
+    """Index taking `part` (a slice or a node) along `axis` and all of
+    every other axis."""
     return tuple(part if b == axis else slice(None) for b in range(nu))
 
 
-def _face_parts(grid: QuadratureGrid
+def _face_parts(nu: int, periodic: bool
                 ) -> Iterator[Tuple[int, bool, Tuple, Tuple]]:
     """(axis, seam, lower-end index, upper-end index) for each part of the
     faces: per axis the interior faces, then the seam when periodic."""
-    for axis in range(grid.nu):
-        for seam in (False, True)[:1 + grid.periodic]:
+    for axis in range(nu):
+        for seam in (False, True)[:1 + periodic]:
             lower, upper = _SEAM if seam else _INTERIOR
-            yield (axis, seam, _along(axis, grid.nu, lower),
-                   _along(axis, grid.nu, upper))
+            yield (axis, seam, _along(axis, nu, lower),
+                   _along(axis, nu, upper))
 
 
 class SolverConvergenceError(RuntimeError):
@@ -106,48 +115,64 @@ class DiscreteForm:
     `faces[axis]` has the grid's shape: its entry at node i along `axis`
     is the coefficient of the face to node i+1, or of the seam to node 0
     when i is the last node of a periodic axis; it is 0 where that face is
-    absent.  K x = diagonal x - sum over faces of c times the neighbour."""
+    absent.  K x = diagonal x - sum over faces of c times the neighbour,
+    where the diagonal is the nodal potential plus the node's faces."""
 
-    diagonal: np.ndarray       # K's diagonal: potential plus the node's faces
+    potential: np.ndarray      # V w e^(-2 rho) cellvol per inside node
     faces: Tuple[np.ndarray, ...]
     mass_diag: np.ndarray
     dof_count: int
     zero_potential: bool       # nodal V vanishes, so K annihilates constants
     potential_floor: float     # min nodal V*w, a lower bound for the spectrum
-    grid: QuadratureGrid = field(repr=False, default=None)
-    # (per-axis face coefficient over nodal mass, nodal V*w) when the form
-    # is a Kronecker sum of 1-D stencils; None otherwise
-    separable: Optional[Tuple[Tuple[float, ...], float]] = None
+    mask: np.ndarray           # the grid's inside nodes
+    periodic: bool
+    # axes along which potential, mass, faces and mask do not vary
+    constant_axes: Tuple[int, ...] = ()
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """K's diagonal: the potential, then each face at its lower and at
+        its upper end, part by part.  That is the order in which scipy sums
+        the same entries given as a COO list, so `stiffness` equals that
+        matrix bit for bit and shift-invert spectra do not move in the last
+        digits."""
+        d = np.zeros(self.mask.shape)
+        d[self.mask] = self.potential
+        for axis, _, lo, hi in _face_parts(self.mask.ndim, self.periodic):
+            c = self.faces[axis][lo]
+            d[lo] += c
+            d[hi] += c
+        return d[self.mask]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """K x for x of shape (dof,) or (dof, m): x is placed on the grid
         (0 outside the mask; on a full grid x is the grid, in C order)
         and each neighbour term is a slice product."""
-        grid = self.grid
+        mask = self.mask
         column = (Ellipsis,) + (None,) * (x.ndim - 1)
-        full = self.dof_count == grid.mask.size
+        full = self.dof_count == mask.size
         if full:
-            u = x.reshape(grid.shape + x.shape[1:])
+            u = x.reshape(mask.shape + x.shape[1:])
         else:
-            u = np.zeros(grid.shape + x.shape[1:])
-            u[grid.mask] = x
+            u = np.zeros(mask.shape + x.shape[1:])
+            u[mask] = x
         off = np.zeros_like(u)
-        for axis, _, lo, hi in _face_parts(grid):
+        for axis, _, lo, hi in _face_parts(mask.ndim, self.periodic):
             c = self.faces[axis][lo][column]
             off[lo] += c * u[hi]
             off[hi] += c * u[lo]
-        off = off.reshape(x.shape) if full else off[grid.mask]
+        off = off.reshape(x.shape) if full else off[mask]
         return self.diagonal[column] * x - off
 
     def _pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, q, c): the inside-node indices of each present face's ends
         and its coefficient, in assembly order."""
-        grid = self.grid
-        index = np.full(grid.shape, -1, dtype=np.int64)
-        index[grid.mask] = np.arange(self.dof_count)
+        mask = self.mask
+        index = np.full(mask.shape, -1, dtype=np.int64)
+        index[mask] = np.arange(self.dof_count)
         parts = []
-        for axis, _, lo, hi in _face_parts(grid):
-            both = grid.mask[lo] & grid.mask[hi]
+        for axis, _, lo, hi in _face_parts(mask.ndim, self.periodic):
+            both = mask[lo] & mask[hi]
             parts.append((index[lo][both], index[hi][both],
                           self.faces[axis][lo][both]))
         return tuple(np.concatenate(a) for a in zip(*parts))
@@ -173,6 +198,30 @@ class DiscreteForm:
             (np.concatenate((self.diagonal, -c, -c)),
              (np.concatenate((diag, p, q)), np.concatenate((diag, q, p)))),
             shape=(self.dof_count,) * 2)
+
+    def block(self, axis: int, level: float) -> DiscreteForm:
+        """The form on the slice across a constant `axis` for the mode of
+        the unit 1-D stencil with value `level`: the faces along `axis`
+        become `level` times their coefficient on the diagonal."""
+        first = _along(axis, self.mask.ndim, 0)
+        mask = np.asarray(self.mask[first])
+        full = np.zeros(self.mask.shape)
+
+        def on_slice(values):
+            full[self.mask] = values
+            return full[first][mask]
+
+        return replace(
+            self,
+            potential=on_slice(self.potential) +
+            level * self.faces[axis][first][mask],
+            faces=tuple(c[first] for b, c in enumerate(self.faces)
+                        if b != axis),
+            mass_diag=on_slice(self.mass_diag),
+            dof_count=int(mask.sum()),
+            mask=mask,
+            constant_axes=tuple(b - (b > axis) for b in self.constant_axes
+                                if b != axis))
 
 
 @dataclass
@@ -221,13 +270,7 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
 
     box = grid.domain.bounding_box()
     faces = tuple(np.zeros(grid.shape) for _ in range(nu))
-    # K's diagonal sums the potential, then each face at its lower and at
-    # its upper end, part by part: the order in which scipy sums the same
-    # entries given as a COO list, so `stiffness` equals that matrix bit
-    # for bit and shift-invert spectra do not move in the last digits
-    diagonal = np.zeros(grid.shape)
-    diagonal[mask] = v_n * w_n * dens_n * cellvol
-    for axis, seam, lo, hi in _face_parts(grid):
+    for axis, seam, lo, hi in _face_parts(nu, grid.periodic):
         h = grid.spacing[axis]
         both = mask[lo] & mask[hi]
         count = (int(both.sum()),)
@@ -249,37 +292,49 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
                 f"weight must be positive; sampled minimum {w_f.min()}")
         c = faces[axis][lo]     # a view: writes land in faces[axis]
         c[both] = w_f * np.exp(-2.0 * rho_f) * cellvol / h / h
-        diagonal[lo] += c
-        diagonal[hi] += c
-    diagonal = diagonal[mask]
-
-    if not (np.isfinite(diagonal).all() and
-            all(np.isfinite(c).all() for c in faces) and
-            np.isfinite(mass_diag).all() and mass_diag.min() > 0.0):
-        raise ValueError(
-            f"operator entries overflow or underflow on grid {grid.shape}")
 
     vw = v_n * w_n
-    # a full grid has every face: the seam's too when periodic
-    present = [c if grid.periodic else c[_along(a, nu, _INTERIOR[0])]
-               for a, c in enumerate(faces)]
-    separable = None
-    if n == mask.size and mass_diag.min() == mass_diag.max() and \
-            vw.min() == vw.max() and \
-            all(c.min() == c.max() for c in present):
-        mass = float(mass_diag[0])
-        separable = (tuple(float(c.flat[0]) / mass for c in present),
-                     float(vw[0]))
-    return DiscreteForm(
-        diagonal=diagonal,
+    form = DiscreteForm(
+        potential=vw * dens_n * cellvol,
         faces=faces,
         mass_diag=mass_diag,
         dof_count=n,
         zero_potential=bool(np.max(np.abs(v_n)) == 0.0),
         potential_floor=float(vw.min()),
-        grid=grid,
-        separable=separable,
+        mask=mask,
+        periodic=grid.periodic,
     )
+    if not (np.isfinite(form.diagonal).all() and
+            all(np.isfinite(c).all() for c in faces) and
+            np.isfinite(mass_diag).all() and mass_diag.min() > 0.0):
+        raise ValueError(
+            f"operator entries overflow or underflow on grid {grid.shape}")
+    form.constant_axes = _constant_axes(form)
+    return form
+
+
+def _constant_axes(form: DiscreteForm) -> Tuple[int, ...]:
+    """The axes along which the nodal potential, the mass, every face
+    array and the mask repeat exactly; the last faces of a Neumann axis
+    are absent, so only its present faces count.  The summed diagonal
+    can differ along such an axis in the last bit, so it is not read."""
+    mask = form.mask
+    nu = mask.ndim
+    nodal = []
+    for values in (form.potential, form.mass_diag):
+        full = np.zeros(mask.shape)
+        full[mask] = values
+        nodal.append(full)
+
+    def constant(x, axis):
+        return bool((x == x[_along(axis, nu, slice(0, 1))]).all())
+
+    return tuple(
+        axis for axis in range(nu)
+        if all(constant(x, axis) for x in (mask, *nodal)) and
+        all(constant(c if b != axis or form.periodic
+                     else c[_along(axis, nu, _INTERIOR[0])], axis)
+            for b, c in enumerate(form.faces)))
 
 
 def _snap_zeros(values: np.ndarray, zero_potential: bool) -> np.ndarray:
@@ -303,67 +358,117 @@ def _axis_pairs(n: int, scale: float, periodic: bool, count: int):
     return values, vectors / np.linalg.norm(vectors, axis=0)
 
 
-def _separable_pairs(form: DiscreteForm, k: int):
-    """Lowest k pairs of a Kronecker-sum form: the k smallest sums of one
-    closed-form value per axis, with tensor-product vectors scaled to
-    x^T M x = 1."""
-    scales, shift = form.separable
-    grid = form.grid
-    if not np.isfinite(scales).all():
+def _tensor(form: DiscreteForm, axis: int, u: np.ndarray,
+            v: np.ndarray) -> np.ndarray:
+    """Columns u_i (x) v_i on the form's inside nodes, for u on the inside
+    nodes of the slice across `axis` and v along `axis`.  Built one column
+    after another, so that the (dof, k) result is in Fortran order, as
+    eigh's vectors are: the residual norms reduce in that order."""
+    mask = form.mask
+    slice_mask = np.asarray(mask[_along(axis, mask.ndim, 0)])
+    grid_u = np.zeros(u.shape[1:] + slice_mask.shape)
+    grid_u[:, slice_mask] = u.T
+    along = [-1] + [1] * mask.ndim
+    along[1 + axis] = mask.shape[axis]
+    x = (np.expand_dims(grid_u, 1 + axis) * v.T.reshape(along)).reshape(
+        u.shape[1], -1)
+    return (x if form.dof_count == mask.size else x[:, mask.ravel()]).T
+
+
+def _peeled_pairs(form: DiscreteForm, k: int):
+    """Lowest k pairs of a form constant along its last constant axis a:
+    the lowest by (value, block order) over the blocks of the unit
+    stencil's modes along a, with vectors u (x) v scaled to x^T M x = 1."""
+    axis = form.constant_axes[-1]
+    n = form.mask.shape[axis]
+    rest = form.block(axis, 0.0)
+    ratio = form.faces[axis][_along(axis, form.mask.ndim, 0)][rest.mask] / \
+        rest.mass_diag
+    if not np.isfinite(ratio).all():
         # finite K and M can still overflow in K/M, as on the other paths
         raise ValueError(
-            f"mass-scaled operator overflows on grid {grid.shape}")
-    total = np.full(1, shift)
-    picks = np.zeros((1, 0), dtype=np.int64)
-    vectors = []
-    for n, scale in zip(grid.shape, scales):
-        # a pair among the k lowest uses one of the k lowest of every axis
-        values, axis_vectors = _axis_pairs(n, scale, grid.periodic,
-                                           min(k, n))
-        sums = np.add.outer(total, values).ravel()
+            f"mass-scaled operator overflows on grid {form.mask.shape}")
+    count = min(k, rest.dof_count)
+    if ratio.min() == ratio.max():
+        # every block is block 0 shifted by its mode's value times ratio:
+        # merge the k smallest sums
+        levels, v = _axis_pairs(n, float(ratio[0]), form.periodic, min(k, n))
+        mu, u, method = _lowest_pairs(rest, count)
+        sums = np.add.outer(mu, levels).ravel()
         keep = np.argsort(sums, kind="stable")[:k]
-        total = sums[keep]
-        picks = np.column_stack((picks[keep // values.size],
-                                 keep % values.size))
-        vectors.append(axis_vectors)
-    x = np.full((1, k), 1.0 / math.sqrt(float(form.mass_diag[0])))
-    for axis_vectors, pick in zip(vectors, picks.T):
-        x = (x[:, None, :] * axis_vectors[:, pick][None, :, :]).reshape(-1, k)
-    return total, x
+        x = _tensor(form, axis, u[:, keep // levels.size],
+                    v[:, keep % levels.size])
+        return sums[keep], x, \
+            "separable" if method == "separable" else "peeled"
+
+    levels, v = _axis_pairs(n, 1.0, form.periodic, min(k, n))
+    lift = float(ratio.min())
+    values, u, modes = np.empty(0), np.empty((rest.dof_count, 0)), \
+        np.empty(0, dtype=np.int64)
+    for m, level in enumerate(levels):
+        if m:
+            # Weyl: block m's j-th value is at least block m-1's plus
+            # (level step) * min(ratio); a twin (equal level) is the same
+            # block, so it reuses that solve
+            kth = values[k - 1] if values.size == k else math.inf
+            count = int(np.searchsorted(
+                mu + (level - levels[m - 1]) * lift, kth))
+            if count == 0:
+                break
+        if m and level == levels[m - 1]:
+            mu, block_u = mu[:count], block_u[:, :count]
+        else:
+            mu, block_u, _ = _lowest_pairs(
+                form.block(axis, level) if m else rest, count)
+        values = np.concatenate((values, mu))
+        u = np.hstack((u, block_u))
+        modes = np.concatenate((modes, np.full(count, m)))
+        keep = np.argsort(values, kind="stable")[:k]
+        values, u, modes = values[keep], u[:, keep], modes[keep]
+    return values, _tensor(form, axis, u, v[:, modes]), "peeled"
 
 
-def solve_lowest_detailed(form: DiscreteForm, k: int,
-                          method: Optional[str] = None,
-                          tolerance: float = 1e-8) -> SolveResult:
-    """Lowest-k eigenpairs of K x = mu M x: closed forms for a separable
-    form, otherwise through M^(-1/2) K M^(-1/2).  Every pair's residual
-    must be within `tolerance`."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if method not in (None, "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
+def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
+    """(values, x with x^T M x = 1, method) of the lowest k pairs, by the
+    given method or, when None, by the default rule: peel a constant axis;
+    otherwise dense while eigh costs less than loading scipy for
+    shift-invert, and for the whole spectrum, which ARPACK cannot return."""
     n = form.dof_count
-    if k > n:
-        raise ValueError(f"requested {k} eigenpairs from {n} dof")
-
+    if form.mask.ndim == 0:
+        # a slice of no axes is one node of a Kronecker-sum form; its
+        # value is that form's nodal V*w
+        return np.full(1, form.potential_floor), \
+            np.full((1, 1), 1.0 / math.sqrt(float(form.mass_diag[0]))), \
+            "separable"
     if method is None:
-        # closed forms for a Kronecker-sum form; otherwise dense while eigh
-        # costs less than loading scipy for shift-invert, and for the whole
-        # spectrum, which ARPACK cannot return
-        method = "separable" if form.separable is not None else \
+        method = "peeled" if form.constant_axes else \
             "dense" if n <= _DENSE_DEFAULT_DOF or k == n else "iterative"
     if n > _MAX_DENSE_DOF and (method == "dense" or k == n):
         # all k == dof pairs take dof^2 doubles on every path
         raise ValueError(
             f"dense-sized solve ({method}, {k} pairs) refused at dof={n} > "
             f"{_MAX_DENSE_DOF}; use method='iterative' with k < dof")
+    if method == "peeled":
+        return _peeled_pairs(form, k)
+    return (*_mass_scaled_pairs(form, k, method), method)
 
-    if method == "separable":
-        vals, x = _separable_pairs(form, k)
-    else:
-        vals, x = _mass_scaled_pairs(form, k, method)
+
+def solve_lowest_detailed(form: DiscreteForm, k: int,
+                          method: Optional[str] = None,
+                          tolerance: float = 1e-8) -> SolveResult:
+    """Lowest-k eigenpairs of K x = mu M x: by peeling constant axes where
+    the form has them, otherwise through M^(-1/2) K M^(-1/2).  Every
+    pair's residual must be within `tolerance`."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    if method not in (None, "dense", "iterative"):
+        raise ValueError(f"unknown method {method!r}")
+    if k > form.dof_count:
+        raise ValueError(f"requested {k} eigenpairs from {form.dof_count} dof")
+
+    vals, x, method = _lowest_pairs(form, k, method)
 
     kx = form.matvec(x)
     mx = form.mass_diag[:, None] * x
@@ -391,7 +496,7 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
         if not np.isfinite(a).all():
             # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
             raise ValueError(
-                f"mass-scaled operator overflows on grid {form.grid.shape}")
+                f"mass-scaled operator overflows on grid {form.mask.shape}")
         a = 0.5 * (a + a.T)
         eigvals, eigvecs = np.linalg.eigh(a)
         vals = eigvals[:k]
@@ -405,7 +510,7 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
         if not np.isfinite(a.data).all():
             # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
             raise ValueError(
-                f"mass-scaled operator overflows on grid {form.grid.shape}")
+                f"mass-scaled operator overflows on grid {form.mask.shape}")
         sigma = min(0.0, form.potential_floor) - 1.0
         # A = d G d + diag(V w) with G >= 0, so A - sigma I >= I: no pivoting
         lu = spla.splu(a - sigma * sp.identity(n, format="csc"),

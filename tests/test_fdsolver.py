@@ -12,6 +12,7 @@ from spectral_bounds import (Box, Disk, MaskedBox, ProblemSpec,
                              convergence_study, parse_field,
                              rectangle_neumann_exact, solve_lowest,
                              solve_lowest_detailed)
+from spectral_bounds import fdsolver
 from spectral_bounds.fdsolver import _DENSE_DEFAULT_DOF
 
 PI2 = math.pi ** 2
@@ -232,13 +233,18 @@ class TestSolverOptions:
         prob, shape = AGREEMENT_CASES[case]
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
         dense = solve_lowest_detailed(form, 6, method="dense")
+        iterative = solve_lowest_detailed(form, 6, method="iterative")
         default = solve_lowest_detailed(form, 6)
-        # constant fields on a full rectangular torus: a Kronecker sum
-        assert default.method == ("separable" if case == "rect-torus"
-                                  else "iterative")
-        assert default.spectrum.values == pytest.approx(
-            dense.spectrum.values, rel=1e-10, abs=1e-12)
-        assert default.residuals.max() <= 1e-8  # the default tolerance
+        # constant fields on a full rectangular torus: a Kronecker sum;
+        # the 3-D box varies along x and z only, so it peels y
+        assert default.method == {"rect-torus": "separable",
+                                  "box-3d": "peeled"}.get(case, "iterative")
+        # a pinned method solves the whole form, peelable or not
+        assert (dense.method, iterative.method) == ("dense", "iterative")
+        for res in (default, iterative):
+            assert res.spectrum.values == pytest.approx(
+                dense.spectrum.values, rel=1e-10, abs=1e-12)
+            assert res.residuals.max() <= 1e-8  # the default tolerance
 
     def test_dense_refused_over_cap(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
@@ -351,7 +357,7 @@ class TestSeparable:
     def test_matches_iterative_and_dense(self, case):
         prob, shape, k = SEPARABLE_CASES[case]
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
-        assert form.separable is not None
+        assert form.constant_axes == tuple(range(len(shape)))
         res = solve_lowest_detailed(form, k)
         assert res.method == "separable"
         assert res.residuals.max() <= 1e-8  # the default tolerance
@@ -375,24 +381,31 @@ class TestSeparable:
         assert res.spectrum.values == pytest.approx(ref, rel=1e-12,
                                                     abs=1e-12)
 
-    @pytest.mark.parametrize("prob,shape", [
-        (ProblemSpec(Disk(1.0)), (24, 24)),
+    @pytest.mark.parametrize("prob,shape,axes", [
+        (ProblemSpec(Disk(1.0)), (24, 24), ()),
         # constant at the nodes (cos(pi (i + 1/2)) = 0), 1 or 3 at faces
-        (ProblemSpec(Box((1.0, 1.0)), w="2 + cos(8*pi*x)"), (8, 8)),
-        (ProblemSpec(Box((1.0, 1.0)), rho="0.1*y"), (12, 12)),
-        (ProblemSpec(Box((1.0, 1.0)), V="x"), (12, 12)),
+        (ProblemSpec(Box((1.0, 1.0)), w="2 + cos(8*pi*x)"), (8, 8), (1,)),
+        (ProblemSpec(Box((1.0, 1.0)), rho="0.1*y"), (12, 12), (0,)),
+        (ProblemSpec(Box((1.0, 1.0)), V="x"), (12, 12), (1,)),
     ], ids=["disk", "faces-only-weight", "rho", "potential"])
-    def test_not_taken_for_varying_forms(self, prob, shape):
+    def test_not_taken_for_varying_forms(self, prob, shape, axes):
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
-        assert form.separable is None
-        # below the dense crossover, so the default is dense
-        assert solve_lowest_detailed(form, 4).method == "dense"
+        # a field varying along an axis keeps that axis; the others peel
+        assert form.constant_axes == axes
+        res = solve_lowest_detailed(form, 4)
+        # below the dense crossover, so an unpeeled form is dense
+        assert res.method == ("peeled" if axes else "dense")
+        dense = solve_lowest_detailed(form, 4, method="dense")
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-12)
 
     def test_wrong_closed_form_fails_the_residual_gate(self):
-        prob = ProblemSpec(Box((1.0, 1.0)))
+        # w varies along x by 1e-6: a claim that x is constant too makes
+        # the closed form read the first x-face for all, off by 1e-6
+        prob = ProblemSpec(Box((1.0, 1.0)), w="1 + 1e-6*x")
         form = assemble(prob, QuadratureGrid(prob.domain, (12, 12)))
-        scales, shift = form.separable
-        form.separable = ((scales[0] * (1 + 1e-6), scales[1]), shift)
+        assert form.constant_axes == (1,)
+        form.constant_axes = (0, 1)
         with pytest.raises(SolverConvergenceError):
             solve_lowest(form, 4)
 
@@ -401,6 +414,82 @@ class TestSeparable:
         form = assemble(prob, QuadratureGrid(prob.domain, (81, 81)))
         with pytest.raises(ValueError, match="dense-sized"):
             solve_lowest(form, 81 * 81)
+
+
+# (domain, shape, fields from coefficients a, b, c (none of them 0), the
+# axes that peel): w(x) and rho(z) in 3-D; V(x) in 2-D; w(x) on a torus,
+# whose periodic modes come in cos/sin twins; w(x) in 3-D, which peels
+# two axes; a thin box along the peeled axis, where each of many blocks
+# adds only its lowest pair
+PEEL_CASES = {
+    "box-3d": (Box((1.0, 1.0, 2.0)), (8, 8, 10),
+               lambda a, b, c: {"w": f"1 + {a}*x", "rho": f"{b}*z"}, (1,)),
+    "box-2d-potential": (Box((1.0, 1.3)), (12, 10),
+                         lambda a, b, c: {"V": f"{c}*x^2 + {b}"}, (1,)),
+    "rect-torus": (TorusFundamental((2.0, 0.0), (0.0, 1.0)), (12, 10),
+                   lambda a, b, c: {"w": f"1 + {a}*cos(pi*x)",
+                                    "rho": f"{b}*x"}, (1,)),
+    "two-axes": (Box((1.0, 1.2, 0.8)), (8, 9, 8),
+                 lambda a, b, c: {"w": f"1 + {a}*x", "V": f"{c}*x"},
+                 (1, 2)),
+    "thin-box": (Box((0.2, 3.0)), (8, 24),
+                 lambda a, b, c: {"w": f"1 + {a}*x", "rho": f"{b}*x"},
+                 (1,)),
+}
+_NONZERO = st.integers(-40, 40).filter(bool).map(lambda i: i / 100)
+
+
+class TestPeeled:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(PEEL_CASES)), _NONZERO, _NONZERO,
+           _NONZERO, st.sampled_from((1, 6, 20, "dof")))
+    def test_matches_dense(self, name, a, b, c, k):
+        domain, shape, fields, axes = PEEL_CASES[name]
+        form = assemble(ProblemSpec(domain, **fields(a, b, c)),
+                        QuadratureGrid(domain, shape))
+        assert form.constant_axes == axes
+        k = form.dof_count if k == "dof" else k
+        res = solve_lowest_detailed(form, k)
+        assert res.method == "peeled"
+        dense = solve_lowest_detailed(form, k, method="dense")
+        scale = np.abs(dense.spectrum.values).max()
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-10 * scale)
+        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        assert gram == pytest.approx(np.eye(k), abs=1e-10)
+        assert res.residuals.max() <= 1e-8  # the default tolerance
+
+    def test_blocks_past_the_weyl_bound_are_not_solved(self, monkeypatch):
+        # 8x8x16 varying along x and z: the y-mode of level l lifts every
+        # value of its block by at least l min(c/m) = 64 l, which for the
+        # third mode (l = 0.59) clears the 10th value, so two blocks of
+        # 128 dof are solved and the sweep stops
+        prob = ProblemSpec(Box((1.0, 1.0, 2.0)), w="1 + 0.5*x",
+                           rho="0.2*z")
+        form = assemble(prob, QuadratureGrid(prob.domain, (8, 8, 16)))
+        solved = []
+        original = fdsolver._mass_scaled_pairs
+
+        def counted(block, k, method):
+            solved.append(block.dof_count)
+            return original(block, k, method)
+
+        monkeypatch.setattr(fdsolver, "_mass_scaled_pairs", counted)
+        res = solve_lowest_detailed(form, 10)
+        assert solved == [128, 128]
+        dense = solve_lowest_detailed(form, 10, method="dense")
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10)
+
+    def test_blocks_above_the_crossover_use_shift_invert(self):
+        # 1-D blocks of 1100 dof: each is a shift-invert solve
+        prob = ProblemSpec(Box((1.0, 0.1)), w="1 + 0.5*x")
+        form = assemble(prob, QuadratureGrid(prob.domain, (1100, 8)))
+        res = solve_lowest_detailed(form, 8)
+        assert res.method == "peeled"
+        whole = solve_lowest_detailed(form, 8, method="iterative")
+        assert res.spectrum.values == pytest.approx(
+            whole.spectrum.values, rel=1e-10, abs=1e-12)
 
 
 class TestConvergence:

@@ -585,11 +585,22 @@ print(status, any(m.split(".")[0] == "scipy" for m in sys.modules))
 
 
 # fd-separable: constant fields on a box (closed forms); fd-dense: a
-# weighted 24^2 box, below the dense crossover; fd: a weighted 40^2 box
-# (1600 dof) solved by shift-invert, which shows the probe does see scipy
+# weighted 24^2 box, below the dense crossover; fd-peeled: a 16x16x32 box
+# varying along x and z only (8192 dof), peeled along y into dense
+# 512-dof blocks; fd: a weighted 40^2 box (1600 dof) solved by
+# shift-invert, which shows the probe does see scipy
+_PROBE_FD = {
+    "fd-separable": ({"n": 16}, {}, "separable"),
+    "fd-dense": ({"n": 24}, {"w": "1 + x*y"}, "dense"),
+    "fd-peeled": ({"n": [16, 16, 32]}, {"w": "1 + 0.5*x", "rho": "0.2*z"},
+                  "peeled"),
+    "fd": ({"n": 40}, {"w": "1 + x*y"}, "iterative"),
+}
+
+
 @pytest.mark.parametrize("source,loads_scipy", [
     ("exact", False), ("fd-separable", False), ("fd-dense", False),
-    ("fd", True)])
+    ("fd-peeled", False), ("fd", True)])
 def test_run_imports_scipy_only_for_fd(tmp_path, source, loads_scipy):
     import spectral_bounds
 
@@ -597,9 +608,12 @@ def test_run_imports_scipy_only_for_fd(tmp_path, source, loads_scipy):
         cfg = Path(spectral_bounds.__path__[0], "scenarios",
                    "square-kroger.json")
     else:
-        n = {"fd-separable": 16, "fd-dense": 24, "fd": 40}[source]
-        fields = {} if source == "fd-separable" else {"w": "1 + x*y"}
-        cfg = scenario_with(tmp_path, grid={"n": n}, fields=fields,
+        grid, fields, _ = _PROBE_FD[source]
+        domain = {"type": "box",
+                  "sides": [1.0, 1.0, 2.0] if source == "fd-peeled"
+                  else [1.0, 1.0]}
+        cfg = scenario_with(tmp_path, domain=domain, grid=grid,
+                            fields=fields,
                             spectrum={"source": "fd", "count": 12})
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(cfg), str(tmp_path / "o")],
@@ -608,9 +622,7 @@ def test_run_imports_scipy_only_for_fd(tmp_path, source, loads_scipy):
     assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
     if source != "exact":
         report = json.loads((tmp_path / "o" / "square.json").read_text())
-        method = {"fd-separable": "separable", "fd-dense": "dense",
-                  "fd": "iterative"}[source]
-        assert report["spectrum"]["method"] == method
+        assert report["spectrum"]["method"] == _PROBE_FD[source][2]
 
 
 def test_cli_bound_subcommand(tmp_path, capsys):
