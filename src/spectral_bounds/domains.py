@@ -209,8 +209,13 @@ class QuadratureGrid:
         return float(self.mask.sum()) * self.cell_volume
 
     def inside_values(self, f: ScalarFieldExpr) -> np.ndarray:
-        """Field values flattened over the inside nodes."""
-        return self.evaluate(f)[self.mask]
+        """Field values flattened over the inside nodes, in C order.  On a
+        full mask that is every node, read without a boolean gather (and
+        possibly as a read-only view)."""
+        values = self.evaluate(f)
+        if self.mask.all():
+            return values.reshape(-1)
+        return values[self.mask]
 
 
 def mean_value(f: ScalarFieldExpr, grid: QuadratureGrid) -> float:

@@ -28,10 +28,18 @@ at any level L then touches only the sublevel prefix {Vtilde < L}: for
 odd nu it sums that prefix directly, and for even nu the integer power
 expands binomially about the floor min Vtilde, so every whole block of
 _BLOCK nodes below L is read from stored prefix moments and fewer than
-_BLOCK nodes are summed directly.  The Lipschitz
-constant of a sublevel set is a running maximum over the sorted nodes,
-and Lambda(k) is a root of Phi_1 itself, found by bracketed secant steps
-(Anderson-Bjorck regula falsi) in about a dozen volume sweeps.
+_BLOCK nodes are summed directly.  The Lipschitz constant of a sublevel
+set is a running maximum over the sorted nodes, read at the end of a
+group of tied nodes, and Lambda(k) is a root of Phi_1 itself, found by
+bracketed secant steps (Anderson-Bjorck regula falsi) in about a dozen
+volume sweeps.
+
+The sort is stable when w varies: tied nodes keep grid order, so their
+weights are summed in the same order on every platform.  When w is one
+constant, as for a Schrodinger operator (w = 1), tied nodes are
+interchangeable and numpy's faster unstable sort gives the same tables
+bit for bit.  The weights are then one broadcast value, and for w = 1
+the weighted moments are copies of the unweighted ones.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import QuadratureGrid
-from .expressions import differentiate
+from .expressions import Const, differentiate
 from .problem import ProblemSpec
 from .report import BoundReport, make_report
 from .special import bessel_first_zero, unit_ball_volume
@@ -68,7 +76,8 @@ class PhaseSpaceData:
 
     nu: int
     vt_nodes: np.ndarray = field(repr=False)    # ascending
-    w_nodes: np.ndarray = field(repr=False)     # in vt_nodes order
+    # in vt_nodes order; a read-only broadcast when w is one constant
+    w_nodes: np.ndarray = field(repr=False)
     lip_nodes: np.ndarray = field(repr=False)   # running max of |grad Vtilde|
     cell_volume: float = field(repr=False)
     # [a, b, j]: sum of w^a (Vtilde - min Vtilde)^j over the first
@@ -140,17 +149,20 @@ class PhaseSpaceData:
 def _nodes(problem: ProblemSpec, grid: QuadratureGrid):
     """Vtilde and |grad Vtilde|^2 at the inside nodes, in grid order."""
     vt_expr = problem.effective_potential()
+    coords = grid.coords()
     with problem.naming_fields(
             "effective potential V + |grad rho|^2 or its gradient"):
         vt = np.asarray(grid.inside_values(vt_expr), dtype=float)
-        grad_sq = np.zeros_like(vt)
-        for axis in range(problem.nu):
-            grad_sq += np.asarray(grid.inside_values(
-                differentiate(vt_expr, axis)), dtype=float) ** 2
-    return vt, grad_sq
+        # each partial is squared in the shape it evaluates to, (n, 1) for
+        # a term in x alone, before the sum broadcasts to the grid
+        grad_sq = sum(np.asarray(differentiate(vt_expr, axis).evaluate(
+            coords), dtype=float) ** 2 for axis in range(problem.nu))
+    grad_sq = np.broadcast_to(grad_sq, grid.shape)
+    return vt, grad_sq.reshape(-1) if grid.mask.all() else grad_sq[grid.mask]
 
 
-def _block_moments(vt: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
+def _block_moments(vt: np.ndarray, w: np.ndarray, top: int,
+                   unit_weight: bool) -> np.ndarray:
     """Moments of the sorted nodes about vt[0] at every block boundary,
     laid out as PhaseSpaceData.block_moments with j = 0..top."""
     blocks = vt.size // _BLOCK
@@ -159,9 +171,14 @@ def _block_moments(vt: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
     moments = np.zeros((2, blocks + 1, top + 1))
     term = np.ones_like(u)
     for j in range(top + 1):
+        if j:
+            term *= u
         moments[0, 1:, j] = term.sum(axis=1)
-        moments[1, 1:, j] = (term * wb).sum(axis=1)
-        term *= u
+        if not unit_weight:
+            moments[1, 1:, j] = (term * wb).sum(axis=1)
+    if unit_weight:
+        # term * 1.0 is term, bit for bit
+        moments[1] = moments[0]
     return np.cumsum(moments, axis=1)
 
 
@@ -170,20 +187,28 @@ def phase_space_tables(problem: ProblemSpec,
     """Sort the inside nodes of grid by Vtilde and store the prefix
     moments, so that every volume can be evaluated at any level."""
     vt, grad_sq = _nodes(problem, grid)
-    # a stable sort keeps tied nodes in grid order on every platform
-    order = np.argsort(vt, kind="stable")
+    # a varying w needs a stable sort, since the order of tied nodes sets
+    # the order in which their weights are summed.  With one constant w
+    # any tie order gives the same vt, weights and moments, and lip_at
+    # reads the running maximum only at the end of a tie group
+    weight = problem.w.evaluate(()) if isinstance(problem.w, Const) \
+        else None
+    order = np.argsort(vt, kind="stable" if weight is None else None)
     vt = vt[order]
     lip_nodes = grad_sq[order]
     # free the grid-order copies before the moments add their temporaries
     del grad_sq
     np.maximum.accumulate(lip_nodes, out=lip_nodes)
     np.sqrt(lip_nodes, out=lip_nodes)
-    w = np.asarray(grid.inside_values(problem.w), dtype=float)[order]
+    if weight is None:
+        w = np.asarray(grid.inside_values(problem.w), dtype=float)[order]
+    else:
+        w = np.broadcast_to(weight, vt.shape)
     del order
 
     moments = None
     if problem.nu % 2 == 0:
-        moments = _block_moments(vt, w, problem.nu // 2 + 1)
+        moments = _block_moments(vt, w, problem.nu // 2 + 1, weight == 1.0)
     return PhaseSpaceData(
         nu=problem.nu, vt_nodes=vt, w_nodes=w, lip_nodes=lip_nodes,
         cell_volume=grid.cell_volume, block_moments=moments)
@@ -200,9 +225,13 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     lands on the root is settled by the next one, and it bisects where the
     secant leaves the bracket or the last three steps did not halve it (a
     kink of Phi_1 at a node, seen at ulp scale).  Every level goes through
-    phi1_at, and the bracket keeps Phi_1(lo) < k <= Phi_1(hi).  A level
-    whose Phi_1 does not land within 1e-6 relative of k is refused with a
-    ValueError."""
+    phi1_at, and the bracket keeps Phi_1(lo) < k <= Phi_1(hi).  It stops
+    at a width of 1e-15 max(1, |hi|) once Phi_1(hi) lands within 1e-6
+    relative of k.  A level below 1 that has not landed there keeps
+    closing, to 1e-15 max(|hi|, min(1, hi - floor)): relative to the
+    level, or to its height above a negative floor, so that it settles
+    even where Phi_1 climbs from 0 to k within 1e-15 of the floor.  A
+    level whose Phi_1 still does not land is refused with a ValueError."""
     if k <= 0:
         raise ValueError("k must be positive")
     floor = float(psd.vt_nodes[0])
@@ -220,13 +249,20 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     spans = [math.inf] * 3          # the bracket three to one steps back
     # near machine-tight: the flat-potential coincidence checks compare
     # the resulting bound at absolute 1e-10 scale
-    while hi - lo > 1e-15 * max(1.0, abs(hi)):
+    tight = False
+    while True:
+        unit = min(1.0, hi - floor) if tight else 1.0
+        if hi - lo <= 1e-15 * max(unit, abs(hi)):
+            if tight or value <= k * (1.0 + 1e-6):
+                break
+            tight = True
+            continue
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo <= x <= hi or hi - lo > 0.5 * spans[0]:
             x = 0.5 * (lo + hi)
             moved = 0
         spans = spans[1:] + [hi - lo]
-        nudge = min(0.5e-15 * max(1.0, abs(lo), abs(hi)), 0.5 * (hi - lo))
+        nudge = min(0.5e-15 * max(unit, abs(lo), abs(hi)), 0.5 * (hi - lo))
         x = min(max(x, lo + nudge), hi - nudge)
         phi = psd.phi1_at(x)
         f_x = phi - k
@@ -241,9 +277,9 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
                 f_hi *= m if m > 0 else 0.5
             lo, f_lo, moved = x, f_x, -1
     if not (k <= value <= k * (1.0 + 1e-6)):
-        # the level is settled to 1e-15 max(1, |Lambda|) only, which is too
+        # the level is settled to about 1e-15 relative only, which is too
         # coarse when Phi_1 climbs from 0 to k over less than about 1e-9
-        # (a tiny fractional k, or a domain of enormous volume)
+        # of the level (a tiny fractional k right above the floor)
         raise ValueError(
             f"Lambda(k) for k = {k:.6g} cannot be resolved: Phi_1 at the "
             f"settled level {hi:.6g} is {value:.6g}, not within 1e-6 "

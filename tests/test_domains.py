@@ -133,3 +133,18 @@ class TestQuadrature:
         g = QuadratureGrid(Disk(1.0), 64)
         vals = g.inside_values(parse_field("x", 2))
         assert vals.shape == (int(g.mask.sum()),)
+
+    @pytest.mark.parametrize("domain,n,source", [
+        (Box((2.0, 1.0)), (8, 5), "x*y + 2"),
+        (Box((2.0, 1.0)), (8, 5), "3"),
+        (Box((1.0, 1.0, 2.0)), (4, 3, 5), "x + y^2*z"),
+        (TorusFundamental((1.0, 0.0), (0.5, 1.0)), 6, "x - y")])
+    def test_inside_values_of_a_full_mask_match_the_gather(self, domain, n,
+                                                           source):
+        # a full mask is read without the boolean gather: same values, in
+        # the same order
+        g = QuadratureGrid(domain, n)
+        f = parse_field(source, domain.nu)
+        assert g.mask.all()
+        assert g.inside_values(f).tobytes() == \
+            g.evaluate(f)[g.mask].tobytes()

@@ -15,7 +15,8 @@ from spectral_bounds.bounds import bound_context, kroger_avg_bound
 from spectral_bounds.domains import Box, Disk, QuadratureGrid
 from spectral_bounds.expressions import differentiate
 from spectral_bounds.fdsolver import assemble, solve_lowest
-from spectral_bounds.phasespace import (_BLOCK, PhaseSpaceData, lambda_of_k,
+from spectral_bounds.phasespace import (_BLOCK, PhaseSpaceData,
+                                        _block_moments, lambda_of_k,
                                         phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
@@ -103,23 +104,29 @@ def test_lambda_of_k_needs_positive_k():
         lambda_of_k(psd, 0)
 
 
-@pytest.mark.parametrize("case", ["tiny-k", "huge-volume"])
+@pytest.mark.parametrize("case", ["tiny-k"])
 def test_lambda_of_k_refuses_a_level_it_cannot_resolve(case):
-    # the level is settled to an absolute 1e-15 while |Lambda| < 1, so
-    # Phi_1 cannot land within 1e-6 of k when it climbs from 0 to k over
-    # much less than that: a tiny k at the second node of an oscillator,
-    # or k = 1 on an interval of length 1e9
-    if case == "tiny-k":
-        prob = ProblemSpec(Box((2.0,) * 3, origin=(-1.0,) * 3),
-                           V="x^2 + y^2 + 2*z^2")
-        psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 40))
-        k = psd.phi1_at(float(psd.vt_nodes[1]))
-    else:
-        prob = ProblemSpec(Box((1e9,)))
-        psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 16))
-        k = 1
+    # a tiny k at the second node of an oscillator: Phi_1 climbs from 0 to
+    # k within about 1e-15 of a floor of 0.0025, less than the ulps of the
+    # level can resolve, so Phi_1 cannot land within 1e-6 of k
+    prob = ProblemSpec(Box((2.0,) * 3, origin=(-1.0,) * 3),
+                       V="x^2 + y^2 + 2*z^2")
+    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 40))
+    k = psd.phi1_at(float(psd.vt_nodes[1]))
     with pytest.raises(ValueError, match="cannot be resolved"):
         lambda_of_k(psd, k)
+
+
+@pytest.mark.parametrize("k", [1e-3, 1, 2, 3])
+def test_lambda_of_k_settles_a_level_far_below_one(k):
+    # on an interval of length 1e9, Phi_1(L) = 1e9 sqrt(L)/pi reaches k at
+    # L = (pi k/1e9)^2, about 1e-17: an absolute stop width of 1e-15 would
+    # leave Phi_1 near 7 at k = 1
+    prob = ProblemSpec(Box((1e9,)))
+    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 16))
+    lam = lambda_of_k(psd, k)
+    assert lam == pytest.approx((math.pi * k / 1e9) ** 2, rel=1e-14)
+    assert k <= psd.phi1_at(lam) <= k * (1 + 1e-14)
 
 
 @pytest.mark.parametrize("floor", [0.0, -1e4])
@@ -342,3 +349,66 @@ def test_sorted_kernel_matches_direct_sweep(case):
                           (psd.ew_at(lam), ew)):
             assert abs(got - want) <= 1e-12 * abs(want), (lam, got, want)
         assert psd.lip_at(lam) == lip
+
+
+def stable_order_tables(prob, grid):
+    """The tables as a stable sort builds them: tied nodes in grid order,
+    every weight evaluated at its node, and the weighted moments summed
+    from the gathered weights."""
+    vt_expr = prob.effective_potential()
+    vt = grid.inside_values(vt_expr)
+    grad_sq = np.zeros_like(vt)
+    for axis in range(prob.nu):
+        grad_sq += grid.inside_values(differentiate(vt_expr, axis)) ** 2
+    order = np.argsort(vt, kind="stable")
+    w = grid.inside_values(prob.w)[order]
+    moments = None
+    if prob.nu % 2 == 0:
+        moments = _block_moments(vt[order], w, prob.nu // 2 + 1, False)
+    return PhaseSpaceData(
+        nu=prob.nu, vt_nodes=vt[order], w_nodes=w,
+        lip_nodes=np.sqrt(np.maximum.accumulate(grad_sq[order])),
+        cell_volume=grid.cell_volume, block_moments=moments)
+
+
+TIE_CASES = {
+    # every node ties with its mirror images and with its coordinate
+    # permutations, so a tie group holds up to 8 (2-D) or 48 (3-D) nodes
+    "osc2-w1": (ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
+                            V="1.1*(x^2 + y^2)"), 96),
+    "osc2-w2.5": (ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
+                              V="1.1*(x^2 + y^2)", w="2.5"), 96),
+    "osc3-w1": (ProblemSpec(Box((6.0,) * 3, origin=(-3.0,) * 3),
+                            V="1.1*(x^2 + y^2 + z^2)"), 24),
+    "osc3-w2.5": (ProblemSpec(Box((6.0,) * 3, origin=(-3.0,) * 3),
+                              V="1.1*(x^2 + y^2 + z^2)", w="2.5"), 24),
+    # nodes swapped across the diagonal tie but differ in w, so the
+    # order of a tie group sets the order of the weighted sums
+    "osc2-varying-w": (ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
+                                   V="1.1*(x^2 + y^2)", w="1 + 0.05*x"),
+                       96),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+def test_tables_bit_identical_to_the_stable_order(case):
+    prob, n = TIE_CASES[case]
+    grid = QuadratureGrid(prob.domain, n)
+    psd = phase_space_tables(prob, grid)
+    ref = stable_order_tables(prob, grid)
+    # the ties are real: an unstable sort reorders them
+    raw = grid.inside_values(prob.effective_potential())
+    assert not np.array_equal(np.argsort(raw),
+                              np.argsort(raw, kind="stable"))
+    vt = ref.vt_nodes
+    assert psd.vt_nodes.tobytes() == vt.tobytes()
+    assert np.array_equal(psd.w_nodes, ref.w_nodes)
+    if prob.nu % 2 == 0:
+        assert vt.size > 2 * _BLOCK
+        assert psd.block_moments.tobytes() == ref.block_moments.tobytes()
+    for lam in np.unique(vt):
+        assert psd.lip_at(float(lam)) == ref.lip_at(float(lam)), lam
+    fake = Spectrum(np.zeros(60), cutoff=0.0)
+    for k in (1, 2, 5, 17, 40):
+        assert phase_space_sum_bound(k, psd, fake) == \
+            phase_space_sum_bound(k, ref, fake)

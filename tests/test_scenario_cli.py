@@ -526,6 +526,23 @@ def test_cli_phase_space_counts_potential_energy(tmp_path, capsys):
         assert 0.99 < float(slack) < 1.0
 
 
+def test_cli_phase_space_settles_levels_far_below_one(tmp_path, capsys):
+    # on an interval of length 1e9, Lambda(k) = (pi k/1e9)^2 is about
+    # 1e-17, far below an absolute stop width of 1e-15; the flat potential
+    # makes the bound E_w(Lambda(k)) = pi^2 k^3/(3 L^2)
+    cfg = scenario_with(
+        tmp_path, domain={"type": "box", "sides": [1e9]}, grid={"n": 16},
+        spectrum={"source": "fd", "count": 3},
+        bounds=[{"kind": "phase-space-sum", "k": [1, 2, 3]}])
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 0
+    assert "0 errors" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "o" / "square.json").read_text())
+    bounds = [b["bound"] for b in payload["bounds"]]
+    assert bounds == pytest.approx(
+        [math.pi ** 2 * k ** 3 / 3e18 for k in (1, 2, 3)], rel=1e-13)
+
+
 def test_cli_run_byte_identical(tmp_path):
     cfg = scenario_with(tmp_path)
     assert main(["run", "--config", str(cfg), "--out",
