@@ -208,11 +208,13 @@ class QuadratureGrid:
         """Quadrature volume: cell volume times the number of inside nodes."""
         return float(self.mask.sum()) * self.cell_volume
 
-    def inside_values(self, f: ScalarFieldExpr) -> np.ndarray:
-        """Field values flattened over the inside nodes, in C order.  On a
-        full mask that is every node, read without a boolean gather (and
-        possibly as a read-only view)."""
-        values = self.evaluate(f)
+    def inside_values(self, f) -> np.ndarray:
+        """Values of a field, or of an array that broadcasts to `shape`,
+        flattened over the inside nodes, in C order.  On a full mask that
+        is every node, read without a boolean gather (and possibly as a
+        read-only view)."""
+        values = self.evaluate(f) if isinstance(f, ScalarFieldExpr) \
+            else np.broadcast_to(f, self.shape)
         if self.mask.all():
             return values.reshape(-1)
         return values[self.mask]

@@ -157,8 +157,7 @@ def _nodes(problem: ProblemSpec, grid: QuadratureGrid):
         # a term in x alone, before the sum broadcasts to the grid
         grad_sq = sum(np.asarray(differentiate(vt_expr, axis).evaluate(
             coords), dtype=float) ** 2 for axis in range(problem.nu))
-    grad_sq = np.broadcast_to(grad_sq, grid.shape)
-    return vt, grad_sq.reshape(-1) if grid.mask.all() else grad_sq[grid.mask]
+    return vt, grid.inside_values(grad_sq)
 
 
 def _block_moments(vt: np.ndarray, w: np.ndarray, top: int,
@@ -230,8 +229,10 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     relative of k.  A level below 1 that has not landed there keeps
     closing, to 1e-15 max(|hi|, min(1, hi - floor)): relative to the
     level, or to its height above a negative floor, so that it settles
-    even where Phi_1 climbs from 0 to k within 1e-15 of the floor.  A
-    level whose Phi_1 still does not land is refused with a ValueError."""
+    even where Phi_1 climbs from 0 to k within 1e-15 of the floor.  Both
+    widths are at least two ulps of hi, so a level near a floor of 0 in
+    the subnormal range stops too.  A level whose Phi_1 still does not
+    land is refused with a ValueError."""
     if k <= 0:
         raise ValueError("k must be positive")
     floor = float(psd.vt_nodes[0])
@@ -252,7 +253,10 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     tight = False
     while True:
         unit = min(1.0, hi - floor) if tight else 1.0
-        if hi - lo <= 1e-15 * max(unit, abs(hi)):
+        # a bracket wider than two ulps of hi has a float strictly inside
+        # for the next step; at a subnormal level 1e-15 |hi| is below an
+        # ulp of hi, or underflows to 0, and could never be reached
+        if hi - lo <= max(1e-15 * max(unit, abs(hi)), 2.0 * math.ulp(hi)):
             if tight or value <= k * (1.0 + 1e-6):
                 break
             tight = True

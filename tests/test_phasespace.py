@@ -129,6 +129,34 @@ def test_lambda_of_k_settles_a_level_far_below_one(k):
     assert k <= psd.phi1_at(lam) <= k * (1 + 1e-14)
 
 
+@pytest.mark.parametrize("side", [1e155, 1e160, 1e163, 1e200])
+def test_lambda_of_k_stops_at_subnormal_levels(side):
+    # Lambda(k) = (pi k/side)^2 falls near or into the subnormal range,
+    # where 1e-15 |hi| is below an ulp of hi or underflows to 0: the
+    # bracket must still stop, with a settled level or a ValueError
+    prob = ProblemSpec(Box((side,)))
+    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, 16))
+    phi1_at, sweeps = psd.phi1_at, []
+
+    def counted(lam):
+        sweeps.append(lam)
+        if len(sweeps) > 200:
+            raise AssertionError("lambda_of_k does not stop")
+        return phi1_at(lam)
+
+    psd.phi1_at = counted
+    for k in (1, 2, 3):
+        sweeps.clear()
+        try:
+            lam = lambda_of_k(psd, k)
+        except ValueError as exc:
+            assert "cannot be resolved" in str(exc)
+            assert side > 1e155
+        else:
+            assert k <= phi1_at(lam) <= k * (1 + 1e-6)
+            assert lam == pytest.approx((math.pi * k / side) ** 2, rel=1e-6)
+
+
 @pytest.mark.parametrize("floor", [0.0, -1e4])
 def test_lambda_of_k_far_above_the_spectrum(floor):
     # Phi_1(L) = (L - floor)/(4 pi) on the unit square: Lambda(900) lies

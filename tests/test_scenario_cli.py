@@ -543,6 +543,24 @@ def test_cli_phase_space_settles_levels_far_below_one(tmp_path, capsys):
         [math.pi ** 2 * k ** 3 / 3e18 for k in (1, 2, 3)], rel=1e-13)
 
 
+def test_cli_phase_space_refuses_subnormal_levels(tmp_path):
+    # on an interval of length 1e160, Lambda(k) is about 1e-319, a
+    # subnormal whose ulps are too coarse to land Phi_1 within 1e-6 of k:
+    # every level is refused, in a run that ends
+    cfg = scenario_with(
+        tmp_path, domain={"type": "box", "sides": [1e160]}, grid={"n": 16},
+        spectrum={"source": "fd", "count": 3},
+        bounds=[{"kind": "phase-space-sum", "k": [1, 2, 3]}])
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectral_bounds.cli", "run",
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "3 errors" in proc.stderr
+    assert proc.stderr.count("cannot be resolved") == 3
+
+
 def test_cli_run_byte_identical(tmp_path):
     cfg = scenario_with(tmp_path)
     assert main(["run", "--config", str(cfg), "--out",
