@@ -36,10 +36,9 @@ from .problem import ProblemSpec, effective_potential
 from .special import (Lattice2, bessel_first_zero, bessel_j, hex_heat_floor,
                       hex_theta, lattice_heat_trace,
                       lattice_heat_trace_poisson, unit_ball_volume)
-from .spectra import (HeatTraceResult, HomogeneousSpectrum, Spectrum,
-                      SpectrumRangeError, TailModel, heat_trace,
-                      rectangle_neumann_exact, riesz_mean_1, shifted_spectrum,
-                      sphere_spectrum, torus_spectrum)
+from .spectra import (HomogeneousSpectrum, Spectrum, SpectrumRangeError,
+                      heat_trace, rectangle_neumann_exact, riesz_mean_1,
+                      shifted_spectrum, sphere_spectrum, torus_spectrum)
 from .fdsolver import (ConvergenceStudy, DiscreteForm, SolveResult,
                        SolverConvergenceError, assemble, convergence_study,
                        solve_lowest, solve_lowest_detailed)
@@ -71,8 +70,7 @@ __all__ = [
     # spectra and spectral functionals
     "Spectrum", "HomogeneousSpectrum", "SpectrumRangeError",
     "rectangle_neumann_exact", "torus_spectrum", "sphere_spectrum",
-    "shifted_spectrum", "riesz_mean_1",
-    "TailModel", "HeatTraceResult", "heat_trace",
+    "shifted_spectrum", "riesz_mean_1", "heat_trace",
     # solver
     "DiscreteForm", "SolveResult",
     "SolverConvergenceError", "assemble", "solve_lowest",

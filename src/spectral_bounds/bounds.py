@@ -182,7 +182,7 @@ def heat_report(kind: str, minorant, t: float,
     Laplace transform.  The omitted tail is positive, so a passing report
     is conservative."""
     bound = minorant.heat(t)
-    computed = math.exp(t * minorant.shift) * heat_trace(spectrum, t).truncated
+    computed = math.exp(t * minorant.shift) * heat_trace(spectrum, t)
     return make_report(kind, t, bound, computed, "lower",
                        notes=(minorant.heat_note,))
 

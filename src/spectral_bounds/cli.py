@@ -109,21 +109,21 @@ def _cmd_spectrum(args) -> int:
     from .domains import QuadratureGrid
     from .scenario import _scenario_spectrum
 
+    if args.count is not None and args.count < 0:
+        raise ValueError(f"--count: must be >= 0, got {args.count}")
     scenario = load_scenario(args.config)
     grid = QuadratureGrid(scenario.problem.domain, scenario.grid_n)
     spectrum, summary = _scenario_spectrum(
         scenario, grid, bound_context(scenario.problem, grid))
-    count = len(spectrum) if args.count is None else min(args.count,
-                                                         len(spectrum))
     if args.json:
         payload = spectrum.to_json_dict()
-        payload["values"] = payload["values"][:count]
+        payload["values"] = payload["values"][:args.count]
         payload["summary"] = summary
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"# source={summary['source']} count={summary['count']} "
               f"cutoff={summary['cutoff']:.12g}")
-        for i, v in enumerate(spectrum.values[:count]):
+        for i, v in enumerate(spectrum.values[:args.count]):
             print(f"{i}\t{float(v)!r}")
     return 0
 
@@ -241,9 +241,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    # bad fields, grid or spectrum request, overflow on extreme sizes, or a
-    # geometry the fd solver does not support
-    except (ValueError, ArithmeticError, NotImplementedError) as exc:
+    # bad fields, grid or spectrum request, overflow on extreme sizes, a
+    # geometry the fd solver does not support, or a path it cannot open
+    except (ValueError, ArithmeticError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

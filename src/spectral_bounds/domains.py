@@ -230,12 +230,7 @@ def mean_value(f: ScalarFieldExpr, grid: QuadratureGrid) -> float:
     return float(vals.sum() / vals.size)
 
 
-def domain_volume(domain: Domain, grid: Optional[QuadratureGrid] = None) -> float:
+def domain_volume(domain: Domain, grid: QuadratureGrid) -> float:
     """|Omega|: exact where a closed form exists, quadrature otherwise."""
     exact = domain.exact_volume()
-    if exact is not None:
-        return exact
-    if grid is None:
-        raise ValueError(
-            f"{type(domain).__name__} volume requires a quadrature grid")
-    return grid.measure()
+    return grid.measure() if exact is None else exact

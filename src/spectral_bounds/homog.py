@@ -8,7 +8,9 @@ volume fraction as constant (`ReferenceMinorant`): Riesz means dominate
 R, interpolated partial sums are dominated by its Legendre conjugate
 (the reference sum at the index rescaled by the inverse fraction), and
 heat traces dominate its Laplace transform, the reference trace with the
-fraction in front.  For Omega = M these collapse to termwise bounds.
+fraction in front; the reference levels above its cutoff are left out,
+which only lowers the bound.  For Omega = M these collapse to termwise
+bounds.
 `bounds.sum_report`, `riesz_report` and `heat_report` turn a read into a
 report.
 
@@ -24,14 +26,12 @@ Riesz minorant, and keeps its own evaluator.
 from __future__ import annotations
 
 from math import exp
-from typing import Optional
 
 from .bounds import BoundContext
 from .domains import TorusFundamental
 from .report import BoundReport, make_report
 from .special import hex_heat_floor
-from .spectra import (HomogeneousSpectrum, Spectrum, TailModel, heat_trace,
-                      riesz_mean_1)
+from .spectra import HomogeneousSpectrum, Spectrum, heat_trace, riesz_mean_1
 
 __all__ = [
     "ReferenceMinorant",
@@ -41,25 +41,18 @@ __all__ = [
 
 class ReferenceMinorant:
     """R(z) = vol_ratio * sum (z - lambda~_j)_+ over a shifted homogeneous
-    reference spectrum, flattened once.
-
-    The heat read adds the reference tail estimate when a model is given,
-    which makes the comparison harder to satisfy, hence still
-    conservative.
-    """
+    reference spectrum, flattened once and known up to its cutoff."""
 
     shift = 0.0
-    heat_note = ("computed side truncated; reference side includes its "
-                 "tail estimate")
+    heat_note = ("computed side truncated at the spectrum cutoff; reference "
+                 "side truncated at its own, which only lowers the bound")
 
-    def __init__(self, shifted: HomogeneousSpectrum, vol_ratio: float,
-                 tail: Optional[TailModel] = None):
+    def __init__(self, shifted: HomogeneousSpectrum, vol_ratio: float):
         if not 0 < vol_ratio <= 1 + 1e-12:
             raise ValueError(
                 f"volume ratio must lie in (0, 1], got {vol_ratio}")
         self.reference = shifted.flatten()
         self.vol_ratio = vol_ratio
-        self.tail = tail
 
     def riesz(self, z: float) -> float:
         """R(z)."""
@@ -70,9 +63,8 @@ class ReferenceMinorant:
         return self.vol_ratio * self.reference.partial_sum(p / self.vol_ratio)
 
     def heat(self, t: float) -> float:
-        """t^2 int exp(-t z) R(z) dz = vol_ratio * sum exp(-t lambda~_j),
-        plus the tail estimate."""
-        return self.vol_ratio * heat_trace(self.reference, t, self.tail).total
+        """t^2 int exp(-t z) R(z) dz = vol_ratio * sum exp(-t lambda~_j)."""
+        return self.vol_ratio * heat_trace(self.reference, t)
 
 
 def heat_torus_bound(ctx: BoundContext, t: float,
@@ -89,7 +81,7 @@ def heat_torus_bound(ctx: BoundContext, t: float,
     if not isinstance(ctx.domain, TorusFundamental):
         raise ValueError("heat_torus_bound needs a torus domain")
     bound = exp(-t * ctx.vw_mean) * hex_heat_floor(ctx.w_mean * t, ctx.volume)
-    computed = heat_trace(spectrum, t).truncated
+    computed = heat_trace(spectrum, t)
     return make_report("heat-torus", t, bound, computed, "lower",
                        notes=("hexagonal comparison lattice of equal "
                               "covolume (sharp constant)",

@@ -35,7 +35,6 @@ class ProblemSpec:
     w: ScalarFieldExpr = None
     rho: ScalarFieldExpr = None
     V: ScalarFieldExpr = None
-    label: str = ""
 
     def __post_init__(self):
         nu = self.domain.nu

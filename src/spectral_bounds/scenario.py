@@ -23,10 +23,11 @@ anything is allocated, a grid of more than _MAX_NODES nodes, a spectrum
 of more than _MAX_NODES values (count, or exact-sphere through l_max) and
 an fd count x grid nodes above _MAX_VECTOR_ENTRIES.  A grid resolution
 (grid.n, a phase-space grid_n) must be an integer, and so must every k,
-in [1, _MAX_NODES]: none is truncated or left to overflow.  Every exact
-source applies the affine shift Lambda -> w_mean Lambda + vweff_mean to
-the bare Laplacian values, which matches the operator exactly when the
-fields are constant.
+in [1, _MAX_NODES]: none is truncated or left to overflow.  Every number
+must be finite, and the label, which names the output files, a plain
+file name.  Every exact source applies the affine shift Lambda ->
+w_mean Lambda + vweff_mean to the bare Laplacian values, which matches
+the operator exactly when the fields are constant.
 
 Each bound entry names a kind, the list of values of its parameter key,
 and the numeric options that kind reads; any other key is rejected.  The
@@ -57,6 +58,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -184,7 +186,16 @@ def _check_sphere_size(nu: int, l_max: int):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float, not a bool, as the file parse hooks demand."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def _number(mapping: dict, key: str, path: str, default=_REQUIRED):
+    value = _expect(mapping, key, None, path, default)
+    if key in mapping and not _is_number(value):
+        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
+    return value
 
 
 def _vector(mapping: dict, key: str, path: str, length=None,
@@ -193,7 +204,7 @@ def _vector(mapping: dict, key: str, path: str, length=None,
         return default
     value = _expect(mapping, key, list, path)
     if not all(_is_number(v) for v in value):
-        raise ScenarioError(f"{path}.{key}: expected a list of numbers")
+        raise ScenarioError(f"{path}.{key}: expected a list of finite numbers")
     if length is not None and len(value) != length:
         raise ScenarioError(f"{path}.{key}: expected {length} entries")
     return [float(v) for v in value]
@@ -211,7 +222,7 @@ def _parse_domain(data: dict, path: str):
         return Box(tuple(sides),
                    None if origin is None else tuple(origin))
     if kind == "disk":
-        radius = _expect(data, "radius", (int, float), path)
+        radius = _number(data, "radius", path)
         center = _vector(data, "center", path, length=2, default=[0.0, 0.0])
         return Disk(float(radius), tuple(center))
     if kind == "masked_box":
@@ -257,6 +268,8 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
         raise ScenarioError("$: document must be an object")
     _known(data, _TOP_KEYS, "$", "a scenario")
     label = _expect(data, "label", str, "$", default=label)
+    if label in ("", ".", "..") or "/" in label or "\\" in label:
+        raise ScenarioError(f"$.label: {label!r} is not a plain file name")
     domain = _parse_domain(_expect(data, "domain", dict, "$"), "domain")
 
     fields = _expect(data, "fields", dict, "$", default={})
@@ -265,7 +278,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
             raise ScenarioError(
                 f"fields.{name}: unknown field (expected w, rho or V)")
     try:
-        problem = ProblemSpec(domain, label=label, **{
+        problem = ProblemSpec(domain, **{
             name: _expect(fields, name, str, "fields", default=None)
             for name in _FIELDS})
     except FieldSyntaxError as exc:
@@ -300,7 +313,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
         _check_size(count * math.prod(grid_n), _MAX_VECTOR_ENTRIES,
                     "spectrum.count", "eigenvector entries (count x grid "
                     "nodes)")
-    cutoff = _expect(spec, "cutoff", (int, float), "spectrum", default=None)
+    cutoff = _number(spec, "cutoff", "spectrum", default=None)
     sphere_nu = _expect(spec, "nu", int, "spectrum", default=None)
     sphere_l_max = _expect(spec, "l_max", int, "spectrum", default=None)
     if sphere_nu is not None and sphere_l_max is not None:
@@ -309,8 +322,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     if method not in (None, "dense", "iterative"):
         raise ScenarioError(
             "spectrum.method: expected 'dense' or 'iterative'")
-    tolerance = float(_expect(spec, "tolerance", (int, float), "spectrum",
-                              default=1e-8))
+    tolerance = float(_number(spec, "tolerance", "spectrum", default=1e-8))
 
     bounds: List[BoundRequest] = []
     for i, entry in enumerate(_expect(data, "bounds", list, "$", default=[])):
@@ -330,12 +342,8 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
                 if not (p.is_integer() and 1 <= p <= _MAX_NODES):
                     raise ScenarioError(f"{bpath}.k: expected integers in "
                                         f"[1, {_MAX_NODES}], got {p:g}")
-        options = {}
-        for name in option_keys:
-            if name in entry:
-                if not _is_number(entry[name]):
-                    raise ScenarioError(f"{bpath}.{name}: expected a number")
-                options[name] = float(entry[name])
+        options = {name: float(_number(entry, name, bpath))
+                   for name in option_keys if name in entry}
         if "grid_n" in options:
             n = options["grid_n"]
             if not (n.is_integer() and n >= 2):

@@ -34,6 +34,7 @@ __all__ = [
 
 _SERIES_CUTOFF = 12.0
 _SHELL_TOL = 1e-15
+_ZERO_TOL = 1e-10        # bisection tolerance of bessel_first_zero
 
 
 def unit_ball_volume(nu: int) -> float:
@@ -108,11 +109,11 @@ def bessel_j(p: float, x: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def bessel_first_zero(p: float, tol: float = 1e-10) -> float:
+def bessel_first_zero(p: float) -> float:
     """First positive zero of J_p for 0 <= p <= 50.
 
     The zero lies in [max(p, 1), p + 3 p^(1/3) + 3]; the interval is scanned
-    for the first sign change and the change is bisected to `tol`.  Each
+    for the first sign change and the change is bisected to _ZERO_TOL.  Each
     call costs a few hundred Bessel series, so the zeros are kept per order.
     """
     if not 0.0 <= p <= 50.0:
@@ -121,20 +122,17 @@ def bessel_first_zero(p: float, tol: float = 1e-10) -> float:
     hi = p + 3.0 * p ** (1.0 / 3.0) + 3.0
     samples = 256
     a, fa = lo, bessel_j(p, lo)
-    bracket = None
     for i in range(1, samples + 1):
         b = lo + (hi - lo) * i / samples
         fb = bessel_j(p, b)
         if fa == 0.0:
             return a
         if fa * fb < 0.0:
-            bracket = (a, b, fa)
             break
         a, fa = b, fb
-    if bracket is None:
+    else:
         raise ArithmeticError(f"no sign change of J_{p} in [{lo}, {hi}]")
-    a, b, fa = bracket
-    while b - a > tol * 0.25:
+    while b - a > _ZERO_TOL * 0.25:
         mid = 0.5 * (a + b)
         fm = bessel_j(p, mid)
         if fm == 0.0:
@@ -245,7 +243,7 @@ def lattice_heat_trace_poisson(lattice: Lattice2, t: float) -> float:
     return covol / (4.0 * math.pi * t) * lattice.gaussian_sum(1.0 / (4.0 * t))
 
 
-def hex_heat_floor(t: float, covolume: float = 1.0) -> float:
+def hex_heat_floor(t: float, covolume: float) -> float:
     """Sharp lower bound for lattice_heat_trace over lattices of the given
     covolume; equality holds exactly for the hexagonal lattice.
 

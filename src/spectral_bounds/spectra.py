@@ -9,11 +9,11 @@ first Riesz mean
 
     R1(z) = sum over j of (z - mu_j)_+,
 
-and truncated heat traces with an optional Weyl-law tail estimate,
-reported separately so that comparisons can stay one-sided.  The partial
-sum at order p is the Legendre conjugate sup_z (p z - R1(z)), and the heat
-trace is the Laplace transform t^2 int exp(-t z) R1(z) dz; the minorants
-of `bounds` and `homog` are read through these same two transforms.
+and heat traces truncated at the cutoff.  The partial sum at order p is
+the Legendre conjugate sup_z (p z - R1(z)), and the heat trace is the
+Laplace transform t^2 int exp(-t z) R1(z) dz; the minorants of `bounds`
+and `homog` are read through these same two transforms.  No tail beyond
+the cutoff is ever estimated: every bound side stays a proven one.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "Spectrum",
     "HomogeneousSpectrum",
     "SpectrumRangeError",
-    "TailModel",
-    "HeatTraceResult",
     "rectangle_neumann_exact",
     "torus_spectrum",
     "sphere_spectrum",
@@ -100,16 +98,10 @@ class HomogeneousSpectrum:
     cutoff: float
     source: str = ""
 
-    def flatten(self, cutoff: Optional[float] = None) -> Spectrum:
-        limit = self.cutoff if cutoff is None else cutoff
-        if limit > self.cutoff * (1 + 1e-12) and limit > self.cutoff + 1e-12:
-            raise SpectrumRangeError(
-                f"requested cutoff {limit} beyond enumerated {self.cutoff}")
-        out: List[float] = []
-        for value, mult in self.levels:
-            if value <= limit:
-                out.extend([value] * mult)
-        return Spectrum(np.array(out), limit, self.source)
+    def flatten(self) -> Spectrum:
+        # a torus level enumerated within 1e-12 above the cutoff stays out
+        out = [v for v, m in self.levels if v <= self.cutoff for _ in range(m)]
+        return Spectrum(np.array(out), self.cutoff, self.source)
 
     def count(self) -> int:
         return sum(m for _, m in self.levels)
@@ -233,74 +225,9 @@ def riesz_mean_1(s: Spectrum, z: float) -> float:
     return float(np.clip(z - s.values, 0.0, None).sum())
 
 
-@dataclass(frozen=True)
-class TailModel:
-    """Weyl-law counting model N(z) = omega_nu volume / (2 pi)^nu *
-    ((z - shift)/w_mean)_+^(nu/2) used to estimate truncated heat-trace
-    tails."""
-
-    volume: float
-    nu: int
-    w_mean: float = 1.0
-    shift: float = 0.0
-
-    def counting(self, z: float) -> float:
-        base = max(z - self.shift, 0.0) / self.w_mean
-        kappa = unit_ball_volume(self.nu) * self.volume / \
-            (2.0 * math.pi) ** self.nu
-        return kappa * base ** (self.nu / 2.0)
-
-    def tail(self, t: float, cutoff: float) -> float:
-        """integral over z > cutoff of exp(-z t) dN(z)."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        kappa = unit_ball_volume(self.nu) * self.volume / \
-            (2.0 * math.pi) ** self.nu
-        a = self.nu / 2.0
-        x = max(cutoff - self.shift, 0.0) * t
-        return kappa * a * (t * self.w_mean) ** (-a) * \
-            math.exp(-self.shift * t) * _upper_incomplete_gamma(a, x)
-
-
-def _upper_incomplete_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) for a = nu/2 with nu a positive integer."""
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    twice = round(2 * a)
-    if abs(2 * a - twice) > 1e-12 or twice < 1:
-        raise ValueError("only integer and half-integer a are supported")
-    if twice % 2 == 0:
-        # integer a: Gamma(1, x) = e^-x, then recurrence upward
-        value = math.exp(-x)
-        base = 1.0
-    else:
-        value = math.sqrt(math.pi) * math.erfc(math.sqrt(x))
-        base = 0.5
-    while base < a - 1e-12:
-        value = base * value + x ** base * math.exp(-x)
-        base += 1.0
-    return value
-
-
-@dataclass(frozen=True)
-class HeatTraceResult:
-    truncated: float
-    tail: float
-
-    @property
-    def total(self) -> float:
-        return self.truncated + self.tail
-
-
-def heat_trace(spec: Spectrum, t: float,
-               tail_model: Optional[TailModel] = None) -> HeatTraceResult:
-    """Truncated heat trace sum of exp(-mu t) with an optional Weyl tail.
-
-    The tail integrates the model counting function above the spectrum
-    cutoff; it is reported separately and never silently added.
-    """
+def heat_trace(spec: Spectrum, t: float) -> float:
+    """Heat trace truncated at the cutoff: sum of exp(-mu t) over the known
+    eigenvalues, a lower bound for the full trace."""
     if t <= 0:
         raise ValueError("t must be positive")
-    truncated = float(np.exp(-t * spec.values).sum())
-    tail = tail_model.tail(t, spec.cutoff) if tail_model is not None else 0.0
-    return HeatTraceResult(truncated, tail)
+    return float(np.exp(-t * spec.values).sum())

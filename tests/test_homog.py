@@ -19,8 +19,8 @@ from spectral_bounds.domains import QuadratureGrid, TorusFundamental
 from spectral_bounds.homog import ReferenceMinorant, heat_torus_bound
 from spectral_bounds.problem import ProblemSpec
 from spectral_bounds.special import Lattice2, hex_heat_floor
-from spectral_bounds.spectra import (HomogeneousSpectrum, TailModel,
-                                     heat_trace, rectangle_neumann_exact,
+from spectral_bounds.spectra import (HomogeneousSpectrum, heat_trace,
+                                     rectangle_neumann_exact,
                                      shifted_spectrum, torus_spectrum)
 
 CUTOFF = 4.0 * math.pi ** 2 * 30.0
@@ -100,15 +100,21 @@ def test_vol_ratio_validation(half_pair):
 
 def test_heat_compare_tail_raises_the_bar(half_pair):
     mu, ref = half_pair
-    # a short reference enumeration at small t leaves a visible tail
+    # the levels above a short reference enumeration would raise the
+    # bound at small t; left out, they keep it below the full reference's
     short = torus_spectrum(UNIT, 4.0 * math.pi ** 2 * 2.0)
-    tail = TailModel(nu=2, volume=1.0, w_mean=1.0, shift=0.0)
     t = 0.05
     plain = heat_report("homog-heat", ReferenceMinorant(short, 0.5), t, mu)
-    with_tail = heat_report("homog-heat",
-                            ReferenceMinorant(short, 0.5, tail=tail), t, mu)
-    assert with_tail.bound_value > plain.bound_value * (1.0 + 1e-4)
-    assert with_tail.holds
+    full = heat_report("homog-heat", ReferenceMinorant(ref, 0.5), t, mu)
+    assert full.bound_value > plain.bound_value * (1.0 + 1e-4)
+    assert plain.holds and full.holds
+    # the unit torus against itself cannot violate the comparison, also
+    # with the reference cut at 8 pi^2: 1.6328 <= 1.6347
+    same = heat_report("homog-heat", ReferenceMinorant(short, 1.0), t,
+                       ref.flatten())
+    assert same.bound_value == pytest.approx(1.6328, abs=1e-4)
+    assert same.computed_value == pytest.approx(1.6347, abs=1e-4)
+    assert same.holds
     with pytest.raises(ValueError, match="positive"):
         heat_report("homog-heat", ReferenceMinorant(ref, 0.5), 0.0, mu)
 
@@ -184,4 +190,4 @@ def test_heat_torus_bound_with_potential_shift():
     assert rep.holds
     # manual check of the computed side
     assert rep.computed_value == pytest.approx(
-        heat_trace(mu, t).truncated, rel=0)
+        heat_trace(mu, t), rel=0)

@@ -126,6 +126,15 @@ BAD_CASES = [
     ({**BASE, "spectrum": {"source": "exact-sphere", "nu": 2, "l_max": 4,
                            "count": 9}},
      r"spectrum\.count: exact-sphere reads no such key"),
+    # the label names the output files, which must stay inside --out
+    ({**BASE, "label": ""}, r"\$\.label: '' is not a plain file name"),
+    ({**BASE, "label": "."}, r"\$\.label: '\.' is not a plain file name"),
+    ({**BASE, "label": ".."}, r"\$\.label: '\.\.' is not a plain file name"),
+    ({**BASE, "label": "sub/x"}, r"\$\.label: 'sub/x' is not a plain"),
+    ({**BASE, "label": "../escaped"},
+     r"\$\.label: '\.\./escaped' is not a plain"),
+    ({**BASE, "label": "back\\slash"},
+     r"\$\.label: 'back\\\\slash' is not a plain"),
 ]
 
 
@@ -351,6 +360,65 @@ def test_cli_scenario_error_exit(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing-config", "out-is-a-file",
+                                  "spectrum-missing-config"])
+def test_cli_unusable_path_exits_2_in_one_line(tmp_path, capsys, case):
+    cfg = scenario_with(tmp_path)
+    missing = str(tmp_path / "nope.json")
+    argv = {"missing-config": ["run", "--config", missing,
+                               "--out", str(tmp_path / "o")],
+            "out-is-a-file": ["run", "--config", str(cfg), "--out", str(cfg)],
+            "spectrum-missing-config": ["spectrum", "--config", missing],
+            }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_label_cannot_write_outside_out(tmp_path, capsys):
+    cfg = scenario_with(tmp_path, label="../escaped")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("scenario error: $.label")
+    assert not (tmp_path / "escaped.json").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override,match", [
+    ({"domain": {"type": "disk", "radius": math.nan}},
+     r"domain\.radius: expected a number, got nan"),
+    ({"domain": {"type": "box", "sides": [1.0, math.inf]}},
+     r"domain\.sides: expected a list of finite numbers"),
+    ({"spectrum": {"source": "exact-torus", "cutoff": math.inf}},
+     r"spectrum\.cutoff: expected a number, got inf"),
+    ({"spectrum": {"source": "fd", "tolerance": -math.inf}},
+     r"spectrum\.tolerance: expected a number, got -inf"),
+    ({"bounds": [{"kind": "heat-lower", "t": [math.nan]}]},
+     r"bounds\[0\]\.t: expected a list of finite numbers"),
+    ({"bounds": [{"kind": "general-sum", "k": [2], "H_omega": math.nan}]},
+     r"bounds\[0\]\.H_omega: expected a number, got nan"),
+    ({"domain": {"type": "disk", "radius": 10 ** 400}},
+     r"domain\.radius: expected a number")],
+    ids=["nan-radius", "inf-side", "inf-cutoff", "inf-tolerance", "nan-t",
+         "nan-H_omega", "huge-int-radius"])
+def test_scenario_from_dict_refuses_non_finite_numbers(override, match):
+    # the rule load_scenario's parse hooks apply to a file holds for a dict
+    with pytest.raises(ScenarioError, match=match):
+        scenario_from_dict({**BASE, **override})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_bound_refuses_a_non_finite_param(tmp_path, capsys, value):
+    cfg = scenario_with(tmp_path)
+    assert main(["bound", "--config", str(cfg), "--kind", "riesz-lower",
+                 "--param", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("scenario error: bounds[0].z: expected a list of "
+                            "finite numbers\n")
 
 
 @pytest.mark.parametrize("override", [
@@ -586,6 +654,14 @@ def test_cli_spectrum_text_and_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["values"] == pytest.approx(
         [0.0, 9.869604401089358, 9.869604401089358, 19.739208802178716])
+
+
+def test_cli_spectrum_refuses_a_negative_count(tmp_path, capsys):
+    cfg = scenario_with(tmp_path)
+    assert main(["spectrum", "--config", str(cfg), "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --count: must be >= 0, got -3\n"
 
 
 @pytest.mark.parametrize("spectrum,bare", [

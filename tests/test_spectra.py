@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spectral_bounds import (HomogeneousSpectrum, Lattice2, Spectrum,
-                             SpectrumRangeError, TailModel, heat_trace,
+                             SpectrumRangeError, heat_trace,
                              rectangle_neumann_exact, riesz_mean_1,
                              shifted_spectrum, sphere_spectrum,
                              torus_spectrum)
@@ -165,8 +165,14 @@ class TestSpectrumType:
                                 cutoff=2.0, source="t")
         flat = h.flatten()
         assert list(flat.values) == [0.0, 2.0, 2.0, 2.0]
-        with pytest.raises(SpectrumRangeError):
-            h.flatten(cutoff=5.0)
+        assert flat.cutoff == 2.0
+
+    def test_heat_trace_is_the_truncated_sum(self):
+        s = Spectrum(np.array([0.0, 1.0]), cutoff=2.0)
+        assert heat_trace(s, 0.7) == pytest.approx(1 + math.exp(-0.7),
+                                                   rel=1e-15)
+        with pytest.raises(ValueError, match="positive"):
+            heat_trace(s, 0.0)
 
     def test_shifted_spectrum(self):
         h = HomogeneousSpectrum(((0.0, 1), (2.0, 2)), manifold_volume=1.0,
@@ -231,43 +237,6 @@ class TestFunctionals:
                 math.exp(-t * s.cutoff) * (t * riesz_mean_1(s, s.cutoff) +
                                            len(s))
             assert lhs == pytest.approx(rhs, rel=1e-13)
-
-
-class TestTailModel:
-    def test_counting(self):
-        tm = TailModel(volume=2.0, nu=3, w_mean=1.5, shift=1.0)
-        kappa = (4 * math.pi / 3) * 2.0 / (2 * math.pi) ** 3
-        assert tm.counting(9.0) == pytest.approx(
-            kappa * ((9.0 - 1.0) / 1.5) ** 1.5, rel=1e-13)
-        assert tm.counting(0.5) == 0.0
-
-    def test_tail_integral_frozen_quadrature(self):
-        # references computed with scipy.integrate.quad on
-        # int_Z^inf e^(-z t) dN_W(z) for the same parameters
-        tm2 = TailModel(volume=1.0, nu=2, w_mean=2.0)
-        assert tm2.tail(0.5, 10.0) == pytest.approx(
-            5.361887855976707e-4, rel=1e-9)
-        tm3 = TailModel(volume=2.0, nu=3, w_mean=1.5, shift=1.0)
-        assert tm3.tail(0.4, 8.0) == pytest.approx(
-            8.598007607016595e-3, rel=1e-9)
-
-    def test_tail_below_shift(self):
-        tm = TailModel(volume=1.0, nu=2, shift=4.0)
-        # cutting below the spectrum start integrates the whole Weyl trace:
-        # t^(-nu/2) prefactor times the shift decay
-        full = tm.tail(1.0, 0.0)
-        kappa = math.pi / (4 * math.pi ** 2)
-        assert full == pytest.approx(kappa * math.exp(-4.0), rel=1e-12)
-
-    def test_heat_trace_combines(self):
-        s = Spectrum(np.array([0.0, 1.0]), cutoff=2.0)
-        tm = TailModel(volume=1.0, nu=2)
-        r = heat_trace(s, 0.7, tail_model=tm)
-        assert r.truncated == pytest.approx(1 + math.exp(-0.7))
-        assert r.tail == pytest.approx(tm.tail(0.7, 2.0))
-        assert r.total == pytest.approx(r.truncated + r.tail)
-        bare = heat_trace(s, 0.7)
-        assert bare.tail == 0.0
 
 
 @settings(max_examples=60, deadline=None)
