@@ -9,9 +9,12 @@ is discretized on the cell-centered midpoint grid with a flux stencil:
 each interior face contributes (w e^(-2 rho))(face midpoint) * cellvol/h^2
 times the squared difference across it, each node a potential and a mass
 term.  Faces with an endpoint outside the mask are simply absent, which is
-the natural (Neumann) boundary condition: the discrete form is exactly the
-Rayleigh quotient restricted to piecewise-constant-gradient fields, so
-min-max semantics carry over.
+the natural (Neumann) boundary condition.  This is not a Rayleigh-Ritz
+(Galerkin) discretization, and min-max gives no one-sided bound: the
+cell-centred stencil lowers Neumann values (on the unit interval
+4n^2 sin^2(pi m/2n) < (pi m)^2), so on a box fd values lie below the
+exact ones, where Rayleigh-Ritz values would lie above.  A verdict from
+an fd spectrum carries that discretization error.
 
 Periodic problems (rectangular torus fundamental domains) get wrap-around
 faces; the seam face is evaluated at the left edge, i.e. fields are read
@@ -36,8 +39,11 @@ stencils plus the shift V*w and reports "separable".  Every other form
 defaults to numpy's dense `eigh` ("dense") up to _DENSE_DEFAULT_DOF dof
 or when all pairs are asked for, and to sparse shift-invert ("iterative")
 above; a pinned method solves the whole form.  Every path's pairs must
-pass the same residual gate, through the stencil matvec of the assembled
-form.
+pass the same residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN
+fails), through the stencil matvec of the assembled form.  The gate runs
+over blocks of whole columns of at most _GATE_BLOCK entries, so that its
+temporaries stay in cache instead of costing several copies of the
+vectors, and gives each column the bits of the whole-block formula.
 
 The form holds the stencil itself (the nodal potential, one array of
 face coefficients per axis on the full grid, the nodal mass), not a
@@ -80,6 +86,8 @@ _MAX_DENSE_DOF = 6400   # most dof of a dense or an all-pairs solve
 # scipy.sparse.linalg for shift-invert took 0.29 s, and the solve itself
 # about 0.02 s more.
 _DENSE_DEFAULT_DOF = 1024
+# most entries (512 KiB of doubles) per column block of the residual gate
+_GATE_BLOCK = 1 << 16
 
 # the parts of an axis that face pairs join: interior faces (node i to
 # i+1), then the seam (last node to first) of a periodic axis
@@ -144,25 +152,44 @@ class DiscreteForm:
             d[hi] += c
         return d[self.mask]
 
+    @cached_property
+    def _inside(self) -> np.ndarray:
+        """The flat grid index of each inside node."""
+        return np.flatnonzero(self.mask)
+
+    @cached_property
+    def _node(self) -> np.ndarray:
+        """Per grid node its inside-node index, dof_count when outside."""
+        node = np.full(self.mask.size, self.dof_count)
+        node[self._inside] = np.arange(self.dof_count)
+        return node
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """K x for x of shape (dof,) or (dof, m): x is placed on the grid
-        (0 outside the mask; on a full grid x is the grid, in C order)
-        and each neighbour term is a slice product."""
+        """K x for x of shape (dof,) or (dof, m): each column of x is
+        placed on the grid (0 outside the mask; on a full grid the column
+        is the grid, in C order), columns leading, so that each neighbour
+        term is a slice product over whole grid rows, however few the
+        columns."""
         mask = self.mask
-        column = (Ellipsis,) + (None,) * (x.ndim - 1)
+        u = x.T
+        lead = u.shape[:-1]
         full = self.dof_count == mask.size
-        if full:
-            u = x.reshape(mask.shape + x.shape[1:])
-        else:
-            u = np.zeros(mask.shape + x.shape[1:])
-            u[mask] = x
+        if not full:
+            # gathering from x padded by a 0 is faster than a scatter
+            u = np.take(np.concatenate((u, np.zeros(lead + (1,))), axis=-1),
+                        self._node, axis=-1)
+        u = u.reshape(lead + mask.shape)
         off = np.zeros_like(u)
         for axis, _, lo, hi in _face_parts(mask.ndim, self.periodic):
-            c = self.faces[axis][lo][column]
+            c = self.faces[axis][lo]
+            lo, hi = (Ellipsis,) + lo, (Ellipsis,) + hi
             off[lo] += c * u[hi]
             off[hi] += c * u[lo]
-        off = off.reshape(x.shape) if full else off[mask]
-        return self.diagonal[column] * x - off
+        off = off.reshape(lead + (-1,))
+        if not full:
+            off = np.take(off, self._inside, axis=-1)
+        column = (Ellipsis,) + (None,) * (x.ndim - 1)
+        return self.diagonal[column] * x - off.T
 
     def _pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, q, c): the inside-node indices of each present face's ends
@@ -363,7 +390,7 @@ def _tensor(form: DiscreteForm, axis: int, u: np.ndarray,
     """Columns u_i (x) v_i on the form's inside nodes, for u on the inside
     nodes of the slice across `axis` and v along `axis`.  Built one column
     after another, so that the (dof, k) result is in Fortran order, as
-    eigh's vectors are: the residual norms reduce in that order."""
+    shift-invert's vectors are: the residual norms reduce in that order."""
     mask = form.mask
     slice_mask = np.asarray(mask[_along(axis, mask.ndim, 0)])
     grid_u = np.zeros(u.shape[1:] + slice_mask.shape)
@@ -453,6 +480,30 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
     return (*_mass_scaled_pairs(form, k, method), method)
 
 
+def _residuals(form: DiscreteForm, vals: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """||K x - mu M x|| / ||x|| per column, over blocks of whole columns
+    of at most _GATE_BLOCK entries (one column if a column is longer), so
+    that the temporaries stay in cache instead of costing several copies
+    of x.  Columns are independent and a block keeps x's layout, so each
+    residual has the bits of the whole-block formula.  The widths differ
+    by at most one: numpy sums a one-column block's norm pairwise but a
+    wider C-ordered block's (dense eigh's vectors) row by row, and equal
+    widths give one-column blocks only above 2^16/3 dof, where no solve
+    is dense."""
+    k = vals.size
+    blocks = -(-k // max(1, _GATE_BLOCK // form.dof_count))
+    edges = [k * b // blocks for b in range(blocks + 1)]
+    out = np.empty(k)
+    for lo, hi in zip(edges, edges[1:]):
+        block = x[:, lo:hi]
+        kx = form.matvec(block)
+        mx = form.mass_diag[:, None] * block
+        out[lo:hi] = np.linalg.norm(kx - vals[None, lo:hi] * mx, axis=0) / \
+            np.linalg.norm(block, axis=0)
+    return out
+
+
 def solve_lowest_detailed(form: DiscreteForm, k: int,
                           method: Optional[str] = None,
                           tolerance: float = 1e-8) -> SolveResult:
@@ -461,7 +512,7 @@ def solve_lowest_detailed(form: DiscreteForm, k: int,
     pair's residual must be within `tolerance`."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
@@ -470,11 +521,8 @@ def solve_lowest_detailed(form: DiscreteForm, k: int,
 
     vals, x, method = _lowest_pairs(form, k, method)
 
-    kx = form.matvec(x)
-    mx = form.mass_diag[:, None] * x
-    residuals = np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
-        np.linalg.norm(x, axis=0)
-    bad = residuals > tolerance
+    residuals = _residuals(form, vals, x)
+    bad = ~(residuals <= tolerance)     # a NaN residual fails too
     if np.any(bad):
         worst = float(residuals.max())
         raise SolverConvergenceError(

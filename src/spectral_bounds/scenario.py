@@ -143,7 +143,9 @@ def _expect(mapping: dict, key: str, types, path: str, default=_REQUIRED):
             raise ScenarioError(f"{path}.{key}: missing required field")
         return default
     value = mapping[key]
-    if types is not None and not isinstance(value, types):
+    # bool is an int subclass, and no field reads a JSON true or false
+    if types is not None and (not isinstance(value, types) or
+                              isinstance(value, bool)):
         raise ScenarioError(
             f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,9 @@ class TestSolverOptions:
             solve_lowest(form, 2, method="magic")
         with pytest.raises(ValueError):
             solve_lowest(form, 2, tolerance=-1.0)
+        # a NaN tolerance would let every residual through
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_lowest(form, 2, tolerance=math.nan)
 
     def test_k_capped_by_dof(self):
         prob = ProblemSpec(Box((1.0, 1.0)))
@@ -308,16 +312,120 @@ class TestSolverOptions:
             solve_lowest(assemble(prob, grid), 100)
 
 
+L_SHAPE = MaskedBox(Box((1.0, 1.0)),
+                    parse_field("min(x - 0.5, y - 0.5)", 2))
+
+# forms whose k columns span several gate blocks: full-grid (one column per
+# block), masked, periodic and peeled, and dense eigh's C-ordered vectors,
+# where 129 columns of 64 would leave a last block of one
+GATE_CASES = {
+    "box-256": (ProblemSpec(Box((0.97, 1.03))), (256, 256), 16),
+    "l-shape-160": (ProblemSpec(L_SHAPE, w="1 + 0.5*y"), (160, 160), 16),
+    "torus-200": (ProblemSpec(TorusFundamental((1.0, 0.0), (0.0, 1.3)),
+                              w="1 + 0.3*cos(2*pi*x)"), (200, 150), 12),
+    "dense-32": (ProblemSpec(Box((1.0, 1.0)), w="1 + x*y"), (32, 32), 129),
+}
+
+
+def whole_block_residuals(form, vals, x):
+    kx = form.matvec(x)
+    mx = form.mass_diag[:, None] * x
+    return np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
+        np.linalg.norm(x, axis=0)
+
+
+def patch_pairs(monkeypatch, change):
+    """Pass _lowest_pairs' (values, vectors) through change before the
+    residual gate reads them; for forms that do not peel, which would
+    call it again per block."""
+    original = fdsolver._lowest_pairs
+
+    def patched(form, k, method=None):
+        vals, x, method = original(form, k, method)
+        return (*change(vals.copy(), x.copy(order="K")), method)
+
+    monkeypatch.setattr(fdsolver, "_lowest_pairs", patched)
+
+
+class TestResidualGate:
+    @pytest.mark.parametrize("case", list(GATE_CASES))
+    def test_blocked_gate_has_the_whole_block_bits(self, case):
+        prob, shape, k = GATE_CASES[case]
+        form = assemble(prob, QuadratureGrid(prob.domain, shape))
+        assert form.dof_count * k > 2 * fdsolver._GATE_BLOCK
+        vals, x, _ = fdsolver._lowest_pairs(form, k)
+        blocked = fdsolver._residuals(form, vals, x)
+        assert blocked.tobytes() == \
+            whole_block_residuals(form, vals, x).tobytes()
+        assert blocked.max() <= 1e-8
+
+    def test_bad_pairs_in_the_last_block_fail(self, monkeypatch):
+        # 7500 dof: blocks of at most 8 of the 20 columns, the last two
+        # in the last block; a value off by 1 misses by about M = 1e-4
+        prob = ProblemSpec(L_SHAPE, w="1 + 0.5*y")
+        form = assemble(prob, QuadratureGrid(prob.domain, (100, 100)))
+
+        def off_by_one(vals, x):
+            vals[-2:] += 1.0
+            return vals, x
+
+        patch_pairs(monkeypatch, off_by_one)
+        with pytest.raises(SolverConvergenceError,
+                           match=r"\(2 of 20 pairs\)"):
+            solve_lowest_detailed(form, 20)
+
+    def test_nan_residual_fails(self, monkeypatch):
+        # a NaN compares false with the tolerance, so it must count as bad
+        prob = ProblemSpec(Box((1.0, 1.0)), w="1 + x*y")
+        form = assemble(prob, QuadratureGrid(prob.domain, (20, 20)))
+
+        def nan_entry(vals, x):
+            x[0, -1] = math.nan
+            return vals, x
+
+        patch_pairs(monkeypatch, nan_entry)
+        with pytest.raises(SolverConvergenceError,
+                           match=r"\(1 of 4 pairs\)"):
+            solve_lowest_detailed(form, 4)
+
+    def test_gate_working_set_stays_below_the_vectors(self):
+        # the whole-block gate held about four copies of the vectors on
+        # top of them (a peak of 5x); the blocked one holds a few blocks
+        prob = ProblemSpec(Box((1.0, 1.0)))
+        form = assemble(prob, QuadratureGrid(prob.domain, (256, 256)))
+        tracemalloc.start()
+        try:
+            res = solve_lowest_detailed(form, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.method == "separable"
+        assert peak <= 2 * res.vectors.nbytes
+
+
 # one of each grid shape the stencil handles: full, curved and re-entrant
 # masks, a seam per axis, and three axes
 STENCIL_DOMAINS = {
     "box": (Box((1.0, 1.3)), (12, 9)),
     "disk": (Disk(1.0, (0.1, -0.2)), (14, 14)),
-    "l-shape": (MaskedBox(Box((1.0, 1.0)),
-                          parse_field("min(x - 0.5, y - 0.5)", 2)), (12, 12)),
+    "l-shape": (L_SHAPE, (12, 12)),
     "rect-torus": (TorusFundamental((2.0, 0.0), (0.0, 1.0)), (12, 8)),
     "box-3d": (Box((1.0, 1.0, 2.0)), (8, 8, 10)),
 }
+
+
+def grid_leading_matvec(form, x):
+    """K x with the columns as the last axis of the grid arrays."""
+    mask = form.mask
+    column = (Ellipsis,) + (None,) * (x.ndim - 1)
+    u = np.zeros(mask.shape + x.shape[1:])
+    u[mask] = x
+    off = np.zeros_like(u)
+    for axis, _, lo, hi in fdsolver._face_parts(mask.ndim, form.periodic):
+        c = form.faces[axis][lo][column]
+        off[lo] += c * u[hi]
+        off[hi] += c * u[lo]
+    return form.diagonal[column] * x - off[mask]
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,6 +441,10 @@ def test_stencil_matches_csr(name, a, b, c):
     scale = np.abs(ref).max()
     assert np.abs(form.matvec(x) - ref).max() <= 1e-13 * scale
     assert np.abs(form.matvec(x[:, 1]) - ref[:, 1]).max() <= 1e-13 * scale
+    # each entry sums its terms in the order of the grid-leading stencil,
+    # so residuals (and reports' max_residual) keep their bits
+    for v in (x, x[:, 1], np.asfortranarray(x), x[:, :2]):
+        assert np.array_equal(form.matvec(v), grid_leading_matvec(form, v))
     ref = form.stiffness.toarray()
     assert np.abs(form.dense() - ref).max() <= 1e-13 * np.abs(ref).max()
 

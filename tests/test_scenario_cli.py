@@ -664,6 +664,28 @@ def test_cli_spectrum_refuses_a_negative_count(tmp_path, capsys):
     assert captured.err == "error: --count: must be >= 0, got -3\n"
 
 
+# bool is an int subclass: "count": true ran one eigenvalue, and
+# "seed": true gave a report carrying "seed": 1
+@pytest.mark.parametrize("override,key", [
+    ({"spectrum": {"source": "exact-rectangle", "count": True}},
+     r"spectrum\.count"),
+    ({"spectrum": {"source": "exact-sphere", "nu": True, "l_max": 3}},
+     r"spectrum\.nu"),
+    ({"spectrum": {"source": "exact-sphere", "nu": 2, "l_max": False}},
+     r"spectrum\.l_max"),
+    ({"seed": True}, r"\$\.seed")],
+    ids=["count", "nu", "l_max", "seed"])
+def test_cli_refuses_json_booleans_as_integers(tmp_path, capsys, override,
+                                               key):
+    cfg = scenario_with(tmp_path, **override)
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"scenario error: {key}: expected <class 'int'>, "
+                        r"got bool\n", captured.err)
+
+
 @pytest.mark.parametrize("spectrum,bare", [
     ({"source": "exact-rectangle", "count": 40},
      [0.0, math.pi ** 2, math.pi ** 2]),
