@@ -3,7 +3,6 @@
     spectral-bounds run --config scenario.json --out results/ [--format both]
     spectral-bounds spectrum --config scenario.json [--count 12]
     spectral-bounds bound --config scenario.json --kind kroger-avg --param 5 10
-    spectral-bounds selftest [--seed 0]
 
 Exit status is 0 when every evaluated inequality holds, 1 when any
 report has holds=false, and 2 when the scenario could not be loaded or
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import List, Optional
@@ -24,8 +22,8 @@ import numpy as np
 from . import __version__
 from .fdsolver import SolverConvergenceError
 from .report import BoundReport
-from .scenario import (ScenarioError, emit, load_scenario, run_scenario,
-                       scenario_from_dict)
+from .scenario import (ScenarioError, build_spectrum, emit, load_scenario,
+                       run_scenario, scenario_from_dict)
 
 __all__ = ["main", "build_parser"]
 
@@ -62,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--param", type=float, nargs="+", required=True,
                        help="parameter values (k, z or t depending on kind)")
     bound.set_defaults(handler=_cmd_bound)
-
-    selftest = sub.add_parser("selftest",
-                              help="run randomized internal identity checks")
-    selftest.add_argument("--seed", type=int, default=0)
-    selftest.set_defaults(handler=_cmd_selftest)
 
     return parser
 
@@ -105,16 +98,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .bounds import bound_context
-    from .domains import QuadratureGrid
-    from .scenario import _scenario_spectrum
-
     if args.count is not None and args.count < 0:
         raise ValueError(f"--count: must be >= 0, got {args.count}")
-    scenario = load_scenario(args.config)
-    grid = QuadratureGrid(scenario.problem.domain, scenario.grid_n)
-    spectrum, summary = _scenario_spectrum(
-        scenario, grid, bound_context(scenario.problem, grid))
+    _, spectrum, summary = build_spectrum(load_scenario(args.config))
     if args.json:
         payload = spectrum.to_json_dict()
         payload["values"] = payload["values"][:args.count]
@@ -142,89 +128,6 @@ def _cmd_bound(args) -> int:
               f"{err['message']}", file=sys.stderr)
     _print_reports(report.reports, sys.stdout)
     return _exit_code(report)
-
-
-def _cmd_selftest(args) -> int:
-    """Randomized identity checks that need no scenario file."""
-    from .avp import avp_check, frame_constant, tight_frame_bound
-    from .special import (Lattice2, hex_theta, lattice_heat_trace,
-                          lattice_heat_trace_poisson)
-
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures += 1
-
-    # averaged variational inequality on random ensembles
-    worst = 0.0
-    for _ in range(100):
-        n = 12
-        a = rng.standard_normal((n, n))
-        h = 0.5 * (a + a.T)
-        vectors = [rng.standard_normal(n) for _ in range(6)]
-        weights = rng.uniform(0.2, 2.0, size=6)
-        family = list(zip(vectors, weights))
-        subset = list(rng.choice(6, size=3, replace=False))
-        z = float(rng.uniform(-2.0, 6.0))
-        rep = avp_check(h, family, subset, z)
-        worst = max(worst, rep.bound_value - rep.computed_value)
-        if not rep.holds:
-            break
-    check(f"avp random ensembles (worst deficit {worst:.3g})",
-          worst <= 1e-9)
-
-    # equality at a full orthonormal family
-    n = 8
-    a = rng.standard_normal((n, n))
-    h = 0.5 * (a + a.T)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    family = [(q[:, i], 1.0) for i in range(n)]
-    z = float(np.linalg.eigvalsh(h).max() + 1.0)
-    rep = avp_check(h, family, list(range(n)), z)
-    gap = abs(rep.computed_value - rep.bound_value)
-    check(f"avp orthonormal equality (gap {gap:.3g})", gap <= 1e-9)
-
-    # tight-frame sum bound against exact partial sums
-    ok = True
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    family = [(q[:, i], 1.0) for i in range(n)]
-    frame_constant(n, family)
-    a = rng.standard_normal((n, n))
-    h = 0.5 * (a + a.T)
-    for k in range(1, n):
-        for subset_size in (1, n // 2, n):
-            subset = list(rng.choice(n, size=subset_size, replace=False))
-            rep = tight_frame_bound(h, family, subset, k)
-            if not rep.holds:
-                ok = False
-    check("avp tight-frame sum bound", ok)
-
-    # Poisson summation on random lattices
-    worst = 0.0
-    for _ in range(20):
-        basis = rng.uniform(-2.0, 2.0, size=(2, 2))
-        while abs(np.linalg.det(basis)) < 0.3:
-            basis = rng.uniform(-2.0, 2.0, size=(2, 2))
-        lat = Lattice2(tuple(basis[0]), tuple(basis[1]))
-        t = float(rng.uniform(0.05, 1.5))
-        direct = lattice_heat_trace(lat, t)
-        dual = lattice_heat_trace_poisson(lat, t)
-        worst = max(worst, abs(direct - dual) / max(abs(direct), 1.0))
-    check(f"poisson summation on random lattices (worst {worst:.3g})",
-          worst <= 1e-9)
-
-    # hexagonal theta limit
-    limit = hex_theta(10.0)
-    check(f"hexagonal theta large-argument limit ({limit:.12g})",
-          abs(limit - 2.0 / math.sqrt(3.0)) <= 1e-6)
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: "
-          f"{5 - failures}/5 selftests passed")
-    return 0 if failures == 0 else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -47,6 +47,7 @@ __all__ = [
     "FieldEvaluationError",
     "parse_field",
     "differentiate",
+    "is_constant",
     "const",
 ]
 
@@ -397,6 +398,16 @@ def const(value: float) -> ScalarFieldExpr:
 def differentiate(f: ScalarFieldExpr, axis: int) -> ScalarFieldExpr:
     """Symbolic partial derivative along the given 0-based axis."""
     return f.diff(axis)
+
+
+def is_constant(f: ScalarFieldExpr) -> bool:
+    """Whether f reads no coordinate.  Unlike a derivative that folds to
+    zero, this refuses step(x), whose derivative is zero off its jump."""
+    if isinstance(f, Var):
+        return False
+    children = f.args if isinstance(f, Call) else vars(f).values()
+    return all(is_constant(c) for c in children
+               if isinstance(c, ScalarFieldExpr))
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,22 @@ grids:
       "seed": 0
     }
 
-Domains: box {sides, origin?}, disk {radius, center?}, masked_box {sides,
-origin?, inside}, torus {e1, e2}.  `fields` may set w, rho and V; they
-default to w=1, rho=0, V=0.  Spectrum sources: "fd" (finite differences
-on the grid), "exact-rectangle", "exact-torus", "exact-sphere".  A key
-that nothing reads is rejected wherever it appears, and so is, before
-anything is allocated, a grid of more than _MAX_NODES nodes, a spectrum
-of more than _MAX_NODES values (count, or exact-sphere through l_max) and
-an fd count x grid nodes above _MAX_VECTOR_ENTRIES.  A grid resolution
-(grid.n, a phase-space grid_n) must be an integer, and so must every k,
-in [1, _MAX_NODES]: none is truncated or left to overflow.  Every number
-must be finite, and the label, which names the output files, a plain
-file name.  Every exact source applies the affine shift Lambda ->
-w_mean Lambda + vweff_mean to the bare Laplacian values, which matches
-the operator exactly when the fields are constant.
+_DOMAINS maps each domain type to the keys it reads and its parser: box
+{sides, origin?}, disk {radius, center?}, masked_box {sides, origin?,
+inside}, torus {e1, e2}.  _SOURCES maps each spectrum source to the keys
+it reads, the domains it accepts and its builder: fd, exact-rectangle (a
+2-D box), exact-torus (a torus), exact-sphere (nu and l_max).  An exact
+source shifts the bare Laplacian values, Lambda -> w_mean Lambda +
+vweff_mean, the operator's spectrum only when the fields w, V and rho
+(default 1, 0, 0) are constant.  Every check runs at load, before
+anything is allocated: a key that nothing reads is refused, and so is a
+source on a domain or fields it does not accept, a grid of more than
+_MAX_NODES nodes, a spectrum of more than _MAX_NODES values (count, or
+exact-sphere through l_max) and an fd count x grid nodes above
+_MAX_VECTOR_ENTRIES.  A grid resolution (grid.n, a phase-space grid_n)
+must be an integer, and so must every k, in [1, _MAX_NODES]: none is
+truncated or left to overflow.  Every number must be finite, and the
+label, which names the output files, a plain file name.
 
 Each bound entry names a kind, the list of values of its parameter key,
 and the numeric options that kind reads; any other key is rejected.  The
@@ -42,14 +44,14 @@ table _KINDS holds all three per kind:
     heat-torus       t
     phase-space-sum  k   grid_n, bessel_order, lip_override
 
-A run builds one BoundContext on the run grid (|Omega|, w_mean,
-vweff_mean; it also checks w > 0 at every inside node; an fd run takes
-|Omega| from the cells it solves on, a disk's staircase), then the
-spectrum, then evaluates every requested bound through the table; the
-sorted phase-space nodes are built once per grid_n.  Reports are
-sorted by (kind, parameter), and the JSON/CSV bytes depend only on
-scenario content, seed, and package version (wall time goes to stderr,
-never into the files).
+A run builds, in build_spectrum, one BoundContext on the run grid
+(|Omega|, w_mean, vweff_mean; it checks w > 0 at every inside node; an
+fd run takes |Omega| from the cells it solves on) and the spectrum, then
+evaluates every requested bound through the table; the sorted
+phase-space nodes are built once per grid_n.  Reports are sorted by
+(kind, parameter), and the JSON/CSV bytes depend only on scenario
+content, seed, and package version (wall time goes to stderr, never into
+the files).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .bounds import (BoundContext, bound_context, general_sum_bound,
                      heat_lower_bound, individual_bound_pos,
                      individual_bound_sk, kroger_avg_bound, riesz_lower_bound)
 from .domains import Box, Disk, MaskedBox, QuadratureGrid, TorusFundamental
-from .expressions import FieldSyntaxError
+from .expressions import FieldSyntaxError, is_constant
 from .homog import heat_torus_bound
 from .phasespace import (PhaseSpaceData, phase_space_sum_bound,
                          phase_space_tables)
@@ -79,22 +81,13 @@ from .spectra import (Spectrum, rectangle_neumann_exact, shifted_spectrum,
 from .fdsolver import assemble, solve_lowest_detailed
 
 __all__ = ["Scenario", "BoundRequest", "RunReport", "ScenarioError",
-           "load_scenario", "scenario_from_dict", "run_scenario", "emit"]
+           "load_scenario", "scenario_from_dict", "build_spectrum",
+           "run_scenario", "emit"]
 
 _FIELDS = ("w", "rho", "V")
 _REQUIRED = object()   # default of a field that must be present
 _TOP_KEYS = ("label", "domain", "fields", "grid", "spectrum", "bounds",
              "seed")
-# domain type -> the keys it reads
-_DOMAIN_KEYS = {"box": ("type", "sides", "origin"),
-                "disk": ("type", "radius", "center"),
-                "masked_box": ("type", "sides", "origin", "inside"),
-                "torus": ("type", "e1", "e2")}
-# spectrum source -> the keys it reads
-_SOURCE_KEYS = {"fd": ("source", "count", "method", "tolerance"),
-                "exact-rectangle": ("source", "count"),
-                "exact-torus": ("source", "count", "cutoff"),
-                "exact-sphere": ("source", "nu", "l_max")}
 # most quadrature nodes one grid may have (grid.n or a phase-space
 # grid_n), and most eigenvalues one spectrum may hold (count, or the
 # exact-sphere values through l_max), checked before anything is
@@ -171,10 +164,15 @@ def _check_nodes(counts, path: str):
 
 
 def _check_sphere_size(nu: int, l_max: int):
-    """Refuse an exact-sphere spectrum of more than _MAX_NODES values.
-    S^nu has C(l_max + nu, nu) + C(l_max + nu - 1, nu) of them through
-    degree l_max; C(top, i) >= 2^i for i <= top/2, so each product below
-    passes the limit within 22 steps however large nu and l_max are."""
+    """Refuse an exact-sphere spectrum that is not defined or has more
+    than _MAX_NODES values.  S^nu has C(l_max + nu, nu) + C(l_max + nu -
+    1, nu) of them through degree l_max; C(top, i) >= 2^i for i <= top/2,
+    so each product below passes the limit within 22 steps however large
+    nu and l_max are."""
+    for key, value, least in (("nu", nu, 2), ("l_max", l_max, 0)):
+        if value < least:
+            raise ScenarioError(
+                f"spectrum.{key}: must be >= {least}, got {value}")
     total = 0
     for top in range(max(nu, l_max + nu - 1), l_max + nu + 1):
         binom = 1
@@ -212,35 +210,42 @@ def _vector(mapping: dict, key: str, path: str, length=None,
     return [float(v) for v in value]
 
 
+def _box(data: dict, path: str) -> Box:
+    sides = _vector(data, "sides", path)
+    origin = _vector(data, "origin", path, length=len(sides), default=None)
+    return Box(tuple(sides), None if origin is None else tuple(origin))
+
+
+def _masked_box(data: dict, path: str) -> MaskedBox:
+    box = _box(data, path)
+    from .expressions import parse_field
+    try:
+        return MaskedBox(box, parse_field(_expect(data, "inside", str, path),
+                                          box.nu))
+    except FieldSyntaxError as exc:
+        raise ScenarioError(f"{path}.inside: {exc}") from exc
+
+
+# domain type -> (the keys it reads, parser (data, path) -> domain)
+_DOMAINS = {
+    "box": (("type", "sides", "origin"), _box),
+    "disk": (("type", "radius", "center"), lambda d, p: Disk(
+        float(_number(d, "radius", p)),
+        tuple(_vector(d, "center", p, length=2, default=[0.0, 0.0])))),
+    "masked_box": (("type", "sides", "origin", "inside"), _masked_box),
+    "torus": (("type", "e1", "e2"), lambda d, p: TorusFundamental(
+        tuple(_vector(d, "e1", p, length=2)),
+        tuple(_vector(d, "e2", p, length=2)))),
+}
+
+
 def _parse_domain(data: dict, path: str):
     kind = _expect(data, "type", str, path)
-    if kind not in _DOMAIN_KEYS:
+    if kind not in _DOMAINS:
         raise ScenarioError(f"{path}.type: unknown domain type {kind!r}")
-    _known(data, _DOMAIN_KEYS[kind], path, kind)
-    if kind == "box":
-        sides = _vector(data, "sides", path)
-        origin = _vector(data, "origin", path, length=len(sides),
-                         default=None)
-        return Box(tuple(sides),
-                   None if origin is None else tuple(origin))
-    if kind == "disk":
-        radius = _number(data, "radius", path)
-        center = _vector(data, "center", path, length=2, default=[0.0, 0.0])
-        return Disk(float(radius), tuple(center))
-    if kind == "masked_box":
-        sides = _vector(data, "sides", path)
-        origin = _vector(data, "origin", path, length=len(sides),
-                         default=None)
-        inside = _expect(data, "inside", str, path)
-        box = Box(tuple(sides), None if origin is None else tuple(origin))
-        from .expressions import parse_field
-        try:
-            return MaskedBox(box, parse_field(inside, len(sides)))
-        except FieldSyntaxError as exc:
-            raise ScenarioError(f"{path}.inside: {exc}") from exc
-    e1 = _vector(data, "e1", path, length=2)
-    e2 = _vector(data, "e2", path, length=2)
-    return TorusFundamental(tuple(e1), tuple(e2))
+    keys, parse = _DOMAINS[kind]
+    _known(data, keys, path, kind)
+    return parse(data, path)
 
 
 def load_scenario(path) -> Scenario:
@@ -272,7 +277,8 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     label = _expect(data, "label", str, "$", default=label)
     if label in ("", ".", "..") or "/" in label or "\\" in label:
         raise ScenarioError(f"$.label: {label!r} is not a plain file name")
-    domain = _parse_domain(_expect(data, "domain", dict, "$"), "domain")
+    domain_doc = _expect(data, "domain", dict, "$")
+    domain = _parse_domain(domain_doc, "domain")
 
     fields = _expect(data, "fields", dict, "$", default={})
     for name in fields:
@@ -304,20 +310,22 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
 
     spec = _expect(data, "spectrum", dict, "$", default={"source": "fd"})
     source = _expect(spec, "source", str, "spectrum", default="fd")
-    if source not in _SOURCE_KEYS:
+    if source not in _SOURCES:
         raise ScenarioError(f"spectrum.source: unknown source {source!r}")
-    _known(spec, _SOURCE_KEYS[source], "spectrum", source)
+    keys, domains, exact, _ = _SOURCES[source]
+    _known(spec, keys, "spectrum", source)
     count = _expect(spec, "count", int, "spectrum", default=16)
     if count < 1:
         raise ScenarioError("spectrum.count: must be >= 1")
     _check_size(count, _MAX_NODES, "spectrum.count", "eigenvalues")
-    if source == "fd":
+    if not exact:
         _check_size(count * math.prod(grid_n), _MAX_VECTOR_ENTRIES,
                     "spectrum.count", "eigenvector entries (count x grid "
                     "nodes)")
     cutoff = _number(spec, "cutoff", "spectrum", default=None)
-    sphere_nu = _expect(spec, "nu", int, "spectrum", default=None)
-    sphere_l_max = _expect(spec, "l_max", int, "spectrum", default=None)
+    absent = _REQUIRED if "nu" in keys else None   # exact-sphere needs both
+    sphere_nu = _expect(spec, "nu", int, "spectrum", default=absent)
+    sphere_l_max = _expect(spec, "l_max", int, "spectrum", default=absent)
     if sphere_nu is not None and sphere_l_max is not None:
         _check_sphere_size(sphere_nu, sphere_l_max)
     method = _expect(spec, "method", str, "spectrum", default=None)
@@ -325,6 +333,18 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
         raise ScenarioError(
             "spectrum.method: expected 'dense' or 'iterative'")
     tolerance = float(_number(spec, "tolerance", "spectrum", default=1e-8))
+    if domains is not None and \
+            (domain_doc["type"], domain.nu) not in domains:
+        accepted = " or ".join(f"{nu}-D {kind}" for kind, nu in domains)
+        raise ScenarioError(
+            f"spectrum.source: {source} needs a {accepted} domain")
+    # the shift of an exact source is the operator's spectrum only for
+    # constant fields: a linear rho changes the Neumann condition too
+    for name in _FIELDS:
+        if exact and not is_constant(getattr(problem, name)):
+            raise ScenarioError(
+                f"fields.{name}: {source} holds only for constant fields, "
+                f"got {name} = '{getattr(problem, name)}'")
 
     bounds: List[BoundRequest] = []
     for i, entry in enumerate(_expect(data, "bounds", list, "$", default=[])):
@@ -352,7 +372,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
                 raise ScenarioError(
                     f"{bpath}.grid_n: expected an integer >= 2, got {n:g}")
             _check_nodes([n] * domain.nu, f"{bpath}.grid_n")
-        if key == "k" and source == "fd":
+        if key == "k" and not exact:
             needed = max(int(p) for p in params)
             if kind.startswith("individual"):
                 needed += 1     # these read mu_k itself
@@ -414,56 +434,69 @@ def _shift_note(ctx: BoundContext) -> str:
     return "; affine shift by (w_mean, vweff_mean), exact for constant fields"
 
 
-def _scenario_spectrum(s: Scenario, grid: QuadratureGrid,
-                       ctx: BoundContext):
-    """Spectrum per the scenario source; returns (spectrum, summary)."""
-    summary = {"source": s.source}
-    if s.source == "fd":
-        result = solve_lowest_detailed(assemble(s.problem, grid), s.count,
-                                       s.method, s.tolerance)
-        spectrum = result.spectrum
-        summary["method"] = result.method
-        summary["max_residual"] = float(result.residuals.max())
-        summary["note"] = ("staircase boundary approximation"
-                           if isinstance(s.problem.domain, (Disk, MaskedBox))
-                           else "grid-converged values not verified in-run")
-    elif s.source == "exact-rectangle":
-        if not isinstance(s.problem.domain, Box) or s.problem.domain.nu != 2:
-            raise ScenarioError(
-                "spectrum.source: exact-rectangle needs a 2-D box domain")
-        lx, ly = s.problem.domain.sides
-        spectrum = shifted_spectrum(
-            rectangle_neumann_exact(lx, ly, count=s.count),
-            ctx.w_mean, ctx.vw_mean)
-        summary["note"] = "analytic Neumann rectangle values" + \
-            _shift_note(ctx)
-    elif s.source == "exact-torus":
-        torus = s.problem.domain
-        if not isinstance(torus, TorusFundamental):
-            raise ScenarioError(
-                "spectrum.source: exact-torus needs a torus domain")
-        cutoff = s.cutoff
-        if cutoff is None:
-            # enough dual points to cover `count` eigenvalues, Weyl-sized
-            cutoff = 4.0 * math.pi * (s.count + 4) / torus.covolume()
-        homog = torus_spectrum(torus, float(cutoff))
-        spectrum = shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten()
-        summary["note"] = ("affine shift of the free torus spectrum; exact "
-                           "for constant fields")
-    else:  # exact-sphere
-        nu = s.sphere_nu
-        l_max = s.sphere_l_max
-        if nu is None or l_max is None:
-            raise ScenarioError(
-                "spectrum: exact-sphere needs `nu` and `l_max`")
-        homog = sphere_spectrum(nu, l_max)
-        spectrum = shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten()
-        summary["note"] = "round-sphere Laplacian values" + _shift_note(ctx)
+def _build_fd(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
+    result = solve_lowest_detailed(assemble(s.problem, grid), s.count,
+                                   s.method, s.tolerance)
+    staircase = isinstance(s.problem.domain, (Disk, MaskedBox))
+    return result.spectrum, {
+        "method": result.method,
+        "max_residual": float(result.residuals.max()),
+        "note": "staircase boundary approximation" if staircase
+        else "grid-converged values not verified in-run"}
 
-    summary["count"] = len(spectrum)
-    summary["cutoff"] = float(spectrum.cutoff)
-    summary["first_values"] = [float(v) for v in spectrum.values[:12]]
-    return spectrum, summary
+
+def _build_rectangle(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
+    lx, ly = s.problem.domain.sides
+    return shifted_spectrum(rectangle_neumann_exact(lx, ly, count=s.count),
+                            ctx.w_mean, ctx.vw_mean), {
+        "note": "analytic Neumann rectangle values" + _shift_note(ctx)}
+
+
+def _build_torus(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
+    torus = s.problem.domain
+    cutoff = s.cutoff
+    if cutoff is None:
+        # enough dual points to cover `count` eigenvalues, Weyl-sized
+        cutoff = 4.0 * math.pi * (s.count + 4) / torus.covolume()
+    homog = torus_spectrum(torus, float(cutoff))
+    return shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten(), {
+        "note": "affine shift of the free torus spectrum; exact for "
+                "constant fields"}
+
+
+def _build_sphere(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
+    homog = sphere_spectrum(s.sphere_nu, s.sphere_l_max)
+    return shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten(), {
+        "note": "round-sphere Laplacian values" + _shift_note(ctx)}
+
+
+# source -> (spectrum keys it reads, (domain type, nu) pairs it accepts or
+# None for any, exact: shifted Laplacian values rather than a solve on the
+# grid, builder (scenario, grid, ctx) -> (spectrum, summary entries)).  A
+# builder looks each solver and enumerator up by its module-global name
+# when it is called, as the _KINDS lambdas do.
+_SOURCES = {
+    "fd": (("source", "count", "method", "tolerance"), None, False,
+           _build_fd),
+    "exact-rectangle": (("source", "count"), (("box", 2),), True,
+                        _build_rectangle),
+    "exact-torus": (("source", "count", "cutoff"), (("torus", 2),), True,
+                    _build_torus),
+    "exact-sphere": (("source", "nu", "l_max"), None, True, _build_sphere),
+}
+
+
+def build_spectrum(s: Scenario):
+    """(bound context on the run grid, spectrum per the scenario source,
+    the summary `run` reports); `spectrum` prints the same."""
+    _, _, exact, build = _SOURCES[s.source]
+    grid = QuadratureGrid(s.problem.domain, s.grid_n)
+    ctx = bound_context(s.problem, grid, solved=not exact)
+    spectrum, summary = build(s, grid, ctx)
+    return ctx, spectrum, {
+        "source": s.source, **summary, "count": len(spectrum),
+        "cutoff": float(spectrum.cutoff),
+        "first_values": [float(v) for v in spectrum.values[:12]]}
 
 
 @dataclass
@@ -525,9 +558,7 @@ def run_scenario(s: Scenario) -> RunReport:
     Individual bound failures become entries of `errors`; inequality
     violations surface as reports with holds=False.
     """
-    grid = QuadratureGrid(s.problem.domain, s.grid_n)
-    ctx = bound_context(s.problem, grid, solved=s.source == "fd")
-    spectrum, summary = _scenario_spectrum(s, grid, ctx)
+    ctx, spectrum, summary = build_spectrum(s)
     run = _Run(s, ctx, spectrum)
 
     reports: List[BoundReport] = []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spectral_bounds import (Box, FieldEvaluationError, FieldSyntaxError,
                              ProblemSpec, QuadratureGrid, bound_context,
                              differentiate, parse_field, phase_space_tables)
-from spectral_bounds.expressions import _MAX_DEPTH, const
+from spectral_bounds.expressions import _MAX_DEPTH, const, is_constant
 
 
 def ev(expr, nu, *points):
@@ -207,6 +207,15 @@ class TestDifferentiate:
         assert g.evaluate([np.array([0.0])])[0] == 1.0
         g = differentiate(parse_field("max(x, 2*x)", 1), 0)
         assert g.evaluate([np.array([0.0])])[0] == 1.0
+
+
+@pytest.mark.parametrize("source,constant", [
+    ("-0.5", True), ("2*3 + 1", True), ("sin(1)^2", True),
+    ("max(1, 2)", True), ("x", False), ("0*y", False),
+    ("step(x - 0.5)", False), ("max(1, z)", False)])
+def test_is_constant_means_no_coordinate(source, constant):
+    # the parse does not fold constants: -0.5 is a negation node
+    assert is_constant(parse_field(source, 3)) is constant
 
 
 # str() of a parsed source, of its derivative along x1 and of that

@@ -126,6 +126,43 @@ BAD_CASES = [
     ({**BASE, "spectrum": {"source": "exact-sphere", "nu": 2, "l_max": 4,
                            "count": 9}},
      r"spectrum\.count: exact-sphere reads no such key"),
+    # a source on a domain it does not accept, refused before any grid
+    ({**BASE, "domain": {"type": "disk", "radius": 1.0}},
+     r"spectrum\.source: exact-rectangle needs a 2-D box domain"),
+    ({**BASE, "domain": {"type": "box", "sides": [1, 1, 1]}},
+     r"spectrum\.source: exact-rectangle needs a 2-D box domain"),
+    ({**BASE, "spectrum": {"source": "exact-torus", "count": 9}},
+     r"spectrum\.source: exact-torus needs a 2-D torus domain"),
+    ({**BASE, "spectrum": {"source": "exact-sphere", "nu": 2}},
+     r"spectrum\.l_max: missing required field"),
+    ({**BASE, "spectrum": {"source": "exact-sphere", "l_max": 4}},
+     r"spectrum\.nu: missing required field"),
+    ({**BASE, "spectrum": {"source": "exact-sphere", "nu": 1, "l_max": 4}},
+     r"spectrum\.nu: must be >= 2, got 1"),
+    ({**BASE, "spectrum": {"source": "exact-sphere", "nu": 2, "l_max": -1}},
+     r"spectrum\.l_max: must be >= 0, got -1"),
+    # an exact source shifts the Laplacian values, which is the operator's
+    # spectrum only for constant fields; a linear rho changes the Neumann
+    # condition (fd n=40 gives 0, 9.86, 10.11 for rho = 0.5 x on the unit
+    # square, the shift 0.25, 10.12, 10.12)
+    ({**BASE, "fields": {"w": "1 + 0.9*x*y", "V": "30*x"}},
+     r"fields\.w: exact-rectangle holds only for constant fields, "
+     r"got w = '1\+0\.9\*x1\*x2'"),
+    ({**BASE, "fields": {"V": "30*x"}},
+     r"fields\.V: exact-rectangle holds only for constant fields"),
+    ({**BASE, "fields": {"rho": "0.5*x"}},
+     r"fields\.rho: exact-rectangle holds only for constant fields"),
+    ({**BASE, "fields": {"rho": "x*x"}},
+     r"fields\.rho: exact-rectangle holds only for constant fields"),
+    # its derivative folds to zero, but rho still jumps at x = 0.5
+    ({**BASE, "fields": {"rho": "step(x - 0.5)"}},
+     r"fields\.rho: exact-rectangle holds only for constant fields"),
+    ({**BASE, "domain": {"type": "torus", "e1": [1, 0], "e2": [0, 1]},
+      "spectrum": {"source": "exact-torus"}, "fields": {"V": "sin(x)"}},
+     r"fields\.V: exact-torus holds only for constant fields"),
+    ({**BASE, "spectrum": {"source": "exact-sphere", "nu": 2, "l_max": 4},
+      "fields": {"w": "2 + y"}},
+     r"fields\.w: exact-sphere holds only for constant fields"),
     # the label names the output files, which must stay inside --out
     ({**BASE, "label": ""}, r"\$\.label: '' is not a plain file name"),
     ({**BASE, "label": "."}, r"\$\.label: '\.' is not a plain file name"),
@@ -158,9 +195,8 @@ def test_load_checks_fd_count_covers_requests(tmp_path):
 
 def test_exact_rectangle_requires_box(tmp_path):
     p = scenario_with(tmp_path, domain={"type": "disk", "radius": 1.0})
-    s = load_scenario(p)
     with pytest.raises(ScenarioError, match="exact-rectangle"):
-        run_scenario(s)
+        load_scenario(p)
 
 
 def test_run_report_contents(tmp_path):
@@ -306,7 +342,8 @@ def test_cli_refuses_nonpositive_H_omega(tmp_path, kind, key, param):
 def test_cli_overflowing_constant_power_in_rho_exits_2(tmp_path, capsys):
     # the derivative of rho holds 1e300^2, which must not be folded into an
     # OverflowError
-    cfg = scenario_with(tmp_path, fields={"rho": "1e300^3*x"})
+    cfg = scenario_with(tmp_path, fields={"rho": "1e300^3*x"},
+                        grid={"n": 8}, spectrum={"source": "fd", "count": 10})
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
@@ -322,8 +359,9 @@ def test_cli_phase_space_names_an_overflowing_effective_potential(tmp_path,
                                                                   capsys):
     # V is finite, but the square of its gradient in the Lipschitz
     # constant overflows on the phase-space nodes
-    cfg = scenario_with(tmp_path, fields={"V": "1e200*x"}, bounds=[
-        {"kind": "phase-space-sum", "k": [2]}])
+    cfg = scenario_with(tmp_path, fields={"V": "sin(1e160*x)"},
+                        grid={"n": 8}, spectrum={"source": "fd", "count": 4},
+                        bounds=[{"kind": "phase-space-sum", "k": [2]}])
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
@@ -331,7 +369,7 @@ def test_cli_phase_space_names_an_overflowing_effective_potential(tmp_path,
     assert len(errors) == 1
     assert "effective potential V + |grad rho|^2 or its gradient" in \
         errors[0]
-    assert "V = '1e+200*x1'" in errors[0]
+    assert "V = 'sin(1e+160*x1)'" in errors[0]
 
 
 def test_run_with_no_bounds_is_spectrum_only(tmp_path, capsys):
@@ -425,7 +463,7 @@ def test_cli_bound_refuses_a_non_finite_param(tmp_path, capsys, value):
     {"fields": {"w": "x - 0.5"}},
     {"grid": {"n": 4}},
     # the exact rectangle never assembles; the run grid still checks w
-    {"fields": {"w": "x - 0.5"}, "spectrum": {"source": "exact-rectangle"}}],
+    {"fields": {"w": "-0.5"}, "spectrum": {"source": "exact-rectangle"}}],
     ids=["negative-weight", "coarse-grid", "exact-negative-weight"])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, override):
     cfg = scenario_with(tmp_path, **{
@@ -709,6 +747,54 @@ def test_exact_sources_shift_by_constant_fields(tmp_path, capsys, spectrum,
         pytest.approx(expected, rel=1e-12)
 
 
+# one scenario per spectrum source, with the enumerator or solver it runs
+_PER_SOURCE = {
+    "fd": ({"grid": {"n": 8}, "spectrum": {"source": "fd", "count": 6},
+            "fields": {"w": "1 + 0.5*x"}}, "solve_lowest_detailed"),
+    "exact-rectangle": ({"fields": {"w": "2", "V": "5"}},
+                        "rectangle_neumann_exact"),
+    "exact-torus": ({"domain": {"type": "torus", "e1": [1.2, 0.0],
+                                "e2": [0.3, 0.9]},
+                     "spectrum": {"source": "exact-torus", "count": 20}},
+                    "torus_spectrum"),
+    "exact-sphere": ({"spectrum": {"source": "exact-sphere", "nu": 2,
+                                   "l_max": 4}}, "sphere_spectrum"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_PER_SOURCE))
+def test_cli_spectrum_and_run_report_one_summary(tmp_path, capsys, source):
+    cfg = scenario_with(tmp_path, **{"grid": {"n": 16}, "bounds": [],
+                                     **_PER_SOURCE[source][0]})
+    assert main(["spectrum", "--config", str(cfg), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["source"] == source
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "square.json").read_text())
+    assert report["spectrum"] == summary
+
+
+@pytest.mark.parametrize("source", sorted(_PER_SOURCE))
+def test_run_looks_spectrum_functions_up_when_called(tmp_path, monkeypatch,
+                                                     source):
+    # the source table must not hold the function objects it saw at import
+    import spectral_bounds.scenario as scenario
+
+    name = _PER_SOURCE[source][1]
+    original = getattr(scenario, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, name, spy)
+    run_scenario(load_scenario(scenario_with(tmp_path, **{
+        "grid": {"n": 16}, "bounds": [], **_PER_SOURCE[source][0]})))
+    assert calls == [name]
+
+
 _SCIPY_PROBE = """
 import sys
 from spectral_bounds.cli import main
@@ -767,13 +853,6 @@ def test_cli_bound_subcommand(tmp_path, capsys):
     assert "ok" in out
     assert main(["bound", "--config", str(cfg), "--kind", "astrology",
                  "--param", "1"]) == 2
-
-
-def test_cli_selftest(capsys):
-    assert main(["selftest", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "OK: 5/5" in out
-    assert out.count("PASS") == 5
 
 
 def test_bundled_scenarios_load_and_run():
