@@ -21,27 +21,35 @@ faces; the seam face is evaluated at the left edge, i.e. fields are read
 modulo the period.
 
 Eigenpairs come from one of three paths.  `assemble` finds the axes
-along which the form is constant: the nodal potential, the mass, every
-face array and the mask repeat unchanged along them.  For such an axis a,
-K = K_rest (x) I + C_a (x) L_a, with L_a the unit 1-D cell-centred stencil
-(modes cos(pi m (i+1/2)/n) with values 4 sin^2(pi m/2n) when Neumann, a
-cos/sin pair with 4 sin^2(pi m/n) per frequency when periodic).  Each mode
-l_m then leaves one block (K_rest + l_m C_a, M_rest) on the slice across a,
-and the default ("peeled") solves blocks in ascending l_m, each by the
-same rule (peeled again, dense or shift-invert), with tensor-product
-vectors.  Block m's j-th value is at least block m-1's plus
-(l_m - l_(m-1)) min(C_a/M_rest) (Weyl), so a block is asked only for the
-pairs that bound lets below the current k-th value, and the sweep stops at
-the first block asked for none.  When C_a/M_rest is one number s, every
-block is block 0 shifted by l_m s, and the lowest sums are merged in
-closed form; a form constant along every axis is a Kronecker sum of 1-D
-stencils plus the shift V*w and reports "separable".  Every other form
-defaults to numpy's dense `eigh` ("dense") up to _DENSE_DEFAULT_DOF dof
-or when all pairs are asked for, and to sparse shift-invert ("iterative")
-above; a pinned method solves the whole form.  Every path's pairs must
-pass the same residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN
-fails), through the stencil matvec of the assembled form.  The gate runs
-over blocks of whole columns of at most _GATE_BLOCK entries, so that its
+along which the form factors: the mask repeats along axis a, and at
+every slice t the nodal potential, the mass and the faces across a are
+slice 0's times one number g_t, while the faces along a are slice 0's
+times one number b_t per face (the seam included when periodic).  Then
+K = K_rest (x) G + C_a (x) L_a and M = M_rest (x) G, with G = diag(g) and
+L_a the 1-D stencil with faces b.  Each pair (z_m, v) of L_a v = z G v
+leaves one block (K_rest + z_m C_a, M_rest) on slice 0 across a, and the
+default ("peeled") solves blocks in ascending z_m, each by the same rule
+(peeled again, dense or shift-invert), with tensor-product vectors.  An
+axis along which the form repeats exactly (g = b = 1) takes the closed
+form of the unit stencil (modes cos(pi m (i+1/2)/n) with values
+4 sin^2(pi m/2n) when Neumann, a cos/sin pair with 4 sin^2(pi m/n) per
+frequency when periodic) and is peeled first; any other factored axis
+takes the lowest pairs of its own 1-D stencil by the dense/shift-invert
+rule, so it is peeled only while another axis remains.  Block m's j-th
+value is at least block m-1's plus (z_m - z_(m-1)) min(C_a/M_rest)
+(Weyl), so a block is asked only for the pairs that bound lets below the
+current k-th value, and the sweep stops at the first block asked for
+none.  When C_a/M_rest is one number s, every block is block 0 shifted
+by z_m s, and the lowest sums are merged in closed form; a form that
+repeats along every axis is a Kronecker sum of 1-D stencils plus the
+shift V*w and reports "separable".  Every other form defaults to
+numpy's dense `eigh` ("dense") up to _DENSE_DEFAULT_DOF dof or when all
+pairs are asked for, and to sparse shift-invert ("iterative") above; a
+pinned method solves the whole form.  An entry within _FACTOR_RTOL of its
+factored value is accepted, so every path's pairs must pass the same
+residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN fails),
+through the stencil matvec of the assembled form.  The gate runs over
+blocks of whole columns of at most _GATE_BLOCK entries, so that its
 temporaries stay in cache instead of costing several copies of the
 vectors, and gives each column the bits of the whole-block formula.
 
@@ -55,9 +63,10 @@ exact-source, separable, dense or densely peeled run never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -88,6 +97,13 @@ _MAX_DENSE_DOF = 6400   # most dof of a dense or an all-pairs solve
 _DENSE_DEFAULT_DOF = 1024
 # most entries (512 KiB of doubles) per column block of the residual gate
 _GATE_BLOCK = 1 << 16
+# relative distance at which an entry still counts as factored.  Each
+# entry rounds exp(-2 rho) of a summed exponent, so the distance grows
+# with |rho|: a Gaussian rho = |x|^2/2 was within 4.7 eps on [-1,1]^2 at
+# 160^2, 5.5 eps on [-1,1]^3 at 24^3 and 11 eps on [-2,2]^2, and 17 eps
+# on [-2,2]^3, which is solved whole.  Forms that do not factor were O(1)
+# away.  The residual gate certifies the pairs either way.
+_FACTOR_RTOL = 16 * np.finfo(float).eps
 
 # the parts of an axis that face pairs join: interior faces (node i to
 # i+1), then the seam (last node to first) of a periodic axis
@@ -134,8 +150,11 @@ class DiscreteForm:
     potential_floor: float     # min nodal V*w, a lower bound for the spectrum
     mask: np.ndarray           # the grid's inside nodes
     periodic: bool
-    # axes along which potential, mass, faces and mask do not vary
-    constant_axes: Tuple[int, ...] = ()
+    # the axes along which the form factors: None where it repeats
+    # exactly, else (g, b), its mass ratio per slice and its face ratio
+    # per face (0 at the absent last face of a Neumann axis)
+    factors: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = \
+        field(default_factory=dict)
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -227,9 +246,10 @@ class DiscreteForm:
             shape=(self.dof_count,) * 2)
 
     def block(self, axis: int, level: float) -> DiscreteForm:
-        """The form on the slice across a constant `axis` for the mode of
-        the unit 1-D stencil with value `level`: the faces along `axis`
-        become `level` times their coefficient on the diagonal."""
+        """The form on slice 0 across a factored `axis` for the mode of
+        its 1-D stencil with value `level`: the faces along `axis` become
+        `level` times their coefficient on the diagonal.  The form factors
+        along its other axes as it did, with the same g and b."""
         first = _along(axis, self.mask.ndim, 0)
         mask = np.asarray(self.mask[first])
         full = np.zeros(self.mask.shape)
@@ -247,8 +267,8 @@ class DiscreteForm:
             mass_diag=on_slice(self.mass_diag),
             dof_count=int(mask.sum()),
             mask=mask,
-            constant_axes=tuple(b - (b > axis) for b in self.constant_axes
-                                if b != axis))
+            factors={b - (b > axis): f for b, f in self.factors.items()
+                     if b != axis})
 
 
 @dataclass
@@ -336,32 +356,59 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
             np.isfinite(mass_diag).all() and mass_diag.min() > 0.0):
         raise ValueError(
             f"operator entries overflow or underflow on grid {grid.shape}")
-    form.constant_axes = _constant_axes(form)
+    form.factors = _factors(form)
     return form
 
 
-def _constant_axes(form: DiscreteForm) -> Tuple[int, ...]:
-    """The axes along which the nodal potential, the mass, every face
-    array and the mask repeat exactly; the last faces of a Neumann axis
-    are absent, so only its present faces count.  The summed diagonal
-    can differ along such an axis in the last bit, so it is not read."""
+def _factors(form: DiscreteForm
+             ) -> Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """The axes along which the form factors, each with None when it
+    repeats exactly, else (g, b).  g and b are read at the first inside
+    node of slice 0; an axis factors when the mask repeats along it, g
+    and every present b are finite and positive, and every entry lies
+    within _FACTOR_RTOL of its factored value.  Ratios that are all 1
+    must hold exactly, which is the repeat; the summed diagonal can
+    differ along such an axis in the last bit, so it is not read."""
     mask = form.mask
     nu = mask.ndim
-    nodal = []
-    for values in (form.potential, form.mass_diag):
-        full = np.zeros(mask.shape)
-        full[mask] = values
-        nodal.append(full)
+    potential, mass = np.zeros(mask.shape), np.zeros(mask.shape)
+    potential[mask] = form.potential
+    mass[mask] = form.mass_diag
+    factors = {}
+    # a slice ratio can overflow where the mass does not: that axis
+    # simply does not factor
+    with np.errstate(all="ignore"):
+        for axis in range(nu):
+            first = _along(axis, nu, slice(0, 1))
+            if not (mask == mask[first]).all():
+                continue
+            node = np.unravel_index(np.argmax(mask[first]), mask[first].shape)
+            line = tuple(slice(None) if d == axis else node[d]
+                         for d in range(nu))
+            shape = tuple(-1 if d == axis else 1 for d in range(nu))
+            along = form.faces[axis]
+            g, b = (x[line] / x[line][0] for x in (mass, along))
+            present = b if form.periodic else b[:-1]
+            if not (np.isfinite(g).all() and g.min() > 0.0 and
+                    np.isfinite(present).all() and present.min() > 0.0):
+                continue
+            repeats = bool((g == 1.0).all() and (present == 1.0).all())
 
-    def constant(x, axis):
-        return bool((x == x[_along(axis, nu, slice(0, 1))]).all())
+            def fits(x, ratio):
+                factored = ratio.reshape(shape) * x[first]
+                if repeats:
+                    return bool((x == factored).all())
+                return bool((np.abs(x - factored) <=
+                             _FACTOR_RTOL * np.abs(x)).all())
 
-    return tuple(
-        axis for axis in range(nu)
-        if all(constant(x, axis) for x in (mask, *nodal)) and
-        all(constant(c if b != axis or form.periodic
-                     else c[_along(axis, nu, _INTERIOR[0])], axis)
-            for b, c in enumerate(form.faces)))
+            # the potential and the faces tell most forms apart, so they
+            # go first
+            checks = [(potential, g)] + \
+                [(c, g) for a, c in enumerate(form.faces) if a != axis] + \
+                [(along, b), (mass, g)]
+            if all(fits(x, ratio) for x, ratio in checks):
+                factors[axis] = None if repeats else (g, b)
+    return factors
 
 
 def _snap_zeros(values: np.ndarray, zero_potential: bool) -> np.ndarray:
@@ -373,15 +420,15 @@ def _snap_zeros(values: np.ndarray, zero_potential: bool) -> np.ndarray:
     return np.sort(snapped)
 
 
-def _axis_pairs(n: int, scale: float, periodic: bool, count: int):
-    """The count lowest pairs of one axis's 1-D stencil: ascending values
-    and unit eigenvectors as columns."""
+def _axis_pairs(n: int, periodic: bool, count: int):
+    """The count lowest pairs of the unit 1-D stencil on n nodes:
+    ascending values and unit eigenvectors as columns."""
     m = np.arange(count)
     # periodic: the constant, then sin and cos of each frequency in turn
     wave = 2 * ((m + 1) // 2) if periodic else m
     angle = (math.pi / n) * (np.arange(n)[:, None] + 0.5) * wave
     vectors = np.where(periodic & (m % 2 == 1), np.sin(angle), np.cos(angle))
-    values = 4.0 * scale * np.sin(math.pi * wave / (2 * n)) ** 2
+    values = 4.0 * np.sin(math.pi * wave / (2 * n)) ** 2
     return values, vectors / np.linalg.norm(vectors, axis=0)
 
 
@@ -402,11 +449,40 @@ def _tensor(form: DiscreteForm, axis: int, u: np.ndarray,
     return (x if form.dof_count == mask.size else x[:, mask.ravel()]).T
 
 
-def _peeled_pairs(form: DiscreteForm, k: int):
-    """Lowest k pairs of a form constant along its last constant axis a:
-    the lowest by (value, block order) over the blocks of the unit
-    stencil's modes along a, with vectors u (x) v scaled to x^T M x = 1."""
-    axis = form.constant_axes[-1]
+def _axis_modes(form: DiscreteForm, axis: int, count: int):
+    """The count lowest pairs (z_m, v) of the 1-D stencil along a factored
+    `axis`, with v^T G v = 1: the unit stencil's closed form where the
+    form repeats, else the stencil with faces b and mass g, by the
+    default rule (which does not peel a 1-D form's factored axis)."""
+    n = form.mask.shape[axis]
+    factor = form.factors[axis]
+    if factor is None:
+        return _axis_pairs(n, form.periodic, count)
+    g, b = factor
+    stencil = DiscreteForm(
+        potential=np.zeros(n), faces=(b,), mass_diag=g, dof_count=n,
+        zero_potential=True, potential_floor=0.0,
+        mask=np.ones(n, dtype=bool), periodic=form.periodic)
+    return _lowest_pairs(stencil, count)[:2]
+
+
+def _peel_axis(form: DiscreteForm) -> Optional[int]:
+    """The axis to peel: the last along which the form repeats (its modes
+    are in closed form), else the last along which it factors while
+    another axis remains (a 1-D form's own stencil is the problem itself);
+    None when there is none."""
+    repeats = [a for a, f in form.factors.items() if f is None]
+    if repeats:
+        return repeats[-1]
+    if form.mask.ndim > 1 and form.factors:
+        return max(form.factors)
+    return None
+
+
+def _peeled_pairs(form: DiscreteForm, k: int, axis: int):
+    """Lowest k pairs of a form that factors along `axis`: the lowest by
+    (value, block order) over the blocks of the 1-D stencil's modes along
+    it, with vectors u (x) v scaled to x^T M x = 1."""
     n = form.mask.shape[axis]
     rest = form.block(axis, 0.0)
     ratio = form.faces[axis][_along(axis, form.mask.ndim, 0)][rest.mask] / \
@@ -416,10 +492,11 @@ def _peeled_pairs(form: DiscreteForm, k: int):
         raise ValueError(
             f"mass-scaled operator overflows on grid {form.mask.shape}")
     count = min(k, rest.dof_count)
+    levels, v = _axis_modes(form, axis, min(k, n))
     if ratio.min() == ratio.max():
         # every block is block 0 shifted by its mode's value times ratio:
         # merge the k smallest sums
-        levels, v = _axis_pairs(n, float(ratio[0]), form.periodic, min(k, n))
+        levels = levels * ratio[0]
         mu, u, method = _lowest_pairs(rest, count)
         sums = np.add.outer(mu, levels).ravel()
         keep = np.argsort(sums, kind="stable")[:k]
@@ -428,7 +505,6 @@ def _peeled_pairs(form: DiscreteForm, k: int):
         return sums[keep], x, \
             "separable" if method == "separable" else "peeled"
 
-    levels, v = _axis_pairs(n, 1.0, form.periodic, min(k, n))
     lift = float(ratio.min())
     values, u, modes = np.empty(0), np.empty((rest.dof_count, 0)), \
         np.empty(0, dtype=np.int64)
@@ -457,18 +533,27 @@ def _peeled_pairs(form: DiscreteForm, k: int):
 
 def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
     """(values, x with x^T M x = 1, method) of the lowest k pairs, by the
-    given method or, when None, by the default rule: peel a constant axis;
-    otherwise dense while eigh costs less than loading scipy for
-    shift-invert, and for the whole spectrum, which ARPACK cannot return."""
+    given method or, when None, by the default rule: peel a factored axis
+    (`_peel_axis`); otherwise dense while eigh costs less than loading
+    scipy for shift-invert, and for the whole spectrum, which ARPACK
+    cannot return."""
     n = form.dof_count
     if form.mask.ndim == 0:
-        # a slice of no axes is one node of a Kronecker-sum form; its
-        # value is that form's nodal V*w
-        return np.full(1, form.potential_floor), \
+        # a slice of no axes is one node: its value is its potential (with
+        # the levels its blocks added) over its mass.  Within the 2 eps by
+        # which assembly rounds that quotient away from the nodal V*w of a
+        # constant form, it is that number, so such forms keep their bits.
+        value = float(form.potential[0] / form.mass_diag[0])
+        floor = form.potential_floor
+        if abs(value - floor) <= 2 * np.finfo(float).eps * abs(floor):
+            value = floor
+        return np.full(1, value), \
             np.full((1, 1), 1.0 / math.sqrt(float(form.mass_diag[0]))), \
             "separable"
+    axis = None
     if method is None:
-        method = "peeled" if form.constant_axes else \
+        axis = _peel_axis(form)
+        method = "peeled" if axis is not None else \
             "dense" if n <= _DENSE_DEFAULT_DOF or k == n else "iterative"
     if n > _MAX_DENSE_DOF and (method == "dense" or k == n):
         # all k == dof pairs take dof^2 doubles on every path
@@ -476,7 +561,7 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
             f"dense-sized solve ({method}, {k} pairs) refused at dof={n} > "
             f"{_MAX_DENSE_DOF}; use method='iterative' with k < dof")
     if method == "peeled":
-        return _peeled_pairs(form, k)
+        return _peeled_pairs(form, k, axis)
     return (*_mass_scaled_pairs(form, k, method), method)
 
 
@@ -507,7 +592,7 @@ def _residuals(form: DiscreteForm, vals: np.ndarray,
 def solve_lowest_detailed(form: DiscreteForm, k: int,
                           method: Optional[str] = None,
                           tolerance: float = 1e-8) -> SolveResult:
-    """Lowest-k eigenpairs of K x = mu M x: by peeling constant axes where
+    """Lowest-k eigenpairs of K x = mu M x: by peeling factored axes where
     the form has them, otherwise through M^(-1/2) K M^(-1/2).  Every
     pair's residual must be within `tolerance`."""
     if k < 1:

@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import QuadratureGrid
-from .expressions import Const, differentiate
+from .expressions import differentiate, is_constant
 from .problem import ProblemSpec
 from .report import BoundReport, make_report
 from .special import bessel_first_zero, unit_ball_volume
@@ -190,7 +190,7 @@ def phase_space_tables(problem: ProblemSpec,
     # the order in which their weights are summed.  With one constant w
     # any tie order gives the same vt, weights and moments, and lip_at
     # reads the running maximum only at the end of a tie group
-    weight = problem.w.evaluate(()) if isinstance(problem.w, Const) \
+    weight = float(problem.w.evaluate(())) if is_constant(problem.w) \
         else None
     order = np.argsort(vt, kind="stable" if weight is None else None)
     vt = vt[order]

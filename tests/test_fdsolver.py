@@ -237,7 +237,7 @@ class TestSolverOptions:
         iterative = solve_lowest_detailed(form, 6, method="iterative")
         default = solve_lowest_detailed(form, 6)
         # constant fields on a full rectangular torus: a Kronecker sum;
-        # the 3-D box varies along x and z only, so it peels y
+        # the 3-D box repeats along y and factors along z, so it peels both
         assert default.method == {"rect-torus": "separable",
                                   "box-3d": "peeled"}.get(case, "iterative")
         # a pinned method solves the whole form, peelable or not
@@ -469,7 +469,7 @@ class TestSeparable:
     def test_matches_iterative_and_dense(self, case):
         prob, shape, k = SEPARABLE_CASES[case]
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
-        assert form.constant_axes == tuple(range(len(shape)))
+        assert form.factors == dict.fromkeys(range(len(shape)))
         res = solve_lowest_detailed(form, k)
         assert res.method == "separable"
         assert res.residuals.max() <= 1e-8  # the default tolerance
@@ -493,20 +493,32 @@ class TestSeparable:
         assert res.spectrum.values == pytest.approx(ref, rel=1e-12,
                                                     abs=1e-12)
 
-    @pytest.mark.parametrize("prob,shape,axes", [
-        (ProblemSpec(Disk(1.0)), (24, 24), ()),
-        # constant at the nodes (cos(pi (i + 1/2)) = 0), 1 or 3 at faces
-        (ProblemSpec(Box((1.0, 1.0)), w="2 + cos(8*pi*x)"), (8, 8), (1,)),
-        (ProblemSpec(Box((1.0, 1.0)), rho="0.1*y"), (12, 12), (0,)),
-        (ProblemSpec(Box((1.0, 1.0)), V="x"), (12, 12), (1,)),
-    ], ids=["disk", "faces-only-weight", "rho", "potential"])
-    def test_not_taken_for_varying_forms(self, prob, shape, axes):
+    @pytest.mark.parametrize("prob,shape,repeats,factors", [
+        (ProblemSpec(Disk(1.0)), (24, 24), (), ()),
+        # constant at the nodes (cos(pi (i + 1/2)) = 0), 1 or 3 at faces:
+        # x factors with g = 1 and b alternating 1, 3
+        (ProblemSpec(Box((1.0, 1.0)), w="2 + cos(8*pi*x)"), (8, 8), (1,),
+         (0,)),
+        # e^(-2 rho) factors along y
+        (ProblemSpec(Box((1.0, 1.0)), rho="0.1*y"), (12, 12), (0,), (1,)),
+        (ProblemSpec(Box((1.0, 1.0)), V="x"), (12, 12), (1,), ()),
+        # a weight that varies along z by 1e-9 keeps the mass from
+        # factoring with the faces, far beyond rounding
+        (ProblemSpec(Box((1.0, 1.0, 1.0)), rho="0.2*z", w="1 + 1e-9*z"),
+         (8, 8, 8), (0, 1), ()),
+    ], ids=["disk", "faces-only-weight", "rho", "potential", "tiny-weight"])
+    def test_not_taken_for_varying_forms(self, prob, shape, repeats,
+                                         factors):
         form = assemble(prob, QuadratureGrid(prob.domain, shape))
-        # a field varying along an axis keeps that axis; the others peel
-        assert form.constant_axes == axes
+        # a field varying along an axis keeps that axis unless the form
+        # factors along it; the others repeat, and all of them peel
+        assert [a for a, f in form.factors.items() if f is None] == \
+            list(repeats)
+        assert [a for a, f in form.factors.items() if f is not None] == \
+            list(factors)
         res = solve_lowest_detailed(form, 4)
         # below the dense crossover, so an unpeeled form is dense
-        assert res.method == ("peeled" if axes else "dense")
+        assert res.method == ("peeled" if repeats else "dense")
         dense = solve_lowest_detailed(form, 4, method="dense")
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-12)
@@ -516,8 +528,8 @@ class TestSeparable:
         # the closed form read the first x-face for all, off by 1e-6
         prob = ProblemSpec(Box((1.0, 1.0)), w="1 + 1e-6*x")
         form = assemble(prob, QuadratureGrid(prob.domain, (12, 12)))
-        assert form.constant_axes == (1,)
-        form.constant_axes = (0, 1)
+        assert form.factors == {1: None}
+        form.factors = {0: None, 1: None}
         with pytest.raises(SolverConvergenceError):
             solve_lowest(form, 4)
 
@@ -529,13 +541,18 @@ class TestSeparable:
 
 
 # (domain, shape, fields from coefficients a, b, c (none of them 0), the
-# axes that peel): w(x) and rho(z) in 3-D; V(x) in 2-D; w(x) on a torus,
-# whose periodic modes come in cos/sin twins; w(x) in 3-D, which peels
-# two axes; a thin box along the peeled axis, where each of many blocks
-# adds only its lowest pair
+# axes that peel): w(x) and rho(z) in 3-D, which repeats along y and
+# factors along z; V(x) in 2-D; w(x) on a torus, whose periodic modes come
+# in cos/sin twins; w(x) in 3-D, which peels two axes; a thin box along
+# the peeled axis, where each of many blocks adds only its lowest pair.
+# Forms that factor along axes they do not repeat along: a Gaussian rho
+# in 2-D and 3-D; a weight seen only by the faces along y (1 or 3 there,
+# 2 at the nodes) with rho(x); rho(x) periodic on a torus, whose seam
+# face factors too; a mask that repeats along the factored y
 PEEL_CASES = {
     "box-3d": (Box((1.0, 1.0, 2.0)), (8, 8, 10),
-               lambda a, b, c: {"w": f"1 + {a}*x", "rho": f"{b}*z"}, (1,)),
+               lambda a, b, c: {"w": f"1 + {a}*x", "rho": f"{b}*z"},
+               (1, 2)),
     "box-2d-potential": (Box((1.0, 1.3)), (12, 10),
                          lambda a, b, c: {"V": f"{c}*x^2 + {b}"}, (1,)),
     "rect-torus": (TorusFundamental((2.0, 0.0), (0.0, 1.0)), (12, 10),
@@ -547,19 +564,34 @@ PEEL_CASES = {
     "thin-box": (Box((0.2, 3.0)), (8, 24),
                  lambda a, b, c: {"w": f"1 + {a}*x", "rho": f"{b}*x"},
                  (1,)),
+    "gauss-2d": (Box((2.0, 2.0), (-1.0, -1.0)), (12, 10),
+                 lambda a, b, c: {"rho": f"(x^2 + y^2)/2 + {b}*x"},
+                 (0, 1)),
+    "gauss-3d": (Box((2.0,) * 3, (-1.0,) * 3), (8, 9, 8),
+                 lambda a, b, c: {"rho": f"(x^2 + y^2 + z^2)/2 + {b}*z"},
+                 (0, 1, 2)),
+    "faces-only-weight": (Box((1.0, 1.0)), (10, 8),
+                          lambda a, b, c: {"w": "2 + cos(8*pi*y)",
+                                           "rho": f"{b}*x"}, (0, 1)),
+    "torus-seam": (TorusFundamental((2.0, 0.0), (0.0, 1.0)), (12, 10),
+                   lambda a, b, c: {"rho": f"{b}*cos(pi*x)",
+                                    "w": f"1 + {a}*y"}, (0,)),
+    "masked": (MaskedBox(Box((1.0, 1.0)), parse_field("x - 0.7", 2)),
+               (12, 10),
+               lambda a, b, c: {"w": f"1 + {a}*x", "rho": f"{b}*y"}, (1,)),
 }
 _NONZERO = st.integers(-40, 40).filter(bool).map(lambda i: i / 100)
 
 
 class TestPeeled:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(PEEL_CASES)), _NONZERO, _NONZERO,
            _NONZERO, st.sampled_from((1, 6, 20, "dof")))
     def test_matches_dense(self, name, a, b, c, k):
         domain, shape, fields, axes = PEEL_CASES[name]
         form = assemble(ProblemSpec(domain, **fields(a, b, c)),
                         QuadratureGrid(domain, shape))
-        assert form.constant_axes == axes
+        assert tuple(form.factors) == axes
         k = form.dof_count if k == "dof" else k
         res = solve_lowest_detailed(form, k)
         assert res.method == "peeled"
@@ -572,10 +604,13 @@ class TestPeeled:
         assert res.residuals.max() <= 1e-8  # the default tolerance
 
     def test_blocks_past_the_weyl_bound_are_not_solved(self, monkeypatch):
-        # 8x8x16 varying along x and z: the y-mode of level l lifts every
-        # value of its block by at least l min(c/m) = 64 l, which for the
-        # third mode (l = 0.59) clears the 10th value, so two blocks of
-        # 128 dof are solved and the sweep stops
+        # 8x8x16 repeating along y and factoring along z: the y-mode of
+        # level l lifts every value of its block by at least
+        # l min(c/m) = 64 l, which for the third mode (l = 0.59) clears the
+        # 10th value, so two (x, z) blocks are solved and the sweep stops.
+        # Each peels z: its 16-node stencil, then x-lines of 8 dof in
+        # ascending z-mode, of which the bound stops the sweeps after 5
+        # and 4 of 16
         prob = ProblemSpec(Box((1.0, 1.0, 2.0)), w="1 + 0.5*x",
                            rho="0.2*z")
         form = assemble(prob, QuadratureGrid(prob.domain, (8, 8, 16)))
@@ -588,10 +623,59 @@ class TestPeeled:
 
         monkeypatch.setattr(fdsolver, "_mass_scaled_pairs", counted)
         res = solve_lowest_detailed(form, 10)
-        assert solved == [128, 128]
+        assert solved == [16] + [8] * 5 + [16] + [8] * 4
         dense = solve_lowest_detailed(form, 10, method="dense")
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10)
+
+    def test_wrong_factor_fails_the_residual_gate(self):
+        # w varies along y by 1e-6 relative, so the faces across y do not
+        # follow the mass: a claim that y factors with the mass ratio g
+        # and the face ratio b makes every block read slice 0's faces
+        prob = ProblemSpec(Box((1.0, 1.0)), rho="0.2*y", w="1 + 1e-6*y")
+        form = assemble(prob, QuadratureGrid(prob.domain, (12, 12)))
+        assert form.factors == {0: None}
+        mass = form.mass_diag.reshape(12, 12)[0]
+        faces = form.faces[1][0]
+        form.factors = {1: (mass / mass[0], faces / faces[0])}
+        with pytest.raises(SolverConvergenceError):
+            solve_lowest(form, 4)
+
+    def test_a_one_node_slice_keeps_its_level(self):
+        # a block of a constant form carries its mode's level on the
+        # diagonal; peeled down to one node, that node's value is its own
+        # potential over its mass, not the form's nodal V*w
+        prob = ProblemSpec(Box((1.0, 1.3)), w="2.5", V="-4")
+        form = assemble(prob, QuadratureGrid(prob.domain, (10, 12)))
+        block = form.block(1, 7.0)
+        assert block.factors == {0: None}
+        res = solve_lowest_detailed(block, 4)
+        dense = solve_lowest_detailed(block, 4, method="dense")
+        assert res.method == "separable"
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-12)
+
+    def test_fd3_aniso_blocks_stay_small(self, monkeypatch):
+        # the bench's 16x16x32 box repeats along y and factors along z:
+        # no dense eigh sees more than the 32 nodes of the z stencil
+        prob = ProblemSpec(Box((1.0, 1.0, 2.0)), w="1 + 0.5*x",
+                           rho="0.2*z")
+        form = assemble(prob, QuadratureGrid(prob.domain, (16, 16, 32)))
+        sizes = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        res = solve_lowest_detailed(form, 10)
+        assert res.method == "peeled"
+        assert sizes and max(sizes) <= 32
+        monkeypatch.undo()
+        whole = solve_lowest_detailed(form, 10, method="iterative")
+        assert res.spectrum.values == pytest.approx(
+            whole.spectrum.values, rel=1e-10, abs=1e-12)
 
     def test_blocks_above_the_crossover_use_shift_invert(self):
         # 1-D blocks of 1100 dof: each is a shift-invert solve

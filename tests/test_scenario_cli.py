@@ -534,6 +534,23 @@ def test_cli_unevaluable_domain_exits_2(tmp_path, capsys, domain, source):
     assert err.count("\n") == 1
 
 
+def test_cli_overflowing_slice_ratio_does_not_factor(tmp_path, capsys):
+    # rho = 360 - 390 z: the mass is finite on the 12^3 box, but its ratio
+    # across z overflows, so z does not factor (and numpy's raise mode in
+    # the run does not fire).  x and y repeat, and the one-axis z block
+    # misses the gate with the message it gave before factoring existed.
+    cfg = scenario_with(tmp_path,
+                        domain={"type": "box", "sides": [1.0, 1.0, 1.0]},
+                        fields={"rho": "360 - 390*z"}, grid={"n": 12},
+                        spectrum={"source": "fd", "count": 6},
+                        bounds=[{"kind": "kroger-avg", "k": [2]}])
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "solver error: eigenpair residual 1.595e-05 exceeds tolerance "
+        "1.000e-08 (6 of 6 pairs)\n")
+
+
 @pytest.mark.parametrize("field,source", [
     ("w", "1 + 0*" + "(" * 2000 + "x" + ")" * 2000),
     ("V", "x" + "+x" * 5000)], ids=["parentheses", "long-sum"])
@@ -630,6 +647,41 @@ def test_cli_phase_space_counts_potential_energy(tmp_path, capsys):
         _, _, bound, computed, slack, holds = row.split(",")
         assert holds == "true"
         assert 0.99 < float(slack) < 1.0
+
+
+def test_cli_folded_constant_weight_takes_the_unstable_sort(tmp_path,
+                                                           monkeypatch):
+    # "3/2" parses to a quotient of constants, not one Const; both
+    # spellings take the constant-weight tables (numpy's default sort, one
+    # broadcast weight) and write the same reports, digest aside
+    import numpy as np
+
+    kinds = []
+    argsort = np.argsort
+
+    def recorded(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "phase_space_tables":
+            kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    reports = []
+    for name, w in (("quotient", "3/2"), ("literal", "1.5")):
+        cfg = scenario_with(
+            tmp_path, domain={"type": "box", "sides": [4.0, 4.0],
+                              "origin": [-2.0, -2.0]},
+            fields={"V": "x^2 + y^2", "w": w}, grid={"n": 24},
+            spectrum={"source": "fd", "count": 10},
+            bounds=[{"kind": "phase-space-sum", "k": [2, 5],
+                     "grid_n": 64}])
+        out = tmp_path / name
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--format", "both"]) == 0
+        payload = json.loads((out / "square.json").read_text())
+        del payload["scenario_digest"]
+        reports.append((payload, (out / "square.csv").read_bytes()))
+    assert kinds == [None, None]
+    assert reports[0] == reports[1]
 
 
 def test_cli_phase_space_settles_levels_far_below_one(tmp_path, capsys):
@@ -805,9 +857,9 @@ print(status, any(m.split(".")[0] == "scipy" for m in sys.modules))
 
 # fd-separable: constant fields on a box (closed forms); fd-dense: a
 # weighted 24^2 box, below the dense crossover; fd-peeled: a 16x16x32 box
-# varying along x and z only (8192 dof), peeled along y into dense
-# 512-dof blocks; fd: a weighted 40^2 box (1600 dof) solved by
-# shift-invert, which shows the probe does see scipy
+# (8192 dof) repeating along y and factoring along z, peeled along both
+# into dense blocks of at most 32 dof; fd: a weighted 40^2 box (1600 dof)
+# solved by shift-invert, which shows the probe does see scipy
 _PROBE_FD = {
     "fd-separable": ({"n": 16}, {}, "separable"),
     "fd-dense": ({"n": 24}, {"w": "1 + x*y"}, "dense"),
