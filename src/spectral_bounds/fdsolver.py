@@ -55,9 +55,14 @@ vectors, and gives each column the bits of the whole-block formula.
 
 The form holds the stencil itself (the nodal potential, one array of
 face coefficients per axis on the full grid, the nodal mass), not a
-matrix.  scipy loads only when the CSR `DiscreteForm.stiffness` is first
-read, which in the package only the shift-invert path does: an
-exact-source, separable, dense or densely peeled run never loads it.
+matrix.  Shift-invert builds A - sigma I, with A = M^(-1/2) K M^(-1/2),
+as one CSC matrix straight from the faces, with the bits of the scaled
+product, and holds it only until SuperLU has factored it; ARPACK's
+shift-invert mode applies only the LU, which is dropped before the
+vectors are scaled.  The CSR `DiscreteForm.stiffness` comes from the
+same builder on first read, and the solver does not read it.  scipy
+loads only on the shift-invert path or on that read: an exact-source,
+separable, dense or densely peeled run never loads it.
 """
 
 from __future__ import annotations
@@ -233,17 +238,26 @@ class DiscreteForm:
         k[q, p] = -c
         return k
 
+    def _sparse(self, d: np.ndarray, shift: float) -> sp.coo_matrix:
+        """d K d - shift I as a COO list for diagonal d, with each entry
+        rounded as diags(d) @ K @ diags(d) rounds it, (d_i K_ij) d_j; for d
+        of ones and no shift it is K itself, bit for bit."""
+        import scipy.sparse as sp
+        n = self.dof_count
+        p, q, c = self._pairs()
+        node = np.arange(n)
+        return sp.coo_matrix(
+            (np.concatenate((d * self.diagonal * d - shift,
+                             d[p] * -c * d[q], d[q] * -c * d[p])),
+             (np.concatenate((node, p, q)), np.concatenate((node, q, p)))),
+            shape=(n, n))
+
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """K as a CSR matrix, built from the same stencil on first read;
-        only shift-invert needs it, so only it imports scipy."""
-        import scipy.sparse as sp
-        p, q, c = self._pairs()
-        diag = np.arange(self.dof_count)
-        return sp.csr_matrix(
-            (np.concatenate((self.diagonal, -c, -c)),
-             (np.concatenate((diag, p, q)), np.concatenate((diag, q, p)))),
-            shape=(self.dof_count,) * 2)
+        """K as a CSR matrix, built from the same stencil on first read.
+        The solver does not read it: shift-invert factors its own shifted
+        matrix and applies K through `matvec`."""
+        return self._sparse(np.ones(self.dof_count), 0.0).tocsr()
 
     def block(self, axis: int, level: float) -> DiscreteForm:
         """The form on slice 0 across a factored `axis` for the mode of
@@ -637,22 +651,29 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
     else:
         if k >= n:
             raise ValueError("iterative method needs k < dof_count")
-        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
-        a = (sp.diags(d) @ form.stiffness @ sp.diags(d)).tocsc()
-        if not np.isfinite(a.data).all():
+        sigma = min(0.0, form.potential_floor) - 1.0
+        shifted = form._sparse(d, sigma).tocsc()
+        if not np.isfinite(shifted.data).all():
             # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
             raise ValueError(
                 f"mass-scaled operator overflows on grid {form.mask.shape}")
-        sigma = min(0.0, form.potential_floor) - 1.0
+        # an entry that rounds to 0 is left out, as the scaled product
+        # leaves it out, so SuperLU orders the same pattern
+        shifted.eliminate_zeros()
         # A = d G d + diag(V w) with G >= 0, so A - sigma I >= I: no pivoting
-        lu = spla.splu(a - sigma * sp.identity(n, format="csc"),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
+        del shifted
         opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        # shift-invert mode applies only opinv, never A itself
+        a = spla.LinearOperator((n, n), matvec=lambda x: d * form.matvec(
+            d * x), dtype=float)
         v0 = np.full(n, 1.0 / math.sqrt(n))
         eigvals, eigvecs = spla.eigsh(a, k=k, sigma=sigma, which="LM",
                                       v0=v0, tol=0, OPinv=opinv)
+        del lu, opinv
         order = np.argsort(eigvals)
         vals = eigvals[order]
         y = eigvecs[:, order]

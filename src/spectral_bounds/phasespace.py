@@ -40,6 +40,13 @@ constant, as for a Schrodinger operator (w = 1), tied nodes are
 interchangeable and numpy's faster unstable sort gives the same tables
 bit for bit.  The weights are then one broadcast value, and for w = 1
 the weighted moments are copies of the unweighted ones.
+
+The tables hold at their peak little more than what they keep.  Vtilde
+is sorted (and a varying w gathered into that order) before
+|grad Vtilde|^2 is evaluated; the gradient is then gathered into sorted
+order a chunk at a time in the sort permutation's own 8-byte buffer,
+which becomes lip_nodes, and the block moments are summed a chunk of
+blocks at a time, with the bits of a whole-array sum.
 """
 
 from __future__ import annotations
@@ -67,6 +74,9 @@ __all__ = [
 # nodes per prefix block: a volume query sums fewer than _BLOCK nodes
 # directly, and the prefix moments take 1/_BLOCK of the node storage
 _BLOCK = 1024
+# nodes per chunk (128 KiB of doubles) of the sorted gather of |grad Vtilde|^2
+# and of the block moments, so that their temporaries stay small
+_CHUNK = 16 * _BLOCK
 
 
 @dataclass
@@ -146,35 +156,27 @@ class PhaseSpaceData:
         return float(self.lip_nodes[count - 1]) if count else 0.0
 
 
-def _nodes(problem: ProblemSpec, grid: QuadratureGrid):
-    """Vtilde and |grad Vtilde|^2 at the inside nodes, in grid order."""
-    vt_expr = problem.effective_potential()
-    coords = grid.coords()
-    with problem.naming_fields(
-            "effective potential V + |grad rho|^2 or its gradient"):
-        vt = np.asarray(grid.inside_values(vt_expr), dtype=float)
-        # each partial is squared in the shape it evaluates to, (n, 1) for
-        # a term in x alone, before the sum broadcasts to the grid
-        grad_sq = sum(np.asarray(differentiate(vt_expr, axis).evaluate(
-            coords), dtype=float) ** 2 for axis in range(problem.nu))
-    return vt, grid.inside_values(grad_sq)
-
-
 def _block_moments(vt: np.ndarray, w: np.ndarray, top: int,
                    unit_weight: bool) -> np.ndarray:
     """Moments of the sorted nodes about vt[0] at every block boundary,
-    laid out as PhaseSpaceData.block_moments with j = 0..top."""
+    laid out as PhaseSpaceData.block_moments with j = 0..top.  The block
+    sums are taken _CHUNK nodes at a time; each is a row sum of its own
+    block, so it has the same bits however many rows a chunk holds."""
     blocks = vt.size // _BLOCK
-    u = (vt[:blocks * _BLOCK] - vt[0]).reshape(blocks, _BLOCK)
-    wb = w[:blocks * _BLOCK].reshape(blocks, _BLOCK)
     moments = np.zeros((2, blocks + 1, top + 1))
-    term = np.ones_like(u)
-    for j in range(top + 1):
-        if j:
-            term *= u
-        moments[0, 1:, j] = term.sum(axis=1)
-        if not unit_weight:
-            moments[1, 1:, j] = (term * wb).sum(axis=1)
+    rows = _CHUNK // _BLOCK
+    for first in range(0, blocks, rows):
+        last = min(first + rows, blocks)
+        nodes = slice(first * _BLOCK, last * _BLOCK)
+        u = (vt[nodes] - vt[0]).reshape(-1, _BLOCK)
+        wb = w[nodes].reshape(-1, _BLOCK)
+        term = np.ones_like(u)
+        for j in range(top + 1):
+            if j:
+                term *= u
+            moments[0, 1 + first:1 + last, j] = term.sum(axis=1)
+            if not unit_weight:
+                moments[1, 1 + first:1 + last, j] = (term * wb).sum(axis=1)
     if unit_weight:
         # term * 1.0 is term, bit for bit
         moments[1] = moments[0]
@@ -185,7 +187,10 @@ def phase_space_tables(problem: ProblemSpec,
                        grid: QuadratureGrid) -> PhaseSpaceData:
     """Sort the inside nodes of grid by Vtilde and store the prefix
     moments, so that every volume can be evaluated at any level."""
-    vt, grad_sq = _nodes(problem, grid)
+    vt_expr = problem.effective_potential()
+    fields = "effective potential V + |grad rho|^2 or its gradient"
+    with problem.naming_fields(fields):
+        vt = np.asarray(grid.inside_values(vt_expr), dtype=float)
     # a varying w needs a stable sort, since the order of tied nodes sets
     # the order in which their weights are summed.  With one constant w
     # any tie order gives the same vt, weights and moments, and lip_at
@@ -194,16 +199,28 @@ def phase_space_tables(problem: ProblemSpec,
         else None
     order = np.argsort(vt, kind="stable" if weight is None else None)
     vt = vt[order]
-    lip_nodes = grad_sq[order]
-    # free the grid-order copies before the moments add their temporaries
-    del grad_sq
-    np.maximum.accumulate(lip_nodes, out=lip_nodes)
-    np.sqrt(lip_nodes, out=lip_nodes)
     if weight is None:
         w = np.asarray(grid.inside_values(problem.w), dtype=float)[order]
     else:
         w = np.broadcast_to(weight, vt.shape)
-    del order
+
+    # |grad Vtilde|^2 goes into sorted order in the permutation's own
+    # 8-byte buffer, a chunk at a time: a chunk's indices are read before
+    # its slots are written
+    with problem.naming_fields(fields):
+        # each partial is squared in the shape it evaluates to, (n, 1) for
+        # a term in x alone, before the sum broadcasts to the grid
+        grad_sq = grid.inside_values(sum(np.asarray(differentiate(
+            vt_expr, axis).evaluate(grid.coords()), dtype=float) ** 2
+            for axis in range(problem.nu)))
+    lip_nodes = order.view(np.float64) if order.itemsize == 8 \
+        else np.empty(order.size)
+    for start in range(0, order.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        lip_nodes[chunk] = grad_sq[order[chunk]]
+    del grad_sq, order
+    np.maximum.accumulate(lip_nodes, out=lip_nodes)
+    np.sqrt(lip_nodes, out=lip_nodes)
 
     moments = None
     if problem.nu % 2 == 0:

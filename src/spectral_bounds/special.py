@@ -110,14 +110,18 @@ def bessel_j(p: float, x: float) -> float:
 
 @functools.lru_cache(maxsize=64)
 def bessel_first_zero(p: float) -> float:
-    """First positive zero of J_p for 0 <= p <= 50.
+    """First positive zero of J_p for p = -1/2 or 0 <= p <= 50.
 
-    The zero lies in [max(p, 1), p + 3 p^(1/3) + 3]; the interval is scanned
-    for the first sign change and the change is bisected to _ZERO_TOL.  Each
-    call costs a few hundred Bessel series, so the zeros are kept per order.
+    J_(-1/2)(x) = sqrt(2/(pi x)) cos x, the order nu/2 - 1 of nu = 1, first
+    vanishes at pi/2.  Otherwise the zero lies in [max(p, 1),
+    p + 3 p^(1/3) + 3]; the interval is scanned for the first sign change
+    and the change is bisected to _ZERO_TOL.  Each call costs a few
+    hundred Bessel series, so the zeros are kept per order.
     """
+    if p == -0.5:
+        return 0.5 * math.pi
     if not 0.0 <= p <= 50.0:
-        raise ValueError("order must lie in [0, 50]")
+        raise ValueError("order must be -1/2 or lie in [0, 50]")
     lo = max(p, 1.0)
     hi = p + 3.0 * p ** (1.0 / 3.0) + 3.0
     samples = 256

@@ -402,6 +402,24 @@ class TestResidualGate:
         assert res.method == "separable"
         assert peak <= 2 * res.vectors.nbytes
 
+    def test_shift_invert_holds_no_scaled_copies(self):
+        # the scaled CSC matrix, its shifted copy, the cached stiffness
+        # and the LU all stayed alive through the eigensolve (6.5x the
+        # vectors); now only the shifted matrix is built, and it and the
+        # LU are dropped as soon as they are done with
+        import scipy.sparse.linalg  # noqa: F401 (its import is not traced)
+
+        prob = ProblemSpec(Box((1.0, 1.0)), w="1 + x*y")
+        form = assemble(prob, QuadratureGrid(prob.domain, (160, 160)))
+        tracemalloc.start()
+        try:
+            res = solve_lowest_detailed(form, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.method == "iterative"
+        assert peak <= 6.0 * res.vectors.nbytes
+
 
 # one of each grid shape the stencil handles: full, curved and re-entrant
 # masks, a seam per axis, and three axes
@@ -447,6 +465,47 @@ def test_stencil_matches_csr(name, a, b, c):
         assert np.array_equal(form.matvec(v), grid_leading_matvec(form, v))
     ref = form.stiffness.toarray()
     assert np.abs(form.dense() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class _Factored(Exception):
+    """Stops a solve once the matrix handed to SuperLU is captured."""
+
+
+# a weight of 1e-320 underflows every face coefficient of the small disk
+# to 0, entries the scaled product drops
+SHIFTED_CASES = {name: (domain, shape, "1 + 0.3*x*y")
+                 for name, (domain, shape) in STENCIL_DOMAINS.items()}
+SHIFTED_CASES["underflowing-faces"] = (Disk(0.01), (40, 40), "1e-320*(1 + x)")
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED_CASES))
+def test_shift_invert_factors_the_scaled_product(monkeypatch, name):
+    # A - sigma I is built from the faces, not from the stiffness matrix;
+    # it must equal the product diags(d) @ K @ diags(d) - sigma I bit for
+    # bit, pattern included, or shift-invert spectra move
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    domain, shape, w = SHIFTED_CASES[name]
+    prob = ProblemSpec(domain, w=w, rho="0.2*x - 0.1*y", V="x^2 - 1")
+    form = assemble(prob, QuadratureGrid(domain, shape))
+    seen = []
+
+    def capture(a, **options):
+        seen.append(a)
+        raise _Factored
+
+    monkeypatch.setattr(spla, "splu", capture)
+    with pytest.raises(_Factored):
+        solve_lowest_detailed(form, 4, method="iterative")
+    d = sp.diags(1.0 / np.sqrt(form.mass_diag))
+    sigma = min(0.0, form.potential_floor) - 1.0
+    ref = (d @ form.stiffness @ d).tocsc() - \
+        sigma * sp.identity(form.dof_count, format="csc")
+    got = seen[0]
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.data.tobytes() == ref.data.tobytes()
 
 
 SEPARABLE_CASES = {

@@ -7,6 +7,7 @@ potential energy L^3/24 each) and Lambda(k) = sqrt(8 k).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,3 +441,24 @@ def test_tables_bit_identical_to_the_stable_order(case):
     for k in (1, 2, 5, 17, 40):
         assert phase_space_sum_bound(k, psd, fake) == \
             phase_space_sum_bound(k, ref, fake)
+
+
+@pytest.mark.parametrize("w", ["1", "1 + 0.1*sin(x)"])
+def test_tables_peak_stays_near_what_they_keep(w):
+    # sorting Vtilde and |grad Vtilde|^2 side by side held twice the kept
+    # arrays; now the gradient is gathered into the sort permutation's
+    # buffer after vt (and a varying w) are sorted, and the moments are
+    # summed a chunk of blocks at a time
+    prob = ProblemSpec(Box((16.0, 16.0), origin=(-8.0, -8.0)),
+                       V="x1^2 + x2^2", w=w)
+    grid = QuadratureGrid(prob.domain, 512)
+    tracemalloc.start()
+    try:
+        psd = phase_space_tables(prob, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = psd.vt_nodes.nbytes + psd.lip_nodes.nbytes
+    if w != "1":
+        kept += psd.w_nodes.nbytes
+    assert peak <= 1.6 * kept

@@ -649,6 +649,23 @@ def test_cli_phase_space_counts_potential_energy(tmp_path, capsys):
         assert 0.99 < float(slack) < 1.0
 
 
+def test_cli_one_dimensional_phase_space_bound_holds(tmp_path, capsys):
+    # nu = 1 takes the Bessel order nu/2 - 1 = -1/2, whose first zero was
+    # refused, so every 1-D phase-space bound was an error entry
+    cfg = scenario_with(
+        tmp_path, domain={"type": "box", "sides": [8.0], "origin": [-4.0]},
+        fields={"V": "x^2"}, grid={"n": 256},
+        spectrum={"source": "fd", "count": 12},
+        bounds=[{"kind": "phase-space-sum", "k": [1, 3, 7, 11]}])
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "4 bounds, 0 violations, 0 errors" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "o" / "square.json").read_text())
+    assert payload["errors"] == []
+    assert [b["parameter"] for b in payload["bounds"]] == [1, 3, 7, 11]
+    assert all(b["holds"] for b in payload["bounds"])
+
+
 def test_cli_folded_constant_weight_takes_the_unstable_sort(tmp_path,
                                                            monkeypatch):
     # "3/2" parses to a quotient of constants, not one Const; both

@@ -64,9 +64,15 @@ class TestBessel:
             xs = np.linspace(z / 50, z * 0.98, 60)
             assert all(bessel_j(p, float(x)) > 0 for x in xs)
 
+    def test_first_zero_order_minus_half(self):
+        # J_{-1/2}(x) = sqrt(2/(pi x)) cos x, the order of nu = 1
+        assert bessel_first_zero(-0.5) == pytest.approx(math.pi / 2,
+                                                        abs=1e-10)
+
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            bessel_first_zero(-0.5)
+        for p in (-1.0, -0.25, 50.5):
+            with pytest.raises(ValueError, match="order must"):
+                bessel_first_zero(p)
 
     def test_first_zero_kept_per_order(self, monkeypatch):
         first = bessel_first_zero(1.75)
