@@ -20,7 +20,7 @@ Periodic problems (rectangular torus fundamental domains) get wrap-around
 faces; the seam face is evaluated at the left edge, i.e. fields are read
 modulo the period.
 
-Eigenpairs come from one of three paths.  `assemble` finds the axes
+Eigenpairs come from one of four paths.  `assemble` finds the axes
 along which the form factors: the mask repeats along axis a, and at
 every slice t the nodal potential, the mass and the faces across a are
 slice 0's times one number g_t, while the faces along a are slice 0's
@@ -42,16 +42,29 @@ current k-th value, and the sweep stops at the first block asked for
 none.  When C_a/M_rest is one number s, every block is block 0 shifted
 by z_m s, and the lowest sums are merged in closed form; a form that
 repeats along every axis is a Kronecker sum of 1-D stencils plus the
-shift V*w and reports "separable".  Every other form defaults to
-numpy's dense `eigh` ("dense") up to _DENSE_DEFAULT_DOF dof or when all
-pairs are asked for, and to sparse shift-invert ("iterative") above; a
-pinned method solves the whole form.  An entry within _FACTOR_RTOL of its
-factored value is accepted, so every path's pairs must pass the same
-residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN fails),
-through the stencil matvec of the assembled form.  The gate runs over
-blocks of whole columns of at most _GATE_BLOCK entries, so that its
-temporaries stay in cache instead of costing several copies of the
-vectors, and gives each column the bits of the whole-block formula.
+shift V*w and reports "separable".  Every other form defaults to sparse
+shift-invert ("iterative") above _DENSE_DEFAULT_DOF dof, unless all
+pairs are asked for.  Up to it, or for all pairs, a form that is its own
+mirror image along a Neumann axis of an even node count (node i to
+n-1-i) is split ("mirrored"): the reflection commutes with K and M, so
+its pairs are those of an even block, the half grid before the middle
+face without that face, and of an odd block, the same half with twice
+the middle face's coefficient on the potential of the middle layer, with
+vectors [u, +-flip(u)]/sqrt(2).  Each block is solved by the default
+rule (peeled, mirrored again or dense), and the lowest k are merged.
+The mask must mirror exactly, the mass and the faces within _FACTOR_RTOL
+elementwise, and the nodal V*w within _FACTOR_RTOL max|V*w|: the blocks
+then solve a form whose V*w differs by at most that much, which by Weyl
+moves no value by more.  The crossover still reads the whole form's dof:
+above it, one shift-invert solve beat the dense blocks.  Any other form
+gets numpy's dense `eigh` ("dense"), and a pinned method solves the
+whole form.  An entry within _FACTOR_RTOL of its factored or mirrored
+value is accepted, so every path's pairs must pass the same residual
+gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN fails), through the
+stencil matvec of the assembled form.  The gate runs over blocks of
+whole columns of at most _GATE_BLOCK entries, so that its temporaries
+stay in cache instead of costing several copies of the vectors, and
+gives each column the bits of the whole-block formula.
 
 The form holds the stencil itself (the nodal potential, one array of
 face coefficients per axis on the full grid, the nodal mass), not a
@@ -62,7 +75,7 @@ shift-invert mode applies only the LU, which is dropped before the
 vectors are scaled.  The CSR `DiscreteForm.stiffness` comes from the
 same builder on first read, and the solver does not read it.  scipy
 loads only on the shift-invert path or on that read: an exact-source,
-separable, dense or densely peeled run never loads it.
+separable, dense, mirrored or densely peeled run never loads it.
 """
 
 from __future__ import annotations
@@ -109,6 +122,10 @@ _GATE_BLOCK = 1 << 16
 # on [-2,2]^3, which is solved whole.  Forms that do not factor were O(1)
 # away.  The residual gate certifies the pairs either way.
 _FACTOR_RTOL = 16 * np.finfo(float).eps
+# fewest dof of a half that a mirror-symmetric form is split into.  With
+# one BLAS thread, dense eigh took 0.7 ms at 64 dof and the split 1.1 ms;
+# at 144 dof the split won, 1.6 ms against 1.9
+_MIRROR_MIN_DOF = 64
 
 # the parts of an axis that face pairs join: interior faces (node i to
 # i+1), then the seam (last node to first) of a periodic axis
@@ -545,12 +562,100 @@ def _peeled_pairs(form: DiscreteForm, k: int, axis: int):
     return values, _tensor(form, axis, u, v[:, modes]), "peeled"
 
 
+def _mirror_axis(form: DiscreteForm) -> Optional[int]:
+    """The first axis along which the form is its own mirror image (node i
+    to n-1-i), or None.  The axis is Neumann with an even count of at
+    least 4 nodes, so that each half keeps a face along it, and each half
+    holds at least _MIRROR_MIN_DOF dof.  The mask must mirror exactly;
+    the mass and the faces within _FACTOR_RTOL elementwise (face i along
+    the axis against face n-2-i); the nodal V*w within _FACTOR_RTOL
+    max|V*w|, which by Weyl moves no value by more than that."""
+    mask = form.mask
+    if form.periodic or form.dof_count < 2 * _MIRROR_MIN_DOF:
+        return None
+    mass, vw = np.zeros(mask.shape), np.zeros(mask.shape)
+    mass[mask] = form.mass_diag
+    # an overflowing V*w gives inf - inf = nan, which mirrors nowhere
+    with np.errstate(all="ignore"):
+        vw[mask] = form.potential / form.mass_diag
+        spread = _FACTOR_RTOL * np.abs(vw).max()
+        for axis, n in enumerate(mask.shape):
+            if n % 2 or n < 4 or not (mask == np.flip(mask, axis)).all():
+                continue
+            inner = _along(axis, mask.ndim, slice(None, -1))
+
+            def mirrors(x, tol):
+                return bool((np.abs(x - np.flip(x, axis)) <= tol).all())
+
+            if mirrors(mass, _FACTOR_RTOL * mass) and all(
+                    mirrors(c, _FACTOR_RTOL * np.abs(c)) for c in
+                    (c[inner] if b == axis else c
+                     for b, c in enumerate(form.faces))) and \
+                    mirrors(vw, spread):
+                return axis
+    return None
+
+
+def _mirror_halves(form: DiscreteForm, axis: int
+                   ) -> Tuple[DiscreteForm, DiscreteForm]:
+    """The even and odd blocks of a form that mirrors along `axis`: the
+    half grid before the middle face, without that face; and the same
+    half with twice the middle face's coefficient on the potential of the
+    middle layer, since an odd vector's difference across that face is
+    twice its value there."""
+    mask = form.mask
+    half = _along(axis, mask.ndim, slice(None, mask.shape[axis] // 2))
+    middle = _along(axis, mask.ndim, -1)
+    half_mask = mask[half]
+    full = np.zeros(mask.shape)
+
+    def on_half(values):
+        full[mask] = values
+        return full[half][half_mask]
+
+    faces = [c[half] for c in form.faces]
+    faces[axis] = faces[axis].copy()
+    lift = np.zeros(half_mask.shape)
+    lift[middle] = 2.0 * faces[axis][middle]
+    faces[axis][middle] = 0.0
+    even = replace(form, potential=on_half(form.potential),
+                   faces=tuple(faces), mass_diag=on_half(form.mass_diag),
+                   dof_count=form.dof_count // 2, mask=half_mask)
+    odd = replace(even, potential=even.potential + lift[half_mask],
+                  zero_potential=False)
+    for block in (even, odd):
+        block.factors = _factors(block)
+    return even, odd
+
+
+def _mirrored_pairs(form: DiscreteForm, k: int, axis: int):
+    """Lowest k pairs of a form that mirrors along `axis`: the lowest by
+    (value, even block first) over the pairs of its even and odd blocks,
+    each solved by the default rule, with vectors [u, +-flip(u)]/sqrt(2),
+    which keep x^T M x = 1."""
+    halves = _mirror_halves(form, axis)
+    pairs = [_lowest_pairs(h, min(k, h.dof_count))[:2] for h in halves]
+    values = np.concatenate([mu for mu, _ in pairs])
+    keep = np.argsort(values, kind="stable")[:k]
+    u = np.hstack([u for _, u in pairs])[:, keep] / math.sqrt(2.0)
+    mask = form.mask
+    lower = np.zeros((k,) + halves[0].mask.shape)
+    lower[:, halves[0].mask] = u.T
+    sign = np.where(keep < pairs[0][0].size, 1.0, -1.0)
+    upper = sign.reshape((k,) + (1,) * mask.ndim) * np.flip(lower, 1 + axis)
+    # (k, dof) in C order, so the (dof, k) vectors are in Fortran order
+    x = np.concatenate((lower, upper), axis=1 + axis).reshape(k, -1)
+    return values[keep], \
+        (x if form.dof_count == mask.size else x[:, mask.ravel()]).T
+
+
 def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
     """(values, x with x^T M x = 1, method) of the lowest k pairs, by the
     given method or, when None, by the default rule: peel a factored axis
-    (`_peel_axis`); otherwise dense while eigh costs less than loading
-    scipy for shift-invert, and for the whole spectrum, which ARPACK
-    cannot return."""
+    (`_peel_axis`); otherwise, while eigh costs less than loading scipy
+    for shift-invert and for the whole spectrum, which ARPACK cannot
+    return, split a form that mirrors (`_mirror_axis`) into its even and
+    odd blocks, and solve any other dense."""
     n = form.dof_count
     if form.mask.ndim == 0:
         # a slice of no axes is one node: its value is its potential (with
@@ -567,8 +672,13 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
     axis = None
     if method is None:
         axis = _peel_axis(form)
-        method = "peeled" if axis is not None else \
-            "dense" if n <= _DENSE_DEFAULT_DOF or k == n else "iterative"
+        if axis is not None:
+            method = "peeled"
+        elif n <= _DENSE_DEFAULT_DOF or k == n:
+            axis = _mirror_axis(form)
+            method = "dense" if axis is None else "mirrored"
+        else:
+            method = "iterative"
     if n > _MAX_DENSE_DOF and (method == "dense" or k == n):
         # all k == dof pairs take dof^2 doubles on every path
         raise ValueError(
@@ -576,6 +686,8 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
             f"{_MAX_DENSE_DOF}; use method='iterative' with k < dof")
     if method == "peeled":
         return _peeled_pairs(form, k, axis)
+    if method == "mirrored":
+        return (*_mirrored_pairs(form, k, axis), method)
     return (*_mass_scaled_pairs(form, k, method), method)
 
 

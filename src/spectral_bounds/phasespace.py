@@ -46,7 +46,9 @@ is sorted (and a varying w gathered into that order) before
 |grad Vtilde|^2 is evaluated; the gradient is then gathered into sorted
 order a chunk at a time in the sort permutation's own 8-byte buffer,
 which becomes lip_nodes, and the block moments are summed a chunk of
-blocks at a time, with the bits of a whole-array sum.
+blocks at a time, with the bits of a whole-array sum.  On a masked grid
+the permutation holds grid indices by then, so the gradient is read from
+the whole grid and never copied out at the inside nodes.
 """
 
 from __future__ import annotations
@@ -206,13 +208,24 @@ def phase_space_tables(problem: ProblemSpec,
 
     # |grad Vtilde|^2 goes into sorted order in the permutation's own
     # 8-byte buffer, a chunk at a time: a chunk's indices are read before
-    # its slots are written
+    # its slots are written.  On a masked grid the permutation first
+    # becomes grid indices; a gradient that broadcasts (Vtilde constant
+    # along some axis) is read through its flat iterator, not copied to
+    # the grid
+    if not grid.mask.all():
+        inside = np.flatnonzero(grid.mask)
+        for start in range(0, order.size, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            order[chunk] = inside[order[chunk]]
+        del inside
     with problem.naming_fields(fields):
         # each partial is squared in the shape it evaluates to, (n, 1) for
         # a term in x alone, before the sum broadcasts to the grid
-        grad_sq = grid.inside_values(sum(np.asarray(differentiate(
+        grad_sq = np.broadcast_to(sum(np.asarray(differentiate(
             vt_expr, axis).evaluate(grid.coords()), dtype=float) ** 2
-            for axis in range(problem.nu)))
+            for axis in range(problem.nu)), grid.shape)
+    grad_sq = grad_sq.reshape(-1) if grad_sq.flags.c_contiguous \
+        else grad_sq.flat
     lip_nodes = order.view(np.float64) if order.itemsize == 8 \
         else np.empty(order.size)
     for start in range(0, order.size, _CHUNK):

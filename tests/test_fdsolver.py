@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from spectral_bounds import (Box, Disk, MaskedBox, ProblemSpec,
                              QuadratureGrid, SolverConvergenceError,
                              TorusFundamental, assemble, bound_context,
-                             convergence_study, parse_field,
-                             rectangle_neumann_exact, solve_lowest,
-                             solve_lowest_detailed)
+                             convergence_study, kroger_avg_bound,
+                             parse_field, rectangle_neumann_exact,
+                             solve_lowest, solve_lowest_detailed)
 from spectral_bounds import fdsolver
 from spectral_bounds.fdsolver import _DENSE_DEFAULT_DOF
 
@@ -576,8 +576,9 @@ class TestSeparable:
         assert [a for a, f in form.factors.items() if f is not None] == \
             list(factors)
         res = solve_lowest_detailed(form, 4)
-        # below the dense crossover, so an unpeeled form is dense
-        assert res.method == ("peeled" if repeats else "dense")
+        # below the dense crossover, so an unpeeled form is dense, or
+        # mirrored where it is its own mirror image, as the centred disk
+        assert res.method == ("peeled" if repeats else "mirrored")
         dense = solve_lowest_detailed(form, 4, method="dense")
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-12)
@@ -745,6 +746,161 @@ class TestPeeled:
         whole = solve_lowest_detailed(form, 8, method="iterative")
         assert res.spectrum.values == pytest.approx(
             whole.spectrum.values, rel=1e-10, abs=1e-12)
+
+
+# forms that are their own mirror image along some axis, each with its
+# split sizes (the dof of every form that `_mirror_halves` halves): a disk
+# off the origin, with a potential symmetric about its centre; a 3-D ball,
+# which splits into 8 blocks; the oscillator centred in its box, whose
+# nodal V*w differs from its mirror by 24 eps at the centre nodes; a form
+# that mirrors along x only
+MIRROR_CASES = {
+    "offset-disk": (ProblemSpec(Disk(1.0, (0.3, -0.2)),
+                                V="(x - 0.3)^2 + 2*(y + 0.2)^2"),
+                    24, [448, 224, 224]),
+    "ball": (ProblemSpec(MaskedBox(Box((2.0,) * 3, (-1.0,) * 3),
+                                   parse_field("x^2 + y^2 + z^2 - 1", 3)),
+                         w="1 + x^2*y^2"), 12,
+             [912, 456, 228, 228, 456, 228, 228]),
+    "oscillator": (ProblemSpec(Box((4.0, 4.0), (-2.0, -2.0)),
+                               V="x^2 + y^2"), 24, [576, 288, 288]),
+    "x-only": (ProblemSpec(Box((1.0, 1.0)), V="x*(1 - x)*(1 + y)"), 20,
+               [400]),
+}
+
+
+def recorded_splits(monkeypatch):
+    """The dof of every form the solve splits, in call order."""
+    split = []
+    original = fdsolver._mirror_halves
+
+    def counted(form, axis):
+        split.append(form.dof_count)
+        return original(form, axis)
+
+    monkeypatch.setattr(fdsolver, "_mirror_halves", counted)
+    return split
+
+
+class TestMirrored:
+    @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+    def test_matches_dense(self, monkeypatch, case):
+        prob, n, sizes = MIRROR_CASES[case]
+        form = assemble(prob, QuadratureGrid(prob.domain, n))
+        split = recorded_splits(monkeypatch)
+        res = solve_lowest_detailed(form, 12)
+        assert res.method == "mirrored"
+        assert split == sizes
+        dense = solve_lowest_detailed(form, 12, method="dense")
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-10)
+        assert res.residuals.max() <= 1e-8
+        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        assert gram == pytest.approx(np.eye(12), abs=1e-10)
+        # every pair is asked for, as dense blocks
+        k = form.dof_count
+        whole = solve_lowest_detailed(form, k)
+        assert whole.method == "mirrored"
+        assert whole.spectrum.values == pytest.approx(
+            solve_lowest(form, k, method="dense").values, rel=1e-10,
+            abs=1e-10)
+
+    def test_disk_blocks_stay_small(self, monkeypatch):
+        # cb-disk-32's centred disk of 812 dof splits along both axes: no
+        # dense eigh sees more than a quarter of it
+        prob = ProblemSpec(Disk(1.0))
+        form = assemble(prob, QuadratureGrid(prob.domain, 32))
+        assert form.dof_count == 812
+        sizes = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        res = solve_lowest_detailed(form, 12)
+        assert res.method == "mirrored"
+        assert sizes == [203] * 4
+        monkeypatch.undo()
+        whole = solve_lowest_detailed(form, 12, method="dense")
+        assert res.spectrum.values == pytest.approx(
+            whole.spectrum.values, rel=1e-10, abs=1e-12)
+
+    def test_odd_block_without_the_middle_face_fails_the_gate(
+            self, monkeypatch):
+        # an odd vector's difference across the middle face is twice its
+        # value there: an odd block without that term is the even block
+        # again, whose pairs are no eigenpairs of the whole form
+        original = fdsolver._mirror_halves
+
+        def dropped(form, axis):
+            even, odd = original(form, axis)
+            return even, fdsolver.replace(odd, potential=even.potential)
+
+        monkeypatch.setattr(fdsolver, "_mirror_halves", dropped)
+        prob = ProblemSpec(Disk(1.0))
+        form = assemble(prob, QuadratureGrid(prob.domain, 24))
+        with pytest.raises(SolverConvergenceError):
+            solve_lowest(form, 6)
+
+    @pytest.mark.parametrize("prob,n,method,split", [
+        # w varies along x by 1e-9 relative: the disk mirrors along y only
+        (ProblemSpec(Disk(1.0), w="1 + 1e-9*x"), 24, None, [448]),
+        (ProblemSpec(Disk(1.0)), 25, None, []),
+        (ProblemSpec(Disk(1.0)), 24, "dense", []),
+        (ProblemSpec(Disk(1.0)), 24, "iterative", []),
+        # w varies along both axes, so nothing peels; periodic axes never
+        # split
+        (ProblemSpec(TorusFundamental((1.0, 0.0), (0.0, 1.0)),
+                     w="1 + 0.3*cos(2*pi*x)*cos(2*pi*y)"), 16, None, []),
+    ], ids=["tiny-weight", "odd-n", "pinned-dense", "pinned-iterative",
+            "torus"])
+    def test_not_split(self, monkeypatch, prob, n, method, split):
+        form = assemble(prob, QuadratureGrid(prob.domain, n))
+        assert not form.factors
+        recorded = recorded_splits(monkeypatch)
+        res = solve_lowest_detailed(form, 6, method=method)
+        assert recorded == split
+        assert res.method == (method or ("mirrored" if split else "dense"))
+
+    def test_tiny_halves_are_not_split(self, monkeypatch):
+        # the x line of w = 2 + cos(8 pi x) on 8 nodes (faces 1, 3, 1, ...)
+        # mirrors, and so does its even half.  Below _MIRROR_MIN_DOF it is
+        # solved whole; without that floor, halving stops at halves of 2
+        # nodes, which keep a face along the axis
+        prob = ProblemSpec(Box((1.0, 1.0)), w="2 + cos(8*pi*x)")
+        line = assemble(prob, QuadratureGrid(prob.domain, (8, 8))).block(
+            1, 0.0)
+        assert solve_lowest_detailed(line, 4).method == "dense"
+        monkeypatch.setattr(fdsolver, "_MIRROR_MIN_DOF", 1)
+        split = recorded_splits(monkeypatch)
+        res = solve_lowest_detailed(line, 8)
+        assert res.method == "mirrored"
+        assert split == [8, 4]
+        dense = solve_lowest_detailed(line, 8, method="dense")
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-12)
+
+    def test_hemisphere(self, monkeypatch):
+        # the unit disk is the stereographic chart of a hemisphere of the
+        # unit sphere: the metric 4/(1 + r^2)^2 |dx|^2 is w = e^(2 rho)
+        # with rho = log((1 + r^2)/2).  Its Neumann values are l(l+1),
+        # from the harmonics even across the equator (l + m even)
+        prob = ProblemSpec(Disk(1.0), w="((1 + x^2 + y^2)/2)^2",
+                           rho="log((1 + x^2 + y^2)/2)")
+        grid = QuadratureGrid(prob.domain, 32)
+        form = assemble(prob, grid)
+        split = recorded_splits(monkeypatch)
+        res = solve_lowest_detailed(form, 12)
+        assert res.method == "mirrored"
+        assert split == [812, 406, 406]
+        exact = [l * (l + 1) for l in range(5) for _ in range(l + 1)][:12]
+        assert res.spectrum.values == pytest.approx(exact, rel=0.05,
+                                                    abs=1e-8)
+        ctx = bound_context(prob, grid, solved=True)
+        for k in range(1, 13):
+            assert kroger_avg_bound(ctx, k, res.spectrum).holds, k
 
 
 class TestConvergence:

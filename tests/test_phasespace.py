@@ -462,3 +462,28 @@ def test_tables_peak_stays_near_what_they_keep(w):
     if w != "1":
         kept += psd.w_nodes.nbytes
     assert peak <= 1.6 * kept
+
+
+@pytest.mark.parametrize("fields", [
+    {"rho": "0.3*x*y", "w": "1 + 0.2*x"},
+    # Vtilde = x^2: a gradient that broadcasts along y
+    {"V": "x^2", "w": "1 + 0.2*x"},
+], ids=["rho-xy", "broadcast"])
+def test_masked_tables_read_the_gradient_from_the_grid(fields):
+    # the sort permutation becomes grid indices before |grad Vtilde|^2 is
+    # evaluated, so no copy of the gradient at the inside nodes is held
+    # beside the whole-grid array (1.76x what is kept on this disk before)
+    prob = ProblemSpec(Disk(1.0), **fields)
+    grid = QuadratureGrid(prob.domain, 400)
+    tracemalloc.start()
+    try:
+        psd = phase_space_tables(prob, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = psd.vt_nodes.nbytes + psd.w_nodes.nbytes + psd.lip_nodes.nbytes
+    assert peak <= 1.55 * kept
+    ref = stable_order_tables(prob, grid)
+    for name in ("vt_nodes", "w_nodes", "lip_nodes", "block_moments"):
+        assert getattr(psd, name).tobytes() == \
+            getattr(ref, name).tobytes(), name

@@ -880,6 +880,9 @@ print(status, any(m.split(".")[0] == "scipy" for m in sys.modules))
 _PROBE_FD = {
     "fd-separable": ({"n": 16}, {}, "separable"),
     "fd-dense": ({"n": 24}, {"w": "1 + x*y"}, "dense"),
+    # an oscillator centred in the box: even and odd blocks, solved dense
+    "fd-mirrored": ({"n": 24}, {"V": "(x - 0.5)^2 + (y - 0.5)^2"},
+                    "mirrored"),
     "fd-peeled": ({"n": [16, 16, 32]}, {"w": "1 + 0.5*x", "rho": "0.2*z"},
                   "peeled"),
     "fd": ({"n": 40}, {"w": "1 + x*y"}, "iterative"),
@@ -888,7 +891,7 @@ _PROBE_FD = {
 
 @pytest.mark.parametrize("source,loads_scipy", [
     ("exact", False), ("fd-separable", False), ("fd-dense", False),
-    ("fd-peeled", False), ("fd", True)])
+    ("fd-mirrored", False), ("fd-peeled", False), ("fd", True)])
 def test_run_imports_scipy_only_for_fd(tmp_path, source, loads_scipy):
     import spectral_bounds
 
