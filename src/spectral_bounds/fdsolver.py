@@ -20,51 +20,45 @@ Periodic problems (rectangular torus fundamental domains) get wrap-around
 faces; the seam face is evaluated at the left edge, i.e. fields are read
 modulo the period.
 
-Eigenpairs come from one of four paths.  `assemble` finds the axes
-along which the form factors: the mask repeats along axis a, and at
-every slice t the nodal potential, the mass and the faces across a are
-slice 0's times one number g_t, while the faces along a are slice 0's
-times one number b_t per face (the seam included when periodic).  Then
-K = K_rest (x) G + C_a (x) L_a and M = M_rest (x) G, with G = diag(g) and
-L_a the 1-D stencil with faces b.  Each pair (z_m, v) of L_a v = z G v
-leaves one block (K_rest + z_m C_a, M_rest) on slice 0 across a, and the
-default ("peeled") solves blocks in ascending z_m, each by the same rule
-(peeled again, dense or shift-invert), with tensor-product vectors.  An
-axis along which the form repeats exactly (g = b = 1) takes the closed
-form of the unit stencil (modes cos(pi m (i+1/2)/n) with values
-4 sin^2(pi m/2n) when Neumann, a cos/sin pair with 4 sin^2(pi m/n) per
-frequency when periodic) and is peeled first; any other factored axis
-takes the lowest pairs of its own 1-D stencil by the dense/shift-invert
-rule, so it is peeled only while another axis remains.  Block m's j-th
-value is at least block m-1's plus (z_m - z_(m-1)) min(C_a/M_rest)
-(Weyl), so a block is asked only for the pairs that bound lets below the
-current k-th value, and the sweep stops at the first block asked for
-none.  When C_a/M_rest is one number s, every block is block 0 shifted
-by z_m s, and the lowest sums are merged in closed form; a form that
-repeats along every axis is a Kronecker sum of 1-D stencils plus the
-shift V*w and reports "separable".  Every other form defaults to sparse
-shift-invert ("iterative") above _DENSE_DEFAULT_DOF dof, unless all
-pairs are asked for.  Up to it, or for all pairs, a form that is its own
-mirror image along a Neumann axis of an even node count (node i to
-n-1-i) is split ("mirrored"): the reflection commutes with K and M, so
-its pairs are those of an even block, the half grid before the middle
-face without that face, and of an odd block, the same half with twice
-the middle face's coefficient on the potential of the middle layer, with
-vectors [u, +-flip(u)]/sqrt(2).  Each block is solved by the default
-rule (peeled, mirrored again or dense), and the lowest k are merged.
-The mask must mirror exactly, the mass and the faces within _FACTOR_RTOL
-elementwise, and the nodal V*w within _FACTOR_RTOL max|V*w|: the blocks
-then solve a form whose V*w differs by at most that much, which by Weyl
-moves no value by more.  The crossover still reads the whole form's dof:
-above it, one shift-invert solve beat the dense blocks.  Any other form
-gets numpy's dense `eigh` ("dense"), and a pinned method solves the
-whole form.  An entry within _FACTOR_RTOL of its factored or mirrored
-value is accepted, so every path's pairs must pass the same residual
-gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN fails), through the
-stencil matvec of the assembled form.  The gate runs over blocks of
-whole columns of at most _GATE_BLOCK entries, so that its temporaries
-stay in cache instead of costing several copies of the vectors, and
-gives each column the bits of the whole-block formula.
+Eigenpairs come from one rule (`_lowest_pairs`): split the form into
+blocks where it can, solve each block by the same rule, and merge.
+
+- A form *factors* along axis a when the mask repeats along a, and at
+  every slice t the nodal potential, the mass and the faces across a are
+  slice 0's times one number g_t, while the faces along a are slice 0's
+  times one number b_t per face (the seam included when periodic).  Then
+  K = K_rest (x) G + C_a (x) L_a and M = M_rest (x) G, with G = diag(g)
+  and L_a the 1-D stencil with faces b, and a peel ("peeled") has one
+  block (K_rest + z_m C_a, M_rest) on slice 0 per pair (z_m, v_m) of
+  L_a v = z G v, in ascending z_m.  An axis along which the form repeats
+  exactly (g = b = 1) has the unit stencil's closed-form modes and is
+  peeled first; another factored axis solves its own 1-D stencil, so it
+  is peeled only while another axis remains.
+- Else, up to _DENSE_DEFAULT_DOF dof or for all pairs, a form that is
+  its own mirror image along a Neumann axis of an even node count splits
+  ("mirrored") into an even block, the half grid before the middle face
+  without that face, and an odd block, the same half with twice the
+  middle face's coefficient on the middle layer's potential.
+
+Block m of a peel has each j-th value at least block m-1's plus
+(z_m - z_(m-1)) min(C_a/M_rest) (Weyl), so it is asked only for the
+pairs that bound lets below the k-th value so far, and the sweep stops
+at the first block asked for none; a mirror's blocks have no bound.
+When C_a/M_rest is one number s, every block is block 0 shifted by
+z_m s, and the peel is that one block with its shifts.  Pairs merge by
+(value, block order) in one stable sort, and their vectors lift to the
+grid: u (x) v_m for a peel, [u, +-flip(u)]/sqrt(2) for a mirror.  A
+split whose leaves are all closed forms reports "separable" (a form that
+repeats along every axis is a Kronecker sum of 1-D stencils plus V*w).
+A form that does not split, or has a pinned method, is solved whole: by
+sparse shift-invert ("iterative") above _DENSE_DEFAULT_DOF dof unless all
+pairs are asked for, else by numpy's dense `eigh` ("dense").  A factored
+or mirrored entry is accepted within _FACTOR_RTOL, so every pair must
+pass the same residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a
+NaN fails), through the stencil matvec of the assembled form.  The gate
+runs over blocks of whole columns of at most _GATE_BLOCK entries, so
+that its temporaries stay in cache instead of costing several copies of
+the vectors, and gives each column the bits of the whole-block formula.
 
 The form holds the stencil itself (the nodal potential, one array of
 face coefficients per axis on the full grid, the nodal mass), not a
@@ -82,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -150,6 +144,19 @@ def _face_parts(nu: int, periodic: bool
                    _along(axis, nu, upper))
 
 
+def _on_grid(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`values` of the inside nodes placed on the grid of `mask`, 0
+    outside; axes of `values` after the first trail the grid's."""
+    grid = np.zeros(mask.shape + values.shape[1:])
+    grid[mask] = values
+    return grid
+
+
+def _within(x: np.ndarray, y: np.ndarray, tol) -> bool:
+    """Whether x lies within tol of y everywhere (a NaN lies nowhere)."""
+    return bool((np.abs(x - y) <= tol).all())
+
+
 class SolverConvergenceError(RuntimeError):
     """Raised when an eigenpair misses the residual tolerance."""
 
@@ -185,8 +192,7 @@ class DiscreteForm:
         the same entries given as a COO list, so `stiffness` equals that
         matrix bit for bit and shift-invert spectra do not move in the last
         digits."""
-        d = np.zeros(self.mask.shape)
-        d[self.mask] = self.potential
+        d = _on_grid(self.mask, self.potential)
         for axis, _, lo, hi in _face_parts(self.mask.ndim, self.periodic):
             c = self.faces[axis][lo]
             d[lo] += c
@@ -283,19 +289,13 @@ class DiscreteForm:
         along its other axes as it did, with the same g and b."""
         first = _along(axis, self.mask.ndim, 0)
         mask = np.asarray(self.mask[first])
-        full = np.zeros(self.mask.shape)
-
-        def on_slice(values):
-            full[self.mask] = values
-            return full[first][mask]
-
         return replace(
             self,
-            potential=on_slice(self.potential) +
+            potential=_on_grid(self.mask, self.potential)[first][mask] +
             level * self.faces[axis][first][mask],
             faces=tuple(c[first] for b, c in enumerate(self.faces)
                         if b != axis),
-            mass_diag=on_slice(self.mass_diag),
+            mass_diag=_on_grid(self.mask, self.mass_diag)[first][mask],
             dof_count=int(mask.sum()),
             mask=mask,
             factors={b - (b > axis): f for b, f in self.factors.items()
@@ -402,9 +402,8 @@ def _factors(form: DiscreteForm
     differ along such an axis in the last bit, so it is not read."""
     mask = form.mask
     nu = mask.ndim
-    potential, mass = np.zeros(mask.shape), np.zeros(mask.shape)
-    potential[mask] = form.potential
-    mass[mask] = form.mass_diag
+    potential, mass = (_on_grid(mask, x)
+                       for x in (form.potential, form.mass_diag))
     factors = {}
     # a slice ratio can overflow where the mass does not: that axis
     # simply does not factor
@@ -429,8 +428,7 @@ def _factors(form: DiscreteForm
                 factored = ratio.reshape(shape) * x[first]
                 if repeats:
                     return bool((x == factored).all())
-                return bool((np.abs(x - factored) <=
-                             _FACTOR_RTOL * np.abs(x)).all())
+                return _within(x, factored, _FACTOR_RTOL * np.abs(x))
 
             # the potential and the faces tell most forms apart, so they
             # go first
@@ -463,23 +461,6 @@ def _axis_pairs(n: int, periodic: bool, count: int):
     return values, vectors / np.linalg.norm(vectors, axis=0)
 
 
-def _tensor(form: DiscreteForm, axis: int, u: np.ndarray,
-            v: np.ndarray) -> np.ndarray:
-    """Columns u_i (x) v_i on the form's inside nodes, for u on the inside
-    nodes of the slice across `axis` and v along `axis`.  Built one column
-    after another, so that the (dof, k) result is in Fortran order, as
-    shift-invert's vectors are: the residual norms reduce in that order."""
-    mask = form.mask
-    slice_mask = np.asarray(mask[_along(axis, mask.ndim, 0)])
-    grid_u = np.zeros(u.shape[1:] + slice_mask.shape)
-    grid_u[:, slice_mask] = u.T
-    along = [-1] + [1] * mask.ndim
-    along[1 + axis] = mask.shape[axis]
-    x = (np.expand_dims(grid_u, 1 + axis) * v.T.reshape(along)).reshape(
-        u.shape[1], -1)
-    return (x if form.dof_count == mask.size else x[:, mask.ravel()]).T
-
-
 def _axis_modes(form: DiscreteForm, axis: int, count: int):
     """The count lowest pairs (z_m, v) of the 1-D stencil along a factored
     `axis`, with v^T G v = 1: the unit stencil's closed form where the
@@ -510,10 +491,11 @@ def _peel_axis(form: DiscreteForm) -> Optional[int]:
     return None
 
 
-def _peeled_pairs(form: DiscreteForm, k: int, axis: int):
-    """Lowest k pairs of a form that factors along `axis`: the lowest by
-    (value, block order) over the blocks of the 1-D stencil's modes along
-    it, with vectors u (x) v scaled to x^T M x = 1."""
+def _peel(form: DiscreteForm, k: int, axis: int):
+    """The peel along a factored `axis`: a block per mode of the 1-D
+    stencil along it, the twin of an equal level being the block before
+    again, or block 0 with shifts when C_a/M_rest is one number.  A pair
+    (u, m) lifts to u (x) v_m."""
     n = form.mask.shape[axis]
     rest = form.block(axis, 0.0)
     ratio = form.faces[axis][_along(axis, form.mask.ndim, 0)][rest.mask] / \
@@ -522,44 +504,23 @@ def _peeled_pairs(form: DiscreteForm, k: int, axis: int):
         # finite K and M can still overflow in K/M, as on the other paths
         raise ValueError(
             f"mass-scaled operator overflows on grid {form.mask.shape}")
-    count = min(k, rest.dof_count)
     levels, v = _axis_modes(form, axis, min(k, n))
-    if ratio.min() == ratio.max():
-        # every block is block 0 shifted by its mode's value times ratio:
-        # merge the k smallest sums
-        levels = levels * ratio[0]
-        mu, u, method = _lowest_pairs(rest, count)
-        sums = np.add.outer(mu, levels).ravel()
-        keep = np.argsort(sums, kind="stable")[:k]
-        x = _tensor(form, axis, u[:, keep // levels.size],
-                    v[:, keep % levels.size])
-        return sums[keep], x, \
-            "separable" if method == "separable" else "peeled"
+    along = [-1] + [1] * form.mask.ndim
+    along[1 + axis] = n
 
-    lift = float(ratio.min())
-    values, u, modes = np.empty(0), np.empty((rest.dof_count, 0)), \
-        np.empty(0, dtype=np.int64)
-    for m, level in enumerate(levels):
-        if m:
-            # Weyl: block m's j-th value is at least block m-1's plus
-            # (level step) * min(ratio); a twin (equal level) is the same
-            # block, so it reuses that solve
-            kth = values[k - 1] if values.size == k else math.inf
-            count = int(np.searchsorted(
-                mu + (level - levels[m - 1]) * lift, kth))
-            if count == 0:
-                break
-        if m and level == levels[m - 1]:
-            mu, block_u = mu[:count], block_u[:, :count]
-        else:
-            mu, block_u, _ = _lowest_pairs(
-                form.block(axis, level) if m else rest, count)
-        values = np.concatenate((values, mu))
-        u = np.hstack((u, block_u))
-        modes = np.concatenate((modes, np.full(count, m)))
-        keep = np.argsort(values, kind="stable")[:k]
-        values, u, modes = values[keep], u[:, keep], modes[keep]
-    return values, _tensor(form, axis, u, v[:, modes]), "peeled"
+    def lift(u, modes):
+        grid_u = np.moveaxis(_on_grid(rest.mask, u), -1, 0)
+        # in C order, as the gather takes it, with no copy of the product
+        return np.multiply(np.expand_dims(grid_u, 1 + axis),
+                           v[:, modes].T.reshape(along), order="C")
+
+    if ratio.min() == ratio.max():
+        return [(None, lambda: rest, levels * ratio[0])], lift
+    step = float(ratio.min())
+    return [(None, lambda: rest, None)] + [
+        ((level - low) * step,
+         None if level == low else partial(form.block, axis, level), None)
+        for low, level in zip(levels, levels[1:])], lift
 
 
 def _mirror_axis(form: DiscreteForm) -> Optional[int]:
@@ -573,11 +534,10 @@ def _mirror_axis(form: DiscreteForm) -> Optional[int]:
     mask = form.mask
     if form.periodic or form.dof_count < 2 * _MIRROR_MIN_DOF:
         return None
-    mass, vw = np.zeros(mask.shape), np.zeros(mask.shape)
-    mass[mask] = form.mass_diag
+    mass = _on_grid(mask, form.mass_diag)
     # an overflowing V*w gives inf - inf = nan, which mirrors nowhere
     with np.errstate(all="ignore"):
-        vw[mask] = form.potential / form.mass_diag
+        vw = _on_grid(mask, form.potential / form.mass_diag)
         spread = _FACTOR_RTOL * np.abs(vw).max()
         for axis, n in enumerate(mask.shape):
             if n % 2 or n < 4 or not (mask == np.flip(mask, axis)).all():
@@ -585,7 +545,7 @@ def _mirror_axis(form: DiscreteForm) -> Optional[int]:
             inner = _along(axis, mask.ndim, slice(None, -1))
 
             def mirrors(x, tol):
-                return bool((np.abs(x - np.flip(x, axis)) <= tol).all())
+                return _within(x, np.flip(x, axis), tol)
 
             if mirrors(mass, _FACTOR_RTOL * mass) and all(
                     mirrors(c, _FACTOR_RTOL * np.abs(c)) for c in
@@ -607,11 +567,9 @@ def _mirror_halves(form: DiscreteForm, axis: int
     half = _along(axis, mask.ndim, slice(None, mask.shape[axis] // 2))
     middle = _along(axis, mask.ndim, -1)
     half_mask = mask[half]
-    full = np.zeros(mask.shape)
 
     def on_half(values):
-        full[mask] = values
-        return full[half][half_mask]
+        return _on_grid(mask, values)[half][half_mask]
 
     faces = [c[half] for c in form.faces]
     faces[axis] = faces[axis].copy()
@@ -628,34 +586,39 @@ def _mirror_halves(form: DiscreteForm, axis: int
     return even, odd
 
 
-def _mirrored_pairs(form: DiscreteForm, k: int, axis: int):
-    """Lowest k pairs of a form that mirrors along `axis`: the lowest by
-    (value, even block first) over the pairs of its even and odd blocks,
-    each solved by the default rule, with vectors [u, +-flip(u)]/sqrt(2),
-    which keep x^T M x = 1."""
-    halves = _mirror_halves(form, axis)
-    pairs = [_lowest_pairs(h, min(k, h.dof_count))[:2] for h in halves]
-    values = np.concatenate([mu for mu, _ in pairs])
-    keep = np.argsort(values, kind="stable")[:k]
-    u = np.hstack([u for _, u in pairs])[:, keep] / math.sqrt(2.0)
-    mask = form.mask
-    lower = np.zeros((k,) + halves[0].mask.shape)
-    lower[:, halves[0].mask] = u.T
-    sign = np.where(keep < pairs[0][0].size, 1.0, -1.0)
-    upper = sign.reshape((k,) + (1,) * mask.ndim) * np.flip(lower, 1 + axis)
-    # (k, dof) in C order, so the (dof, k) vectors are in Fortran order
-    x = np.concatenate((lower, upper), axis=1 + axis).reshape(k, -1)
-    return values[keep], \
-        (x if form.dof_count == mask.size else x[:, mask.ravel()]).T
+def _mirror(form: DiscreteForm, k: int, axis: int):
+    """The mirror along `axis`: the even and the odd block, with no
+    bound between them.  A pair (u, b) lifts to [u, +-flip(u)]/sqrt(2),
+    + for the even block, which keeps x^T M x = 1."""
+    even, odd = _mirror_halves(form, axis)
+
+    def lift(u, blocks):
+        # in C order, as the gather takes it, with no copy of the whole
+        lower = np.ascontiguousarray(np.moveaxis(
+            _on_grid(even.mask, u / math.sqrt(2.0)), -1, 0))
+        sign = np.where(blocks == 0, 1.0, -1.0).reshape(
+            (-1,) + (1,) * form.mask.ndim)
+        return np.concatenate((lower, sign * np.flip(lower, 1 + axis)),
+                              axis=1 + axis)
+
+    return [(None, lambda: even, None), (None, lambda: odd, None)], lift
 
 
 def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
     """(values, x with x^T M x = 1, method) of the lowest k pairs, by the
     given method or, when None, by the default rule: peel a factored axis
-    (`_peel_axis`); otherwise, while eigh costs less than loading scipy
-    for shift-invert and for the whole spectrum, which ARPACK cannot
-    return, split a form that mirrors (`_mirror_axis`) into its even and
-    odd blocks, and solve any other dense."""
+    (`_peel_axis`, `_peel`); otherwise, while eigh costs less than loading
+    scipy for shift-invert and for the whole spectrum, which ARPACK cannot
+    return, mirror (`_mirror_axis`, `_mirror`) or solve dense.
+
+    A split gives its blocks in merge order, each (Weyl step from the
+    block before or None, block maker or None for the block before again,
+    shifts or None), and a lift of tagged block vectors to (pairs, *grid)
+    arrays.  A block with shifts stands for its copies shifted by each,
+    rest pair first, and a pair's tag is its block's index plus its
+    shift's.  The lift is gathered to dof from C order, so the (dof, k)
+    vectors are in Fortran order on a full grid and in C order on a
+    masked one; the residual bits follow that layout."""
     n = form.dof_count
     if form.mask.ndim == 0:
         # a slice of no axes is one node: its value is its potential (with
@@ -669,7 +632,6 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
         return np.full(1, value), \
             np.full((1, 1), 1.0 / math.sqrt(float(form.mass_diag[0]))), \
             "separable"
-    axis = None
     if method is None:
         axis = _peel_axis(form)
         if axis is not None:
@@ -684,11 +646,42 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
         raise ValueError(
             f"dense-sized solve ({method}, {k} pairs) refused at dof={n} > "
             f"{_MAX_DENSE_DOF}; use method='iterative' with k < dof")
-    if method == "peeled":
-        return _peeled_pairs(form, k, axis)
-    if method == "mirrored":
-        return (*_mirrored_pairs(form, k, axis), method)
-    return (*_mass_scaled_pairs(form, k, method), method)
+    split = {"peeled": _peel, "mirrored": _mirror}.get(method)
+    if split is None:
+        return (*_mass_scaled_pairs(form, k, method), method)
+
+    blocks, lift = split(form, k, axis)
+    values, tags, leaves = np.empty(0), np.empty(0, dtype=np.int64), set()
+    for index, (step, make, shifts) in enumerate(blocks):
+        count = k
+        if step is not None:
+            # Weyl: this block's j-th value is at least the last one's plus
+            # step, so only pairs below the k-th value so far can be kept
+            kth = values[k - 1] if values.size == k else math.inf
+            count = int(np.searchsorted(mu + step, kth))
+            if count == 0:
+                break
+        if make is None:
+            mu, block_u = mu[:count], block_u[:, :count]
+        else:
+            block = make()
+            mu, block_u, leaf = _lowest_pairs(
+                block, min(count, block.dof_count))
+            leaves.add(leaf)
+        width = 1 if shifts is None else shifts.size
+        sums = mu if shifts is None else np.add.outer(mu, shifts).ravel()
+        order = np.arange(sums.size)
+        merged = np.concatenate((values, sums))
+        keep = np.argsort(merged, kind="stable")[:k]
+        pick = np.concatenate((np.arange(values.size),
+                               values.size + order // width))[keep]
+        u = (np.hstack((u, block_u)) if values.size else block_u)[:, pick]
+        tags = np.concatenate((tags, index + order % width))[keep]
+        values = merged[keep]
+    x = np.ascontiguousarray(lift(u, tags)).reshape(values.size, -1)
+    if n < form.mask.size:
+        x = x[:, form.mask.ravel()]
+    return values, x.T, "separable" if leaves == {"separable"} else method
 
 
 def _residuals(form: DiscreteForm, vals: np.ndarray,
@@ -718,8 +711,8 @@ def _residuals(form: DiscreteForm, vals: np.ndarray,
 def solve_lowest_detailed(form: DiscreteForm, k: int,
                           method: Optional[str] = None,
                           tolerance: float = 1e-8) -> SolveResult:
-    """Lowest-k eigenpairs of K x = mu M x: by peeling factored axes where
-    the form has them, otherwise through M^(-1/2) K M^(-1/2).  Every
+    """Lowest-k eigenpairs of K x = mu M x, from peeled or mirrored blocks
+    where the form splits, else through M^(-1/2) K M^(-1/2).  Every
     pair's residual must be within `tolerance`."""
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -552,6 +552,28 @@ class TestSeparable:
         assert res.spectrum.values == pytest.approx(ref, rel=1e-12,
                                                     abs=1e-12)
 
+    def test_closed_form_merge_keeps_rest_pair_first(self):
+        # the bundled torus-theta form: k = 40 cuts a degenerate cluster,
+        # so which vectors are kept, and in which column, is the merge's
+        # tie order: a stable sort of the rest values (x) the mode values,
+        # rest pair first.  A sweep of shifted copies of the rest, mode
+        # after mode, breaks ties the other way
+        n, k = 48, 40
+        prob = ProblemSpec(TorusFundamental((1.0, 0.0), (0.0, 1.0)))
+        form = assemble(prob, QuadratureGrid(prob.domain, n))
+        res = solve_lowest_detailed(form, k)
+        assert res.method == "separable"
+        levels, modes = fdsolver._axis_pairs(n, True, k)
+        levels = levels * (form.faces[0].flat[0] / form.mass_diag[0])
+        sums = np.add.outer(levels, levels).ravel()
+        order = np.argsort(sums, kind="stable")[:k]
+        rest, mode = np.divmod(order, k)
+        last = sums[order[-1]]
+        assert (sums[order] == last).sum() < (sums == last).sum()
+        expected = np.stack([np.outer(modes[:, i], modes[:, j]).ravel()
+                             for i, j in zip(rest, mode)], axis=1) * n
+        assert res.vectors == pytest.approx(expected, abs=1e-12)
+
     @pytest.mark.parametrize("prob,shape,repeats,factors", [
         (ProblemSpec(Disk(1.0)), (24, 24), (), ()),
         # constant at the nodes (cos(pi (i + 1/2)) = 0), 1 or 3 at faces:
@@ -662,6 +684,10 @@ class TestPeeled:
         gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
         assert gram == pytest.approx(np.eye(k), abs=1e-10)
         assert res.residuals.max() <= 1e-8  # the default tolerance
+        # the layout sets the residual bits: (dof, k) in Fortran order on a
+        # full grid, in C order on a masked one
+        full = form.dof_count == form.mask.size
+        assert res.vectors.flags["F_CONTIGUOUS" if full else "C_CONTIGUOUS"]
 
     def test_blocks_past_the_weyl_bound_are_not_solved(self, monkeypatch):
         # 8x8x16 repeating along y and factoring along z: the y-mode of
@@ -797,6 +823,8 @@ class TestMirrored:
         assert res.residuals.max() <= 1e-8
         gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
         assert gram == pytest.approx(np.eye(12), abs=1e-10)
+        full = form.dof_count == form.mask.size
+        assert res.vectors.flags["F_CONTIGUOUS" if full else "C_CONTIGUOUS"]
         # every pair is asked for, as dense blocks
         k = form.dof_count
         whole = solve_lowest_detailed(form, k)
@@ -826,6 +854,28 @@ class TestMirrored:
         whole = solve_lowest_detailed(form, 12, method="dense")
         assert res.spectrum.values == pytest.approx(
             whole.spectrum.values, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"rho": "0.2*z", "V": "x^2 + y^2"}], ids=["constant", "rho-V"])
+    def test_peeled_blocks_mirror(self, monkeypatch, fields):
+        # a cylinder peels z into one block, its 208-dof disk (the faces
+        # along z over the mass are one number), and that block splits
+        # once.  A w that varies along z would not factor along it: it
+        # scales the faces across z but not the mass
+        domain = MaskedBox(Box((2.0, 2.0, 1.0), (-1.0, -1.0, 0.0)),
+                           parse_field("x^2 + y^2 - 1", 3))
+        prob = ProblemSpec(domain, **fields)
+        form = assemble(prob, QuadratureGrid(domain, (16, 16, 8)))
+        assert form.dof_count == 1664
+        split = recorded_splits(monkeypatch)
+        res = solve_lowest_detailed(form, 12)
+        assert res.method == "peeled"
+        assert split == [208]
+        dense = solve_lowest_detailed(form, 12, method="dense")
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-10)
+        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        assert gram == pytest.approx(np.eye(12), abs=1e-10)
 
     def test_odd_block_without_the_middle_face_fails_the_gate(
             self, monkeypatch):
