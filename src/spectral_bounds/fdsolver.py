@@ -35,10 +35,13 @@ blocks where it can, solve each block by the same rule, and merge.
   peeled first; another factored axis solves its own 1-D stencil, so it
   is peeled only while another axis remains.
 - Else, up to _DENSE_DEFAULT_DOF dof or for all pairs, a form that is
-  its own mirror image along a Neumann axis of an even node count splits
-  ("mirrored") into an even block, the half grid before the middle face
-  without that face, and an odd block, the same half with twice the
-  middle face's coefficient on the middle layer's potential.
+  its own mirror image splits ("mirrored") into an even and an odd
+  block.  Along a Neumann axis of an even node count, both are the half
+  grid before the middle face, the odd one with twice that face's
+  coefficient on the middle layer's potential.  Failing that, across the
+  diagonal of two Neumann axes of equal counts they hold the nodes with
+  i_a >= i_b and i_a > i_b, each coefficient summed with its mirror
+  image's, and the odd one's faces to the diagonal on its potential.
 
 Block m of a peel has each j-th value at least block m-1's plus
 (z_m - z_(m-1)) min(C_a/M_rest) (Weyl), so it is asked only for the
@@ -47,7 +50,8 @@ at the first block asked for none; a mirror's blocks have no bound.
 When C_a/M_rest is one number s, every block is block 0 shifted by
 z_m s, and the peel is that one block with its shifts.  Pairs merge by
 (value, block order) in one stable sort, and their vectors lift to the
-grid: u (x) v_m for a peel, [u, +-flip(u)]/sqrt(2) for a mirror.  A
+grid: u (x) v_m for a peel, [u, +-flip(u)]/sqrt(2) for a mirror along
+an axis, u with +-u at its image for one across a diagonal.  A
 split whose leaves are all closed forms reports "separable" (a form that
 repeats along every axis is a Kronecker sum of 1-D stencils plus V*w).
 A form that does not split, or has a pinned method, is solved whole: by
@@ -58,7 +62,8 @@ pass the same residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a
 NaN fails), through the stencil matvec of the assembled form.  The gate
 runs over blocks of whole columns of at most _GATE_BLOCK entries, so
 that its temporaries stay in cache instead of costing several copies of
-the vectors, and gives each column the bits of the whole-block formula.
+the vectors, and sums each column's norm in one order, whatever the
+vectors' layout.
 
 The form holds the stencil itself (the nodal potential, one array of
 face coefficients per axis on the full grid, the nodal mass), not a
@@ -76,7 +81,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import combinations
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -181,7 +187,8 @@ class DiscreteForm:
     periodic: bool
     # the axes along which the form factors: None where it repeats
     # exactly, else (g, b), its mass ratio per slice and its face ratio
-    # per face (0 at the absent last face of a Neumann axis)
+    # per face (0 at the absent last face of a Neumann axis), followed in
+    # a peel's blocks by the 1-D stencil's pairs that `_peel` solved
     factors: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = \
         field(default_factory=dict)
 
@@ -394,12 +401,13 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
 def _factors(form: DiscreteForm
              ) -> Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]]:
     """The axes along which the form factors, each with None when it
-    repeats exactly, else (g, b).  g and b are read at the first inside
-    node of slice 0; an axis factors when the mask repeats along it, g
-    and every present b are finite and positive, and every entry lies
-    within _FACTOR_RTOL of its factored value.  Ratios that are all 1
-    must hold exactly, which is the repeat; the summed diagonal can
-    differ along such an axis in the last bit, so it is not read."""
+    repeats exactly, else (g, b): per slice a median over its inside
+    nodes of the ratio to slice 0, which no one node's rounding sets.  An
+    axis factors when the mask repeats along it, g and every present b
+    are finite and positive, and every entry lies within _FACTOR_RTOL of
+    its factored value.  Ratios that are all 1 must hold exactly, which
+    is the repeat; the summed diagonal can differ along such an axis in
+    the last bit, so it is not read."""
     mask = form.mask
     nu = mask.ndim
     potential, mass = (_on_grid(mask, x)
@@ -412,13 +420,21 @@ def _factors(form: DiscreteForm
             first = _along(axis, nu, slice(0, 1))
             if not (mask == mask[first]).all():
                 continue
-            node = np.unravel_index(np.argmax(mask[first]), mask[first].shape)
-            line = tuple(slice(None) if d == axis else node[d]
-                         for d in range(nu))
+            inside = np.moveaxis(mask, axis, 0)[0]
+            middle = (int(inside.sum()) - 1) // 2
             shape = tuple(-1 if d == axis else 1 for d in range(nu))
             along = form.faces[axis]
-            g, b = (x[line] / x[line][0] for x in (mass, along))
-            present = b if form.periodic else b[:-1]
+
+            def median(x, stop=None):
+                x = x[_along(axis, nu, slice(stop))]
+                if (x == x[first]).all():    # the median, with no sort
+                    return np.ones(x.shape[axis])
+                r = np.moveaxis(x / x[first], axis, 0)[:, inside]
+                return np.partition(r, middle, axis=1)[:, middle]
+
+            # a Neumann axis has no face from its last slice
+            present = median(along, None if form.periodic else -1)
+            g, b = median(mass), np.append(present, [0.0][form.periodic:])
             if not (np.isfinite(g).all() and g.min() > 0.0 and
                     np.isfinite(present).all() and present.min() > 0.0):
                 continue
@@ -470,7 +486,9 @@ def _axis_modes(form: DiscreteForm, axis: int, count: int):
     factor = form.factors[axis]
     if factor is None:
         return _axis_pairs(n, form.periodic, count)
-    g, b = factor
+    g, b, *solved = factor
+    if solved:    # by the peel whose blocks share these factors
+        return solved[0][:count], solved[1][:, :count]
     stencil = DiscreteForm(
         potential=np.zeros(n), faces=(b,), mass_diag=g, dof_count=n,
         zero_potential=True, potential_floor=0.0,
@@ -494,112 +512,157 @@ def _peel_axis(form: DiscreteForm) -> Optional[int]:
 def _peel(form: DiscreteForm, k: int, axis: int):
     """The peel along a factored `axis`: a block per mode of the 1-D
     stencil along it, the twin of an equal level being the block before
-    again, or block 0 with shifts when C_a/M_rest is one number.  A pair
-    (u, m) lifts to u (x) v_m."""
+    again, or block 0 with shifts when C_a/M_rest is one number.  The
+    blocks share block 0's factors, so the stencil of the axis they peel
+    next is solved once, here.  A pair (u, m) lifts to u (x) v_m."""
     n = form.mask.shape[axis]
     rest = form.block(axis, 0.0)
-    ratio = form.faces[axis][_along(axis, form.mask.ndim, 0)][rest.mask] / \
-        rest.mass_diag
+    along = form.faces[axis][_along(axis, form.mask.ndim, 0)][rest.mask]
+    ratio = along / rest.mass_diag
     if not np.isfinite(ratio).all():
         # finite K and M can still overflow in K/M, as on the other paths
         raise ValueError(
             f"mass-scaled operator overflows on grid {form.mask.shape}")
     levels, v = _axis_modes(form, axis, min(k, n))
-    along = [-1] + [1] * form.mask.ndim
-    along[1 + axis] = n
+    inner = _peel_axis(rest)
+    if rest.factors.get(inner) is not None:
+        rest.factors[inner] += _axis_modes(
+            rest, inner, min(k, rest.mask.shape[inner]))
+    shape = [-1] + [1] * form.mask.ndim
+    shape[1 + axis] = n
 
     def lift(u, modes):
-        grid_u = np.moveaxis(_on_grid(rest.mask, u), -1, 0)
         # in C order, as the gather takes it, with no copy of the product
-        return np.multiply(np.expand_dims(grid_u, 1 + axis),
-                           v[:, modes].T.reshape(along), order="C")
+        return np.multiply(np.expand_dims(np.moveaxis(u, -1, 0), 1 + axis),
+                           v[:, modes].T.reshape(shape), order="C")
 
     if ratio.min() == ratio.max():
         return [(None, lambda: rest, levels * ratio[0])], lift
     step = float(ratio.min())
     return [(None, lambda: rest, None)] + [
-        ((level - low) * step,
-         None if level == low else partial(form.block, axis, level), None)
+        ((level - low) * step, None if level == low else
+         lambda level=level: replace(rest, potential=rest.potential +
+                                     level * along), None)
         for low, level in zip(levels, levels[1:])], lift
 
 
-def _mirror_axis(form: DiscreteForm) -> Optional[int]:
-    """The first axis along which the form is its own mirror image (node i
-    to n-1-i), or None.  The axis is Neumann with an even count of at
-    least 4 nodes, so that each half keeps a face along it, and each half
-    holds at least _MIRROR_MIN_DOF dof.  The mask must mirror exactly;
-    the mass and the faces within _FACTOR_RTOL elementwise (face i along
-    the axis against face n-2-i); the nodal V*w within _FACTOR_RTOL
-    max|V*w|, which by Weyl moves no value by more than that."""
+def _reflect(x: np.ndarray, refl, lead: int = 0) -> np.ndarray:
+    """The mirror image of x, whose grid axes follow its first `lead`,
+    under `refl`: an axis (node i to n-1-i) or a pair of swapped axes."""
+    if isinstance(refl, tuple):
+        return np.swapaxes(x, lead + refl[0], lead + refl[1])
+    return np.flip(x, lead + refl)
+
+
+def _reflect_faces(faces: Sequence[np.ndarray], refl) -> Tuple:
+    """The faces of the mirror image: face i along a flipped axis joins
+    nodes i and i+1, so its image is face n-2-i; swapped axes trade."""
+    swap = dict([refl, refl[::-1]]) if isinstance(refl, tuple) else {}
+    return tuple(np.roll(_reflect(faces[swap.get(d, d)], refl),
+                         -(d == refl), d) for d in range(len(faces)))
+
+
+def _mirror_axis(form: DiscreteForm):
+    """The first reflection under which the form is its own mirror
+    image, or None: an axis of an even count of at least 4 nodes, so that
+    each half keeps a face along it, else a pair of axes of equal counts.
+    Its blocks hold at least _MIRROR_MIN_DOF dof each.  The mask must
+    mirror exactly; the mass and the faces within _FACTOR_RTOL
+    elementwise; the nodal V*w within _FACTOR_RTOL max|V*w|, which by
+    Weyl moves no value by more than that."""
     mask = form.mask
     if form.periodic or form.dof_count < 2 * _MIRROR_MIN_DOF:
         return None
+    flips = [a for a, n in enumerate(mask.shape) if n % 2 == 0 and n >= 4]
+    # the odd block of a pair of axes holds half the nodes off the diagonal
+    swaps = [(a, b) for a, b in combinations(range(mask.ndim), 2)
+             if mask.shape[a] == mask.shape[b] and form.dof_count -
+             np.diagonal(mask, 0, a, b).sum() >= 2 * _MIRROR_MIN_DOF]
     mass = _on_grid(mask, form.mass_diag)
     # an overflowing V*w gives inf - inf = nan, which mirrors nowhere
     with np.errstate(all="ignore"):
         vw = _on_grid(mask, form.potential / form.mass_diag)
         spread = _FACTOR_RTOL * np.abs(vw).max()
-        for axis, n in enumerate(mask.shape):
-            if n % 2 or n < 4 or not (mask == np.flip(mask, axis)).all():
-                continue
-            inner = _along(axis, mask.ndim, slice(None, -1))
-
-            def mirrors(x, tol):
-                return _within(x, np.flip(x, axis), tol)
-
-            if mirrors(mass, _FACTOR_RTOL * mass) and all(
-                    mirrors(c, _FACTOR_RTOL * np.abs(c)) for c in
-                    (c[inner] if b == axis else c
-                     for b, c in enumerate(form.faces))) and \
-                    mirrors(vw, spread):
-                return axis
+        for refl in flips + swaps:
+            if (mask == _reflect(mask, refl)).all() and \
+                    _within(mass, _reflect(mass, refl), _FACTOR_RTOL * mass) \
+                    and all(_within(c, image, _FACTOR_RTOL * np.abs(c))
+                            for c, image in zip(form.faces, _reflect_faces(
+                                form.faces, refl))) and \
+                    _within(vw, _reflect(vw, refl), spread):
+                return refl
     return None
 
 
-def _mirror_halves(form: DiscreteForm, axis: int
+def _mirror_halves(form: DiscreteForm, refl
                    ) -> Tuple[DiscreteForm, DiscreteForm]:
-    """The even and odd blocks of a form that mirrors along `axis`: the
-    half grid before the middle face, without that face; and the same
-    half with twice the middle face's coefficient on the potential of the
-    middle layer, since an odd vector's difference across that face is
-    twice its value there."""
+    """The even and odd blocks of a form that mirrors under `refl`.
+    Along an axis: the half grid before the middle face, without it, and
+    the same half with twice its coefficient on the middle layer's
+    potential (an odd vector's difference across it is twice its value).
+    Across axes (a, b): the nodes with i_a >= i_b, each coefficient off
+    the diagonal and each face along a summed with its image's; and the
+    nodes with i_a > i_b, with each face to the diagonal, where an odd
+    vector is 0, on the potential."""
     mask = form.mask
-    half = _along(axis, mask.ndim, slice(None, mask.shape[axis] // 2))
-    middle = _along(axis, mask.ndim, -1)
-    half_mask = mask[half]
 
-    def on_half(values):
-        return _on_grid(mask, values)[half][half_mask]
+    def restrict(keep, potential, faces):
+        # without the faces that leave `keep` (a face from the last node
+        # along an axis is absent, or the middle face, which is zeroed)
+        return replace(form, potential=potential[keep], faces=tuple(
+            c * (keep & np.roll(keep, -1, d)) for d, c in enumerate(faces)),
+            mass_diag=mass[keep], dof_count=int(keep.sum()), mask=keep)
 
-    faces = [c[half] for c in form.faces]
-    faces[axis] = faces[axis].copy()
-    lift = np.zeros(half_mask.shape)
-    lift[middle] = 2.0 * faces[axis][middle]
-    faces[axis][middle] = 0.0
-    even = replace(form, potential=on_half(form.potential),
-                   faces=tuple(faces), mass_diag=on_half(form.mass_diag),
-                   dof_count=form.dof_count // 2, mask=half_mask)
-    odd = replace(even, potential=even.potential + lift[half_mask],
-                  zero_potential=False)
+    if isinstance(refl, tuple):
+        gap = np.subtract(*np.indices(mask.shape)[list(refl)])  # i_a - i_b
+
+        def orbit(x, image):
+            return np.where(gap == 0, x, x + image)
+
+        potential, mass = (orbit(x, _reflect(x, refl)) for x in (
+            _on_grid(mask, form.potential), _on_grid(mask, form.mass_diag)))
+        even = restrict(mask & (gap >= 0), potential, [
+            c + image if d == refl[0] else orbit(c, image) for d, (c, image)
+            in enumerate(zip(form.faces, _reflect_faces(form.faces, refl)))])
+        for d, c in enumerate(even.faces):
+            potential += c * (np.roll(gap, -1, d) == 0) + \
+                np.roll(c * (gap == 0), 1, d)
+        odd = restrict(mask & (gap > 0), potential, even.faces)
+    else:
+        half = _along(refl, mask.ndim, slice(None, mask.shape[refl] // 2))
+        middle = _along(refl, mask.ndim, -1)
+        potential, mass = (_on_grid(mask, x)[half]
+                           for x in (form.potential, form.mass_diag))
+        faces = [c[half] for c in form.faces]
+        faces[refl] = faces[refl].copy()
+        across = 2.0 * faces[refl][middle]
+        faces[refl][middle] = 0.0
+        even = restrict(mask[half], potential, faces)
+        potential[middle] += across
+        odd = restrict(mask[half], potential, faces)
+    odd.zero_potential = False
     for block in (even, odd):
         block.factors = _factors(block)
     return even, odd
 
 
-def _mirror(form: DiscreteForm, k: int, axis: int):
-    """The mirror along `axis`: the even and the odd block, with no
-    bound between them.  A pair (u, b) lifts to [u, +-flip(u)]/sqrt(2),
-    + for the even block, which keeps x^T M x = 1."""
-    even, odd = _mirror_halves(form, axis)
+def _mirror(form: DiscreteForm, k: int, refl):
+    """The mirror under `refl`: the even and the odd block, with no bound
+    between them.  A pair (u, b) lifts to [u, +-flip(u)]/sqrt(2) along an
+    axis, and to u, with +-u at its mirror image, across a pair of axes
+    (+ for the even block), which keeps x^T M x = 1."""
+    even, odd = _mirror_halves(form, refl)
+    nu = form.mask.ndim
 
     def lift(u, blocks):
+        lower = np.moveaxis(u, -1, 0)
+        sign = np.where(blocks == 0, 1.0, -1.0).reshape((-1,) + (1,) * nu)
+        if isinstance(refl, tuple):
+            return np.where(even.mask, lower, sign * _reflect(lower, refl, 1))
         # in C order, as the gather takes it, with no copy of the whole
-        lower = np.ascontiguousarray(np.moveaxis(
-            _on_grid(even.mask, u / math.sqrt(2.0)), -1, 0))
-        sign = np.where(blocks == 0, 1.0, -1.0).reshape(
-            (-1,) + (1,) * form.mask.ndim)
-        return np.concatenate((lower, sign * np.flip(lower, 1 + axis)),
-                              axis=1 + axis)
+        lower = np.ascontiguousarray(lower / math.sqrt(2.0))
+        return np.concatenate((lower, sign * np.flip(lower, 1 + refl)),
+                              axis=1 + refl)
 
     return [(None, lambda: even, None), (None, lambda: odd, None)], lift
 
@@ -613,12 +676,10 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
 
     A split gives its blocks in merge order, each (Weyl step from the
     block before or None, block maker or None for the block before again,
-    shifts or None), and a lift of tagged block vectors to (pairs, *grid)
-    arrays.  A block with shifts stands for its copies shifted by each,
-    rest pair first, and a pair's tag is its block's index plus its
-    shift's.  The lift is gathered to dof from C order, so the (dof, k)
-    vectors are in Fortran order on a full grid and in C order on a
-    masked one; the residual bits follow that layout."""
+    shifts or None), and a lift of tagged block vectors, held on the grid
+    that the blocks share, to (pairs, *grid) arrays.  A block with shifts
+    stands for its copies shifted by each, rest pair first, and a pair's
+    tag is its block's index plus its shift's."""
     n = form.dof_count
     if form.mask.ndim == 0:
         # a slice of no axes is one node: its value is its potential (with
@@ -662,11 +723,12 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
             if count == 0:
                 break
         if make is None:
-            mu, block_u = mu[:count], block_u[:, :count]
+            mu, block_u = mu[:count], block_u[..., :count]
         else:
             block = make()
             mu, block_u, leaf = _lowest_pairs(
                 block, min(count, block.dof_count))
+            block_u = _on_grid(block.mask, block_u)
             leaves.add(leaf)
         width = 1 if shifts is None else shifts.size
         sums = mu if shifts is None else np.add.outer(mu, shifts).ravel()
@@ -675,7 +737,8 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
         keep = np.argsort(merged, kind="stable")[:k]
         pick = np.concatenate((np.arange(values.size),
                                values.size + order // width))[keep]
-        u = (np.hstack((u, block_u)) if values.size else block_u)[:, pick]
+        u = (np.concatenate((u, block_u), axis=-1) if values.size
+             else block_u)[..., pick]
         tags = np.concatenate((tags, index + order % width))[keep]
         values = merged[keep]
     x = np.ascontiguousarray(lift(u, tags)).reshape(values.size, -1)
@@ -689,18 +752,15 @@ def _residuals(form: DiscreteForm, vals: np.ndarray,
     """||K x - mu M x|| / ||x|| per column, over blocks of whole columns
     of at most _GATE_BLOCK entries (one column if a column is longer), so
     that the temporaries stay in cache instead of costing several copies
-    of x.  Columns are independent and a block keeps x's layout, so each
-    residual has the bits of the whole-block formula.  The widths differ
-    by at most one: numpy sums a one-column block's norm pairwise but a
-    wider C-ordered block's (dense eigh's vectors) row by row, and equal
-    widths give one-column blocks only above 2^16/3 dof, where no solve
-    is dense."""
+    of x.  Each block is taken in Fortran order, so that numpy sums each
+    column's norm pairwise over its contiguous entries: a residual has
+    the same bits whatever x's layout and the block widths."""
     k = vals.size
     blocks = -(-k // max(1, _GATE_BLOCK // form.dof_count))
     edges = [k * b // blocks for b in range(blocks + 1)]
     out = np.empty(k)
     for lo, hi in zip(edges, edges[1:]):
-        block = x[:, lo:hi]
+        block = np.asfortranarray(x[:, lo:hi])
         kx = form.matvec(block)
         mx = form.mass_diag[:, None] * block
         out[lo:hi] = np.linalg.norm(kx - vals[None, lo:hi] * mx, axis=0) / \

@@ -255,9 +255,10 @@ class TestSolverOptions:
             solve_lowest(form, 4, method="dense")
 
     def test_default_is_dense_to_crossover_then_iterative(self):
-        # a varying weight keeps the form off the separable path: dense
-        # eigh up to the crossover, shift-invert above it
-        prob = ProblemSpec(Box((1.0, 1.0)), w="1 + x*y")
+        # a varying weight keeps the form off the separable path, and
+        # x*y^2 is no mirror image of itself across any axis or the
+        # diagonal: dense eigh up to the crossover, shift-invert above it
+        prob = ProblemSpec(Box((1.0, 1.0)), w="1 + x*y^2")
         side = math.isqrt(_DENSE_DEFAULT_DOF)
         for n, method, other in ((20, "dense", "iterative"),
                                  (side, "dense", "iterative"),
@@ -328,6 +329,7 @@ GATE_CASES = {
 
 
 def whole_block_residuals(form, vals, x):
+    x = np.asfortranarray(x)
     kx = form.matvec(x)
     mx = form.mass_diag[:, None] * x
     return np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
@@ -387,6 +389,18 @@ class TestResidualGate:
         with pytest.raises(SolverConvergenceError,
                            match=r"\(1 of 4 pairs\)"):
             solve_lowest_detailed(form, 4)
+
+    @pytest.mark.parametrize("case", ["l-shape-160", "dense-32"])
+    def test_layout_keeps_the_bits(self, case):
+        # numpy sums a C-ordered block's column norms row by row and a
+        # Fortran-ordered one's pairwise; the gate takes every block in
+        # Fortran order, so the layout cannot move max_residual
+        prob, shape, k = GATE_CASES[case]
+        form = assemble(prob, QuadratureGrid(prob.domain, shape))
+        vals, x, _ = fdsolver._lowest_pairs(form, k)
+        c, f = np.ascontiguousarray(x), np.asfortranarray(x)
+        assert fdsolver._residuals(form, vals, c).tobytes() == \
+            fdsolver._residuals(form, vals, f).tobytes()
 
     def test_gate_working_set_stays_below_the_vectors(self):
         # the whole-block gate held about four copies of the vectors on
@@ -694,9 +708,9 @@ class TestPeeled:
         # level l lifts every value of its block by at least
         # l min(c/m) = 64 l, which for the third mode (l = 0.59) clears the
         # 10th value, so two (x, z) blocks are solved and the sweep stops.
-        # Each peels z: its 16-node stencil, then x-lines of 8 dof in
-        # ascending z-mode, of which the bound stops the sweeps after 5
-        # and 4 of 16
+        # Each peels z, whose 16-node stencil the y peel solved once for
+        # both: x-lines of 8 dof in ascending z-mode, of which the bound
+        # stops the sweeps after 5 and 4 of 16
         prob = ProblemSpec(Box((1.0, 1.0, 2.0)), w="1 + 0.5*x",
                            rho="0.2*z")
         form = assemble(prob, QuadratureGrid(prob.domain, (8, 8, 16)))
@@ -709,7 +723,7 @@ class TestPeeled:
 
         monkeypatch.setattr(fdsolver, "_mass_scaled_pairs", counted)
         res = solve_lowest_detailed(form, 10)
-        assert solved == [16] + [8] * 5 + [16] + [8] * 4
+        assert solved == [16] + [8] * 5 + [8] * 4
         dense = solve_lowest_detailed(form, 10, method="dense")
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10)
@@ -763,6 +777,38 @@ class TestPeeled:
         assert res.spectrum.values == pytest.approx(
             whole.spectrum.values, rel=1e-10, abs=1e-12)
 
+    def test_fd3_aniso_solves_the_z_stencil_once(self, monkeypatch):
+        # every (x, z) block of the y peel peels z with the same stencil
+        prob = ProblemSpec(Box((1.0, 1.0, 2.0)), w="1 + 0.5*x",
+                           rho="0.2*z")
+        form = assemble(prob, QuadratureGrid(prob.domain, (16, 16, 32)))
+        solved = []
+        original = fdsolver._mass_scaled_pairs
+
+        def counted(block, k, method):
+            solved.append(block.mask.shape)
+            return original(block, k, method)
+
+        monkeypatch.setattr(fdsolver, "_mass_scaled_pairs", counted)
+        assert solve_lowest_detailed(form, 10).method == "peeled"
+        assert solved.count((32,)) == 1
+        assert len(solved) > 2
+
+    def test_wide_gaussian_factors(self):
+        # rho = |x|^2/2 on [-2, 2]^3: read at one node, the slice ratios
+        # carried the rounding of four exp(-2 rho) entries, 17 eps from
+        # the factored faces; the median over each slice keeps them within
+        # 16 eps, so the box peels along every axis
+        prob = ProblemSpec(Box((4.0,) * 3, (-2.0,) * 3),
+                           rho="(x^2 + y^2 + z^2)/2")
+        form = assemble(prob, QuadratureGrid(prob.domain, 24))
+        assert tuple(form.factors) == (0, 1, 2)
+        res = solve_lowest_detailed(form, 10)
+        assert res.method == "peeled"
+        whole = solve_lowest_detailed(form, 10, method="iterative")
+        assert res.spectrum.values == pytest.approx(
+            whole.spectrum.values, rel=1e-10, abs=1e-10)
+
     def test_blocks_above_the_crossover_use_shift_invert(self):
         # 1-D blocks of 1100 dof: each is a shift-invert solve
         prob = ProblemSpec(Box((1.0, 0.1)), w="1 + 0.5*x")
@@ -774,12 +820,17 @@ class TestPeeled:
             whole.spectrum.values, rel=1e-10, abs=1e-12)
 
 
-# forms that are their own mirror image along some axis, each with its
-# split sizes (the dof of every form that `_mirror_halves` halves): a disk
-# off the origin, with a potential symmetric about its centre; a 3-D ball,
-# which splits into 8 blocks; the oscillator centred in its box, whose
-# nodal V*w differs from its mirror by 24 eps at the centre nodes; a form
-# that mirrors along x only
+# forms that are their own mirror image along some axis or across a
+# diagonal, each with its split sizes (the dof of every form that
+# `_mirror_halves` splits): a disk off the origin, with a potential
+# symmetric about its centre; a 3-D ball, which splits into 8 blocks,
+# each too small to split across a diagonal; the oscillator centred in
+# its box, whose nodal V*w differs from its mirror by 24 eps at the
+# centre nodes, and whose even-even and odd-odd quarters split across
+# the diagonal (the even-odd quarter is the odd-even one's image, not its
+# own); a form that mirrors along x only.  Forms that mirror only across
+# the diagonal: a weight x*y on the unit square; the centred disk at odd
+# n; a 3-D box whose x and y sides are equal
 MIRROR_CASES = {
     "offset-disk": (ProblemSpec(Disk(1.0, (0.3, -0.2)),
                                 V="(x - 0.3)^2 + 2*(y + 0.2)^2"),
@@ -789,9 +840,15 @@ MIRROR_CASES = {
                          w="1 + x^2*y^2"), 12,
              [912, 456, 228, 228, 456, 228, 228]),
     "oscillator": (ProblemSpec(Box((4.0, 4.0), (-2.0, -2.0)),
-                               V="x^2 + y^2"), 24, [576, 288, 288]),
+                               V="x^2 + y^2"), 24,
+                   [576, 288, 144, 288, 144]),
     "x-only": (ProblemSpec(Box((1.0, 1.0)), V="x*(1 - x)*(1 + y)"), 20,
                [400]),
+    "square-weight": (ProblemSpec(Box((1.0, 1.0)), w="1 + 0.5*x*y"), 24,
+                      [576]),
+    "odd-disk": (ProblemSpec(Disk(1.0)), 25, [489]),
+    "box-3d-xy": (ProblemSpec(Box((1.0, 1.0, 2.0)), V="x*y*z"), (10, 10, 8),
+                  [800]),
 }
 
 
@@ -834,8 +891,9 @@ class TestMirrored:
             abs=1e-10)
 
     def test_disk_blocks_stay_small(self, monkeypatch):
-        # cb-disk-32's centred disk of 812 dof splits along both axes: no
-        # dense eigh sees more than a quarter of it
+        # cb-disk-32's centred disk of 812 dof splits along both axes, and
+        # its even-even and odd-odd quarters across the diagonal: no dense
+        # eigh sees more than a quarter of it
         prob = ProblemSpec(Disk(1.0))
         form = assemble(prob, QuadratureGrid(prob.domain, 32))
         assert form.dof_count == 812
@@ -849,7 +907,7 @@ class TestMirrored:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         res = solve_lowest_detailed(form, 12)
         assert res.method == "mirrored"
-        assert sizes == [203] * 4
+        assert sizes == [107, 96, 203, 203, 107, 96]
         monkeypatch.undo()
         whole = solve_lowest_detailed(form, 12, method="dense")
         assert res.spectrum.values == pytest.approx(
@@ -894,18 +952,41 @@ class TestMirrored:
         with pytest.raises(SolverConvergenceError):
             solve_lowest(form, 6)
 
+    def test_odd_block_without_the_diagonal_faces_fails_the_gate(
+            self, monkeypatch):
+        # an odd vector is 0 on the diagonal, so a face to it puts its
+        # coefficient on the potential: an odd block without that term
+        # has no eigenpairs of the whole form
+        original = fdsolver._mirror_halves
+
+        def dropped(form, refl):
+            even, odd = original(form, refl)
+            potential = fdsolver._on_grid(even.mask, even.potential)
+            return even, fdsolver.replace(odd, potential=potential[odd.mask])
+
+        monkeypatch.setattr(fdsolver, "_mirror_halves", dropped)
+        prob = ProblemSpec(Box((1.0, 1.0)), w="1 + 0.5*x*y")
+        form = assemble(prob, QuadratureGrid(prob.domain, 24))
+        assert fdsolver._mirror_axis(form) == (0, 1)
+        with pytest.raises(SolverConvergenceError):
+            solve_lowest(form, 6)
+
     @pytest.mark.parametrize("prob,n,method,split", [
         # w varies along x by 1e-9 relative: the disk mirrors along y only
         (ProblemSpec(Disk(1.0), w="1 + 1e-9*x"), 24, None, [448]),
-        (ProblemSpec(Disk(1.0)), 25, None, []),
+        # at odd n the disk mirrors only across the diagonal
+        (ProblemSpec(Disk(1.0)), 25, None, [489]),
+        # x*y on the square mirrors across the diagonal, up to 1e-9
+        (ProblemSpec(Box((1.0, 1.0)), w="1 + x*y + 1e-9*x"), 24, None, []),
+        (ProblemSpec(Box((1.0, 1.0)), w="1 + x*y"), 24, "dense", []),
         (ProblemSpec(Disk(1.0)), 24, "dense", []),
         (ProblemSpec(Disk(1.0)), 24, "iterative", []),
         # w varies along both axes, so nothing peels; periodic axes never
-        # split
+        # split, neither along an axis nor across the diagonal
         (ProblemSpec(TorusFundamental((1.0, 0.0), (0.0, 1.0)),
                      w="1 + 0.3*cos(2*pi*x)*cos(2*pi*y)"), 16, None, []),
-    ], ids=["tiny-weight", "odd-n", "pinned-dense", "pinned-iterative",
-            "torus"])
+    ], ids=["tiny-weight", "odd-n", "diagonal-1e-9", "diagonal-pinned",
+            "pinned-dense", "pinned-iterative", "torus"])
     def test_not_split(self, monkeypatch, prob, n, method, split):
         form = assemble(prob, QuadratureGrid(prob.domain, n))
         assert not form.factors
@@ -944,10 +1025,13 @@ class TestMirrored:
         split = recorded_splits(monkeypatch)
         res = solve_lowest_detailed(form, 12)
         assert res.method == "mirrored"
-        assert split == [812, 406, 406]
+        assert split == [812, 406, 203, 406, 203]
         exact = [l * (l + 1) for l in range(5) for _ in range(l + 1)][:12]
         assert res.spectrum.values == pytest.approx(exact, rel=0.05,
                                                     abs=1e-8)
+        dense = solve_lowest_detailed(form, 12, method="dense")
+        assert res.spectrum.values == pytest.approx(
+            dense.spectrum.values, rel=1e-10, abs=1e-10)
         ctx = bound_context(prob, grid, solved=True)
         for k in range(1, 13):
             assert kroger_avg_bound(ctx, k, res.spectrum).holds, k

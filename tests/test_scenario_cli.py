@@ -873,13 +873,14 @@ print(status, any(m.split(".")[0] == "scipy" for m in sys.modules))
 
 
 # fd-separable: constant fields on a box (closed forms); fd-dense: a
-# weighted 24^2 box, below the dense crossover; fd-peeled: a 16x16x32 box
+# weighted 24^2 box, below the dense crossover, that is no mirror image
+# of itself along an axis or across the diagonal; fd-peeled: a 16x16x32 box
 # (8192 dof) repeating along y and factoring along z, peeled along both
 # into dense blocks of at most 32 dof; fd: a weighted 40^2 box (1600 dof)
 # solved by shift-invert, which shows the probe does see scipy
 _PROBE_FD = {
     "fd-separable": ({"n": 16}, {}, "separable"),
-    "fd-dense": ({"n": 24}, {"w": "1 + x*y"}, "dense"),
+    "fd-dense": ({"n": 24}, {"w": "1 + x*y^2"}, "dense"),
     # an oscillator centred in the box: even and odd blocks, solved dense
     "fd-mirrored": ({"n": 24}, {"V": "(x - 0.5)^2 + (y - 0.5)^2"},
                     "mirrored"),
