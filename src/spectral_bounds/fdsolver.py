@@ -426,32 +426,39 @@ def _factors(form: DiscreteForm
             along = form.faces[axis]
 
             def median(x, stop=None):
+                """The ratios, and the number of leading slices found
+                equal to slice 0, which fits need not compare again."""
                 x = x[_along(axis, nu, slice(stop))]
                 if (x == x[first]).all():    # the median, with no sort
-                    return np.ones(x.shape[axis])
+                    return np.ones(x.shape[axis]), x.shape[axis]
                 r = np.moveaxis(x / x[first], axis, 0)[:, inside]
-                return np.partition(r, middle, axis=1)[:, middle]
+                return np.partition(r, middle, axis=1)[:, middle], 0
 
             # a Neumann axis has no face from its last slice
-            present = median(along, None if form.periodic else -1)
-            g, b = median(mass), np.append(present, [0.0][form.periodic:])
+            present, faces_equal = median(
+                along, None if form.periodic else -1)
+            g, mass_equal = median(mass)
+            b = np.append(present, [0.0][form.periodic:])
             if not (np.isfinite(g).all() and g.min() > 0.0 and
                     np.isfinite(present).all() and present.min() > 0.0):
                 continue
             repeats = bool((g == 1.0).all() and (present == 1.0).all())
 
-            def fits(x, ratio):
-                factored = ratio.reshape(shape) * x[first]
+            def fits(x, ratio, equal=0):
+                # a slice equal to slice 0 has the ratio 1 there, so it
+                # matches its factored value exactly and within tolerance
+                factored = ratio[equal:].reshape(shape) * x[first]
+                x = x[_along(axis, nu, slice(equal, None))]
                 if repeats:
                     return bool((x == factored).all())
                 return _within(x, factored, _FACTOR_RTOL * np.abs(x))
 
             # the potential and the faces tell most forms apart, so they
             # go first
-            checks = [(potential, g)] + \
-                [(c, g) for a, c in enumerate(form.faces) if a != axis] + \
-                [(along, b), (mass, g)]
-            if all(fits(x, ratio) for x, ratio in checks):
+            checks = [(potential, g, 0)] + \
+                [(c, g, 0) for a, c in enumerate(form.faces) if a != axis] + \
+                [(along, b, faces_equal), (mass, g, mass_equal)]
+            if all(fits(*check) for check in checks):
                 factors[axis] = None if repeats else (g, b)
     return factors
 

@@ -31,8 +31,10 @@ _BLOCK nodes below L is read from stored prefix moments and fewer than
 _BLOCK nodes are summed directly.  The Lipschitz constant of a sublevel
 set is a running maximum over the sorted nodes, read at the end of a
 group of tied nodes, and Lambda(k) is a root of Phi_1 itself, found by
-bracketed secant steps (Anderson-Bjorck regula falsi) in about a dozen
-volume sweeps.
+bracketed secant steps (Anderson-Bjorck regula falsi).  That takes 6 to
+13 volume sweeps per level on the benchmark's oscillator tables, but 18,
+24 and 32 at k = 10, 100 and 1000 on a flat unit interval, where most
+sweeps are the doubling probes that bracket a level far above the floor.
 
 The sort is stable when w varies: tied nodes keep grid order, so their
 weights are summed in the same order on every platform.  When w is one
@@ -41,14 +43,22 @@ interchangeable and numpy's faster unstable sort gives the same tables
 bit for bit.  The weights are then one broadcast value, and for w = 1
 the weighted moments are copies of the unweighted ones.
 
-The tables hold at their peak little more than what they keep.  Vtilde
-is sorted (and a varying w gathered into that order) before
-|grad Vtilde|^2 is evaluated; the gradient is then gathered into sorted
-order a chunk at a time in the sort permutation's own 8-byte buffer,
-which becomes lip_nodes, and the block moments are summed a chunk of
-blocks at a time, with the bits of a whole-array sum.  On a masked grid
-the permutation holds grid indices by then, so the gradient is read from
-the whole grid and never copied out at the inside nodes.
+The tables hold at their peak little more than what they keep: 1.03x
+on the 1024^2 oscillator and 1.07x on the 80^3 one (tracemalloc),
+against 1.51x and 1.52x with a sorted copy of Vtilde and a whole-grid
+|grad Vtilde|^2.  The squared partials are evaluated first, each in the
+shape it evaluates to ((n, 1) for a term in x alone); those that span
+the grid fold into one running sum, so a non-separable Vtilde holds one
+grid-sized array, not one per axis.  Vtilde is then evaluated into a
+buffer of its own, argsorted and sorted in place, and on a masked grid
+the permutation becomes grid indices.  A varying w and the gradient are
+read at those indices a chunk at a time, each term only along the axes
+it varies on and summed in the order of the whole-grid sum; the
+gradient goes into the permutation's own 8-byte buffer, which becomes
+lip_nodes.  The block moments are summed a chunk of blocks at a time,
+with the bits of a whole-array sum.  The gradient is summed at the
+inside nodes only, so one that overflows only outside a masked domain is
+never formed.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import QuadratureGrid
-from .expressions import differentiate, is_constant
+from .expressions import FieldEvaluationError, differentiate, is_constant
 from .problem import ProblemSpec
 from .report import BoundReport, make_report
 from .special import bessel_first_zero, unit_ball_volume
@@ -76,8 +86,9 @@ __all__ = [
 # nodes per prefix block: a volume query sums fewer than _BLOCK nodes
 # directly, and the prefix moments take 1/_BLOCK of the node storage
 _BLOCK = 1024
-# nodes per chunk (128 KiB of doubles) of the sorted gather of |grad Vtilde|^2
-# and of the block moments, so that their temporaries stay small
+# nodes per chunk (128 KiB of doubles) of the sorted gathers of w and
+# |grad Vtilde|^2 and of the block moments, so that their temporaries
+# stay small
 _CHUNK = 16 * _BLOCK
 
 
@@ -185,53 +196,147 @@ def _block_moments(vt: np.ndarray, w: np.ndarray, top: int,
     return np.cumsum(moments, axis=1)
 
 
+def _on_grid(expr, grid: QuadratureGrid) -> np.ndarray:
+    """expr evaluated on grid.coords(), in the shape it evaluates to, with
+    one axis per grid axis: length 1 along an axis it does not vary on."""
+    values = np.asarray(expr.evaluate(grid.coords()), dtype=float)
+    if values.ndim == grid.nu:
+        return values
+    return values.reshape((1,) * (grid.nu - values.ndim) + values.shape)
+
+
+def _squared_partials(vt_expr, grid: QuadratureGrid) -> list:
+    """|grad Vtilde|^2 as terms whose sum in list order has the bits of
+    the whole-grid sum ((0 + t0) + t1) + t2 of the squared partials: each
+    in the shape it evaluates to, except that every partial up to the
+    last one spanning the grid is folded, in that order, into one running
+    grid-sized sum.  Addition commutes bit for bit, so a spanning partial
+    takes the sum before it in place."""
+    terms, folded = [], None
+    for axis in range(grid.nu):
+        t = _on_grid(differentiate(vt_expr, axis), grid)
+        if t.shape != grid.shape:
+            terms.append(np.square(t))
+            continue
+        # a fresh evaluation (or a coordinate array of this evaluation
+        # only) is squared in its own buffer
+        np.square(t, out=t)
+        if folded is None:
+            if terms:
+                t += sum(terms[1:], terms[0])
+            folded = t
+        else:
+            for term in terms:
+                folded += term
+            folded += t
+        del t
+        terms = []
+    return terms if folded is None else [folded] + terms
+
+
+def _gathered(terms: list, index: np.ndarray, shape) -> np.ndarray:
+    """Sum in list order of terms from _on_grid or _squared_partials at the
+    flat grid indices index.  A term is indexed only along the axes it
+    varies on: its own flat index is built from the grid index by one
+    division and one remainder per such axis."""
+    total = None
+    for term in terms:
+        flat = index
+        if term.shape != shape:
+            flat, stride, step = 0, 1, 1
+            for axis in reversed(range(len(shape))):
+                if term.shape[axis] > 1:
+                    along = index // stride if stride > 1 else index
+                    if axis:
+                        along = along % shape[axis]
+                    flat = along if step == 1 else flat + along * step
+                    step *= shape[axis]
+                stride *= shape[axis]
+        part = term.reshape(-1)[flat]
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
+
+
 def phase_space_tables(problem: ProblemSpec,
                        grid: QuadratureGrid) -> PhaseSpaceData:
     """Sort the inside nodes of grid by Vtilde and store the prefix
     moments, so that every volume can be evaluated at any level."""
     vt_expr = problem.effective_potential()
     fields = "effective potential V + |grad rho|^2 or its gradient"
-    with problem.naming_fields(fields):
-        vt = np.asarray(grid.inside_values(vt_expr), dtype=float)
     # a varying w needs a stable sort, since the order of tied nodes sets
     # the order in which their weights are summed.  With one constant w
     # any tie order gives the same vt, weights and moments, and lip_at
     # reads the running maximum only at the end of a tie group
     weight = float(problem.w.evaluate(())) if is_constant(problem.w) \
         else None
-    order = np.argsort(vt, kind="stable" if weight is None else None)
-    vt = vt[order]
-    if weight is None:
-        w = np.asarray(grid.inside_values(problem.w), dtype=float)[order]
+    kind = "stable" if weight is None else None
+    with problem.naming_fields(fields):
+        # |grad Vtilde|^2 first, while no node-sized array is held, so that
+        # a running grid-sized sum and its partials' evaluation come
+        # before, not on top of, vt and the sort permutation.  Its error
+        # waits until vt and w have evaluated, which report first
+        try:
+            grad_sq = _squared_partials(vt_expr, grid)
+        except (FieldEvaluationError, FloatingPointError) as exc:
+            grad_sq = exc
+        values = _on_grid(vt_expr, grid)
+    # vt in a buffer of its own, sorted in place after the argsort
+    full = bool(grid.mask.all())
+    if full and values.shape == grid.shape and values.flags.c_contiguous \
+            and values.flags.owndata and values.flags.writeable:
+        vt = values.reshape(-1)
     else:
-        w = np.broadcast_to(weight, vt.shape)
-
-    # |grad Vtilde|^2 goes into sorted order in the permutation's own
-    # 8-byte buffer, a chunk at a time: a chunk's indices are read before
-    # its slots are written.  On a masked grid the permutation first
-    # becomes grid indices; a gradient that broadcasts (Vtilde constant
-    # along some axis) is read through its flat iterator, not copied to
-    # the grid
-    if not grid.mask.all():
+        vt = grid.inside_values(values)
+        vt = vt if vt.flags.writeable else vt.copy()
+    del values
+    w_field = None if weight is not None else _on_grid(problem.w, grid)
+    if isinstance(grad_sq, Exception):
+        with problem.naming_fields(fields):
+            raise grad_sq
+    order = np.argsort(vt, kind=kind)
+    vt.sort(kind=kind)
+    if not full:
+        # grid indices, a chunk at a time: a chunk's inside indices are
+        # read before its slots are written
         inside = np.flatnonzero(grid.mask)
         for start in range(0, order.size, _CHUNK):
             chunk = slice(start, start + _CHUNK)
             order[chunk] = inside[order[chunk]]
         del inside
-    with problem.naming_fields(fields):
-        # each partial is squared in the shape it evaluates to, (n, 1) for
-        # a term in x alone, before the sum broadcasts to the grid
-        grad_sq = np.broadcast_to(sum(np.asarray(differentiate(
-            vt_expr, axis).evaluate(grid.coords()), dtype=float) ** 2
-            for axis in range(problem.nu)), grid.shape)
-    grad_sq = grad_sq.reshape(-1) if grad_sq.flags.c_contiguous \
-        else grad_sq.flat
+    if weight is not None:
+        # an unstable sort places -0 and +0, which tie, in an order of its
+        # own: a zero run holding both is read again through the
+        # permutation, as vt[order] has it
+        low, high = int(np.searchsorted(vt, 0.0, side="left")), \
+            int(np.searchsorted(vt, 0.0, side="right"))
+        signs = np.signbit(vt[low:high])
+        if signs.any() and not signs.all():
+            again = [_on_grid(vt_expr, grid)]
+            for start in range(low, high, _CHUNK):
+                chunk = slice(start, min(start + _CHUNK, high))
+                vt[chunk] = _gathered(again, order[chunk], grid.shape)
+            del again
+        del signs
+        w = np.broadcast_to(weight, vt.shape)
+    else:
+        w = np.empty(vt.size)
+
+    # w and |grad Vtilde|^2 go into sorted order a chunk at a time, the
+    # gradient into the permutation's own 8-byte buffer: a chunk's indices
+    # are read before its slots are written
     lip_nodes = order.view(np.float64) if order.itemsize == 8 \
         else np.empty(order.size)
-    for start in range(0, order.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        lip_nodes[chunk] = grad_sq[order[chunk]]
-    del grad_sq, order
+    with problem.naming_fields(fields):
+        for start in range(0, order.size, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            index = order[chunk]
+            if w_field is not None:
+                w[chunk] = _gathered([w_field], index, grid.shape)
+            lip_nodes[chunk] = _gathered(grad_sq, index, grid.shape)
+    del grad_sq, w_field, order
     np.maximum.accumulate(lip_nodes, out=lip_nodes)
     np.sqrt(lip_nodes, out=lip_nodes)
 
