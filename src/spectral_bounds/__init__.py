@@ -39,9 +39,8 @@ from .special import (Lattice2, bessel_first_zero, bessel_j, hex_heat_floor,
 from .spectra import (HomogeneousSpectrum, Spectrum, SpectrumRangeError,
                       heat_trace, rectangle_neumann_exact, riesz_mean_1,
                       shifted_spectrum, sphere_spectrum, torus_spectrum)
-from .fdsolver import (ConvergenceStudy, DiscreteForm, SolveResult,
-                       SolverConvergenceError, assemble, convergence_study,
-                       solve_lowest, solve_lowest_detailed)
+from .fdsolver import (DiscreteForm, SolveResult, SolverConvergenceError,
+                       assemble, solve_lowest, solve_lowest_detailed)
 from .report import BoundReport, inputs_digest, make_report
 from .bounds import (BoundContext, WeylMinorant, bound_context, euclidean_H,
                      general_sum_bound, heat_lower_bound, heat_report,
@@ -74,7 +73,7 @@ __all__ = [
     # solver
     "DiscreteForm", "SolveResult",
     "SolverConvergenceError", "assemble", "solve_lowest",
-    "solve_lowest_detailed", "ConvergenceStudy", "convergence_study",
+    "solve_lowest_detailed",
     # reports and bounds
     "BoundReport", "make_report", "inputs_digest",
     "BoundContext", "bound_context", "euclidean_H",

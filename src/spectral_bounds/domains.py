@@ -177,7 +177,7 @@ class QuadratureGrid:
     def coords(self) -> Tuple[np.ndarray, ...]:
         """Per-axis coordinate arrays broadcasting to `shape`."""
         if self._skew:
-            s, u = np.meshgrid(*self.axes, indexing="ij")
+            s, u = self.axes[0][:, None], self.axes[1][None, :]
             d = self.domain
             x = s * d.e1[0] + u * d.e2[0]
             y = s * d.e1[1] + u * d.e2[1]

@@ -9,71 +9,31 @@ is discretized on the cell-centered midpoint grid with a flux stencil:
 each interior face contributes (w e^(-2 rho))(face midpoint) * cellvol/h^2
 times the squared difference across it, each node a potential and a mass
 term.  Faces with an endpoint outside the mask are simply absent, which is
-the natural (Neumann) boundary condition.  This is not a Rayleigh-Ritz
-(Galerkin) discretization, and min-max gives no one-sided bound: the
-cell-centred stencil lowers Neumann values (on the unit interval
-4n^2 sin^2(pi m/2n) < (pi m)^2), so on a box fd values lie below the
-exact ones, where Rayleigh-Ritz values would lie above.  A verdict from
-an fd spectrum carries that discretization error.
+the natural (Neumann) boundary condition.  A periodic axis (a rectangular
+torus fundamental domain) gets a seam face, whose fields are read at the
+left edge.  This is not a Rayleigh-Ritz discretization, and min-max gives
+no one-sided bound: the cell-centred stencil lowers Neumann values (on
+the unit interval 4n^2 sin^2(pi m/2n) < (pi m)^2), so on a box fd values
+lie below the exact ones.  A verdict from an fd spectrum carries that
+discretization error.
 
-Periodic problems (rectangular torus fundamental domains) get wrap-around
-faces; the seam face is evaluated at the left edge, i.e. fields are read
-modulo the period.
+The default solve (`_lowest_pairs`) peels an axis along which the form
+factors (`_peel`: "peeled", or "separable" when every block is a closed
+form).  Else, up to _DENSE_DEFAULT_DOF dof or for all pairs, it splits a
+form that is its own mirror image into an even and an odd block
+(`_mirror_halves`: "mirrored") or solves it by numpy's dense `eigh`
+("dense"), and above that by sparse shift-invert ("iterative").  A pinned
+method solves the whole form.  A split accepts an entry within
+_FACTOR_RTOL of its factored or mirrored value, so every pair must pass
+one residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN fails),
+through the stencil matvec of the assembled form.
 
-Eigenpairs come from one rule (`_lowest_pairs`): split the form into
-blocks where it can, solve each block by the same rule, and merge.
-
-- A form *factors* along axis a when the mask repeats along a, and at
-  every slice t the nodal potential, the mass and the faces across a are
-  slice 0's times one number g_t, while the faces along a are slice 0's
-  times one number b_t per face (the seam included when periodic).  Then
-  K = K_rest (x) G + C_a (x) L_a and M = M_rest (x) G, with G = diag(g)
-  and L_a the 1-D stencil with faces b, and a peel ("peeled") has one
-  block (K_rest + z_m C_a, M_rest) on slice 0 per pair (z_m, v_m) of
-  L_a v = z G v, in ascending z_m.  An axis along which the form repeats
-  exactly (g = b = 1) has the unit stencil's closed-form modes and is
-  peeled first; another factored axis solves its own 1-D stencil, so it
-  is peeled only while another axis remains.
-- Else, up to _DENSE_DEFAULT_DOF dof or for all pairs, a form that is
-  its own mirror image splits ("mirrored") into an even and an odd
-  block.  Along a Neumann axis of an even node count, both are the half
-  grid before the middle face, the odd one with twice that face's
-  coefficient on the middle layer's potential.  Failing that, across the
-  diagonal of two Neumann axes of equal counts they hold the nodes with
-  i_a >= i_b and i_a > i_b, each coefficient summed with its mirror
-  image's, and the odd one's faces to the diagonal on its potential.
-
-Block m of a peel has each j-th value at least block m-1's plus
-(z_m - z_(m-1)) min(C_a/M_rest) (Weyl), so it is asked only for the
-pairs that bound lets below the k-th value so far, and the sweep stops
-at the first block asked for none; a mirror's blocks have no bound.
-When C_a/M_rest is one number s, every block is block 0 shifted by
-z_m s, and the peel is that one block with its shifts.  Pairs merge by
-(value, block order) in one stable sort, and their vectors lift to the
-grid: u (x) v_m for a peel, [u, +-flip(u)]/sqrt(2) for a mirror along
-an axis, u with +-u at its image for one across a diagonal.  A
-split whose leaves are all closed forms reports "separable" (a form that
-repeats along every axis is a Kronecker sum of 1-D stencils plus V*w).
-A form that does not split, or has a pinned method, is solved whole: by
-sparse shift-invert ("iterative") above _DENSE_DEFAULT_DOF dof unless all
-pairs are asked for, else by numpy's dense `eigh` ("dense").  A factored
-or mirrored entry is accepted within _FACTOR_RTOL, so every pair must
-pass the same residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a
-NaN fails), through the stencil matvec of the assembled form.  The gate
-runs over blocks of whole columns of at most _GATE_BLOCK entries, so
-that its temporaries stay in cache instead of costing several copies of
-the vectors, and sums each column's norm in one order, whatever the
-vectors' layout.
-
-The form holds the stencil itself (the nodal potential, one array of
-face coefficients per axis on the full grid, the nodal mass), not a
-matrix.  Shift-invert builds A - sigma I, with A = M^(-1/2) K M^(-1/2),
-as one CSC matrix straight from the faces, with the bits of the scaled
-product, and holds it only until SuperLU has factored it; ARPACK's
-shift-invert mode applies only the LU, which is dropped before the
-vectors are scaled.  The CSR `DiscreteForm.stiffness` comes from the
-same builder on first read, and the solver does not read it.  scipy
-loads only on the shift-invert path or on that read: an exact-source,
+The form holds the stencil itself (the nodal potential, one array of face
+coefficients per axis on the full grid, the nodal mass), not a matrix.
+`DiscreteForm._scaled` is the one builder of matrix entries: dense `eigh`,
+shift-invert's A - sigma I, with A = M^(-1/2) K M^(-1/2), and the CSR
+`DiscreteForm.stiffness` are all made from it.  scipy loads only on the
+shift-invert path or on a read of `stiffness`: an exact-source,
 separable, dense, mirrored or densely peeled run never loads it.
 """
 
@@ -83,7 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+from typing import (TYPE_CHECKING, Dict, Iterator, Optional, Sequence,
                     Tuple)
 
 import numpy as np
@@ -99,11 +59,9 @@ __all__ = [
     "DiscreteForm",
     "SolveResult",
     "SolverConvergenceError",
-    "ConvergenceStudy",
     "assemble",
     "solve_lowest",
     "solve_lowest_detailed",
-    "convergence_study",
 ]
 
 
@@ -245,49 +203,37 @@ class DiscreteForm:
         column = (Ellipsis,) + (None,) * (x.ndim - 1)
         return self.diagonal[column] * x - off.T
 
-    def _pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p, q, c): the inside-node indices of each present face's ends
-        and its coefficient, in assembly order."""
-        mask = self.mask
-        index = np.full(mask.shape, -1, dtype=np.int64)
-        index[mask] = np.arange(self.dof_count)
+    def _scaled(self, d: np.ndarray, shift: float) -> Tuple:
+        """d K d - shift I for diagonal d as (entries, (rows, cols)): the
+        diagonal, then each present face at (lower, upper) end and at
+        (upper, lower), part by part, each entry rounded as diags(d) @ K @
+        diags(d) rounds it, (d_i K_ij) d_j.  For d of ones and no shift it
+        is K itself, bit for bit."""
+        node = self._node.reshape(self.mask.shape)
         parts = []
-        for axis, _, lo, hi in _face_parts(mask.ndim, self.periodic):
-            both = mask[lo] & mask[hi]
-            parts.append((index[lo][both], index[hi][both],
+        for axis, _, lo, hi in _face_parts(self.mask.ndim, self.periodic):
+            both = self.mask[lo] & self.mask[hi]
+            parts.append((node[lo][both], node[hi][both],
                           self.faces[axis][lo][both]))
-        return tuple(np.concatenate(a) for a in zip(*parts))
-
-    def dense(self) -> np.ndarray:
-        """K as an n x n array."""
-        n = self.dof_count
-        p, q, c = self._pairs()
-        k = np.zeros((n, n))
-        k.flat[::n + 1] = self.diagonal
-        k[p, q] = -c
-        k[q, p] = -c
-        return k
-
-    def _sparse(self, d: np.ndarray, shift: float) -> sp.coo_matrix:
-        """d K d - shift I as a COO list for diagonal d, with each entry
-        rounded as diags(d) @ K @ diags(d) rounds it, (d_i K_ij) d_j; for d
-        of ones and no shift it is K itself, bit for bit."""
-        import scipy.sparse as sp
-        n = self.dof_count
-        p, q, c = self._pairs()
-        node = np.arange(n)
-        return sp.coo_matrix(
-            (np.concatenate((d * self.diagonal * d - shift,
-                             d[p] * -c * d[q], d[q] * -c * d[p])),
-             (np.concatenate((node, p, q)), np.concatenate((node, q, p)))),
-            shape=(n, n))
+        p, q, c = (np.concatenate(a) for a in zip(*parts))
+        entries = np.concatenate((d * self.diagonal * d - shift,
+                                  d[p] * -c * d[q], d[q] * -c * d[p]))
+        if not np.isfinite(entries).all():
+            # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
+            raise ValueError(
+                f"mass-scaled operator overflows on grid {self.mask.shape}")
+        node = np.arange(self.dof_count)
+        return entries, (np.concatenate((node, p, q)),
+                         np.concatenate((node, q, p)))
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """K as a CSR matrix, built from the same stencil on first read.
-        The solver does not read it: shift-invert factors its own shifted
-        matrix and applies K through `matvec`."""
-        return self._sparse(np.ones(self.dof_count), 0.0).tocsr()
+        """K as a CSR matrix, built by `_scaled` on first read.  The solver
+        does not read it."""
+        import scipy.sparse as sp
+        n = self.dof_count
+        return sp.coo_matrix(self._scaled(np.ones(n), 0.0),
+                             shape=(n, n)).tocsr()
 
     def block(self, axis: int, level: float) -> DiscreteForm:
         """The form on slice 0 across a factored `axis` for the mode of
@@ -317,13 +263,6 @@ class SolveResult:
     method: str
 
 
-def _node_points(grid: QuadratureGrid):
-    """Inside-node coordinates (per axis, flattened) and full coord arrays."""
-    full = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape)
-            for c in grid.coords()]
-    return tuple(c[grid.mask] for c in full), full
-
-
 def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
     """Build the stiffness stencil and the mass for a problem on a grid."""
     if isinstance(grid.domain, TorusFundamental) and \
@@ -339,17 +278,22 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
     mask = grid.mask
     n = int(mask.sum())
 
-    node_pts, full_coords = _node_points(grid)
-    w_n = np.broadcast_to(np.asarray(problem.w.evaluate(node_pts),
-                                     dtype=float), (n,))
-    rho_n = np.broadcast_to(np.asarray(problem.rho.evaluate(node_pts),
-                                       dtype=float), (n,))
-    v_n = np.broadcast_to(np.asarray(problem.V.evaluate(node_pts),
-                                     dtype=float), (n,))
-    if np.any(w_n <= 0):
-        raise ValueError(
-            f"weight must be positive; sampled minimum {w_n.min()}")
+    def sample(points, *fields):
+        """w and `fields` at `points`, each in the points' shape; a w that
+        is not positive is refused once all have evaluated."""
+        w, *values = (np.broadcast_to(np.asarray(f.evaluate(points),
+                                                 dtype=float),
+                                      points[0].shape)
+                      for f in (problem.w,) + fields)
+        if np.any(w <= 0):
+            raise ValueError(
+                f"weight must be positive; sampled minimum {w.min()}")
+        return (w, *values)
 
+    full_coords = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape)
+                   for c in grid.coords()]
+    w_n, rho_n, v_n = sample(tuple(c[mask] for c in full_coords),
+                             problem.rho, problem.V)
     dens_n = np.exp(-2.0 * rho_n)
     mass_diag = dens_n * cellvol
 
@@ -368,13 +312,7 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
             face_pts = tuple(
                 full_coords[b][lo][both] + (0.5 * h if b == axis else 0.0)
                 for b in range(nu))
-        w_f = np.broadcast_to(np.asarray(problem.w.evaluate(face_pts),
-                                         dtype=float), count)
-        rho_f = np.broadcast_to(np.asarray(problem.rho.evaluate(face_pts),
-                                           dtype=float), count)
-        if np.any(w_f <= 0):
-            raise ValueError(
-                f"weight must be positive; sampled minimum {w_f.min()}")
+        w_f, rho_f = sample(face_pts, problem.rho)
         c = faces[axis][lo]     # a view: writes land in faces[axis]
         c[both] = w_f * np.exp(-2.0 * rho_f) * cellvol / h / h
 
@@ -811,11 +749,10 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
     n = form.dof_count
     d = 1.0 / np.sqrt(form.mass_diag)
     if method == "dense":
-        a = form.dense() * d[:, None] * d[None, :]
-        if not np.isfinite(a).all():
-            # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
-            raise ValueError(
-                f"mass-scaled operator overflows on grid {form.mask.shape}")
+        entries, index = form._scaled(d, 0.0)
+        a = np.zeros((n, n))
+        a[index] = entries
+        del entries, index      # not held through eigh
         a = 0.5 * (a + a.T)
         eigvals, eigvecs = np.linalg.eigh(a)
         vals = eigvals[:k]
@@ -823,13 +760,10 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
     else:
         if k >= n:
             raise ValueError("iterative method needs k < dof_count")
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
         sigma = min(0.0, form.potential_floor) - 1.0
-        shifted = form._sparse(d, sigma).tocsc()
-        if not np.isfinite(shifted.data).all():
-            # finite K and M can still overflow in M^(-1/2) K M^(-1/2)
-            raise ValueError(
-                f"mass-scaled operator overflows on grid {form.mask.shape}")
+        shifted = sp.coo_matrix(form._scaled(d, sigma), shape=(n, n)).tocsc()
         # an entry that rounds to 0 is left out, as the scaled product
         # leaves it out, so SuperLU orders the same pattern
         shifted.eliminate_zeros()
@@ -855,62 +789,3 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
 def solve_lowest(form: DiscreteForm, k: int, method: Optional[str] = None,
                  tolerance: float = 1e-8) -> Spectrum:
     return solve_lowest_detailed(form, k, method, tolerance).spectrum
-
-
-@dataclass
-class ConvergenceStudy:
-    shapes: Tuple[Tuple[int, ...], ...]
-    values: np.ndarray       # len(grids) x k
-    reference: np.ndarray    # k, oracle or Richardson extrapolation
-    errors: np.ndarray       # len(grids) x k, absolute
-    orders: np.ndarray       # (len(grids)-1) x k, log2(error ratios)
-
-    def rows(self) -> List[dict]:
-        out = []
-        for i, shape in enumerate(self.shapes):
-            out.append({
-                "shape": shape,
-                "values": self.values[i].tolist(),
-                "errors": self.errors[i].tolist(),
-                "orders": self.orders[i - 1].tolist() if i > 0 else None,
-            })
-        return out
-
-
-def convergence_study(problem: ProblemSpec, grids: Sequence[QuadratureGrid],
-                      k: int, oracle: Optional[Sequence[float]] = None
-                      ) -> ConvergenceStudy:
-    """Solve on successively refined grids and report observed orders.
-
-    With no oracle, the reference comes from Richardson extrapolation of
-    the finest grids (estimated rate from the last three when available).
-    """
-    if len(grids) < 2:
-        raise ValueError("need at least two grids")
-    for a, b in zip(grids[:-1], grids[1:]):
-        if tuple(2 * s for s in a.shape) != tuple(b.shape):
-            raise ValueError(
-                f"grids must refine by 2x per axis: {a.shape} -> {b.shape}")
-
-    values = np.empty((len(grids), k))
-    for i, grid in enumerate(grids):
-        values[i] = solve_lowest(assemble(problem, grid), k).values[:k]
-
-    if oracle is not None:
-        reference = np.asarray(list(oracle), dtype=float)[:k]
-        if reference.size != k:
-            raise ValueError("oracle must supply k values")
-    elif len(grids) >= 3:
-        v1, v2, v3 = values[-3], values[-2], values[-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.log2(np.abs(v1 - v2) / np.abs(v2 - v3))
-        rate = np.where(np.isfinite(rate), np.clip(rate, 0.5, 4.0), 2.0)
-        reference = v3 + (v3 - v2) / (2.0 ** rate - 1.0)
-    else:
-        reference = values[-1] + (values[-1] - values[-2]) / 3.0
-
-    errors = np.abs(values - reference[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        orders = np.log2(errors[:-1] / errors[1:])
-    return ConvergenceStudy(tuple(g.shape for g in grids), values,
-                            reference, errors, orders)

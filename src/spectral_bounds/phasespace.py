@@ -296,6 +296,9 @@ def phase_space_tables(problem: ProblemSpec,
     if isinstance(grad_sq, Exception):
         with problem.naming_fields(fields):
             raise grad_sq
+    # -0 + 0 = +0: tied zeros are one key, which an unstable sort cannot
+    # place apart from the permutation
+    vt += 0.0
     order = np.argsort(vt, kind=kind)
     vt.sort(kind=kind)
     if not full:
@@ -306,23 +309,8 @@ def phase_space_tables(problem: ProblemSpec,
             chunk = slice(start, start + _CHUNK)
             order[chunk] = inside[order[chunk]]
         del inside
-    if weight is not None:
-        # an unstable sort places -0 and +0, which tie, in an order of its
-        # own: a zero run holding both is read again through the
-        # permutation, as vt[order] has it
-        low, high = int(np.searchsorted(vt, 0.0, side="left")), \
-            int(np.searchsorted(vt, 0.0, side="right"))
-        signs = np.signbit(vt[low:high])
-        if signs.any() and not signs.all():
-            again = [_on_grid(vt_expr, grid)]
-            for start in range(low, high, _CHUNK):
-                chunk = slice(start, min(start + _CHUNK, high))
-                vt[chunk] = _gathered(again, order[chunk], grid.shape)
-            del again
-        del signs
-        w = np.broadcast_to(weight, vt.shape)
-    else:
-        w = np.empty(vt.size)
+    w = np.empty(vt.size) if weight is None else \
+        np.broadcast_to(weight, vt.shape)
 
     # w and |grad Vtilde|^2 go into sorted order a chunk at a time, the
     # gradient into the permutation's own 8-byte buffer: a chunk's indices

@@ -1,0 +1,103 @@
+"""Check that two source trees give byte-identical `run` outputs.
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the `spectral_bounds`
+package (a checkout's `src/`).  Into a temporary directory the script
+writes, from this checkout, every scenario of the four bench workloads at
+seeds 1 and 3, every recorded fd variant with one fixed bound list, both
+bundled scenarios and `tests/golden/torus-kinds.scenario.json`.  It runs
+`python -m spectral_bounds.cli run --format both` on each, once per tree,
+with one BLAS thread, and compares the JSON and CSV files, stdout and the
+exit status.  stderr holds paths and elapsed times, so it is not compared.
+It prints each difference and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import workloads  # noqa: E402
+
+SEEDS = (1, 3)
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def scenarios(tmp: Path) -> list:
+    """The scenario paths to run, each once."""
+    paths = []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            cases = workloads.build(workload, seed, ROOT,
+                                    tmp / f"{workload}-{seed}")
+            paths += [case.path for case in cases]
+    recorded = tmp / "recorded"
+    recorded.mkdir()
+    for name, make in workloads.RECORDED.items():
+        for v in range(workloads.VARIANTS):
+            doc = make(v)
+            count = doc["spectrum"]["count"]
+            doc["bounds"] = [
+                {"kind": "kroger-avg", "k": [1, count // 2, count]},
+                {"kind": "general-sum", "k": [2, count]},
+                {"kind": "individual-sk", "k": [count // 2]}]
+            path = recorded / f"{name}-{v}.json"
+            path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+            paths.append(path)
+    paths += sorted((ROOT / workloads.BUNDLED).glob("*.json"))
+    paths.append(ROOT / "tests" / "golden" / "torus-kinds.scenario.json")
+    return list(dict.fromkeys(p.resolve() for p in paths))
+
+
+def run(src: Path, config: Path, out: Path) -> dict:
+    """stdout, exit status and output files of one `run`."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update(dict.fromkeys(BLAS_THREADS, "1"))
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_bounds.cli", "run", "--config",
+         str(config), "--out", str(out), "--format", "both"],
+        env=env, cwd=out.parent, capture_output=True)
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+    return {"status": done.returncode, "stdout": done.stdout, **files}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    args = parser.parse_args(argv)
+    srcs = [p.resolve() for p in (args.old_src, args.new_src)]
+    for src in srcs:
+        # both sides failing to import would compare equal
+        if not (src / "spectral_bounds" / "__init__.py").is_file():
+            parser.error(f"{src} holds no spectral_bounds package")
+    differ = 0
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name).resolve()
+        configs = scenarios(tmp)
+        for i, config in enumerate(configs):
+            old, new = (run(src, config, tmp / side / str(i))
+                        for side, src in zip(("old", "new"), srcs))
+            keys = [k for k in dict.fromkeys([*old, *new])
+                    if old.get(k) != new.get(k)]
+            if keys:
+                differ += 1
+                where = config.relative_to(tmp) if tmp in config.parents \
+                    else config
+                print(f"{where}: {', '.join(map(str, keys))} differ")
+    print(f"{differ} of {len(configs)} runs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
