@@ -26,7 +26,10 @@ form that is its own mirror image into an even and an odd block
 method solves the whole form.  A split accepts an entry within
 _FACTOR_RTOL of its factored or mirrored value, so every pair must pass
 one residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN fails),
-through the stencil matvec of the assembled form.
+through the stencil of the assembled form.  The gate takes the pairs in
+cache-sized blocks of contiguous rows, one per pair, and applies each
+Neumann axis as one shift by its stride over the flat grid
+(`DiscreteForm._apply_rows`), in three buffers reused block to block.
 
 The form holds the stencil itself (the nodal potential, one array of face
 coefficients per axis on the full grid, the nodal mass), not a matrix.
@@ -177,31 +180,61 @@ class DiscreteForm:
         return node
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """K x for x of shape (dof,) or (dof, m): each column of x is
-        placed on the grid (0 outside the mask; on a full grid the column
-        is the grid, in C order), columns leading, so that each neighbour
-        term is a slice product over whole grid rows, however few the
-        columns."""
-        mask = self.mask
-        u = x.T
-        lead = u.shape[:-1]
-        full = self.dof_count == mask.size
-        if not full:
-            # gathering from x padded by a 0 is faster than a scatter
-            u = np.take(np.concatenate((u, np.zeros(lead + (1,))), axis=-1),
-                        self._node, axis=-1)
-        u = u.reshape(lead + mask.shape)
-        off = np.zeros_like(u)
-        for axis, _, lo, hi in _face_parts(mask.ndim, self.periodic):
-            c = self.faces[axis][lo]
-            lo, hi = (Ellipsis,) + lo, (Ellipsis,) + hi
-            off[lo] += c * u[hi]
-            off[hi] += c * u[lo]
-        off = off.reshape(lead + (-1,))
-        if not full:
-            off = np.take(off, self._inside, axis=-1)
-        column = (Ellipsis,) + (None,) * (x.ndim - 1)
-        return self.diagonal[column] * x - off.T
+        """K x for x of shape (dof,) or (dof, m)."""
+        u = np.ascontiguousarray(x.reshape(len(x), -1).T)
+        work = np.empty((3, len(u), self.mask.size))
+        return self._apply_rows(u, work).T.reshape(x.shape)
+
+    def _apply_rows(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """K applied to each row of u, a C-contiguous (m, dof), made in
+        `work`: three buffers of at least m rows of the grid's size, which
+        a caller applying K block by block reuses.  The result is a view
+        of work[0], and work[1:] are free.
+
+        Each row is placed on the flat grid (0 outside the mask; on a full
+        grid the row is the grid, in C order).  The neighbour terms along
+        a Neumann axis are then one shift by the axis's stride over the
+        flat grid, a product over contiguous memory however few the rows:
+        the face coefficient is 0 at the axis's last node, so a shift
+        across the end of a grid line adds exactly 0, and each entry sums
+        the terms of the grid-shaped stencil in the same order, to the
+        same bits.  A periodic axis holds its seam coefficient at the last
+        node, so a torus takes grid-shaped slices."""
+        mask, m, dof = self.mask, len(u), self.dof_count
+        grid, off, term = work[:, :m]
+        if dof < mask.size:
+            # gathering from u padded by a 0 is faster than a scatter
+            padded = term[:, :dof + 1]
+            padded[:, :-1] = u
+            padded[:, -1] = 0.0
+            np.take(padded, self._node, axis=1, out=grid, mode="clip")
+        else:
+            grid = u
+        off[...] = 0.0
+        if self.periodic:
+            cells, sums = (a.reshape((m,) + mask.shape) for a in (grid, off))
+            for axis, _, lo, hi in _face_parts(mask.ndim, True):
+                c = self.faces[axis][lo]
+                lo, hi = (Ellipsis,) + lo, (Ellipsis,) + hi
+                sums[lo] += c * cells[hi]
+                sums[hi] += c * cells[lo]
+        else:
+            stride = mask.size
+            for axis, n in enumerate(mask.shape):
+                stride //= n
+                c = self.faces[axis].reshape(-1)[:-stride]
+                t = term[:, :-stride]
+                np.multiply(grid[:, stride:], c, out=t)
+                off[:, :-stride] += t
+                np.multiply(grid[:, :-stride], c, out=t)
+                off[:, stride:] += t
+        # contiguous (m, dof) views, not strided rows of grid-sized ones
+        kx, du = (w.reshape(-1)[:u.size].reshape(u.shape) for w in work[::2])
+        if dof < mask.size:
+            np.take(off, self._inside, axis=1, out=kx, mode="clip")
+            off = kx
+        np.multiply(u, self.diagonal, out=du)
+        return np.subtract(du, off, out=kx)
 
     def _scaled(self, d: np.ndarray, shift: float) -> Tuple:
         """d K d - shift I for diagonal d as (entries, (rows, cols)): the
@@ -697,19 +730,27 @@ def _residuals(form: DiscreteForm, vals: np.ndarray,
     """||K x - mu M x|| / ||x|| per column, over blocks of whole columns
     of at most _GATE_BLOCK entries (one column if a column is longer), so
     that the temporaries stay in cache instead of costing several copies
-    of x.  Each block is taken in Fortran order, so that numpy sums each
-    column's norm pairwise over its contiguous entries: a residual has
-    the same bits whatever x's layout and the block widths."""
+    of x.  Each block is taken as contiguous rows, one per column of x (a
+    view of the Fortran-ordered vectors that splits return), so that every
+    pass runs in memory order and numpy sums each norm pairwise over its
+    contiguous entries: a residual has the same bits whatever x's layout
+    and the block widths."""
     k = vals.size
     blocks = -(-k // max(1, _GATE_BLOCK // form.dof_count))
     edges = [k * b // blocks for b in range(blocks + 1)]
+    work = np.empty((3, -(-k // blocks), form.mask.size))
     out = np.empty(k)
     for lo, hi in zip(edges, edges[1:]):
-        block = np.asfortranarray(x[:, lo:hi])
-        kx = form.matvec(block)
-        mx = form.mass_diag[:, None] * block
-        out[lo:hi] = np.linalg.norm(kx - vals[None, lo:hi] * mx, axis=0) / \
-            np.linalg.norm(block, axis=0)
+        rows = np.ascontiguousarray(x[:, lo:hi].T)
+        r = form._apply_rows(rows, work)
+        mx = work[1].reshape(-1)[:rows.size].reshape(rows.shape)
+        np.multiply(rows, form.mass_diag, out=mx)
+        mx *= vals[lo:hi, None]
+        r -= mx
+        # numpy's norm, sqrt(sum(r * r)), with the squares in the buffers
+        r *= r
+        sq = np.multiply(rows, rows, out=mx)
+        out[lo:hi] = np.sqrt(r.sum(axis=1)) / np.sqrt(sq.sum(axis=1))
     return out
 
 

@@ -292,6 +292,30 @@ def test_cli_run_ok(tmp_path, capsys):
     assert (tmp_path / "out" / "square.csv").exists()
 
 
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # main reuses one parser across calls, each with its own arguments;
+    # build_parser still hands every caller a fresh one
+    from spectral_bounds import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", None)
+    good = write(tmp_path, BASE, "good.json")
+    # three values cannot carry the t -> 0 heat trace (as below)
+    bad = write(tmp_path, dict(
+        BASE, spectrum={"source": "exact-rectangle", "count": 3},
+        bounds=[{"kind": "heat-lower", "t": [0.01]}]), "bad.json")
+    for cfg, fmt, code in ((good, "csv", 0), (bad, "json", 1),
+                           (good, "json", 0)):
+        out = tmp_path / fmt
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--format", fmt]) == code
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == \
+        ["square.csv"]
+    assert sorted(p.name for p in (tmp_path / "json").iterdir()) == \
+        ["square.json"]
+
+
 def test_cli_run_flags_violation(tmp_path, capsys):
     # three eigenvalues cannot carry the t -> 0 heat trace: the truncated
     # trace drops below the Weyl floor, an honest holds=false

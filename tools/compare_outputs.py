@@ -1,12 +1,16 @@
 """Check that two source trees give byte-identical `run` outputs.
 
-    python tools/compare_outputs.py OLD_SRC NEW_SRC
+    python tools/compare_outputs.py OLD NEW
+    python tools/compare_outputs.py HEAD~1 src
 
-OLD_SRC and NEW_SRC are directories that hold the `spectral_bounds`
-package (a checkout's `src/`).  Into a temporary directory the script
-writes, from this checkout, every scenario of the four bench workloads at
-seeds 1 and 3, every recorded fd variant with one fixed bound list, both
-bundled scenarios and `tests/golden/torus-kinds.scenario.json`.  It runs
+OLD and NEW each name a directory that holds the `spectral_bounds` package
+(a checkout's `src/`) or, when no such directory exists, a git revision of
+this checkout, whose `src/` is exported by `git archive` into the
+temporary directory.  A side that holds no package is refused.  Into the
+temporary directory the script writes, from this checkout, every scenario
+of the four bench workloads at seeds 1 and 3, every recorded fd variant
+with one fixed bound list, both bundled scenarios and
+`tests/golden/torus-kinds.scenario.json`.  It runs
 `python -m spectral_bounds.cli run --format both` on each, once per tree,
 with one BLAS thread, and compares the JSON and CSV files, stdout and the
 exit status.  stderr holds paths and elapsed times, so it is not compared.
@@ -58,6 +62,35 @@ def scenarios(tmp: Path) -> list:
     return list(dict.fromkeys(p.resolve() for p in paths))
 
 
+def source_tree(side: str, tmp: Path, repo: Path = ROOT) -> Path:
+    """The directory holding `spectral_bounds` for one side: `side` itself
+    when it is a directory, else the `src/` of the git revision of `repo`
+    that it names, exported under `tmp`.  Raises ValueError when neither
+    holds the package."""
+    path = Path(side)
+    if not path.is_dir():
+        git = ["git", "-C", str(repo)]
+        rev = subprocess.run(
+            git + ["rev-parse", "--verify", "--quiet", f"{side}^{{commit}}"],
+            capture_output=True, text=True)
+        if rev.returncode:
+            raise ValueError(f"{side} is neither a directory nor a git "
+                             f"revision of {repo}")
+        commit = rev.stdout.strip()
+        path = tmp / "revisions" / commit
+        path.mkdir(parents=True, exist_ok=True)
+        # a revision without src/ exports nothing, and is refused below
+        tree = subprocess.run(git + ["archive", commit, "src"],
+                              capture_output=True).stdout
+        if tree:
+            subprocess.run(["tar", "-x", "-C", str(path)], input=tree,
+                           check=True)
+        path = path / "src"
+    if not (path / "spectral_bounds" / "__init__.py").is_file():
+        raise ValueError(f"{side} holds no spectral_bounds package")
+    return path.resolve()
+
+
 def run(src: Path, config: Path, out: Path) -> dict:
     """stdout, exit status and output files of one `run`."""
     out.mkdir(parents=True)
@@ -73,17 +106,17 @@ def run(src: Path, config: Path, out: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src", type=Path)
-    parser.add_argument("new_src", type=Path)
+    parser.add_argument("old", help="source directory or git revision")
+    parser.add_argument("new", help="source directory or git revision")
     args = parser.parse_args(argv)
-    srcs = [p.resolve() for p in (args.old_src, args.new_src)]
-    for src in srcs:
-        # both sides failing to import would compare equal
-        if not (src / "spectral_bounds" / "__init__.py").is_file():
-            parser.error(f"{src} holds no spectral_bounds package")
     differ = 0
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
+        try:
+            # both sides failing to import would compare equal
+            srcs = [source_tree(side, tmp) for side in (args.old, args.new)]
+        except ValueError as exc:
+            parser.error(str(exc))
         configs = scenarios(tmp)
         for i, config in enumerate(configs):
             old, new = (run(src, config, tmp / side / str(i))
