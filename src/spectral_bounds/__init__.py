@@ -34,8 +34,7 @@ from .domains import (Box, Disk, MaskedBox, QuadratureGrid,
                       TorusFundamental, domain_volume, mean_value)
 from .problem import ProblemSpec, effective_potential
 from .special import (Lattice2, bessel_first_zero, bessel_j, hex_heat_floor,
-                      hex_theta, lattice_heat_trace,
-                      lattice_heat_trace_poisson, unit_ball_volume)
+                      hex_theta, lattice_heat_trace, unit_ball_volume)
 from .spectra import (HomogeneousSpectrum, Spectrum, SpectrumRangeError,
                       heat_trace, rectangle_neumann_exact, riesz_mean_1,
                       shifted_spectrum, sphere_spectrum, torus_spectrum)
@@ -64,8 +63,7 @@ __all__ = [
     "ProblemSpec", "effective_potential",
     # special functions and lattices
     "unit_ball_volume", "bessel_j", "bessel_first_zero",
-    "Lattice2", "hex_theta", "lattice_heat_trace",
-    "lattice_heat_trace_poisson", "hex_heat_floor",
+    "Lattice2", "hex_theta", "lattice_heat_trace", "hex_heat_floor",
     # spectra and spectral functionals
     "Spectrum", "HomogeneousSpectrum", "SpectrumRangeError",
     "rectangle_neumann_exact", "torus_spectrum", "sphere_spectrum",

@@ -28,43 +28,57 @@ at any level L then touches only the sublevel prefix {Vtilde < L}: for
 odd nu it sums that prefix directly, and for even nu the integer power
 expands binomially about the floor min Vtilde, so every whole block of
 _BLOCK nodes below L is read from stored prefix moments and fewer than
-_BLOCK nodes are summed directly.  The Lipschitz constant of a sublevel
-set is a running maximum over the sorted nodes, read at the end of a
-group of tied nodes, and Lambda(k) is a root of Phi_1 itself, found by
-bracketed secant steps (Anderson-Bjorck regula falsi).  That takes 6 to
-13 volume sweeps per level on the benchmark's oscillator tables, but 18,
-24 and 32 at k = 10, 100 and 1000 on a flat unit interval, where most
-sweeps are the doubling probes that bracket a level far above the floor.
+_BLOCK nodes are summed directly.  Lambda(k) is a root of Phi_1 itself,
+found by bracketed secant steps (Anderson-Bjorck regula falsi).  That
+takes 6 to 13 volume sweeps per level on the benchmark's oscillator
+tables, but 18, 24 and 32 at k = 10, 100 and 1000 on a flat unit
+interval, where most sweeps are the doubling probes that bracket a level
+far above the floor.
 
 The sort is stable when w varies: tied nodes keep grid order, so their
-weights are summed in the same order on every platform.  When w is one
-constant, as for a Schrodinger operator (w = 1), tied nodes are
-interchangeable and numpy's faster unstable sort gives the same tables
-bit for bit.  The weights are then one broadcast value, and for w = 1
-the weighted moments are copies of the unweighted ones.
+weights are summed in the same order on every platform, and the
+permutation serves only to gather w.  When w is one constant, as for a
+Schrodinger operator (w = 1), tied nodes are interchangeable: Vtilde is
+sorted in place by numpy's faster unstable sort, with no permutation at
+all, and gives the same tables bit for bit.  The weights are then one
+broadcast value, and for w = 1 the weighted moments are copies of the
+unweighted ones.
 
-The tables hold at their peak little more than what they keep: 1.03x
-on the 1024^2 oscillator and 1.07x on the 80^3 one (tracemalloc),
-against 1.51x and 1.52x with a sorted copy of Vtilde and a whole-grid
-|grad Vtilde|^2.  The squared partials are evaluated first, each in the
-shape it evaluates to ((n, 1) for a term in x alone); those that span
-the grid fold into one running sum, so a non-separable Vtilde holds one
-grid-sized array, not one per axis.  Vtilde is then evaluated into a
-buffer of its own, argsorted and sorted in place, and on a masked grid
-the permutation becomes grid indices through a 4-byte index of the
-inside nodes (1.34x what is kept on a 600^2 disk with w = 1, against
-1.53x with an 8-byte one).  A varying w and the gradient are read at
-those indices a chunk at a time, each term only along the axes it
-varies on and summed in the order of the whole-grid sum; the gradient
-goes into the permutation's own 8-byte buffer, which becomes
-lip_nodes.  The block moments are summed a chunk of blocks at a time,
-with the bits of a whole-array sum.  The gradient is summed at the
-inside nodes only, so one that overflows only outside a masked domain is
-never formed.
+The Lipschitz constant of a sublevel set needs no order among the nodes,
+only the largest |grad Vtilde|^2 over {Vtilde <= L}.  _LevelIndex
+quantises Vtilde monotonically into one bucket per _BUCKET nodes, and
+keeps the prefix maximum over the buckets of each bucket's largest
+|grad Vtilde|^2, found in one pass over the nodes in grid order.  A lower
+bucket lies wholly below a higher one, so a level at or above every node
+of its bucket reads that prefix exactly.  A level strictly between two
+values of one bucket also needs the bucket's nodes below it: the first
+such query evaluates the fields again and keeps, sorted, the nodes that
+can matter.  On the benchmark's oscillator tables no query takes that
+pass: in 2-D no two levels share a bucket, in 3-D only values a few ulps
+apart do.  The tables of the 1024^2 oscillator build in about 35 ms and
+those of the 80^3 one in about 15 ms (one thread, 2 vCPU).
+
+The tables hold at their peak little more than what they keep, which is
+Vtilde, a varying w and the index's prefix maxima, a quarter as many as
+the nodes: 1.04x on the 1024^2 oscillator and 1.06x on the 80^3 one
+(tracemalloc; 10.4 and 5.2 MiB).  The squared
+partials are evaluated first, each in the shape it evaluates to ((n, 1)
+for a term in x alone); those that span the grid fold into one running
+sum, so a non-separable Vtilde holds one grid-sized array, not one per
+axis.  Vtilde is then evaluated into a buffer of its own and sorted in
+place.  |grad Vtilde|^2 is summed a chunk at a time, in the order of the
+whole-grid sum: on a full grid over slabs of whole rows, on a masked
+grid at the inside nodes only, each term read along the axes it varies
+on, so a gradient that overflows only outside a masked domain is never
+formed.  With a varying w on a masked grid the permutation becomes grid
+indices through a 4-byte index of the inside nodes, and w is gathered
+into the permutation's own 8-byte buffer.  The block moments are summed
+a chunk of blocks at a time, with the bits of a whole-array sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -88,26 +102,34 @@ __all__ = [
 # nodes per prefix block: a volume query sums fewer than _BLOCK nodes
 # directly, and the prefix moments take 1/_BLOCK of the node storage
 _BLOCK = 1024
-# nodes per chunk (128 KiB of doubles) of the sorted gathers of w and
-# |grad Vtilde|^2 and of the block moments, so that their temporaries
-# stay small
+# nodes per chunk (128 KiB of doubles) of the passes over the grid and of
+# the block moments, so that their temporaries stay small
 _CHUNK = 16 * _BLOCK
+# nodes per bucket of the Lipschitz level index, on average: an
+# oscillator's levels on a 2-D grid with a spacing of 2^-m are evenly
+# spaced and fewer than a quarter as many as the nodes, so no two of them
+# share a bucket
+_BUCKET = 4
+_FIELDS = "effective potential V + |grad rho|^2 or its gradient"
 
 
 @dataclass
 class PhaseSpaceData:
     """Quadrature nodes sorted by Vtilde, with the prefix moments that
-    answer every phase-space volume at an arbitrary level."""
+    answer every phase-space volume at an arbitrary level, and the level
+    index that answers the sublevel Lipschitz constant."""
 
     nu: int
     vt_nodes: np.ndarray = field(repr=False)    # ascending
     # in vt_nodes order; a read-only broadcast when w is one constant
     w_nodes: np.ndarray = field(repr=False)
-    lip_nodes: np.ndarray = field(repr=False)   # running max of |grad Vtilde|
     cell_volume: float = field(repr=False)
     # [a, b, j]: sum of w^a (Vtilde - min Vtilde)^j over the first
     # b * _BLOCK nodes, a in {0, 1}; None for odd nu
     block_moments: Optional[np.ndarray] = field(repr=False)
+    # max_at(vt_nodes, count, lam): the largest |grad Vtilde|^2 over the
+    # first count nodes, those at or below lam
+    lip_index: _LevelIndex = field(repr=False)
 
     @property
     def prefactor(self) -> float:
@@ -168,7 +190,8 @@ class PhaseSpaceData:
     def lip_at(self, lam: float) -> float:
         """Max of |grad Vtilde| over nodes in the sublevel set, 0 if none."""
         count = int(np.searchsorted(self.vt_nodes, lam, side="right"))
-        return float(self.lip_nodes[count - 1]) if count else 0.0
+        return math.sqrt(self.lip_index.max_at(self.vt_nodes, count, lam)) \
+            if count else 0.0
 
 
 def _block_moments(vt: np.ndarray, w: np.ndarray, top: int,
@@ -262,90 +285,201 @@ def _gathered(terms: list, index: np.ndarray, shape) -> np.ndarray:
     return total
 
 
-def phase_space_tables(problem: ProblemSpec,
-                       grid: QuadratureGrid) -> PhaseSpaceData:
-    """Sort the inside nodes of grid by Vtilde and store the prefix
-    moments, so that every volume can be evaluated at any level."""
+def _evaluated(problem: ProblemSpec, grid: QuadratureGrid):
+    """Vtilde at the inside nodes in grid order, in a writable buffer of
+    its own and with -0 read as +0, and the terms of |grad Vtilde|^2 from
+    _squared_partials, or the error that evaluating them raised.  The
+    partials are evaluated first, while no node-sized array is held, so
+    that a running grid-sized sum and its partials' evaluation come
+    before, not on top of, Vtilde."""
     vt_expr = problem.effective_potential()
-    fields = "effective potential V + |grad rho|^2 or its gradient"
-    # a varying w needs a stable sort, since the order of tied nodes sets
-    # the order in which their weights are summed.  With one constant w
-    # any tie order gives the same vt, weights and moments, and lip_at
-    # reads the running maximum only at the end of a tie group
-    weight = float(problem.w.evaluate(())) if is_constant(problem.w) \
-        else None
-    kind = "stable" if weight is None else None
-    with problem.naming_fields(fields):
-        # |grad Vtilde|^2 first, while no node-sized array is held, so that
-        # a running grid-sized sum and its partials' evaluation come
-        # before, not on top of, vt and the sort permutation.  Its error
-        # waits until vt and w have evaluated, which report first
+    with problem.naming_fields(_FIELDS):
         try:
             grad_sq = _squared_partials(vt_expr, grid)
         except (FieldEvaluationError, FloatingPointError) as exc:
             grad_sq = exc
         values = _on_grid(vt_expr, grid)
-    # vt in a buffer of its own, sorted in place after the argsort
-    full = bool(grid.mask.all())
-    if full and values.shape == grid.shape and values.flags.c_contiguous \
-            and values.flags.owndata and values.flags.writeable:
+    if grid.mask.all() and values.shape == grid.shape and \
+            values.flags.c_contiguous and values.flags.owndata and \
+            values.flags.writeable:
         vt = values.reshape(-1)
     else:
         vt = grid.inside_values(values)
         vt = vt if vt.flags.writeable else vt.copy()
-    del values
-    w_field = None if weight is not None else _on_grid(problem.w, grid)
-    if isinstance(grad_sq, Exception):
-        with problem.naming_fields(fields):
-            raise grad_sq
     # -0 + 0 = +0: tied zeros are one key, which an unstable sort cannot
     # place apart from the permutation
     vt += 0.0
-    order = np.argsort(vt, kind=kind)
-    vt.sort(kind=kind)
-    if not full:
-        # grid indices, a chunk at a time: a chunk's inside indices are
-        # read before its slots are written.  The index is built a grid
-        # chunk at a time, in 4-byte slots where the grid allows: beside
-        # vt and the permutation, np.flatnonzero's int64 held half again
-        # what the tables keep
-        flat = grid.mask.reshape(-1)
-        inside = np.empty(order.size, dtype=np.int32
-                          if flat.size <= np.iinfo(np.int32).max else np.intp)
-        found = 0
-        for start in range(0, flat.size, _CHUNK):
-            nodes = start + np.flatnonzero(flat[start:start + _CHUNK])
-            inside[found:found + nodes.size] = nodes
-            found += nodes.size
-        for start in range(0, order.size, _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            order[chunk] = inside[order[chunk]]
-        del inside
-    w = np.empty(vt.size) if weight is None else \
-        np.broadcast_to(weight, vt.shape)
+    return vt, grad_sq
 
-    # w and |grad Vtilde|^2 go into sorted order a chunk at a time, the
-    # gradient into the permutation's own 8-byte buffer: a chunk's indices
-    # are read before its slots are written
-    lip_nodes = order.view(np.float64) if order.itemsize == 8 \
-        else np.empty(order.size)
-    with problem.naming_fields(fields):
+
+def _node_chunks(vt: np.ndarray, terms: list, grid: QuadratureGrid):
+    """Pairs of Vtilde and |grad Vtilde|^2 at the inside nodes, in grid
+    order and about _CHUNK nodes at a time.  On a full grid a chunk is a
+    slab of whole rows of the first axis, and each term is sliced to it;
+    on a masked grid it is the inside nodes among _CHUNK grid nodes, read
+    by _gathered.  Either way the terms are summed in list order, with the
+    bits of the whole-grid sum, and at inside nodes only."""
+    shape = grid.shape
+    if grid.mask.all():
+        row = vt.size // shape[0]
+        rows = max(1, _CHUNK // row)
+        for first in range(0, shape[0], rows):
+            part = slice(first, first + rows)
+            slab = [t[part] if t.shape[0] > 1 else t for t in terms]
+            grad_sq = np.empty((min(rows, shape[0] - first),) + shape[1:])
+            # a lone square plus 0.0 is the square: none is -0
+            np.add(slab[0], slab[1] if len(slab) > 1 else 0.0, out=grad_sq)
+            for term in slab[2:]:
+                grad_sq += term
+            yield vt[first * row:first * row + grad_sq.size], \
+                grad_sq.reshape(-1)
+        return
+    flat, found = grid.mask.reshape(-1), 0
+    for start in range(0, flat.size, _CHUNK):
+        index = start + np.flatnonzero(flat[start:start + _CHUNK])
+        yield vt[found:found + index.size], _gathered(terms, index, shape)
+        found += index.size
+
+
+def _grid_nodes(problem: ProblemSpec, grid: QuadratureGrid):
+    """_node_chunks from a fresh evaluation of the fields, which gives the
+    bits the tables were built from."""
+    vt, grad_sq = _evaluated(problem, grid)
+    return _node_chunks(vt, grad_sq, grid)
+
+
+class _LevelIndex:
+    """The largest |grad Vtilde|^2 over the nodes at or below a level.
+
+    A monotone map of [min Vtilde, max Vtilde] puts Vtilde into about one
+    bucket per _BUCKET nodes, so every node of a lower bucket lies below
+    every node of a higher one; prefix[b] is the largest |grad Vtilde|^2
+    over buckets 0..b.  A level at or above every node of its bucket reads
+    prefix alone.  A level strictly between two values of one bucket also
+    reads split_levels, built on the first such query."""
+
+    def __init__(self, vt: np.ndarray, chunks, nodes):
+        """vt is Vtilde at the inside nodes, chunks its pairs with
+        |grad Vtilde|^2 from _node_chunks, and nodes a callable that
+        yields those pairs again."""
+        # halves: no difference of two values overflows.  A scale that
+        # does (a range in the subnormals) or a flat Vtilde puts every
+        # node in bucket 0.  No node maps past (buckets - 1)(1 + 2^-52)
+        buckets = max(1, vt.size // _BUCKET)
+        self.floor = 0.5 * float(vt.min())
+        span = 0.5 * float(vt.max()) - self.floor
+        scale = (buckets - 1) / span if span > 0 else 0.0
+        self.scale = scale if math.isfinite(scale) else 0.0
+        self.prefix = np.zeros(buckets)
+        for v, grad_sq in chunks:
+            np.maximum.at(self.prefix, self.buckets(v), grad_sq)
+        np.maximum.accumulate(self.prefix, out=self.prefix)
+        self.nodes = nodes
+        self._split = None
+
+    def buckets(self, v: np.ndarray) -> np.ndarray:
+        x = v * 0.5
+        x -= self.floor
+        x *= self.scale
+        return x.astype(np.intp)
+
+    def max_at(self, vt: np.ndarray, count: int, lam: float) -> float:
+        """Largest |grad Vtilde|^2 over the first count > 0 of the sorted
+        nodes vt, which are those at or below lam."""
+        b = self.buckets(vt[count - 1:count + 1])
+        if b.size == 1 or b[1] != b[0]:
+            return float(self.prefix[b[0]])
+        below = float(self.prefix[b[0] - 1]) if b[0] else 0.0
+        levels, maxima = self.split_levels(vt)
+        at = int(np.searchsorted(levels, lam, side="right"))
+        return max(below, float(maxima[at - 1])) if at else below
+
+    def split_levels(self, vt: np.ndarray):
+        """Vtilde ascending at each node below the top value of its bucket
+        whose |grad Vtilde|^2 exceeds prefix at the bucket before, and the
+        running maximum of that |grad Vtilde|^2 where it rises.  A node of
+        an earlier bucket never exceeds that prefix, so at a level this
+        adds exactly the nodes of the level's own bucket below it."""
+        if self._split is None:
+            top = np.full(self.prefix.size, -np.inf)
+            for start in range(0, vt.size, _CHUNK):
+                v = vt[start:start + _CHUNK]
+                np.maximum.at(top, self.buckets(v), v)
+            below = np.concatenate(([-np.inf], self.prefix[:-1]))
+            levels, maxima = [], []
+            for v, grad_sq in self.nodes():
+                b = self.buckets(v)
+                keep = (v < top[b]) & (grad_sq > below[b])
+                levels.append(v[keep])
+                maxima.append(grad_sq[keep])
+            levels = np.concatenate(levels)
+            order = np.argsort(levels)
+            maxima = np.maximum.accumulate(np.concatenate(maxima)[order])
+            rises = np.diff(maxima, prepend=-np.inf) > 0
+            self._split = levels[order][rises], maxima[rises]
+        return self._split
+
+
+def phase_space_tables(problem: ProblemSpec,
+                       grid: QuadratureGrid) -> PhaseSpaceData:
+    """Sort the inside nodes of grid by Vtilde, store the prefix moments,
+    so that every volume can be evaluated at any level, and index the
+    sublevel maxima of |grad Vtilde|."""
+    # a varying w needs a stable sort, since the order of tied nodes sets
+    # the order in which their weights are summed.  With one constant w
+    # any tie order gives the same vt, weights and moments, and no
+    # permutation is needed at all
+    weight = float(problem.w.evaluate(())) if is_constant(problem.w) \
+        else None
+    kind = "stable" if weight is None else None
+    vt, grad_sq = _evaluated(problem, grid)
+    w_field = None if weight is not None else _on_grid(problem.w, grid)
+    # the gradient's error waits until vt and w have evaluated, which
+    # report first
+    with problem.naming_fields(_FIELDS):
+        if isinstance(grad_sq, Exception):
+            raise grad_sq
+        index = _LevelIndex(vt, _node_chunks(vt, grad_sq, grid),
+                            functools.partial(_grid_nodes, problem, grid))
+    del grad_sq
+    if weight is None:
+        order = np.argsort(vt, kind=kind)
+        if not grid.mask.all():
+            # grid indices, a chunk at a time: a chunk's inside indices are
+            # read before its slots are written.  The index is built a grid
+            # chunk at a time, in 4-byte slots where the grid allows
+            flat = grid.mask.reshape(-1)
+            inside = np.empty(order.size, dtype=np.int32 if flat.size <=
+                              np.iinfo(np.int32).max else np.intp)
+            found = 0
+            for start in range(0, flat.size, _CHUNK):
+                nodes = start + np.flatnonzero(flat[start:start + _CHUNK])
+                inside[found:found + nodes.size] = nodes
+                found += nodes.size
+            for start in range(0, order.size, _CHUNK):
+                chunk = slice(start, start + _CHUNK)
+                order[chunk] = inside[order[chunk]]
+            del inside
+        # w goes into sorted order a chunk at a time, into the
+        # permutation's own 8-byte buffer: a chunk's indices are read
+        # before its slots are written
+        w = order.view(np.float64) if order.itemsize == 8 \
+            else np.empty(order.size)
         for start in range(0, order.size, _CHUNK):
             chunk = slice(start, start + _CHUNK)
-            index = order[chunk]
-            if w_field is not None:
-                w[chunk] = _gathered([w_field], index, grid.shape)
-            lip_nodes[chunk] = _gathered(grad_sq, index, grid.shape)
-    del grad_sq, w_field, order
-    np.maximum.accumulate(lip_nodes, out=lip_nodes)
-    np.sqrt(lip_nodes, out=lip_nodes)
+            w[chunk] = _gathered([w_field], order[chunk], grid.shape)
+        del order, w_field
+    else:
+        w = np.broadcast_to(weight, vt.shape)
+    vt.sort(kind=kind)
 
     moments = None
     if problem.nu % 2 == 0:
         moments = _block_moments(vt, w, problem.nu // 2 + 1, weight == 1.0)
     return PhaseSpaceData(
-        nu=problem.nu, vt_nodes=vt, w_nodes=w, lip_nodes=lip_nodes,
-        cell_volume=grid.cell_volume, block_moments=moments)
+        nu=problem.nu, vt_nodes=vt, w_nodes=w,
+        cell_volume=grid.cell_volume, block_moments=moments,
+        lip_index=index)
 
 
 def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:

@@ -28,7 +28,6 @@ __all__ = [
     "Lattice2",
     "hex_theta",
     "lattice_heat_trace",
-    "lattice_heat_trace_poisson",
     "hex_heat_floor",
 ]
 
@@ -235,16 +234,6 @@ def lattice_heat_trace(lattice: Lattice2, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     return lattice.dual().gaussian_sum(4.0 * math.pi ** 2 * t)
-
-
-def lattice_heat_trace_poisson(lattice: Lattice2, t: float) -> float:
-    """The same trace through Poisson summation on the primal lattice:
-    |Omega|/(4 pi t) * sum over v in the lattice of exp(-|v|^2 / (4 t)).
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    covol = lattice.covolume()
-    return covol / (4.0 * math.pi * t) * lattice.gaussian_sum(1.0 / (4.0 * t))
 
 
 def hex_heat_floor(t: float, covolume: float) -> float:

@@ -30,9 +30,10 @@ from spectral_bounds.homog import ReferenceMinorant, heat_torus_bound
 from spectral_bounds.phasespace import (lambda_of_k, phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
-from spectral_bounds.special import (Lattice2, hex_theta, lattice_heat_trace,
-                                     lattice_heat_trace_poisson)
+from spectral_bounds.special import Lattice2, hex_theta, lattice_heat_trace
 from spectral_bounds.spectra import rectangle_neumann_exact, torus_spectrum
+
+from heat_oracles import lattice_heat_trace_poisson
 
 PI2 = math.pi ** 2
 

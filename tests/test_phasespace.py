@@ -16,12 +16,11 @@ import pytest
 from spectral_bounds.bounds import bound_context, kroger_avg_bound
 from spectral_bounds.domains import (Box, Disk, MaskedBox, QuadratureGrid,
                                      TorusFundamental)
-from spectral_bounds.expressions import (differentiate, is_constant,
-                                         parse_field)
+from spectral_bounds.expressions import differentiate, parse_field
 from spectral_bounds.fdsolver import assemble, solve_lowest
 from spectral_bounds.phasespace import (_BLOCK, _CHUNK, PhaseSpaceData,
-                                        _block_moments, _gathered,
-                                        _squared_partials, lambda_of_k,
+                                        _block_moments, _evaluated,
+                                        _node_chunks, lambda_of_k,
                                         phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
@@ -368,7 +367,6 @@ def test_sorted_kernel_matches_direct_sweep(case):
     vt = psd.vt_nodes
     assert vt.size > 2 * _BLOCK
     assert np.all(np.diff(vt) >= 0)
-    assert np.all(np.diff(psd.lip_nodes) >= 0)
     # below the floor, on node values (ties, both sides of a block
     # boundary), between nodes, and above the top
     levels = [vt[0] - 1.0, vt[0], vt[1], vt[_BLOCK - 1], vt[_BLOCK],
@@ -384,10 +382,23 @@ def test_sorted_kernel_matches_direct_sweep(case):
         assert psd.lip_at(lam) == lip
 
 
+class RunningMax:
+    """The sublevel maxima of |grad Vtilde|^2 as a running maximum over the
+    nodes in sorted order, read where the first count nodes end: the
+    reference that PhaseSpaceData.lip_index must match."""
+
+    def __init__(self, grad_sq):
+        self.running = np.maximum.accumulate(grad_sq)
+
+    def max_at(self, vt, count, lam):
+        return float(self.running[count - 1])
+
+
 def stable_order_tables(prob, grid):
     """The tables as a stable sort builds them: tied nodes in grid order,
-    every weight evaluated at its node, and the weighted moments summed
-    from the gathered weights."""
+    every weight evaluated at its node, the weighted moments summed from
+    the gathered weights, and the Lipschitz constant read from the running
+    maximum of |grad Vtilde|^2 over the sorted nodes."""
     vt_expr = prob.effective_potential()
     vt = grid.inside_values(vt_expr)
     grad_sq = np.zeros_like(vt)
@@ -400,8 +411,31 @@ def stable_order_tables(prob, grid):
         moments = _block_moments(vt[order], w, prob.nu // 2 + 1, False)
     return PhaseSpaceData(
         nu=prob.nu, vt_nodes=vt[order], w_nodes=w,
-        lip_nodes=np.sqrt(np.maximum.accumulate(grad_sq[order])),
-        cell_volume=grid.cell_volume, block_moments=moments)
+        cell_volume=grid.cell_volume, block_moments=moments,
+        lip_index=RunningMax(grad_sq[order]))
+
+
+def lip_levels(vt, stride=1):
+    """A level of every kind lip_at can tell apart.  It reads a level only
+    through the sorted nodes at or below it and where it falls among the
+    node values, so these reach every float: each distinct node value (the
+    end of a tie group), the float just below it and the midpoint of each
+    gap between values (one bucket or two, so every bucket edge), NaN, the
+    infinities, and levels below the floor and above the top.  A stride
+    takes every stride-th value, for tables too large to read in full."""
+    values = np.unique(vt)
+    sample = values[::stride]
+    inside = np.minimum(np.searchsorted(values, sample) + 1, values.size - 1)
+    return np.concatenate([
+        sample, np.nextafter(sample, -np.inf),
+        0.5 * sample + 0.5 * values[inside],
+        [np.nan, -np.inf, np.inf, values[0] - 1.0, values[-1] + 1.0]])
+
+
+def assert_lip_at_matches(psd, ref, stride=1):
+    for lam in lip_levels(psd.vt_nodes, stride):
+        got, want = psd.lip_at(float(lam)), ref.lip_at(float(lam))
+        assert got == want, (lam, got, want)
 
 
 TIE_CASES = {
@@ -439,20 +473,90 @@ def test_tables_bit_identical_to_the_stable_order(case):
     if prob.nu % 2 == 0:
         assert vt.size > 2 * _BLOCK
         assert psd.block_moments.tobytes() == ref.block_moments.tobytes()
-    for lam in np.unique(vt):
-        assert psd.lip_at(float(lam)) == ref.lip_at(float(lam)), lam
+    assert_lip_at_matches(psd, ref)
     fake = Spectrum(np.zeros(60), cutoff=0.0)
     for k in (1, 2, 5, 17, 40):
         assert phase_space_sum_bound(k, psd, fake) == \
             phase_space_sum_bound(k, ref, fake)
 
 
+LIP_CASES = {
+    # all nodes distinct: nearly every bucket holds several levels
+    "nu1-varying-w": (ProblemSpec(Box((4.0,), origin=(-2.0,)), V="x^4 - x",
+                                  w="1 + 0.1*x"), 4096),
+    "disk-w1": (ProblemSpec(Disk(1.0), V="x^2 + 2*y^2"), 96),
+    "disk-varying-w": (ProblemSpec(Disk(1.0), rho="0.3*x*y",
+                                   w="1 + 0.2*x"), 96),
+    # levels 2 (x^2 + y^2) + 0.1 x that tie only in mirror pairs
+    "shifted-oscillator": (ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
+                                       V="x^2 + y^2 + 0.1*x"), 96),
+    "non-separable-2d": (ProblemSpec(Box((2.0, 2.0), origin=(-1.0, -1.0)),
+                                     V="x*y + y^2"), 96),
+    "non-separable-3d": (ProblemSpec(Box((1.0,) * 3), V="exp(x*y*z) + z^2",
+                                     w="1 + 0.1*y"), 20),
+    # every node in one bucket
+    "flat": (ProblemSpec(Box((1.0, 1.0)), V="-3"), 64),
+    # a range of 2e308 overflows max Vtilde - min Vtilde
+    "huge-range": (ProblemSpec(Box((4e154,), origin=(-2e154,)),
+                               V="5e153*x"), 512),
+    # a range in the subnormals overflows the bucket scale, so every node
+    # shares bucket 0
+    "subnormal-range": (ProblemSpec(Box((2.0,), origin=(-1.0,)),
+                                    V="1e-320*x^2"), 512),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIP_CASES))
+def test_lip_at_matches_the_running_maximum_at_every_level(case):
+    prob, n = LIP_CASES[case]
+    grid = QuadratureGrid(prob.domain, n)
+    psd = phase_space_tables(prob, grid)
+    ref = stable_order_tables(prob, grid)
+    assert psd.vt_nodes.tobytes() == ref.vt_nodes.tobytes()
+    passes = []
+    nodes = psd.lip_index.nodes
+    psd.lip_index.nodes = lambda: passes.append(1) or nodes()
+    assert_lip_at_matches(psd, ref)
+    # a level between two values of one bucket re-reads the nodes once
+    assert len(passes) == (case != "flat")
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_oscillator_levels_never_share_a_bucket(n):
+    # a centred oscillator on an even grid with a spacing of 2^-m (the
+    # benchmark's 1024^2 table too) ties mirror images exactly, and its
+    # levels, fewer than a quarter as many as the nodes, are spaced
+    # evenly: each lies alone in its bucket, and no level, a node value or
+    # not, re-reads the nodes
+    prob = ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
+                       V="1.1*(x^2 + y^2)")
+    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, n))
+
+    def refuse():
+        raise AssertionError("node pass")
+
+    psd.lip_index.nodes = refuse
+    for lam in lip_levels(psd.vt_nodes):
+        psd.lip_at(float(lam))
+
+
+def kept_bytes(psd):
+    """What the tables keep: vt, a w that is not one broadcast value, and
+    the prefix maxima of the level index."""
+    kept = psd.vt_nodes.nbytes + psd.lip_index.prefix.nbytes
+    if psd.w_nodes.strides != (0,):
+        kept += psd.w_nodes.nbytes
+    return kept
+
+
 @pytest.mark.parametrize("w", ["1", "1 + 0.1*sin(x)"])
 def test_tables_peak_stays_near_what_they_keep(w):
-    # Vtilde is sorted in its own buffer and w and |grad Vtilde|^2 are
-    # gathered a chunk at a time, the gradient into the sort permutation's
-    # buffer: 1.10x (w = 1) and 1.07x (varying w) what is kept, against
-    # 1.53x and 1.36x with a sorted copy of vt and a whole-grid gradient
+    # Vtilde is sorted in its own buffer, |grad Vtilde|^2 is read a chunk
+    # at a time into the level index, and a varying w is gathered into the
+    # sort permutation's buffer: 1.16x (w = 1) and 1.09x (varying w) what
+    # is kept, 3.0 and 5.1 MB.  The bound allows 3.1 and 5.5 MB; 1.15x of
+    # a kept set that held a running maximum as large as vt allowed 4.8
+    # and 7.2 MB
     prob = ProblemSpec(Box((16.0, 16.0), origin=(-8.0, -8.0)),
                        V="x1^2 + x2^2", w=w)
     grid = QuadratureGrid(prob.domain, 512)
@@ -462,10 +566,8 @@ def test_tables_peak_stays_near_what_they_keep(w):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = psd.vt_nodes.nbytes + psd.lip_nodes.nbytes
-    if w != "1":
-        kept += psd.w_nodes.nbytes
-    assert peak <= 1.15 * kept
+    assert peak <= 1.17 * kept_bytes(psd)
+    assert_lip_at_matches(psd, stable_order_tables(prob, grid), stride=8)
 
 
 @pytest.mark.parametrize("fields", [
@@ -474,11 +576,14 @@ def test_tables_peak_stays_near_what_they_keep(w):
     {"V": "x^2", "w": "1 + 0.2*x"},
 ], ids=["rho-xy", "broadcast"])
 def test_masked_tables_read_the_gradient_from_the_grid(fields):
-    # the sort permutation becomes grid indices, and each squared partial
-    # is read at them in the shape it evaluates to, so neither the
-    # gradient nor w is copied out at the inside nodes or spread over the
-    # grid: 1.13x what is kept on this disk (1.76x, then 1.47x and 1.38x
-    # with whole-grid arrays)
+    # the sort permutation becomes grid indices, and w is read at them in
+    # the shape it evaluates to; each squared partial is read at the
+    # inside nodes of a grid chunk.  Neither the gradient nor w is copied
+    # out at the inside nodes or spread over the grid: the tables peak at
+    # 1.40x what they keep (3.2 MB), the permutation and the 4-byte grid
+    # index of the inside nodes beside vt and the level index.  The bound
+    # allows 3.2 MB; 1.2x of a kept set that held a running maximum as
+    # large as vt allowed 3.6 MB
     prob = ProblemSpec(Disk(1.0), **fields)
     grid = QuadratureGrid(prob.domain, 400)
     tracemalloc.start()
@@ -487,12 +592,12 @@ def test_masked_tables_read_the_gradient_from_the_grid(fields):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = psd.vt_nodes.nbytes + psd.w_nodes.nbytes + psd.lip_nodes.nbytes
-    assert peak <= 1.2 * kept
+    assert peak <= 1.42 * kept_bytes(psd)
     ref = stable_order_tables(prob, grid)
-    for name in ("vt_nodes", "w_nodes", "lip_nodes", "block_moments"):
+    for name in ("vt_nodes", "w_nodes", "block_moments"):
         assert getattr(psd, name).tobytes() == \
             getattr(ref, name).tobytes(), name
+    assert_lip_at_matches(psd, ref, stride=4)
 
 
 def test_gradient_overflowing_outside_the_disk_is_not_formed():
@@ -510,44 +615,46 @@ def test_gradient_overflowing_outside_the_disk_is_not_formed():
 
 
 L_SHAPE = MaskedBox(Box((1.0, 1.0)), parse_field("min(x - 0.5, y - 0.5)", 2))
-# name -> (problem, n, grid-sized arrays the tables may hold beside what
-# they keep)
+# name -> (problem, n, grid-sized arrays the tables may hold beside Vtilde,
+# and beside what they keep).  The first count covers the evaluation of
+# the fields, the level index and the sort; the second, a grid-sized w
+# held while it is gathered
 MATRIX_CASES = {
     # every field that varies evaluates to a grid-sized array in 1-D:
-    # the gradient and w are both read at the gather
+    # the gradient, w, and the stable sort's permutation and buffer
     "1-d": (ProblemSpec(Box((4.0,), origin=(-2.0,)), V="x^4 - x",
-                        w="1 + 0.1*x"), 2 ** 18, 2),
-    "flat": (ProblemSpec(Box((1.0, 1.0))), 512, 0),
+                        w="1 + 0.1*x"), 2 ** 18, (3, 0)),
+    "flat": (ProblemSpec(Box((1.0, 1.0))), 512, (0, 0)),
     "one-axis": (ProblemSpec(Box((2.0, 2.0), origin=(-1.0, -1.0)), V="x^2",
-                             w="1 + 0.2*y"), 512, 0),
+                             w="1 + 0.2*y"), 512, (0, 0)),
     # w = 1 + 0.3xy spans the grid
     "l-shape": (ProblemSpec(L_SHAPE, V="x^2 + 3*y", w="1 + 0.3*x*y"), 600,
-                1),
+                (0, 1)),
     # the coordinates of a skew torus are whole-grid arrays, built anew
     # for each evaluation beside the folded gradient
     "skew-torus": (ProblemSpec(TorusFundamental((1.0, 0.0), (0.3, 1.1)),
-                               V="sin(x) + y^2"), 512, 3),
+                               V="sin(x) + y^2"), 512, (4, 0)),
     # two partials that do not span the grid, (1, n, n) and (n, 1, n),
     # are summed before the third, which spans it, takes them in place
     "fold-after-two": (ProblemSpec(Box((2.1, 1.9, 1.7),
                                        origin=(-1.3, -0.7, 0.2)),
                                    V="x*y + x*y*z^2", w="1 + 0.1*z"), 64,
-                       1),
+                       (2, 0)),
     # the middle partial, x z, does not span the grid: it is added to the
     # running sum between the other two
     "span-small-span": (ProblemSpec(Box((2.1, 1.9, 1.7),
                                         origin=(-1.3, -0.7, 0.2)),
-                                    V="exp(x*z) + x*y*z"), 40, 1),
+                                    V="exp(x*z) + x*y*z"), 40, (0, 1)),
     # every partial spans the grid: they fold into one running sum,
-    # evaluated before vt and the permutation exist
+    # evaluated before Vtilde, whose evaluation holds one more array
     "non-separable": (ProblemSpec(Box((1.0,) * 3), V="exp(x*y*z) + z^2"),
-                      64, 1),
+                      64, (2, 0)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MATRIX_CASES))
 def test_tables_match_the_reference_and_peak_at_what_they_keep(case):
-    prob, n, spanning = MATRIX_CASES[case]
+    prob, n, (beside_vt, beside_kept) = MATRIX_CASES[case]
     grid = QuadratureGrid(prob.domain, n)
     tracemalloc.start()
     try:
@@ -561,38 +668,41 @@ def test_tables_match_the_reference_and_peak_at_what_they_keep(case):
         assert (got is None) == (want is None), name
         if got is not None:
             assert got.tobytes() == want.tobytes(), name
-    # with one constant w the sort is unstable, and lip_at reads the
-    # running maximum only where a group of tied nodes ends
-    vt = psd.vt_nodes
-    read = np.arange(vt.size) if not is_constant(prob.w) else \
-        np.append(np.flatnonzero(vt[1:] != vt[:-1]), vt.size - 1)
-    assert psd.lip_nodes[read].tobytes() == ref.lip_nodes[read].tobytes()
-    # the gradient read at every node has the bits of the whole-grid sum
-    # ((0 + t0) + t1) + t2, not only where it sets the running maximum
+    assert_lip_at_matches(psd, ref, stride=1 + psd.vt_nodes.size // 8192)
+    # the gradient read at every inside node has the bits of the
+    # whole-grid sum ((0 + t0) + t1) + t2, not only where it sets a
+    # bucket's maximum, and comes paired with Vtilde at that node
     vt_expr = prob.effective_potential()
     whole = np.broadcast_to(sum(
         np.asarray(differentiate(vt_expr, axis).evaluate(grid.coords()),
                    dtype=float) ** 2 for axis in range(prob.nu)), grid.shape)
-    gathered = _gathered(_squared_partials(vt_expr, grid),
-                         np.arange(whole.size), grid.shape)
-    assert np.broadcast_to(gathered, whole.size).tobytes() == \
-        whole.tobytes()
-    kept = psd.vt_nodes.nbytes + psd.lip_nodes.nbytes
-    if psd.w_nodes.strides != (0,):
-        kept += psd.w_nodes.nbytes
-    # a chunk's gather holds a few chunk-sized temporaries
+    vt, terms = _evaluated(prob, grid)
+    pairs = list(_node_chunks(vt, terms, grid))
+    assert np.concatenate([v for v, _ in pairs]).tobytes() == \
+        (grid.inside_values(vt_expr) + 0.0).tobytes()
+    assert np.concatenate([g for _, g in pairs]).tobytes() == \
+        whole[grid.mask].tobytes()
+    grid_bytes = 8 * grid.mask.size
+    # a masked grid with a varying w turns the permutation into grid
+    # indices through a 4-byte index of the inside nodes
+    inside = 4 * psd.vt_nodes.size if psd.w_nodes.strides != (0,) and \
+        not grid.mask.all() else 0
+    # a chunk's pass holds a few chunk-sized temporaries
     chunks = 4 * _CHUNK * 8
-    assert peak <= kept + spanning * 8 * grid.mask.size + chunks, \
-        (peak, kept)
+    bound = max(psd.vt_nodes.nbytes + beside_vt * grid_bytes,
+                kept_bytes(psd) + beside_kept * grid_bytes + inside) + chunks
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("domain", [L_SHAPE, Disk(1.0)],
                          ids=["l-shape", "disk"])
 def test_masked_tables_with_one_weight_peak_near_what_they_keep(domain):
-    # with one constant w the tables keep only vt and the Lipschitz
-    # table, so the index that turns the permutation into grid indices
-    # is much of the peak: in 4-byte slots the tables peak at 1.34x what
-    # they keep on these grids, against 1.53x with np.flatnonzero's int64
+    # with one constant w the tables keep only vt and the level index and
+    # need no permutation, so they peak where Vtilde, evaluated on the
+    # whole grid, is read out at the inside nodes: 1.87x (L-shape) and
+    # 1.82x (disk) what they keep, 5.1 and 5.2 MB.  The bound allows 5.1
+    # and 5.4 MB; 1.36x of a kept set that held a running maximum as large
+    # as vt allowed 5.9 and 6.2 MB
     prob = ProblemSpec(domain, V="x^2 + y^2")
     grid = QuadratureGrid(prob.domain, 600)
     tracemalloc.start()
@@ -602,14 +712,11 @@ def test_masked_tables_with_one_weight_peak_near_what_they_keep(domain):
     finally:
         tracemalloc.stop()
     assert psd.w_nodes.strides == (0,)
-    assert peak <= 1.36 * (psd.vt_nodes.nbytes + psd.lip_nodes.nbytes)
+    assert peak <= 1.9 * kept_bytes(psd)
     ref = stable_order_tables(prob, grid)
-    vt = psd.vt_nodes
-    assert vt.tobytes() == ref.vt_nodes.tobytes()
+    assert psd.vt_nodes.tobytes() == ref.vt_nodes.tobytes()
     assert psd.block_moments.tobytes() == ref.block_moments.tobytes()
-    # the running maximum is read only where a group of tied nodes ends
-    read = np.append(np.flatnonzero(vt[1:] != vt[:-1]), vt.size - 1)
-    assert psd.lip_nodes[read].tobytes() == ref.lip_nodes[read].tobytes()
+    assert_lip_at_matches(psd, ref, stride=8)
 
 
 def test_signed_zeros_keep_the_order_of_the_permutation():

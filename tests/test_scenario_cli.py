@@ -693,8 +693,9 @@ def test_cli_one_dimensional_phase_space_bound_holds(tmp_path, capsys):
 def test_cli_folded_constant_weight_takes_the_unstable_sort(tmp_path,
                                                            monkeypatch):
     # "3/2" parses to a quotient of constants, not one Const; both
-    # spellings take the constant-weight tables (numpy's default sort, one
-    # broadcast weight) and write the same reports, digest aside
+    # spellings take the constant-weight tables (no sort permutation, one
+    # broadcast weight; a varying weight argsorts with kind="stable") and
+    # write the same reports, digest aside
     import numpy as np
 
     kinds = []
@@ -721,7 +722,7 @@ def test_cli_folded_constant_weight_takes_the_unstable_sort(tmp_path,
         payload = json.loads((out / "square.json").read_text())
         del payload["scenario_digest"]
         reports.append((payload, (out / "square.csv").read_bytes()))
-    assert kinds == [None, None]
+    assert kinds == []
     assert reports[0] == reports[1]
 
 

@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from spectral_bounds.domains import Disk, QuadratureGrid
+from spectral_bounds.expressions import is_constant
+from spectral_bounds.phasespace import _squared_partials
+from spectral_bounds.scenario import load_scenario
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "compare_outputs", ROOT / "tools" / "compare_outputs.py")
@@ -65,3 +70,24 @@ def test_main_refuses_a_directory_without_the_package(tmp_path, capsys):
         compare.main([str(tmp_path), str(ROOT / "src")])
     assert exc.value.code == 2
     assert "holds no spectral_bounds package" in capsys.readouterr().err
+
+
+def test_the_table_scenarios_load_and_take_every_table_path(tmp_path):
+    """The fixed phase-space scenarios load, and between them take each
+    path the phase-space tables branch on."""
+    paths = compare.scenarios(tmp_path)
+    tables = [load_scenario(p) for p in paths if p.parent.name == "tables"]
+    assert [s.label for s in tables] == [d["label"] for d in compare.TABLES]
+    problems = [s.problem for s in tables]
+    assert any(isinstance(p.domain, Disk) and is_constant(p.w)
+               for p in problems)
+    assert any(not is_constant(p.w) for p in problems)
+    assert {1, 2, 3} <= {p.nu for p in problems}
+    assert any(is_constant(p.effective_potential()) for p in problems)
+    # a gradient term that spans the grid: Vtilde is not a sum of
+    # functions of one coordinate each
+    assert any(_squared_partials(p.effective_potential(),
+                                 QuadratureGrid(p.domain, 8))[0].shape ==
+               (8,) * p.nu for p in problems if p.nu > 1)
+    assert max(len(r.parameters) for s in tables for r in s.bounds
+               if r.kind == "phase-space-sum") >= 100

@@ -9,8 +9,11 @@ this checkout, whose `src/` is exported by `git archive` into the
 temporary directory.  A side that holds no package is refused.  Into the
 temporary directory the script writes, from this checkout, every scenario
 of the four bench workloads at seeds 1 and 3, every recorded fd variant
-with one fixed bound list, both bundled scenarios and
-`tests/golden/torus-kinds.scenario.json`.  It runs
+with one fixed bound list, both bundled scenarios,
+`tests/golden/torus-kinds.scenario.json`, and the fixed phase-space
+scenarios of `TABLES`, which take the table paths the workloads do not:
+a masked domain with one weight, a varying weight, nu = 1 and 3, a flat
+and a non-separable effective potential, and a list of 100 k.  It runs
 `python -m spectral_bounds.cli run --format both` on each, once per tree,
 with one BLAS thread, and compares the JSON and CSV files, stdout and the
 exit status.  stderr holds paths and elapsed times, so it is not compared.
@@ -36,6 +39,34 @@ SEEDS = (1, 3)
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _phase(label, domain, fields, n, grid_n, k, count=12) -> dict:
+    """A phase-space scenario on a dense fd spectrum of count values."""
+    return {"label": label, "domain": domain, "fields": fields,
+            "grid": {"n": n}, "spectrum": {"source": "fd", "count": count},
+            "bounds": [{"kind": "phase-space-sum", "k": k,
+                        "grid_n": grid_n}], "seed": 0}
+
+
+_SQUARE = {"type": "box", "sides": [4.0, 4.0], "origin": [-2.0, -2.0]}
+TABLES = [
+    _phase("ps-disk-w1", {"type": "disk", "radius": 1.0},
+           {"V": "x^2 + 2*y^2"}, 24, 300, [2, 5, 10]),
+    _phase("ps-varying-w", _SQUARE, {"V": "x^2 + y^2", "w": "1 + 0.1*x"},
+           24, 256, [2, 5, 10]),
+    _phase("ps-nu1", {"type": "box", "sides": [4.0], "origin": [-2.0]},
+           {"V": "x^4 - x"}, 64, 4096, [1, 3, 7, 11]),
+    _phase("ps-nu3", {"type": "box", "sides": [2.0, 2.0, 2.0],
+                      "origin": [-1.0, -1.0, -1.0]},
+           {"V": "x^2 + y^2 + 2*z^2"}, 8, 40, [2, 5, 10]),
+    _phase("ps-flat", {"type": "box", "sides": [1.0, 1.0]}, {"V": "-3"},
+           24, 128, [2, 5, 10]),
+    _phase("ps-non-separable", _SQUARE, {"V": "x*y + y^2"}, 24, 256,
+           [2, 5, 10]),
+    _phase("ps-many-k", _SQUARE, {"V": "x^2 + y^2"}, 24, 256,
+           list(range(1, 101)), count=100),
+]
+
+
 def scenarios(tmp: Path) -> list:
     """The scenario paths to run, each once."""
     paths = []
@@ -57,6 +88,12 @@ def scenarios(tmp: Path) -> list:
             path = recorded / f"{name}-{v}.json"
             path.write_text(json.dumps(doc, indent=1, sort_keys=True))
             paths.append(path)
+    tables = tmp / "tables"
+    tables.mkdir()
+    for doc in TABLES:
+        path = tables / f"{doc['label']}.json"
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+        paths.append(path)
     paths += sorted((ROOT / workloads.BUNDLED).glob("*.json"))
     paths.append(ROOT / "tests" / "golden" / "torus-kinds.scenario.json")
     return list(dict.fromkeys(p.resolve() for p in paths))
