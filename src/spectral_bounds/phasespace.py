@@ -50,30 +50,47 @@ quantises Vtilde monotonically into one bucket per _BUCKET nodes, and
 keeps the prefix maximum over the buckets of each bucket's largest
 |grad Vtilde|^2, found in one pass over the nodes in grid order.  A lower
 bucket lies wholly below a higher one, so a level at or above every node
-of its bucket reads that prefix exactly.  A level strictly between two
-values of one bucket also needs the bucket's nodes below it: the first
-such query evaluates the fields again and keeps, sorted, the nodes that
-can matter.  On the benchmark's oscillator tables no query takes that
-pass: in 2-D no two levels share a bucket, in 3-D only values a few ulps
-apart do.  The tables of the 1024^2 oscillator build in about 35 ms and
-those of the 80^3 one in about 15 ms (one thread, 2 vCPU).
+of its bucket reads that prefix exactly.  The tables of the 1024^2
+oscillator build in about 40 ms and those of the 80^3 one in about 15 ms
+(one thread, 2 vCPU, numpy 2.4; the pass relies on ufunc.at, which is
+fast only since numpy 1.25, and older numpy was not measured).
+
+A level strictly between two values of one bucket also needs the nodes
+of that bucket below it.  The first such query evaluates the fields
+again, on a grid built anew from the domain and the node counts (the
+tables keep no grid), and keeps, sorted, the nodes that can matter.  It
+is left to that query because most tables never make it: no Lambda(k) of
+the benchmark's tables does, nor, up to k = 2000, of the oscillator on
+the 600^2 disk or L-shape.  No two of an oscillator's levels share a
+bucket in 2-D on a grid with a spacing of 2^-m, and elsewhere mostly
+values a few ulps apart do.  Yet on the 80^3 oscillator those are 83% of
+the nodes, and sorting them takes twice as long as the build.  Levels off
+a lattice (V = x^2 + y^2 + 0.1 x) split a bucket at the first Lambda(k).
+The query holds beside the tables one evaluation of Vtilde, the top
+value of each bucket and four 8-byte arrays of the nodes that can
+matter.  On that potential's 512^2 grid the tables and the query take
+31 ms and peak at 8.1 MiB, where tables that sorted every node to read
+the Lipschitz constant took 20 ms and 4.4 MiB.
 
 The tables hold at their peak little more than what they keep, which is
 Vtilde, a varying w and the index's prefix maxima, a quarter as many as
-the nodes: 1.04x on the 1024^2 oscillator and 1.06x on the 80^3 one
-(tracemalloc; 10.4 and 5.2 MiB).  The squared
-partials are evaluated first, each in the shape it evaluates to ((n, 1)
-for a term in x alone); those that span the grid fold into one running
-sum, so a non-separable Vtilde holds one grid-sized array, not one per
-axis.  Vtilde is then evaluated into a buffer of its own and sorted in
-place.  |grad Vtilde|^2 is summed a chunk at a time, in the order of the
-whole-grid sum: on a full grid over slabs of whole rows, on a masked
-grid at the inside nodes only, each term read along the axes it varies
-on, so a gradient that overflows only outside a masked domain is never
-formed.  With a varying w on a masked grid the permutation becomes grid
-indices through a 4-byte index of the inside nodes, and w is gathered
-into the permutation's own 8-byte buffer.  The block moments are summed
-a chunk of blocks at a time, with the bits of a whole-array sum.
+the nodes: 1.04x on the 1024^2 oscillator, 1.06x on the 80^3 one and
+1.24x on the 600^2 disk with w = 1 (tracemalloc; 10.4, 5.2 and 3.3 MiB).
+The squared partials are evaluated first, each in the shape it evaluates
+to ((n, 1) for a term in x alone); those that span the grid fold into
+one running sum, so a non-separable Vtilde holds one grid-sized array,
+not one per axis.  Vtilde is then evaluated into a buffer of its own and
+sorted in place.  On a masked grid its inside values move to the front
+of that buffer a chunk at a time, and the buffer shrinks to them, so
+Vtilde is never held twice.  |grad Vtilde|^2 is summed a chunk at a
+time, in the order of the whole-grid sum: on a full grid over slabs of
+whole rows, on a masked grid at the inside nodes only, each term read
+along the axes it varies on, so a gradient that overflows only outside a
+masked domain is never formed.  With a varying w on a masked grid the
+permutation becomes grid indices through a 4-byte index of the inside
+nodes, and w is gathered into the permutation's own 8-byte buffer.  The
+block moments are summed a chunk of blocks at a time, with the bits of a
+whole-array sum.
 """
 
 from __future__ import annotations
@@ -282,7 +299,8 @@ def _gathered(terms: list, index: np.ndarray, shape) -> np.ndarray:
             total = part
         else:
             total += part
-    return total
+    # terms that vary on no axis sum to one value
+    return np.broadcast_to(total, index.shape)
 
 
 def _evaluated(problem: ProblemSpec, grid: QuadratureGrid):
@@ -299,10 +317,22 @@ def _evaluated(problem: ProblemSpec, grid: QuadratureGrid):
         except (FieldEvaluationError, FloatingPointError) as exc:
             grad_sq = exc
         values = _on_grid(vt_expr, grid)
-    if grid.mask.all() and values.shape == grid.shape and \
-            values.flags.c_contiguous and values.flags.owndata and \
-            values.flags.writeable:
+    if values.shape == grid.shape and values.flags.c_contiguous and \
+            values.flags.owndata and values.flags.writeable:
         vt = values.reshape(-1)
+        if not grid.mask.all():
+            # the inside values move to the front of the evaluation a chunk
+            # at a time (a chunk is read before its slots are written), and
+            # the buffer shrinks to them: Vtilde is never held twice
+            flat, found = grid.mask.reshape(-1), 0
+            for start in range(0, flat.size, _CHUNK):
+                inside = vt[start:start + _CHUNK][flat[start:start + _CHUNK]]
+                vt[found:found + inside.size] = inside
+                found += inside.size
+            # no view of the buffer is left, so it can shrink in place
+            del vt, inside
+            values.resize(found, refcheck=False)
+            vt = values
     else:
         vt = grid.inside_values(values)
         vt = vt if vt.flags.writeable else vt.copy()
@@ -341,11 +371,12 @@ def _node_chunks(vt: np.ndarray, terms: list, grid: QuadratureGrid):
         found += index.size
 
 
-def _grid_nodes(problem: ProblemSpec, grid: QuadratureGrid):
+def _grid_nodes(problem: ProblemSpec, domain, shape):
     """_node_chunks from a fresh evaluation of the fields, which gives the
-    bits the tables were built from."""
-    vt, grad_sq = _evaluated(problem, grid)
-    return _node_chunks(vt, grad_sq, grid)
+    bits the tables were built from, on a grid built anew from the domain
+    and the node counts, so that the tables keep no grid."""
+    grid = QuadratureGrid(domain, shape)
+    return _node_chunks(*_evaluated(problem, grid), grid)
 
 
 class _LevelIndex:
@@ -409,14 +440,22 @@ class _LevelIndex:
             levels, maxima = [], []
             for v, grad_sq in self.nodes():
                 b = self.buckets(v)
-                keep = (v < top[b]) & (grad_sq > below[b])
+                keep = v < top[b]
+                keep &= grad_sq > below[b]
                 levels.append(v[keep])
                 maxima.append(grad_sq[keep])
+            # the last chunk is a view of the evaluated Vtilde
+            del v, grad_sq, top, below
             levels = np.concatenate(levels)
             order = np.argsort(levels)
-            maxima = np.maximum.accumulate(np.concatenate(maxima)[order])
+            maxima = np.concatenate(maxima)
+            maxima = maxima[order]
+            del order
+            # the values of levels[order], sorted in place
+            levels.sort()
+            np.maximum.accumulate(maxima, out=maxima)
             rises = np.diff(maxima, prepend=-np.inf) > 0
-            self._split = levels[order][rises], maxima[rises]
+            self._split = levels[rises], maxima[rises]
         return self._split
 
 
@@ -440,7 +479,8 @@ def phase_space_tables(problem: ProblemSpec,
         if isinstance(grad_sq, Exception):
             raise grad_sq
         index = _LevelIndex(vt, _node_chunks(vt, grad_sq, grid),
-                            functools.partial(_grid_nodes, problem, grid))
+                            functools.partial(_grid_nodes, problem,
+                                              grid.domain, grid.shape))
     del grad_sq
     if weight is None:
         order = np.argsort(vt, kind=kind)
