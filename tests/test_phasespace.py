@@ -561,8 +561,8 @@ def test_split_pass_holds_one_evaluation_and_the_nodes_that_can_matter(
     # top value of their bucket whose |grad Vtilde|^2 exceeds the prefix
     # before it.  Beside the tables it holds one evaluation of Vtilde on
     # the grid, the bucket tops and four 8-byte arrays of those nodes: the
-    # shifted oscillator peaks at 1.7 MB beside the tables against a bound
-    # of 2.2 MB, the disk at 2.2 MB against 3.0 MB
+    # shifted oscillator peaks at 1.8 MB beside the tables against a bound
+    # of 2.2 MB, the disk at 2.3 MB against 3.0 MB
     prob, n = SPLIT_CASES[case]
     grid = QuadratureGrid(prob.domain, n)
     grid_ref = weakref.ref(grid)
