@@ -25,7 +25,7 @@ form that is its own mirror image into an even and an odd block
 ("dense"), and above that by sparse shift-invert ("iterative").  A pinned
 method solves the whole form.  A split accepts an entry within
 _FACTOR_RTOL of its factored or mirrored value, so every pair must pass
-one residual gate, ||K x - mu M x|| / ||x|| <= tolerance (a NaN fails),
+one residual gate, ||K x - mu M x|| / ||x|| <= 1e-8 (a NaN fails),
 through the stencil of the assembled form.  The gate takes the pairs in
 cache-sized blocks of contiguous rows, one per pair, and applies each
 Neumann axis as one shift by its stride over the flat grid
@@ -76,6 +76,8 @@ _MAX_DENSE_DOF = 6400   # most dof of a dense or an all-pairs solve
 _DENSE_DEFAULT_DOF = 1024
 # most entries (512 KiB of doubles) per column block of the residual gate
 _GATE_BLOCK = 1 << 16
+# largest residual the gate accepts
+_RESIDUAL_TOL = 1e-8
 # relative distance at which an entry still counts as factored.  Each
 # entry rounds exp(-2 rho) of a summed exponent, so the distance grows
 # with |rho|: a Gaussian rho = |x|^2/2 was within 4.7 eps on [-1,1]^2 at
@@ -755,15 +757,12 @@ def _residuals(form: DiscreteForm, vals: np.ndarray,
 
 
 def solve_lowest_detailed(form: DiscreteForm, k: int,
-                          method: Optional[str] = None,
-                          tolerance: float = 1e-8) -> SolveResult:
+                          method: Optional[str] = None) -> SolveResult:
     """Lowest-k eigenpairs of K x = mu M x, from peeled or mirrored blocks
     where the form splits, else through M^(-1/2) K M^(-1/2).  Every
-    pair's residual must be within `tolerance`."""
+    pair's residual must be within _RESIDUAL_TOL."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     if k > form.dof_count:
@@ -772,12 +771,12 @@ def solve_lowest_detailed(form: DiscreteForm, k: int,
     vals, x, method = _lowest_pairs(form, k, method)
 
     residuals = _residuals(form, vals, x)
-    bad = ~(residuals <= tolerance)     # a NaN residual fails too
+    bad = ~(residuals <= _RESIDUAL_TOL)     # a NaN residual fails too
     if np.any(bad):
         worst = float(residuals.max())
         raise SolverConvergenceError(
             f"eigenpair residual {worst:.3e} exceeds tolerance "
-            f"{tolerance:.3e} ({int(bad.sum())} of {k} pairs)")
+            f"{_RESIDUAL_TOL:.3e} ({int(bad.sum())} of {k} pairs)")
 
     vals = _snap_zeros(vals, form.zero_potential)
     spectrum = Spectrum(vals, float(vals[-1]), f"fd-{method}")
@@ -827,6 +826,6 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
     return vals, d[:, None] * y
 
 
-def solve_lowest(form: DiscreteForm, k: int, method: Optional[str] = None,
-                 tolerance: float = 1e-8) -> Spectrum:
-    return solve_lowest_detailed(form, k, method, tolerance).spectrum
+def solve_lowest(form: DiscreteForm, k: int,
+                 method: Optional[str] = None) -> Spectrum:
+    return solve_lowest_detailed(form, k, method).spectrum

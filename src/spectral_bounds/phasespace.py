@@ -19,9 +19,8 @@ and negative.  Lambda(k) is the minimal level with Phi_1 >= k; this
 normalized reading makes the V = 0 case reproduce the averaged (Kroger)
 bound exactly, which the test suite pins down.  The sum bound adds a
 correction term driven by the Lipschitz constant of Vtilde on the
-sublevel set and the first zero of a Bessel function whose order is
-exposed for sensitivity runs because the choice nu/2 - 1 (ground state of
-the nu-ball) is adopted here.
+sublevel set and the first zero of the Bessel function of order
+nu/2 - 1 (the ground state of the nu-ball).
 
 phase_space_tables sorts the quadrature nodes by Vtilde once.  A volume
 at any level L then touches only the sublevel prefix {Vtilde < L}: for
@@ -53,7 +52,7 @@ bucket lies wholly below a higher one, so a level at or above every node
 of its bucket reads that prefix exactly.  The tables of the 1024^2
 oscillator build in about 40 ms and those of the 80^3 one in about 15 ms
 (one thread, 2 vCPU, numpy 2.4; the pass relies on ufunc.at, which is
-fast only since numpy 1.25, and older numpy was not measured).
+fast only since numpy 1.25, the floor pyproject.toml declares).
 
 A level strictly between two values of one bucket also needs the nodes
 of that bucket below it.  The first such query evaluates the fields
@@ -600,36 +599,29 @@ def lambda_of_k(psd: PhaseSpaceData, k: float) -> float:
     return hi
 
 
-def phase_space_sum_bound(k: int, psd: PhaseSpaceData, spectrum: Spectrum,
-                          bessel_order: Optional[float] = None,
-                          lip_override: Optional[float] = None) -> BoundReport:
+def phase_space_sum_bound(k: int, psd: PhaseSpaceData,
+                          spectrum: Spectrum) -> BoundReport:
     """Eigenvalue-sum bound from phase-space volumes:
 
         sum_{j<k} mu_j <= E_w(Lambda(k))
                           + 3 (2 j^2 L)^(1/3) Phi_w(Lambda(k) + (2 j^2 L)^(1/3))
 
     with L the Lipschitz constant of Vtilde on the sublevel set and j the
-    first zero of the Bessel function of order nu/2 - 1 (overridable).
+    first zero of the Bessel function of order nu/2 - 1.
     When L = 0 the bound is E_w(Lambda(k)) alone.  The spectrum is read
     first, so a k beyond it is refused before any node sweep.
     """
     computed = spectrum.partial_sum(k)
     lam_k = lambda_of_k(psd, k)
-
-    order = 0.5 * psd.nu - 1.0 if bessel_order is None else bessel_order
-    notes = ["level rule: minimal Lambda with normalized Phi_1 >= k"]
-    if lip_override is not None:
-        lip = float(lip_override)
-        notes.append(f"Lipschitz constant user-supplied: {lip:.12g}")
-    else:
-        lip = psd.lip_at(lam_k)
-        notes.append("Lipschitz constant grid-sampled "
-                     "(possible underestimate)")
+    lip = psd.lip_at(lam_k)
+    notes = ["level rule: minimal Lambda with normalized Phi_1 >= k",
+             "Lipschitz constant grid-sampled (possible underestimate)"]
 
     if lip == 0.0:
         bound = psd.ew_at(lam_k)
         notes.append("flat effective potential: bound is E_w(Lambda(k))")
     else:
+        order = 0.5 * psd.nu - 1.0
         j = bessel_first_zero(order)
         shift = (2.0 * j * j * lip) ** (1.0 / 3.0)
         bound = psd.ew_at(lam_k) + 3.0 * shift * psd.phiw_at(lam_k + shift)

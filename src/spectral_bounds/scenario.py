@@ -42,7 +42,7 @@ table _KINDS holds all three per kind:
     individual-sk    k   H_omega
     individual-pos   k   H_omega
     heat-torus       t
-    phase-space-sum  k   grid_n, bessel_order, lip_override
+    phase-space-sum  k   grid_n
 
 A run builds, in build_spectrum, one BoundContext on the run grid
 (|Omega|, w_mean, vweff_mean; it checks w > 0 at every inside node; an
@@ -121,7 +121,6 @@ class Scenario:
     sphere_nu: Optional[int]
     sphere_l_max: Optional[int]
     method: Optional[str]
-    tolerance: float
     bounds: Tuple[BoundRequest, ...]
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
@@ -332,7 +331,6 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     if method not in (None, "dense", "iterative"):
         raise ScenarioError(
             "spectrum.method: expected 'dense' or 'iterative'")
-    tolerance = float(_number(spec, "tolerance", "spectrum", default=1e-8))
     if domains is not None and \
             (domain_doc["type"], domain.nu) not in domains:
         accepted = " or ".join(f"{nu}-D {kind}" for kind, nu in domains)
@@ -384,8 +382,8 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
 
     seed = _expect(data, "seed", int, "$", default=0)
     return Scenario(label, problem, grid_n, source, count, cutoff,
-                    sphere_nu, sphere_l_max, method, tolerance,
-                    tuple(bounds), int(seed), raw=data)
+                    sphere_nu, sphere_l_max, method, tuple(bounds),
+                    int(seed), raw=data)
 
 
 @dataclass
@@ -436,7 +434,7 @@ def _shift_note(ctx: BoundContext) -> str:
 
 def _build_fd(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
     result = solve_lowest_detailed(assemble(s.problem, grid), s.count,
-                                   s.method, s.tolerance)
+                                   s.method)
     staircase = isinstance(s.problem.domain, (Disk, MaskedBox))
     return result.spectrum, {
         "method": result.method,
@@ -476,8 +474,7 @@ def _build_sphere(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
 # builder looks each solver and enumerator up by its module-global name
 # when it is called, as the _KINDS lambdas do.
 _SOURCES = {
-    "fd": (("source", "count", "method", "tolerance"), None, False,
-           _build_fd),
+    "fd": (("source", "count", "method"), None, False, _build_fd),
     "exact-rectangle": (("source", "count"), (("box", 2),), True,
                         _build_rectangle),
     "exact-torus": (("source", "count", "cutoff"), (("torus", 2),), True,
@@ -520,13 +517,6 @@ class _Run:
         return self._tables[n]
 
 
-def _phase_space_sum(run: _Run, k: float, opts: Dict[str, float]):
-    return [phase_space_sum_bound(
-        int(k), run.tables(opts.get("grid_n")), run.spectrum,
-        bessel_order=opts.get("bessel_order"),
-        lip_override=opts.get("lip_override"))]
-
-
 # kind -> (parameter key, option keys it reads, evaluator).  An evaluator
 # maps (run, parameter, options) to a list of reports.  The lambdas look
 # each bound function up by its module-global name when they are called,
@@ -546,8 +536,9 @@ _KINDS = {
         individual_bound_pos(r.ctx, int(k), r.spectrum, o.get("H_omega")))),
     "heat-torus": ("t", (), lambda r, t, o: [
         heat_torus_bound(r.ctx, t, r.spectrum)]),
-    "phase-space-sum": ("k", ("grid_n", "bessel_order", "lip_override"),
-                        _phase_space_sum),
+    "phase-space-sum": ("k", ("grid_n",), lambda r, k, o: [
+        phase_space_sum_bound(int(k), r.tables(o.get("grid_n")),
+                              r.spectrum)]),
 }
 
 

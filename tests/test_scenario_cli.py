@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_bounds import fdsolver
 from spectral_bounds.cli import main
 from spectral_bounds.domains import QuadratureGrid
 from spectral_bounds.scenario import (ScenarioError, emit, load_scenario,
@@ -182,6 +183,28 @@ def test_load_rejects_bad_documents(tmp_path, content, match):
               else json.dumps(content))
     with pytest.raises(ScenarioError, match=match):
         load_scenario(p)
+
+
+@pytest.mark.parametrize("override,line", [
+    ({"bounds": [{"kind": "phase-space-sum", "k": [2],
+                  "bessel_order": 1.0}]},
+     "bounds[0].bessel_order: phase-space-sum reads no such key (it reads "
+     "kind, k, grid_n)"),
+    ({"bounds": [{"kind": "phase-space-sum", "k": [2],
+                  "lip_override": 0.0}]},
+     "bounds[0].lip_override: phase-space-sum reads no such key (it reads "
+     "kind, k, grid_n)"),
+    ({"spectrum": {"source": "fd", "count": 4, "tolerance": 1e-3}},
+     "spectrum.tolerance: fd reads no such key (it reads source, count, "
+     "method)")], ids=["bessel_order", "lip_override", "tolerance"])
+def test_cli_refuses_keys_that_replace_a_fixed_constant(tmp_path, capsys,
+                                                       override, line):
+    # the Bessel order nu/2 - 1, the sampled Lipschitz constant and the
+    # 1e-8 residual gate are what a verdict rests on; no key replaces them
+    cfg = scenario_with(tmp_path, **override)
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"scenario error: {line}\n"
 
 
 def test_load_checks_fd_count_covers_requests(tmp_path):
@@ -405,12 +428,12 @@ def test_run_with_no_bounds_is_spectrum_only(tmp_path, capsys):
     assert payload["spectrum"]["count"] == 40
 
 
-def test_cli_solver_failure_exits_cleanly(tmp_path, capsys):
+def test_cli_solver_failure_exits_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fdsolver, "_RESIDUAL_TOL", 1e-30)
     cfg = scenario_with(
         tmp_path,
         grid={"n": 24},
-        spectrum={"source": "fd", "count": 4, "method": "iterative",
-                  "tolerance": 1e-30},
+        spectrum={"source": "fd", "count": 4, "method": "iterative"},
         bounds=[{"kind": "kroger-avg", "k": [2]}])
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -456,15 +479,13 @@ def test_cli_label_cannot_write_outside_out(tmp_path, capsys):
      r"domain\.sides: expected a list of finite numbers"),
     ({"spectrum": {"source": "exact-torus", "cutoff": math.inf}},
      r"spectrum\.cutoff: expected a number, got inf"),
-    ({"spectrum": {"source": "fd", "tolerance": -math.inf}},
-     r"spectrum\.tolerance: expected a number, got -inf"),
     ({"bounds": [{"kind": "heat-lower", "t": [math.nan]}]},
      r"bounds\[0\]\.t: expected a list of finite numbers"),
     ({"bounds": [{"kind": "general-sum", "k": [2], "H_omega": math.nan}]},
      r"bounds\[0\]\.H_omega: expected a number, got nan"),
     ({"domain": {"type": "disk", "radius": 10 ** 400}},
      r"domain\.radius: expected a number")],
-    ids=["nan-radius", "inf-side", "inf-cutoff", "inf-tolerance", "nan-t",
+    ids=["nan-radius", "inf-side", "inf-cutoff", "nan-t",
          "nan-H_omega", "huge-int-radius"])
 def test_scenario_from_dict_refuses_non_finite_numbers(override, match):
     # the rule load_scenario's parse hooks apply to a file holds for a dict

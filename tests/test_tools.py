@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from spectral_bounds import phasespace
 from spectral_bounds.domains import Disk, QuadratureGrid
 from spectral_bounds.expressions import is_constant
-from spectral_bounds.phasespace import _squared_partials
+from spectral_bounds.phasespace import (_squared_partials, lambda_of_k,
+                                        phase_space_tables)
 from spectral_bounds.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,7 +74,8 @@ def test_main_refuses_a_directory_without_the_package(tmp_path, capsys):
     assert "holds no spectral_bounds package" in capsys.readouterr().err
 
 
-def test_the_table_scenarios_load_and_take_every_table_path(tmp_path):
+def test_the_table_scenarios_load_and_take_every_table_path(tmp_path,
+                                                            monkeypatch):
     """The fixed phase-space scenarios load, and between them take each
     path the phase-space tables branch on."""
     paths = compare.scenarios(tmp_path)
@@ -91,3 +94,21 @@ def test_the_table_scenarios_load_and_take_every_table_path(tmp_path):
                (8,) * p.nu for p in problems if p.nu > 1)
     assert max(len(r.parameters) for s in tables for r in s.bounds
                if r.kind == "phase-space-sum") >= 100
+    # a level strictly between two values of one bucket of the Lipschitz
+    # level index reads its split levels: every level of some table does
+    split_levels = phasespace._LevelIndex.split_levels
+    calls = []
+    monkeypatch.setattr(phasespace._LevelIndex, "split_levels",
+                        lambda index, vt: calls.append(index) or
+                        split_levels(index, vt))
+
+    def splits_at_every_level(s):
+        (request,) = s.bounds
+        psd = phase_space_tables(s.problem, QuadratureGrid(
+            s.problem.domain, int(request.options["grid_n"])))
+        calls.clear()
+        for k in request.parameters:
+            psd.lip_at(lambda_of_k(psd, int(k)))
+        return len(calls) == len(request.parameters)
+
+    assert any(splits_at_every_level(s) for s in tables)

@@ -13,11 +13,12 @@ with one fixed bound list, both bundled scenarios,
 `tests/golden/torus-kinds.scenario.json`, and the fixed phase-space
 scenarios of `TABLES`, which take the table paths the workloads do not:
 a masked domain with one weight, a varying weight, nu = 1 and 3, a flat
-and a non-separable effective potential, and a list of 100 k.  It runs
-`python -m spectral_bounds.cli run --format both` on each, once per tree,
-with one BLAS thread, and compares the JSON and CSV files, stdout and the
-exit status.  stderr holds paths and elapsed times, so it is not compared.
-It prints each difference and exits 1 if there is any.
+and a non-separable effective potential, a list of 100 k, and levels
+strictly between two values of one bucket of the Lipschitz level index.
+It runs `python -m spectral_bounds.cli run --format both` on each, once
+per tree, with one BLAS thread, and compares the JSON and CSV files,
+stdout and the exit status.  stderr holds paths and elapsed times, so it
+is not compared.  It prints each difference and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ TABLES = [
            [2, 5, 10]),
     _phase("ps-many-k", _SQUARE, {"V": "x^2 + y^2"}, 24, 256,
            list(range(1, 101)), count=100),
+    _phase("ps-off-lattice", {"type": "box", "sides": [8.0, 8.0],
+                              "origin": [-4.0, -4.0]},
+           {"V": "x^2 + y^2 + 0.1*x"}, 24, 512, [1, 4, 5, 8, 10]),
 ]
 
 
