@@ -35,9 +35,9 @@ from .domains import (Box, Disk, MaskedBox, QuadratureGrid,
 from .problem import ProblemSpec, effective_potential
 from .special import (Lattice2, bessel_first_zero, bessel_j, hex_heat_floor,
                       hex_theta, lattice_heat_trace, unit_ball_volume)
-from .spectra import (HomogeneousSpectrum, Spectrum, SpectrumRangeError,
-                      heat_trace, rectangle_neumann_exact, riesz_mean_1,
-                      shifted_spectrum, sphere_spectrum, torus_spectrum)
+from .spectra import (Spectrum, SpectrumRangeError, heat_trace,
+                      rectangle_neumann_exact, riesz_mean_1, shifted_spectrum,
+                      sphere_spectrum, torus_spectrum)
 from .fdsolver import (DiscreteForm, SolveResult, SolverConvergenceError,
                        assemble, solve_lowest, solve_lowest_detailed)
 from .report import BoundReport, inputs_digest, make_report
@@ -65,7 +65,7 @@ __all__ = [
     "unit_ball_volume", "bessel_j", "bessel_first_zero",
     "Lattice2", "hex_theta", "lattice_heat_trace", "hex_heat_floor",
     # spectra and spectral functionals
-    "Spectrum", "HomogeneousSpectrum", "SpectrumRangeError",
+    "Spectrum", "SpectrumRangeError",
     "rectangle_neumann_exact", "torus_spectrum", "sphere_spectrum",
     "shifted_spectrum", "riesz_mean_1", "heat_trace",
     # solver

@@ -1,13 +1,15 @@
 """Comparisons between Neumann spectra and homogeneous reference spectra.
 
-A domain Omega sitting inside a closed homogeneous space M (torus, sphere)
-admits exact comparisons against the shifted reference eigenvalues
-lambda~_j = lambda_j * w_mean + vweff_mean.  They are the three reads of
-one Riesz minorant, R(z) = vol_ratio * sum (z - lambda~_j)_+ with the
-volume fraction as constant (`ReferenceMinorant`): Riesz means dominate
-R, interpolated partial sums are dominated by its Legendre conjugate
-(the reference sum at the index rescaled by the inverse fraction), and
-heat traces dominate its Laplace transform, the reference trace with the
+A domain Omega sitting inside a closed homogeneous space M (torus,
+sphere) admits exact comparisons against the shifted reference
+eigenvalues lambda~_j = lambda_j * w_mean + vweff_mean, one `Spectrum`
+with each level repeated by its multiplicity (`spectra.shifted_spectrum`
+of the torus or sphere enumeration).  They are the three reads of one
+Riesz minorant, R(z) = vol_ratio * sum (z - lambda~_j)_+ with the volume
+fraction as constant (`ReferenceMinorant`): Riesz means dominate R,
+interpolated partial sums are dominated by its Legendre conjugate (the
+reference sum at the index rescaled by the inverse fraction), and heat
+traces dominate its Laplace transform, the reference trace with the
 fraction in front; the reference levels above its cutoff are left out,
 which only lowers the bound.  For Omega = M these collapse to termwise
 bounds.
@@ -31,7 +33,7 @@ from .bounds import BoundContext
 from .domains import TorusFundamental
 from .report import BoundReport, make_report
 from .special import hex_heat_floor
-from .spectra import HomogeneousSpectrum, Spectrum, heat_trace, riesz_mean_1
+from .spectra import Spectrum, heat_trace, riesz_mean_1
 
 __all__ = [
     "ReferenceMinorant",
@@ -40,18 +42,19 @@ __all__ = [
 
 
 class ReferenceMinorant:
-    """R(z) = vol_ratio * sum (z - lambda~_j)_+ over a shifted homogeneous
-    reference spectrum, flattened once and known up to its cutoff."""
+    """R(z) = vol_ratio * sum (z - lambda~_j)_+ over a shifted reference
+    spectrum, each level repeated by its multiplicity and known up to its
+    cutoff."""
 
     shift = 0.0
     heat_note = ("computed side truncated at the spectrum cutoff; reference "
                  "side truncated at its own, which only lowers the bound")
 
-    def __init__(self, shifted: HomogeneousSpectrum, vol_ratio: float):
+    def __init__(self, reference: Spectrum, vol_ratio: float):
         if not 0 < vol_ratio <= 1 + 1e-12:
             raise ValueError(
                 f"volume ratio must lie in (0, 1], got {vol_ratio}")
-        self.reference = shifted.flatten()
+        self.reference = reference
         self.vol_ratio = vol_ratio
 
     def riesz(self, z: float) -> float:

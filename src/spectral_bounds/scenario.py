@@ -153,7 +153,9 @@ def _known(mapping: dict, keys, path: str, reader: str):
 
 def _check_size(size: int, limit: int, path: str, what: str):
     if size > limit:
-        raise ScenarioError(f"{path}: {size:g} {what} exceed the limit of "
+        # a product of grid resolutions may pass the float range
+        shown = size if size <= sys.float_info.max else math.inf
+        raise ScenarioError(f"{path}: {shown:g} {what} exceed the limit of "
                             f"{limit}")
 
 
@@ -252,15 +254,17 @@ def load_scenario(path) -> Scenario:
     by its JSON path."""
     path = Path(path)
 
-    def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
+    def finite(text, parse=float):
+        # float() reads a literal of any length, so int() meets only the
+        # at most 309 digits of one in range
+        value = parse(text) if math.isfinite(float(text)) else math.inf
+        if not abs(value) <= sys.float_info.max:
             raise ScenarioError(f"{path}: number {text} is not finite")
         return value
 
     try:
         data = json.loads(path.read_text(), parse_float=finite,
-                          parse_int=lambda text: int(finite(text)),
+                          parse_int=lambda text: finite(text, int),
                           parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
@@ -297,7 +301,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     if isinstance(n_raw, int) and not isinstance(n_raw, bool):
         grid_n = (n_raw,) * domain.nu
     elif isinstance(n_raw, list):
-        values = _vector(grid, "n", "grid")
+        values = _vector(grid, "n", "grid", length=domain.nu)
         if not all(v.is_integer() for v in values):
             raise ScenarioError(f"grid.n: expected integers, got {n_raw}")
         grid_n = tuple(int(v) for v in values)
@@ -445,8 +449,7 @@ def _build_fd(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
 
 def _build_rectangle(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
     lx, ly = s.problem.domain.sides
-    return shifted_spectrum(rectangle_neumann_exact(lx, ly, count=s.count),
-                            ctx.w_mean, ctx.vw_mean), {
+    return rectangle_neumann_exact(lx, ly, count=s.count), {
         "note": "analytic Neumann rectangle values" + _shift_note(ctx)}
 
 
@@ -456,23 +459,22 @@ def _build_torus(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
     if cutoff is None:
         # enough dual points to cover `count` eigenvalues, Weyl-sized
         cutoff = 4.0 * math.pi * (s.count + 4) / torus.covolume()
-    homog = torus_spectrum(torus, float(cutoff))
-    return shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten(), {
+    return torus_spectrum(torus, float(cutoff)), {
         "note": "affine shift of the free torus spectrum; exact for "
                 "constant fields"}
 
 
 def _build_sphere(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
-    homog = sphere_spectrum(s.sphere_nu, s.sphere_l_max)
-    return shifted_spectrum(homog, ctx.w_mean, ctx.vw_mean).flatten(), {
+    return sphere_spectrum(s.sphere_nu, s.sphere_l_max), {
         "note": "round-sphere Laplacian values" + _shift_note(ctx)}
 
 
 # source -> (spectrum keys it reads, (domain type, nu) pairs it accepts or
-# None for any, exact: shifted Laplacian values rather than a solve on the
-# grid, builder (scenario, grid, ctx) -> (spectrum, summary entries)).  A
-# builder looks each solver and enumerator up by its module-global name
-# when it is called, as the _KINDS lambdas do.
+# None for any, exact: Laplacian values that build_spectrum shifts to
+# w_mean Lambda + vweff_mean rather than a solve on the grid, builder
+# (scenario, grid, ctx) -> (spectrum, summary entries)).  A builder looks
+# each solver and enumerator up by its module-global name when it is
+# called, as the _KINDS lambdas do.
 _SOURCES = {
     "fd": (("source", "count", "method"), None, False, _build_fd),
     "exact-rectangle": (("source", "count"), (("box", 2),), True,
@@ -490,6 +492,8 @@ def build_spectrum(s: Scenario):
     grid = QuadratureGrid(s.problem.domain, s.grid_n)
     ctx = bound_context(s.problem, grid, solved=not exact)
     spectrum, summary = build(s, grid, ctx)
+    if exact:
+        spectrum = shifted_spectrum(spectrum, ctx.w_mean, ctx.vw_mean)
     return ctx, spectrum, {
         "source": s.source, **summary, "count": len(spectrum),
         "cutoff": float(spectrum.cutoff),

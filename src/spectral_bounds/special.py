@@ -1,8 +1,8 @@
 """Special functions and 2-D lattice sums.
 
 Self-contained implementations (no special-function library at runtime):
-Bessel J of real order via ascending series for small argument and Miller
-backward recurrence above, its first positive zero by bracketed bisection,
+Bessel J of real order by its ascending series on 0 <= x <= 12, its first
+positive zero by bracketed bisection over the same series,
 unit-ball volumes, and heat-kernel style lattice sums, including the
 hexagonal theta function
 
@@ -59,75 +59,39 @@ def _bessel_series(p: float, x: float) -> float:
     raise ArithmeticError(f"Bessel series failed to converge at x={x}")
 
 
-def _bessel_miller(p: float, x: float) -> float:
-    # backward recurrence J_{q-1} = (2q/x) J_q - J_{q+1}, normalized by
-    # (x/2)^f = sum_k (f+2k) Gamma(f+k)/k! J_{f+2k}  (f = frac part of p),
-    # or by J_0 + 2 sum J_{2k} = 1 when p is an integer.
-    n_int = int(math.floor(p + 0.5)) if abs(p - round(p)) < 1e-12 else None
-    frac = 0.0 if n_int is not None else p - math.floor(p)
-    steps = int(max(x, p) * 1.12 + 52)
-    # orders run over q = frac + j, j = steps .. 0
-    jp = 0.0
-    upper = 0.0
-    current = 1e-30
-    norm = 0.0
-    target_j = n_int if n_int is not None else int(math.floor(p))
-    for j in range(steps, -1, -1):
-        q = frac + j
-        prev = (2.0 * (q + 1.0) / x) * current - upper
-        upper, current = current, prev
-        # `current` now holds \hat J at order q
-        if j == target_j:
-            jp = current
-        if j % 2 == 0:
-            k = j // 2
-            if n_int is not None:
-                norm += current if k == 0 else 2.0 * current
-            else:
-                a = (frac + 2.0 * k) * math.exp(
-                    math.lgamma(frac + k) - math.lgamma(k + 1.0))
-                norm += a * current
-        if abs(current) > 1e150:
-            current /= 1e150
-            upper /= 1e150
-            norm /= 1e150
-            jp /= 1e150
-    if n_int is not None:
-        return jp / norm
-    scale = math.exp(frac * math.log(x / 2.0))
-    return jp * scale / norm
-
-
 def bessel_j(p: float, x: float) -> float:
-    """Bessel function of the first kind of real order p >= 0 at x >= 0."""
-    if p < 0 or x < 0:
-        raise ValueError("bessel_j requires p >= 0 and x >= 0")
-    if x <= _SERIES_CUTOFF:
-        return _bessel_series(p, x)
-    return _bessel_miller(p, x)
+    """Bessel function of the first kind of real order p >= 0 at
+    0 <= x <= 12, by its ascending series."""
+    if p < 0 or not 0 <= x <= _SERIES_CUTOFF:
+        raise ValueError(f"bessel_j requires p >= 0 and 0 <= x <= "
+                         f"{_SERIES_CUTOFF:g}")
+    return _bessel_series(p, x)
 
 
 @functools.lru_cache(maxsize=64)
 def bessel_first_zero(p: float) -> float:
-    """First positive zero of J_p for p = -1/2 or 0 <= p <= 50.
+    """First positive zero of J_p for p = -1/2 or 0 <= p <= 9.5, the
+    orders nu/2 - 1 of nu = 1 .. 21.
 
-    J_(-1/2)(x) = sqrt(2/(pi x)) cos x, the order nu/2 - 1 of nu = 1, first
+    J_(-1/2)(x) = sqrt(2/(pi x)) cos x, the order of nu = 1, first
     vanishes at pi/2.  Otherwise the zero lies in [max(p, 1),
     p + 3 p^(1/3) + 3]; the interval is scanned for the first sign change
-    and the change is bisected to _ZERO_TOL.  Each call costs a few
-    hundred Bessel series, so the zeros are kept per order.
+    and the change is bisected to _ZERO_TOL.  From p = 8 on the scan
+    passes the x <= 12 of `bessel_j`, but stays below 14, where the
+    series still holds to 2e-13.  Each call costs a few hundred Bessel
+    series, so the zeros are kept per order.
     """
     if p == -0.5:
         return 0.5 * math.pi
-    if not 0.0 <= p <= 50.0:
-        raise ValueError("order must be -1/2 or lie in [0, 50]")
+    if not 0.0 <= p <= 9.5:
+        raise ValueError("order must be -1/2 or lie in [0, 9.5]")
     lo = max(p, 1.0)
     hi = p + 3.0 * p ** (1.0 / 3.0) + 3.0
     samples = 256
-    a, fa = lo, bessel_j(p, lo)
+    a, fa = lo, _bessel_series(p, lo)
     for i in range(1, samples + 1):
         b = lo + (hi - lo) * i / samples
-        fb = bessel_j(p, b)
+        fb = _bessel_series(p, b)
         if fa == 0.0:
             return a
         if fa * fb < 0.0:
@@ -137,7 +101,7 @@ def bessel_first_zero(p: float) -> float:
         raise ArithmeticError(f"no sign change of J_{p} in [{lo}, {hi}]")
     while b - a > _ZERO_TOL * 0.25:
         mid = 0.5 * (a + b)
-        fm = bessel_j(p, mid)
+        fm = _bessel_series(p, mid)
         if fm == 0.0:
             return mid
         if fa * fm < 0.0:

@@ -2,10 +2,11 @@
 
 A Spectrum is a sorted finite list of eigenvalues complete up to a stated
 cutoff.  Exact spectra are provided for Neumann rectangles, flat tori
-(through the dual lattice) and round spheres; discretized spectra come from
-the finite-difference solver.  On top of these live the functionals used by
-the bounds: partial sums (linearly interpolated at a real order), the
-first Riesz mean
+(through the dual lattice) and round spheres, each level repeated by its
+multiplicity, and `shifted_spectrum` maps one to the constant-coefficient
+operator; discretized spectra come from the finite-difference solver.  On
+top of these live the functionals used by the bounds: partial sums
+(linearly interpolated at a real order), the first Riesz mean
 
     R1(z) = sum over j of (z - mu_j)_+,
 
@@ -20,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .special import Lattice2, unit_ball_volume
+from .special import Lattice2
 
 __all__ = [
     "Spectrum",
-    "HomogeneousSpectrum",
     "SpectrumRangeError",
     "rectangle_neumann_exact",
     "torus_spectrum",
@@ -89,33 +89,16 @@ class Spectrum:
         }
 
 
-@dataclass(frozen=True)
-class HomogeneousSpectrum:
-    """Distinct eigenvalues with multiplicities on a closed model space."""
-
-    levels: Tuple[Tuple[float, int], ...]
-    manifold_volume: float
-    cutoff: float
-    source: str = ""
-
-    def flatten(self) -> Spectrum:
-        # a torus level enumerated within 1e-12 above the cutoff stays out
-        out = [v for v, m in self.levels if v <= self.cutoff for _ in range(m)]
-        return Spectrum(np.array(out), self.cutoff, self.source)
-
-    def count(self) -> int:
-        return sum(m for _, m in self.levels)
-
-
-def _group_values(values: Sequence[float]) -> List[Tuple[float, int]]:
-    levels: List[Tuple[float, int]] = []
+def _snapped(values: Sequence[float]) -> List[float]:
+    """The values sorted, each one within _GROUP_RTOL of the first value
+    of its level replaced by that first value, so the copies of one level
+    agree bit for bit."""
+    out: List[float] = []
     for v in sorted(values):
-        if levels and abs(v - levels[-1][0]) <= _GROUP_RTOL * (1.0 + abs(v)):
-            value, mult = levels[-1]
-            levels[-1] = (value, mult + 1)
-        else:
-            levels.append((v, 1))
-    return levels
+        if out and abs(v - out[-1]) <= _GROUP_RTOL * (1.0 + abs(v)):
+            v = out[-1]
+        out.append(v)
+    return out
 
 
 def rectangle_neumann_exact(lx: float, ly: float,
@@ -154,9 +137,11 @@ def rectangle_neumann_exact(lx: float, ly: float,
         limit *= 2.0
 
 
-def torus_spectrum(lattice: Lattice2, cutoff: float) -> HomogeneousSpectrum:
+def torus_spectrum(lattice: Lattice2, cutoff: float) -> Spectrum:
     """Laplacian spectrum of the torus R^2/lattice up to `cutoff`:
-    4 pi^2 |xi|^2 over dual vectors xi, grouped with multiplicities."""
+    4 pi^2 |xi|^2 over dual vectors xi, each level repeated by its
+    multiplicity.  The values enumerated within 1e-12 above the cutoff
+    stay in; `shifted_spectrum` drops the ones its image pushes above."""
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     dual = lattice.dual()
@@ -178,39 +163,31 @@ def torus_spectrum(lattice: Lattice2, cutoff: float) -> HomogeneousSpectrum:
             v = 4.0 * math.pi ** 2 * (x * x + y * y)
             if v <= cutoff * (1.0 + 1e-12):
                 values.append(v)
-    levels = tuple(_group_values(values))
-    return HomogeneousSpectrum(levels, lattice.covolume(), cutoff, "exact-torus")
+    return Spectrum(np.array(_snapped(values)), cutoff, "exact-torus")
 
 
-def sphere_spectrum(nu: int, l_max: int) -> HomogeneousSpectrum:
+def sphere_spectrum(nu: int, l_max: int) -> Spectrum:
     """Laplacian spectrum of the round unit sphere S^nu through degree l_max:
-    l(l+nu-1) with the dimension of spherical harmonics as multiplicity."""
+    l(l+nu-1), repeated by the dimension of the spherical harmonics."""
     if nu < 2:
         raise ValueError("sphere dimension must be at least 2")
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
-    levels = []
-    for l in range(l_max + 1):
-        m = math.comb(l + nu, nu)
-        if l + nu - 2 >= nu:
-            m -= math.comb(l + nu - 2, nu)
-        levels.append((float(l * (l + nu - 1)), m))
-    volume = (nu + 1) * unit_ball_volume(nu + 1)
-    return HomogeneousSpectrum(tuple(levels), volume,
-                               float(l_max * (l_max + nu - 1)), "exact-sphere")
+    levels = [float(l * (l + nu - 1)) for l in range(l_max + 1)]
+    mults = [math.comb(l + nu, nu) - math.comb(l + nu - 2, nu)
+             for l in range(l_max + 1)]
+    return Spectrum(np.repeat(levels, mults), levels[-1], "exact-sphere")
 
 
-def shifted_spectrum(spec, w_mean: float, Vw_mean: float):
-    """Affine image {Lambda * w_mean + Vw_mean} of a Spectrum or of a
-    HomogeneousSpectrum (multiplicities kept), of the same type."""
+def shifted_spectrum(spec: Spectrum, w_mean: float,
+                     Vw_mean: float) -> Spectrum:
+    """Affine image {Lambda * w_mean + Vw_mean} of spec, keeping the
+    values at or below the image of its cutoff."""
     if w_mean <= 0:
         raise ValueError("w_mean must be positive")
     cutoff = w_mean * spec.cutoff + Vw_mean
-    if isinstance(spec, Spectrum):
-        return Spectrum(w_mean * spec.values + Vw_mean, cutoff, spec.source)
-    levels = tuple((w_mean * v + Vw_mean, m) for v, m in spec.levels)
-    return HomogeneousSpectrum(levels, spec.manifold_volume, cutoff,
-                               spec.source)
+    values = w_mean * spec.values + Vw_mean
+    return Spectrum(values[values <= cutoff], cutoff, spec.source)
 
 
 def riesz_mean_1(s: Spectrum, z: float) -> float:

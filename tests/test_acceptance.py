@@ -246,10 +246,9 @@ def test_06_torus_comparisons():
         if not riesz_report("homog-riesz", half, float(z), mu).holds:
             failures.append(f"Riesz comparison violated at z={z:.3g}")
 
-    whole = ref.flatten()
     worst = 0.0
     for p in range(1, 31):
-        rep = sum_report("homog-sum", ReferenceMinorant(ref, 1.0), p, whole)
+        rep = sum_report("homog-sum", ReferenceMinorant(ref, 1.0), p, ref)
         worst = max(worst, abs(rep.computed_value - rep.bound_value))
         if not rep.holds:
             failures.append(f"whole-space case violated at k={p}")

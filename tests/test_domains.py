@@ -42,8 +42,9 @@ class TestDomainTypes:
     def test_torus_is_its_lattice(self):
         skew = TorusFundamental((1.0, 0.0), (0.5, 0.8))
         assert isinstance(skew, Lattice2)
-        assert torus_spectrum(skew, 300.0) == \
-            torus_spectrum(Lattice2(skew.e1, skew.e2), 300.0)
+        assert np.array_equal(
+            torus_spectrum(skew, 300.0).values,
+            torus_spectrum(Lattice2(skew.e1, skew.e2), 300.0).values)
         # the lattice checks the basis, and keeps the dual's in range
         with pytest.raises(ValueError, match="singular"):
             Lattice2((1.0, 0.0), (0.0, 1e-301))

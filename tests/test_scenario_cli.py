@@ -58,6 +58,16 @@ def test_load_minimal_defaults(tmp_path):
 
 BAD_CASES = [
     ("this is not json", "invalid JSON"),
+    # a literal beyond the float range, an integer of any length too
+    ('{"domain": {"type": "box", "sides": [1, 1e400]}}',
+     r"number 1e400 is not finite"),
+    ('{"domain": {"type": "box", "sides": [1, -%s]}}' % ("9" * 400),
+     r"number -9{400} is not finite"),
+    ('{"domain": {"type": "box", "sides": [1, %s]}}' % ("9" * 5000),
+     r"number 9{5000} is not finite"),
+    ('{"domain": {"type": "disk", "radius": NaN}}', "number NaN is not finite"),
+    ('{"domain": {"type": "disk", "radius": -Infinity}}',
+     "number -Infinity is not finite"),
     ([1, 2, 3], "must be an object"),
     ({}, "domain"),
     ({"domain": {"type": "pentagon"}}, "domain.type"),
@@ -111,6 +121,10 @@ BAD_CASES = [
                           "grid_n": 1}]},
      r"bounds\[0\]\.grid_n: expected an integer >= 2, got 1"),
     ({**BASE, "grid": {"n": [64.9, 64]}}, r"grid\.n: expected integers"),
+    ({**BASE, "grid": {"n": [16]}}, r"grid\.n: expected 2 entries"),
+    # the product of exact integer resolutions passes the float range
+    ({**BASE, "grid": {"n": 10 ** 300}},
+     r"grid\.n: inf grid nodes exceed the limit of 2097152"),
     ({**BASE, "sed": 5}, r"\$\.sed: a scenario reads no such key"),
     ({**BASE, "grid": {"N": 8}}, r"grid\.N: grid reads no such key"),
     ({**BASE, "domain": {"type": "disk", "radius": 1.0,
@@ -491,6 +505,14 @@ def test_scenario_from_dict_refuses_non_finite_numbers(override, match):
     # the rule load_scenario's parse hooks apply to a file holds for a dict
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict({**BASE, **override})
+
+
+def test_load_keeps_every_digit_of_an_integer(tmp_path):
+    seed = 2 ** 64 + 1
+    s = load_scenario(scenario_with(tmp_path, seed=seed))
+    assert s.seed == seed
+    written = emit(run_scenario(s), tmp_path / "out")
+    assert json.loads(written[0].read_text())["seed"] == seed
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,12 +32,18 @@ class TestUnitBallVolume:
 
 
 class TestBessel:
-    # scipy is the independent route for the hand-rolled series/Miller code
+    # scipy is the independent route for the hand-rolled series
     def test_against_scipy_grid(self):
         for p in (0.0, 0.5, 1.0, 1.5, 2.0, 3.7, 7.0):
-            for x in (0.05, 0.5, 1.0, 2.5, 5.0, 8.0, 15.0, 25.0):
+            for x in (0.05, 0.5, 1.0, 2.5, 5.0, 8.0, 11.0, 12.0):
                 assert bessel_j(p, x) == pytest.approx(
                     scipy.special.jv(p, x), abs=5e-13), (p, x)
+
+    def test_refuses_beyond_the_series_range(self):
+        for p, x in ((1.0, 12.5), (0.0, 25.0), (-0.5, 1.0), (1.0, -1.0),
+                     (0.0, math.nan)):
+            with pytest.raises(ValueError, match="bessel_j requires"):
+                bessel_j(p, x)
 
     def test_at_zero(self):
         assert bessel_j(0.0, 0.0) == 1.0
@@ -70,8 +77,20 @@ class TestBessel:
         assert bessel_first_zero(-0.5) == pytest.approx(math.pi / 2,
                                                         abs=1e-10)
 
+    def test_first_zero_of_every_scenario_order(self):
+        # nu/2 - 1 for nu = 1 .. 21, the dimensions a scenario grid can
+        # hold; from nu = 18 on the scan passes x = 12
+        for nu in range(1, 22):
+            p = nu / 2 - 1
+            xs = np.arange(0.5, 16.0, 0.25)
+            signs = np.sign(scipy.special.jv(p, xs))
+            i = int(np.flatnonzero(signs[1:] != signs[0])[0])
+            ref = scipy.optimize.brentq(lambda x: scipy.special.jv(p, x),
+                                        xs[i], xs[i + 1], xtol=1e-14)
+            assert bessel_first_zero(p) == pytest.approx(ref, abs=1e-9), nu
+
     def test_rejects_out_of_range(self):
-        for p in (-1.0, -0.25, 50.5):
+        for p in (-1.0, -0.25, 9.75, 10.0, 50.5):
             with pytest.raises(ValueError, match="order must"):
                 bessel_first_zero(p)
 
@@ -81,7 +100,7 @@ class TestBessel:
         def no_series(p, x):
             raise AssertionError("Bessel series evaluated again")
 
-        monkeypatch.setattr(special, "bessel_j", no_series)
+        monkeypatch.setattr(special, "_bessel_series", no_series)
         assert bessel_first_zero(1.75) == first
 
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from scipy.integrate import quad
 
-from spectral_bounds import (HomogeneousSpectrum, Lattice2, Spectrum,
-                             SpectrumRangeError, heat_trace,
-                             rectangle_neumann_exact, riesz_mean_1,
-                             shifted_spectrum, sphere_spectrum,
+from spectral_bounds import (Lattice2, Spectrum, SpectrumRangeError,
+                             heat_trace, rectangle_neumann_exact,
+                             riesz_mean_1, shifted_spectrum, sphere_spectrum,
                              torus_spectrum)
 
 PI2 = math.pi ** 2
@@ -89,11 +88,17 @@ def brute_torus_levels(lat: Lattice2, cutoff: float, radius: int = 40):
     return [(v, m) for v, m in levels]
 
 
+def repeated(values):
+    """(value, number of copies) of each distinct value."""
+    vals, counts = np.unique(values, return_counts=True)
+    return list(zip(vals.tolist(), counts.tolist()))
+
+
 class TestTorus:
     def test_unit_square_lattice_multiplicities(self):
         lat = Lattice2((1.0, 0.0), (0.0, 1.0))
         s = torus_spectrum(lat, 4 * PI2 * 4 + 1.0)
-        got = [(v / (4 * PI2), m) for v, m in s.levels]
+        got = [(v / (4 * PI2), m) for v, m in repeated(s.values)]
         # |m|^2 takes 0, 1, 2, 4 below 4.1 with 1, 4, 4, 4 lattice points
         assert [(round(v, 9), m) for v, m in got] == \
             [(0.0, 1), (1.0, 4), (2.0, 4), (4.0, 4)]
@@ -108,10 +113,22 @@ class TestTorus:
             cutoff = float(rng.uniform(100.0, 900.0))
             s = torus_spectrum(lat, cutoff)
             brute = brute_torus_levels(lat, cutoff)
-            assert len(s.levels) == len(brute)
-            for (v1, m1), (v2, m2) in zip(s.levels, brute):
+            got = repeated(s.values)
+            assert len(got) == len(brute)
+            for (v1, m1), (v2, m2) in zip(got, brute):
                 assert v1 == pytest.approx(v2, rel=1e-11)
                 assert m1 == m2
+
+    def test_hexagonal_levels_share_their_bits(self):
+        # the six dual vectors of a shell differ in their last bits as
+        # enumerated; the copies of a level are one float
+        beta = math.sqrt(2.0 / math.sqrt(3.0))
+        lat = Lattice2((beta, 0.0), (beta / 2.0, beta * math.sqrt(3.0) / 2.0))
+        levels = repeated(torus_spectrum(lat, 4 * PI2 * 8.0).values)
+        assert [m for _, m in levels] == [1, 6, 6, 6]
+        assert [v / (4 * PI2) for v, _ in levels] == pytest.approx(
+            [0.0, 2.0 / math.sqrt(3.0), 6.0 / math.sqrt(3.0),
+             8.0 / math.sqrt(3.0)], rel=1e-12)
 
     def test_enumeration_box_is_capped(self):
         # about 1e150 dual points would loop for ever: refused up front
@@ -119,26 +136,31 @@ class TestTorus:
         with pytest.raises(ValueError, match="dual points"):
             torus_spectrum(lat, 100.0)
 
-    def test_volume_is_covolume(self):
-        lat = Lattice2((2.0, 0.0), (0.0, 0.5))
-        s = torus_spectrum(lat, 50.0)
-        assert s.manifold_volume == pytest.approx(1.0)
+    def test_window_values_stay_until_the_shift(self):
+        # the level 4 pi^2 lies within the 1e-12 enumeration window above
+        # a cutoff just below it: kept unshifted, dropped by the shift
+        lat = Lattice2((1.0, 0.0), (0.0, 1.0))
+        cutoff = 4 * PI2 * (1.0 - 1e-13)
+        s = torus_spectrum(lat, cutoff)
+        assert repeated(s.values) == [(0.0, 1), (4 * PI2, 4)]
+        assert s.cutoff == cutoff
+        assert shifted_spectrum(s, 1.0, 0.0).values.tolist() == [0.0]
 
 
 class TestSphere:
     def test_s2_levels(self):
         s = sphere_spectrum(2, 5)
-        for l, (v, m) in enumerate(s.levels):
-            assert v == pytest.approx(l * (l + 1))
+        for l, (v, m) in enumerate(repeated(s.values)):
+            assert v == l * (l + 1)
             assert m == 2 * l + 1
-        assert s.manifold_volume == pytest.approx(4 * math.pi)
+        assert (s.cutoff, s.source) == (30.0, "exact-sphere")
 
     def test_s3_levels(self):
         s = sphere_spectrum(3, 4)
-        for l, (v, m) in enumerate(s.levels):
-            assert v == pytest.approx(l * (l + 2))
+        for l, (v, m) in enumerate(repeated(s.values)):
+            assert v == l * (l + 2)
             assert m == (l + 1) ** 2
-        assert s.manifold_volume == pytest.approx(2 * math.pi ** 2)
+        assert len(s) == 55
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -160,13 +182,6 @@ class TestSpectrumType:
         with pytest.raises(SpectrumRangeError):
             s.partial_sum(4)
 
-    def test_flatten_multiplicities(self):
-        h = HomogeneousSpectrum(((0.0, 1), (2.0, 3)), manifold_volume=1.0,
-                                cutoff=2.0, source="t")
-        flat = h.flatten()
-        assert list(flat.values) == [0.0, 2.0, 2.0, 2.0]
-        assert flat.cutoff == 2.0
-
     def test_heat_trace_is_the_truncated_sum(self):
         s = Spectrum(np.array([0.0, 1.0]), cutoff=2.0)
         assert heat_trace(s, 0.7) == pytest.approx(1 + math.exp(-0.7),
@@ -175,11 +190,10 @@ class TestSpectrumType:
             heat_trace(s, 0.0)
 
     def test_shifted_spectrum(self):
-        h = HomogeneousSpectrum(((0.0, 1), (2.0, 2)), manifold_volume=1.0,
-                                cutoff=2.0, source="t")
-        sh = shifted_spectrum(h, 2.0, 0.5)
-        assert sh.levels == ((0.5, 1), (4.5, 2))
-        assert sh.cutoff == pytest.approx(2.0 * 2.0 + 0.5)
+        # the copies of a level move together
+        sh = shifted_spectrum(sphere_spectrum(2, 1), 2.0, 0.5)
+        assert sh.values.tolist() == [0.5, 4.5, 4.5, 4.5]
+        assert (sh.cutoff, sh.source) == (4.5, "exact-sphere")
 
     def test_shifted_flat_spectrum(self):
         s = Spectrum(np.array([0.0, 2.0, 2.0]), cutoff=3.0, source="t")
@@ -187,6 +201,16 @@ class TestSpectrumType:
         assert isinstance(sh, Spectrum)
         assert sh.values.tolist() == [0.5, 4.5, 4.5]
         assert (sh.cutoff, sh.source) == (6.5, "t")
+
+    def test_shift_keeps_what_it_rounds_onto_the_cutoff(self):
+        # the slack of Spectrum admits a value just above the cutoff; its
+        # image is kept when it rounds onto the image cutoff, else dropped
+        above = float(np.nextafter(1.0, 2.0))
+        s = Spectrum(np.array([0.5, above]), cutoff=1.0)
+        lifted = shifted_spectrum(s, 1.0, 4.0)
+        assert lifted.values.tolist() == [4.5, 5.0]
+        assert lifted.cutoff == 5.0
+        assert shifted_spectrum(s, 1.0, 0.0).values.tolist() == [0.5]
 
 
 class TestFunctionals:
