@@ -48,28 +48,15 @@ only the largest |grad Vtilde|^2 over {Vtilde <= L}.  _LevelIndex
 quantises Vtilde monotonically into one bucket per _BUCKET nodes, and
 keeps the prefix maximum over the buckets of each bucket's largest
 |grad Vtilde|^2, found in one pass over the nodes in grid order.  A lower
-bucket lies wholly below a higher one, so a level at or above every node
-of its bucket reads that prefix exactly.  The tables of the 1024^2
-oscillator build in about 40 ms and those of the 80^3 one in about 15 ms
-(one thread, 2 vCPU, numpy 2.4; the pass relies on ufunc.at, which is
-fast only since numpy 1.25, the floor pyproject.toml declares).
-
-A level strictly between two values of one bucket also needs the nodes
-of that bucket below it.  The first such query evaluates the fields
-again, on a grid built anew from the domain and the node counts (the
-tables keep no grid), and keeps, sorted, the nodes that can matter.  It
-is left to that query because most tables never make it: no Lambda(k) of
-the benchmark's tables does, nor, up to k = 2000, of the oscillator on
-the 600^2 disk or L-shape.  No two of an oscillator's levels share a
-bucket in 2-D on a grid with a spacing of 2^-m, and elsewhere mostly
-values a few ulps apart do.  Yet on the 80^3 oscillator those are 83% of
-the nodes, and sorting them takes twice as long as the build.  Levels off
-a lattice (V = x^2 + y^2 + 0.1 x) split a bucket at the first Lambda(k).
-The query holds beside the tables one evaluation of Vtilde, the top
-value of each bucket and four 8-byte arrays of the nodes that can
-matter.  On that potential's 512^2 grid the tables and the query take
-31 ms and peak at 8.1 MiB, where tables that sorted every node to read
-the Lipschitz constant took 20 ms and 4.4 MiB.
+bucket lies wholly below a higher one, so a level reads the prefix at the
+bucket of the largest node at or below it: the whole bucket, which adds
+the nodes of that bucket above the level, about _BUCKET of them on
+average.  That can only raise the sampled Lipschitz constant, and with it
+the bound.  A level at or above every node of its bucket reads the
+sublevel maximum exactly.  The tables of the 1024^2 oscillator build in
+about 40 ms and those of the 80^3 one in about 15 ms (one thread, 2 vCPU,
+numpy 2.4; the pass relies on ufunc.at, which is fast only since numpy
+1.25, the floor pyproject.toml declares).
 
 The tables hold at their peak little more than what they keep, which is
 Vtilde, a varying w and the index's prefix maxima, a quarter as many as
@@ -94,7 +81,6 @@ whole-array sum.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -143,8 +129,9 @@ class PhaseSpaceData:
     # [a, b, j]: sum of w^a (Vtilde - min Vtilde)^j over the first
     # b * _BLOCK nodes, a in {0, 1}; None for odd nu
     block_moments: Optional[np.ndarray] = field(repr=False)
-    # max_at(vt_nodes, count, lam): the largest |grad Vtilde|^2 over the
-    # first count nodes, those at or below lam
+    # max_at(vt_nodes, count): the largest |grad Vtilde|^2 over the
+    # buckets of the first count nodes, those at or below a level; the
+    # whole bucket of the last one, so never below their own maximum
     lip_index: _LevelIndex = field(repr=False)
 
     @property
@@ -204,9 +191,12 @@ class PhaseSpaceData:
             self._volume_sum(lam, self.nu / 2.0, True, potential=True)
 
     def lip_at(self, lam: float) -> float:
-        """Max of |grad Vtilde| over nodes in the sublevel set, 0 if none."""
+        """Max of |grad Vtilde| over the nodes in the sublevel set and the
+        rest of the bucket of its largest node, 0 if the set is empty: at
+        least the sublevel maximum, which only a bucket split by lam
+        exceeds."""
         count = int(np.searchsorted(self.vt_nodes, lam, side="right"))
-        return math.sqrt(self.lip_index.max_at(self.vt_nodes, count, lam)) \
+        return math.sqrt(self.lip_index.max_at(self.vt_nodes, count)) \
             if count else 0.0
 
 
@@ -370,28 +360,21 @@ def _node_chunks(vt: np.ndarray, terms: list, grid: QuadratureGrid):
         found += index.size
 
 
-def _grid_nodes(problem: ProblemSpec, domain, shape):
-    """_node_chunks from a fresh evaluation of the fields, which gives the
-    bits the tables were built from, on a grid built anew from the domain
-    and the node counts, so that the tables keep no grid."""
-    grid = QuadratureGrid(domain, shape)
-    return _node_chunks(*_evaluated(problem, grid), grid)
-
-
 class _LevelIndex:
-    """The largest |grad Vtilde|^2 over the nodes at or below a level.
+    """The largest |grad Vtilde|^2 over the buckets of the nodes at or
+    below a level.
 
     A monotone map of [min Vtilde, max Vtilde] puts Vtilde into about one
     bucket per _BUCKET nodes, so every node of a lower bucket lies below
     every node of a higher one; prefix[b] is the largest |grad Vtilde|^2
-    over buckets 0..b.  A level at or above every node of its bucket reads
-    prefix alone.  A level strictly between two values of one bucket also
-    reads split_levels, built on the first such query."""
+    over buckets 0..b.  A level reads prefix at the bucket of the largest
+    node at or below it, which covers the whole bucket: a level strictly
+    between two values of one bucket reads the nodes of that bucket above
+    it too, so the maximum it reads never falls below the sublevel one."""
 
-    def __init__(self, vt: np.ndarray, chunks, nodes):
-        """vt is Vtilde at the inside nodes, chunks its pairs with
-        |grad Vtilde|^2 from _node_chunks, and nodes a callable that
-        yields those pairs again."""
+    def __init__(self, vt: np.ndarray, chunks):
+        """vt is Vtilde at the inside nodes, and chunks its pairs with
+        |grad Vtilde|^2 from _node_chunks."""
         # halves: no difference of two values overflows.  A scale that
         # does (a range in the subnormals) or a flat Vtilde puts every
         # node in bucket 0.  No node maps past (buckets - 1)(1 + 2^-52)
@@ -404,8 +387,6 @@ class _LevelIndex:
         for v, grad_sq in chunks:
             np.maximum.at(self.prefix, self.buckets(v), grad_sq)
         np.maximum.accumulate(self.prefix, out=self.prefix)
-        self.nodes = nodes
-        self._split = None
 
     def buckets(self, v: np.ndarray) -> np.ndarray:
         x = v * 0.5
@@ -413,49 +394,10 @@ class _LevelIndex:
         x *= self.scale
         return x.astype(np.intp)
 
-    def max_at(self, vt: np.ndarray, count: int, lam: float) -> float:
-        """Largest |grad Vtilde|^2 over the first count > 0 of the sorted
-        nodes vt, which are those at or below lam."""
-        b = self.buckets(vt[count - 1:count + 1])
-        if b.size == 1 or b[1] != b[0]:
-            return float(self.prefix[b[0]])
-        below = float(self.prefix[b[0] - 1]) if b[0] else 0.0
-        levels, maxima = self.split_levels(vt)
-        at = int(np.searchsorted(levels, lam, side="right"))
-        return max(below, float(maxima[at - 1])) if at else below
-
-    def split_levels(self, vt: np.ndarray):
-        """Vtilde ascending at each node below the top value of its bucket
-        whose |grad Vtilde|^2 exceeds prefix at the bucket before, and the
-        running maximum of that |grad Vtilde|^2 where it rises.  A node of
-        an earlier bucket never exceeds that prefix, so at a level this
-        adds exactly the nodes of the level's own bucket below it."""
-        if self._split is None:
-            top = np.full(self.prefix.size, -np.inf)
-            for start in range(0, vt.size, _CHUNK):
-                v = vt[start:start + _CHUNK]
-                np.maximum.at(top, self.buckets(v), v)
-            below = np.concatenate(([-np.inf], self.prefix[:-1]))
-            levels, maxima = [], []
-            for v, grad_sq in self.nodes():
-                b = self.buckets(v)
-                keep = v < top[b]
-                keep &= grad_sq > below[b]
-                levels.append(v[keep])
-                maxima.append(grad_sq[keep])
-            # the last chunk is a view of the evaluated Vtilde
-            del v, grad_sq, top, below
-            levels = np.concatenate(levels)
-            order = np.argsort(levels)
-            maxima = np.concatenate(maxima)
-            maxima = maxima[order]
-            del order
-            # the values of levels[order], sorted in place
-            levels.sort()
-            np.maximum.accumulate(maxima, out=maxima)
-            rises = np.diff(maxima, prepend=-np.inf) > 0
-            self._split = levels[rises], maxima[rises]
-        return self._split
+    def max_at(self, vt: np.ndarray, count: int) -> float:
+        """Largest |grad Vtilde|^2 over the buckets of the first count > 0
+        of the sorted nodes vt."""
+        return float(self.prefix[self.buckets(vt[count - 1:count])[0]])
 
 
 def phase_space_tables(problem: ProblemSpec,
@@ -477,9 +419,7 @@ def phase_space_tables(problem: ProblemSpec,
     with problem.naming_fields(_FIELDS):
         if isinstance(grad_sq, Exception):
             raise grad_sq
-        index = _LevelIndex(vt, _node_chunks(vt, grad_sq, grid),
-                            functools.partial(_grid_nodes, problem,
-                                              grid.domain, grid.shape))
+        index = _LevelIndex(vt, _node_chunks(vt, grad_sq, grid))
     del grad_sq
     if weight is None:
         order = np.argsort(vt, kind=kind)

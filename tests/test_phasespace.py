@@ -6,15 +6,14 @@ V = x^2 + y^2 gives Phi_1(L) = L^2/8, E_w(L) = L^3/12 (kinetic and
 potential energy L^3/24 each) and Lambda(k) = sqrt(8 k).
 """
 
-import gc
 import json
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
+from spectral_bounds import phasespace
 from spectral_bounds.bounds import bound_context, kroger_avg_bound
 from spectral_bounds.domains import (Box, Disk, MaskedBox, QuadratureGrid,
                                      TorusFundamental)
@@ -374,24 +373,26 @@ def test_sorted_kernel_matches_direct_sweep(case):
               vt[2 * _BLOCK + 1], vt[vt.size // 2],
               0.5 * (vt[vt.size // 3] + vt[vt.size // 3 + 1]),
               vt[-1], vt[-1] + 1.0]
+    buckets = psd.lip_index.buckets(vt)
     for lam in levels:
         lam = float(lam)
         phi1, phiw, ew, lip = direct_sweep(prob, grid, lam)
         for got, want in ((psd.phi1_at(lam), phi1), (psd.phiw_at(lam), phiw),
                           (psd.ew_at(lam), ew)):
             assert abs(got - want) <= 1e-12 * abs(want), (lam, got, want)
-        assert psd.lip_at(lam) == lip
+        top = bucket_top(vt, buckets, lam)
+        assert lip <= psd.lip_at(lam) <= direct_sweep(prob, grid, top)[3]
 
 
 class RunningMax:
     """The sublevel maxima of |grad Vtilde|^2 as a running maximum over the
     nodes in sorted order, read where the first count nodes end: the
-    reference that PhaseSpaceData.lip_index must match."""
+    reference that brackets PhaseSpaceData.lip_index."""
 
     def __init__(self, grad_sq):
         self.running = np.maximum.accumulate(grad_sq)
 
-    def max_at(self, vt, count, lam):
+    def max_at(self, vt, count):
         return float(self.running[count - 1])
 
 
@@ -433,10 +434,28 @@ def lip_levels(vt, stride=1):
         [np.nan, -np.inf, np.inf, values[0] - 1.0, values[-1] + 1.0]])
 
 
-def assert_lip_at_matches(psd, ref, stride=1):
-    for lam in lip_levels(psd.vt_nodes, stride):
-        got, want = psd.lip_at(float(lam)), ref.lip_at(float(lam))
-        assert got == want, (lam, got, want)
+def bucket_top(vt, buckets, lam):
+    """The top value of the bucket of the largest of the sorted nodes vt
+    at or below lam, lam if there is none: lip_at(lam) may read the nodes
+    of that bucket above lam, and no others."""
+    count = int(np.searchsorted(vt, lam, side="right"))
+    if not count:
+        return lam
+    return float(vt[np.searchsorted(buckets, buckets[count - 1],
+                                    side="right") - 1])
+
+
+def assert_lip_at_brackets(psd, ref, stride=1):
+    """lip_at at every level of lip_levels is at least ref's running
+    maximum at the level and at most ref's at the level's bucket_top.  A
+    level at or above every node of its bucket reads ref exactly."""
+    vt = psd.vt_nodes
+    buckets = psd.lip_index.buckets(vt)
+    for lam in lip_levels(vt, stride):
+        lam = float(lam)
+        top = bucket_top(vt, buckets, lam)
+        low, got, high = ref.lip_at(lam), psd.lip_at(lam), ref.lip_at(top)
+        assert low <= got <= high, (lam, low, got, high)
 
 
 TIE_CASES = {
@@ -474,7 +493,7 @@ def test_tables_bit_identical_to_the_stable_order(case):
     if prob.nu % 2 == 0:
         assert vt.size > 2 * _BLOCK
         assert psd.block_moments.tobytes() == ref.block_moments.tobytes()
-    assert_lip_at_matches(psd, ref)
+    assert_lip_at_brackets(psd, ref)
     fake = Spectrum(np.zeros(60), cutoff=0.0)
     for k in (1, 2, 5, 17, 40):
         assert phase_space_sum_bound(k, psd, fake) == \
@@ -516,12 +535,7 @@ def test_lip_at_matches_the_running_maximum_at_every_level(case):
     psd = phase_space_tables(prob, grid)
     ref = stable_order_tables(prob, grid)
     assert psd.vt_nodes.tobytes() == ref.vt_nodes.tobytes()
-    passes = []
-    nodes = psd.lip_index.nodes
-    psd.lip_index.nodes = lambda: passes.append(1) or nodes()
-    assert_lip_at_matches(psd, ref)
-    # a level between two values of one bucket re-reads the nodes once
-    assert len(passes) == (case != "flat")
+    assert_lip_at_brackets(psd, ref)
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -529,75 +543,32 @@ def test_oscillator_levels_never_share_a_bucket(n):
     # a centred oscillator on an even grid with a spacing of 2^-m (the
     # benchmark's 1024^2 table too) ties mirror images exactly, and its
     # levels, fewer than a quarter as many as the nodes, are spaced
-    # evenly: each lies alone in its bucket, and no level, a node value or
-    # not, re-reads the nodes
+    # evenly: each lies alone in its bucket, so every level, a node value
+    # or not, reads the sublevel maximum exactly
     prob = ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
                        V="1.1*(x^2 + y^2)")
-    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, n))
-
-    def refuse():
-        raise AssertionError("node pass")
-
-    psd.lip_index.nodes = refuse
-    for lam in lip_levels(psd.vt_nodes):
-        psd.lip_at(float(lam))
-
-
-SPLIT_CASES = {
-    # levels that are not on a lattice: nearly every bucket holds several
-    "shifted-oscillator": (ProblemSpec(Box((8.0, 8.0), origin=(-4.0, -4.0)),
-                                       V="x^2 + y^2 + 0.1*x"), 256),
-    # a masked grid evaluates Vtilde on its bounding grid
-    "disk-w1": (ProblemSpec(Disk(1.0), V="x^2 + y^2"), 300),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-def test_split_pass_holds_one_evaluation_and_the_nodes_that_can_matter(
-        case):
-    # the first level strictly between two values of one bucket evaluates
-    # the fields again, on a grid built anew, and sorts the nodes below the
-    # top value of their bucket whose |grad Vtilde|^2 exceeds the prefix
-    # before it.  Beside the tables it holds one evaluation of Vtilde on
-    # the grid, the bucket tops and four 8-byte arrays of those nodes: the
-    # shifted oscillator peaks at 1.8 MB beside the tables against a bound
-    # of 2.2 MB, the disk at 2.3 MB against 3.0 MB
-    prob, n = SPLIT_CASES[case]
     grid = QuadratureGrid(prob.domain, n)
-    grid_ref = weakref.ref(grid)
     psd = phase_space_tables(prob, grid)
-    index = psd.lip_index
-    vt_expr = prob.effective_potential()
-    v = grid.inside_values(vt_expr)
-    grad_sq = sum(grid.inside_values(differentiate(vt_expr, axis)) ** 2
-                  for axis in range(prob.nu))
-    b = index.buckets(v)
-    top = np.full(index.prefix.size, -np.inf)
-    np.maximum.at(top, b, v)
-    below = np.concatenate(([-np.inf], index.prefix[:-1]))
-    can_matter = int(((v < top[b]) & (grad_sq > below[b])).sum())
-    assert can_matter > v.size // 4
-    grid_bytes = 8 * grid.mask.size
-    # the tables keep no reference to the grid they were built on
-    del v, grad_sq, b, top, below, grid
-    gc.collect()
-    assert grid_ref() is None
+    ref = stable_order_tables(prob, grid)
+    for lam in lip_levels(psd.vt_nodes):
+        assert psd.lip_at(float(lam)) == ref.lip_at(float(lam)), lam
+
+
+def test_lip_at_evaluates_no_field_once_the_tables_are_built(monkeypatch):
+    # levels 2 (x^2 + y^2) + 0.1 x fall inside buckets, and still no level
+    # evaluates the fields again
+    prob, n = LIP_CASES["shifted-oscillator"]
+    psd = phase_space_tables(prob, QuadratureGrid(prob.domain, n))
     vt = psd.vt_nodes
-    b = index.buckets(vt)
-    i = int(np.flatnonzero((b[1:] == b[:-1]) & (vt[1:] > vt[:-1]))[0])
-    lam = 0.5 * (float(vt[i]) + float(vt[i + 1]))
-    tracemalloc.start()
-    try:
-        got = psd.lip_at(lam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert index._split is not None
-    assert got == stable_order_tables(
-        prob, QuadratureGrid(prob.domain, n)).lip_at(lam)
-    bound = grid_bytes + index.prefix.nbytes + 4 * 8 * can_matter + \
-        4 * _CHUNK * 8
-    assert peak <= bound, (peak, bound)
+    buckets = psd.lip_index.buckets(vt)
+    assert np.any((buckets[1:] == buckets[:-1]) & (vt[1:] > vt[:-1]))
+
+    def refuse(*args):
+        raise AssertionError("fields evaluated again")
+
+    monkeypatch.setattr(phasespace, "_evaluated", refuse)
+    for lam in lip_levels(vt):
+        psd.lip_at(float(lam))
 
 
 def kept_bytes(psd):
@@ -627,7 +598,7 @@ def test_tables_peak_stays_near_what_they_keep(w):
     finally:
         tracemalloc.stop()
     assert peak <= 1.17 * kept_bytes(psd)
-    assert_lip_at_matches(psd, stable_order_tables(prob, grid), stride=8)
+    assert_lip_at_brackets(psd, stable_order_tables(prob, grid), stride=8)
 
 
 @pytest.mark.parametrize("fields", [
@@ -657,7 +628,7 @@ def test_masked_tables_read_the_gradient_from_the_grid(fields):
     for name in ("vt_nodes", "w_nodes", "block_moments"):
         assert getattr(psd, name).tobytes() == \
             getattr(ref, name).tobytes(), name
-    assert_lip_at_matches(psd, ref, stride=4)
+    assert_lip_at_brackets(psd, ref, stride=4)
 
 
 def test_gradient_overflowing_outside_the_disk_is_not_formed():
@@ -728,7 +699,7 @@ def test_tables_match_the_reference_and_peak_at_what_they_keep(case):
         assert (got is None) == (want is None), name
         if got is not None:
             assert got.tobytes() == want.tobytes(), name
-    assert_lip_at_matches(psd, ref, stride=1 + psd.vt_nodes.size // 8192)
+    assert_lip_at_brackets(psd, ref, stride=1 + psd.vt_nodes.size // 8192)
     # the gradient read at every inside node has the bits of the
     # whole-grid sum ((0 + t0) + t1) + t2, not only where it sets a
     # bucket's maximum, and comes paired with Vtilde at that node
@@ -777,7 +748,7 @@ def test_masked_tables_with_one_weight_peak_near_what_they_keep(domain):
     ref = stable_order_tables(prob, grid)
     assert psd.vt_nodes.tobytes() == ref.vt_nodes.tobytes()
     assert psd.block_moments.tobytes() == ref.block_moments.tobytes()
-    assert_lip_at_matches(psd, ref, stride=8)
+    assert_lip_at_brackets(psd, ref, stride=8)
 
 
 def test_signed_zeros_keep_the_order_of_the_permutation():

@@ -2,12 +2,13 @@
 git revisions exported, and sides without the package refused."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spectral_bounds import phasespace
 from spectral_bounds.domains import Disk, QuadratureGrid
 from spectral_bounds.expressions import is_constant
 from spectral_bounds.phasespace import (_squared_partials, lambda_of_k,
@@ -74,8 +75,7 @@ def test_main_refuses_a_directory_without_the_package(tmp_path, capsys):
     assert "holds no spectral_bounds package" in capsys.readouterr().err
 
 
-def test_the_table_scenarios_load_and_take_every_table_path(tmp_path,
-                                                            monkeypatch):
+def test_the_table_scenarios_load_and_take_every_table_path(tmp_path):
     """The fixed phase-space scenarios load, and between them take each
     path the phase-space tables branch on."""
     paths = compare.scenarios(tmp_path)
@@ -94,21 +94,40 @@ def test_the_table_scenarios_load_and_take_every_table_path(tmp_path,
                (8,) * p.nu for p in problems if p.nu > 1)
     assert max(len(r.parameters) for s in tables for r in s.bounds
                if r.kind == "phase-space-sum") >= 100
-    # a level strictly between two values of one bucket of the Lipschitz
-    # level index reads its split levels: every level of some table does
-    split_levels = phasespace._LevelIndex.split_levels
-    calls = []
-    monkeypatch.setattr(phasespace._LevelIndex, "split_levels",
-                        lambda index, vt: calls.append(index) or
-                        split_levels(index, vt))
-
+    # Lambda(k) strictly between two values of one bucket of the Lipschitz
+    # level index, which reads the nodes of that bucket above the level
+    # too: every level of some table does
     def splits_at_every_level(s):
         (request,) = s.bounds
         psd = phase_space_tables(s.problem, QuadratureGrid(
             s.problem.domain, int(request.options["grid_n"])))
-        calls.clear()
+        vt = psd.vt_nodes
+        buckets = psd.lip_index.buckets(vt)
         for k in request.parameters:
-            psd.lip_at(lambda_of_k(psd, int(k)))
-        return len(calls) == len(request.parameters)
+            lam = lambda_of_k(psd, int(k))
+            count = int(np.searchsorted(vt, lam, side="right"))
+            if not (0 < count < vt.size and vt[count - 1] < lam and
+                    buckets[count - 1] == buckets[count]):
+                return False
+        return True
 
     assert any(splits_at_every_level(s) for s in tables)
+
+
+def test_moves_report_how_far_the_bounds_of_one_scenario_moved():
+    def output(reports):
+        return json.dumps({"label": "s", "bounds": [
+            {"kind": "phase-space-sum", "parameter": k, "bound": b,
+             "computed": c, "holds": h, "notes": []}
+            for k, b, c, h in reports]}).encode()
+
+    old = output([(1.0, 10.0, 9.0, True), (4.0, 20.0, 19.0, True),
+                  (5.0, 30.0, 29.0, True)])
+    new = output([(1.0, 10.5, 9.0, True), (4.0, 19.5, 19.0, True),
+                  (5.0, 30.0, 31.0, False)])
+    assert compare.moves(old, new) == (
+        "largest relative change: bound +0.05 (at 1), computed +0.069 "
+        "(at 5); 1 of 3 bounds down, 1 holds flipped")
+    assert compare.moves(old, old) == (
+        "largest relative change: bound +0, computed +0; 0 of 3 bounds "
+        "down, 0 holds flipped")

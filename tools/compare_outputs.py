@@ -19,12 +19,16 @@ It runs `python -m spectral_bounds.cli run --format both` on each, once
 per tree, with one BLAS thread, and compares the JSON and CSV files,
 stdout and the exit status.  stderr holds paths and elapsed times, so it
 is not compared.  It prints each difference and exits 1 if there is any.
+For a run whose JSON differs it prints one more line on how far the
+reports moved: the largest relative change of `bound` and of `computed`,
+how many bounds went down and how many `holds` flipped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +149,36 @@ def run(src: Path, config: Path, out: Path) -> dict:
     return {"status": done.returncode, "stdout": done.stdout, **files}
 
 
+def _largest_change(pairs, key):
+    """The relative change (new - old) / |old| of key over the report pairs
+    that is largest in size, with the parameter it was read at."""
+    def change(old, new):
+        if old[key] == new[key]:
+            return 0.0
+        return (new[key] - old[key]) / abs(old[key]) if old[key] else \
+            math.copysign(math.inf, new[key] - old[key])
+    moved = [(change(old, new), old["parameter"]) for old, new in pairs]
+    return max(moved, key=lambda m: abs(m[0]), default=(0.0, None))
+
+
+def moves(old: bytes, new: bytes) -> str:
+    """How far the reports of two JSON outputs of one scenario moved, in
+    one line.  Reports are paired in order."""
+    sides = [json.loads(side)["bounds"] for side in (old, new)]
+    pairs = list(zip(*sides))
+    parts = []
+    for key in ("bound", "computed"):
+        rel, at = _largest_change(pairs, key)
+        parts.append(f"{key} {rel:+.3g}" + (f" (at {at:g})" if rel else ""))
+    down = sum(new["bound"] < old["bound"] for old, new in pairs)
+    flips = sum(new["holds"] != old["holds"] for old, new in pairs)
+    line = f"largest relative change: {', '.join(parts)}; " \
+        f"{down} of {len(pairs)} bounds down, {flips} holds flipped"
+    if len(sides[0]) != len(sides[1]):
+        line += f"; {len(sides[0])} against {len(sides[1])} reports"
+    return line
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="source directory or git revision")
@@ -169,6 +203,9 @@ def main(argv=None) -> int:
                 where = config.relative_to(tmp) if tmp in config.parents \
                     else config
                 print(f"{where}: {', '.join(map(str, keys))} differ")
+                for key in keys:
+                    if key.endswith(".json") and key in old and key in new:
+                        print(f"  {moves(old[key], new[key])}")
     print(f"{differ} of {len(configs)} runs differ")
     return 1 if differ else 0
 
