@@ -174,15 +174,17 @@ class QuadratureGrid:
         if not self.mask.any():
             raise ValueError("no grid node falls inside the domain")
 
-    def coords(self) -> Tuple[np.ndarray, ...]:
-        """Per-axis coordinate arrays broadcasting to `shape`."""
+    def coords(self, rows: slice = slice(None)) -> Tuple[np.ndarray, ...]:
+        """Per-axis coordinate arrays broadcasting to `shape`, or to the
+        slab of those rows of the first axis."""
+        first = self.axes[0][rows]
         if self._skew:
-            s, u = self.axes[0][:, None], self.axes[1][None, :]
+            s, u = first[:, None], self.axes[1][None, :]
             d = self.domain
             x = s * d.e1[0] + u * d.e2[0]
             y = s * d.e1[1] + u * d.e2[1]
             return (x, y)
-        grids = np.meshgrid(*self.axes, indexing="ij", sparse=True)
+        grids = np.meshgrid(first, *self.axes[1:], indexing="ij", sparse=True)
         return tuple(grids)
 
     def evaluate(self, f: ScalarFieldExpr) -> np.ndarray:
@@ -208,16 +210,18 @@ class QuadratureGrid:
         """Quadrature volume: cell volume times the number of inside nodes."""
         return float(self.mask.sum()) * self.cell_volume
 
-    def inside_values(self, f) -> np.ndarray:
-        """Values of a field, or of an array that broadcasts to `shape`,
-        flattened over the inside nodes, in C order.  On a full mask that
-        is every node, read without a boolean gather (and possibly as a
-        read-only view)."""
-        values = self.evaluate(f) if isinstance(f, ScalarFieldExpr) \
-            else np.broadcast_to(f, self.shape)
+    def inside_values(self, f: ScalarFieldExpr) -> np.ndarray:
+        """Values of a field at the inside nodes, in C order.  On a full
+        mask that is every node, read without a boolean gather (and
+        possibly as a read-only view); on a masked grid the field is
+        evaluated at the inside nodes alone, so it need not be finite
+        outside the domain."""
         if self.mask.all():
-            return values.reshape(-1)
-        return values[self.mask]
+            return self.evaluate(f).reshape(-1)
+        points = tuple(np.broadcast_to(c, self.shape)[self.mask]
+                       for c in self.coords())
+        return np.broadcast_to(np.asarray(f.evaluate(points), dtype=float),
+                               points[0].shape)
 
 
 def mean_value(f: ScalarFieldExpr, grid: QuadratureGrid) -> float:

@@ -54,29 +54,23 @@ the nodes of that bucket above the level, about _BUCKET of them on
 average.  That can only raise the sampled Lipschitz constant, and with it
 the bound.  A level at or above every node of its bucket reads the
 sublevel maximum exactly.  The tables of the 1024^2 oscillator build in
-about 40 ms and those of the 80^3 one in about 15 ms (one thread, 2 vCPU,
+about 28 ms and those of the 80^3 one in about 12 ms (one thread, 2 vCPU,
 numpy 2.4; the pass relies on ufunc.at, which is fast only since numpy
 1.25, the floor pyproject.toml declares).
 
 The tables hold at their peak little more than what they keep, which is
 Vtilde, a varying w and the index's prefix maxima, a quarter as many as
-the nodes: 1.04x on the 1024^2 oscillator, 1.06x on the 80^3 one and
-1.24x on the 600^2 disk with w = 1 (tracemalloc; 10.4, 5.2 and 3.3 MiB).
-The squared partials are evaluated first, each in the shape it evaluates
-to ((n, 1) for a term in x alone); those that span the grid fold into
-one running sum, so a non-separable Vtilde holds one grid-sized array,
-not one per axis.  Vtilde is then evaluated into a buffer of its own and
-sorted in place.  On a masked grid its inside values move to the front
-of that buffer a chunk at a time, and the buffer shrinks to them, so
-Vtilde is never held twice.  |grad Vtilde|^2 is summed a chunk at a
-time, in the order of the whole-grid sum: on a full grid over slabs of
-whole rows, on a masked grid at the inside nodes only, each term read
-along the axes it varies on, so a gradient that overflows only outside a
-masked domain is never formed.  With a varying w on a masked grid the
-permutation becomes grid indices through a 4-byte index of the inside
-nodes, and w is gathered into the permutation's own 8-byte buffer.  The
-block moments are summed a chunk of blocks at a time, with the bits of a
-whole-array sum.
+the nodes: 1.04x on the 1024^2 oscillator, 1.06x on the 80^3 one, 1.19x
+on the 600^2 disk with w = 1 and 1.04x on the 96^3 cube with Vtilde =
+exp(xyz) + z^2 (tracemalloc; 10.4, 5.2, 3.2 and 8.8 MiB).  Vtilde and
+|grad Vtilde|^2 are evaluated a slab of whole rows, about _CHUNK nodes,
+at a time, at the inside nodes only on a masked grid, so a field that is
+not finite outside the domain is never formed: Vtilde into its own
+buffer, where it is sorted, and |grad Vtilde|^2 into the level index.
+With a varying w on a masked grid the permutation becomes grid indices
+through a 4-byte index of the inside nodes, and w is gathered into the
+permutation's own 8-byte buffer.  The block moments are summed a chunk
+of blocks at a time, with the bits of a whole-array sum.
 """
 
 from __future__ import annotations
@@ -88,7 +82,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import QuadratureGrid
-from .expressions import FieldEvaluationError, differentiate, is_constant
+from .expressions import differentiate, is_constant
 from .problem import ProblemSpec
 from .report import BoundReport, make_report
 from .special import bessel_first_zero, unit_ball_volume
@@ -236,128 +230,70 @@ def _on_grid(expr, grid: QuadratureGrid) -> np.ndarray:
     return values.reshape((1,) * (grid.nu - values.ndim) + values.shape)
 
 
-def _squared_partials(vt_expr, grid: QuadratureGrid) -> list:
-    """|grad Vtilde|^2 as terms whose sum in list order has the bits of
-    the whole-grid sum ((0 + t0) + t1) + t2 of the squared partials: each
-    in the shape it evaluates to, except that every partial up to the
-    last one spanning the grid is folded, in that order, into one running
-    grid-sized sum.  Addition commutes bit for bit, so a spanning partial
-    takes the sum before it in place."""
-    terms, folded = [], None
-    for axis in range(grid.nu):
-        t = _on_grid(differentiate(vt_expr, axis), grid)
-        if t.shape != grid.shape:
-            terms.append(np.square(t))
-            continue
-        # a fresh evaluation (or a coordinate array of this evaluation
-        # only) is squared in its own buffer
-        np.square(t, out=t)
-        if folded is None:
-            if terms:
-                t += sum(terms[1:], terms[0])
-            folded = t
+def _gathered(term: np.ndarray, index: np.ndarray, shape) -> np.ndarray:
+    """term, from _on_grid, at the flat grid indices index.  It is indexed
+    only along the axes it varies on: its own flat index is built from the
+    grid index by one division and one remainder per such axis."""
+    flat = index
+    if term.shape != shape:
+        flat, stride, step = 0, 1, 1
+        for axis in reversed(range(len(shape))):
+            if term.shape[axis] > 1:
+                along = index // stride if stride > 1 else index
+                if axis:
+                    along = along % shape[axis]
+                flat = along if step == 1 else flat + along * step
+                step *= shape[axis]
+            stride *= shape[axis]
+    # a term that varies on no axis is one value
+    return np.broadcast_to(term.reshape(-1)[flat], index.shape)
+
+
+def _slab_sums(exprs: list, grid: QuadratureGrid, out=None, square=False):
+    """The sum in list order ((0 + t0) + t1) + t2 of exprs, each squared
+    if square, at the inside nodes in grid order, a slab of whole rows of
+    the first axis, about _CHUNK nodes, at a time.  On a full grid a term
+    is evaluated at the slab's coordinates in the shape it evaluates to
+    ((rows, 1) for a term in x alone), on a masked grid at the slab's
+    inside nodes only, so no field is read outside the domain.  Yields the
+    slice of the inside nodes in a slab and the sum at them: in out[slice]
+    when out is given, else in one buffer that the next slab overwrites."""
+    shape, full = grid.shape, grid.mask.all()
+    row = math.prod(shape[1:])
+    rows = max(1, _CHUNK // row)
+    buffer = np.empty(rows * row) if out is None else None
+    found = 0
+    for first in range(0, shape[0], rows):
+        part = slice(first, first + rows)
+        points = grid.coords(part)
+        if full:
+            slab = (min(rows, shape[0] - first),) + shape[1:]
         else:
-            for term in terms:
-                folded += term
-            folded += t
-        del t
-        terms = []
-    return terms if folded is None else [folded] + terms
-
-
-def _gathered(terms: list, index: np.ndarray, shape) -> np.ndarray:
-    """Sum in list order of terms from _on_grid or _squared_partials at the
-    flat grid indices index.  A term is indexed only along the axes it
-    varies on: its own flat index is built from the grid index by one
-    division and one remainder per such axis."""
-    total = None
-    for term in terms:
-        flat = index
-        if term.shape != shape:
-            flat, stride, step = 0, 1, 1
-            for axis in reversed(range(len(shape))):
-                if term.shape[axis] > 1:
-                    along = index // stride if stride > 1 else index
-                    if axis:
-                        along = along % shape[axis]
-                    flat = along if step == 1 else flat + along * step
-                    step *= shape[axis]
-                stride *= shape[axis]
-        part = term.reshape(-1)[flat]
-        if total is None:
-            total = part
-        else:
-            total += part
-    # terms that vary on no axis sum to one value
-    return np.broadcast_to(total, index.shape)
-
-
-def _evaluated(problem: ProblemSpec, grid: QuadratureGrid):
-    """Vtilde at the inside nodes in grid order, in a writable buffer of
-    its own and with -0 read as +0, and the terms of |grad Vtilde|^2 from
-    _squared_partials, or the error that evaluating them raised.  The
-    partials are evaluated first, while no node-sized array is held, so
-    that a running grid-sized sum and its partials' evaluation come
-    before, not on top of, Vtilde."""
-    vt_expr = problem.effective_potential()
-    with problem.naming_fields(_FIELDS):
-        try:
-            grad_sq = _squared_partials(vt_expr, grid)
-        except (FieldEvaluationError, FloatingPointError) as exc:
-            grad_sq = exc
-        values = _on_grid(vt_expr, grid)
-    if values.shape == grid.shape and values.flags.c_contiguous and \
-            values.flags.owndata and values.flags.writeable:
-        vt = values.reshape(-1)
-        if not grid.mask.all():
-            # the inside values move to the front of the evaluation a chunk
-            # at a time (a chunk is read before its slots are written), and
-            # the buffer shrinks to them: Vtilde is never held twice
-            flat, found = grid.mask.reshape(-1), 0
-            for start in range(0, flat.size, _CHUNK):
-                inside = vt[start:start + _CHUNK][flat[start:start + _CHUNK]]
-                vt[found:found + inside.size] = inside
-                found += inside.size
-            # no view of the buffer is left, so it can shrink in place
-            del vt, inside
-            values.resize(found, refcheck=False)
-            vt = values
-    else:
-        vt = grid.inside_values(values)
-        vt = vt if vt.flags.writeable else vt.copy()
-    # -0 + 0 = +0: tied zeros are one key, which an unstable sort cannot
-    # place apart from the permutation
-    vt += 0.0
-    return vt, grad_sq
-
-
-def _node_chunks(vt: np.ndarray, terms: list, grid: QuadratureGrid):
-    """Pairs of Vtilde and |grad Vtilde|^2 at the inside nodes, in grid
-    order and about _CHUNK nodes at a time.  On a full grid a chunk is a
-    slab of whole rows of the first axis, and each term is sliced to it;
-    on a masked grid it is the inside nodes among _CHUNK grid nodes, read
-    by _gathered.  Either way the terms are summed in list order, with the
-    bits of the whole-grid sum, and at inside nodes only."""
-    shape = grid.shape
-    if grid.mask.all():
-        row = vt.size // shape[0]
-        rows = max(1, _CHUNK // row)
-        for first in range(0, shape[0], rows):
-            part = slice(first, first + rows)
-            slab = [t[part] if t.shape[0] > 1 else t for t in terms]
-            grad_sq = np.empty((min(rows, shape[0] - first),) + shape[1:])
-            # a lone square plus 0.0 is the square: none is -0
-            np.add(slab[0], slab[1] if len(slab) > 1 else 0.0, out=grad_sq)
-            for term in slab[2:]:
-                grad_sq += term
-            yield vt[first * row:first * row + grad_sq.size], \
-                grad_sq.reshape(-1)
-        return
-    flat, found = grid.mask.reshape(-1), 0
-    for start in range(0, flat.size, _CHUNK):
-        index = start + np.flatnonzero(flat[start:start + _CHUNK])
-        yield vt[found:found + index.size], _gathered(terms, index, shape)
-        found += index.size
+            inside = grid.mask[part]
+            points = tuple(np.broadcast_to(c, inside.shape)[inside]
+                           for c in points)
+            slab = points[0].shape
+        size = math.prod(slab)
+        nodes = slice(found, found + size)
+        found += size
+        total = (buffer[:size] if out is None else out[nodes]).reshape(slab)
+        for i, expr in enumerate(exprs):
+            term = np.asarray(expr.evaluate(points), dtype=float)
+            if square:
+                # in the evaluation's own buffer, unless it is a coordinate
+                term = np.square(term, out=None if any(
+                    term is c for c in points) else term)
+            if i:
+                total += term
+            else:
+                # -0 + 0 = +0: tied zeros are one key, which an unstable
+                # sort cannot place apart from the permutation
+                np.add(term, 0.0, out=total)
+            # no term is held while the next evaluates, or while the
+            # caller reads the slab
+            del term
+        del points
+        yield nodes, total.reshape(-1)
 
 
 class _LevelIndex:
@@ -373,8 +309,8 @@ class _LevelIndex:
     it too, so the maximum it reads never falls below the sublevel one."""
 
     def __init__(self, vt: np.ndarray, chunks):
-        """vt is Vtilde at the inside nodes, and chunks its pairs with
-        |grad Vtilde|^2 from _node_chunks."""
+        """vt is Vtilde at the inside nodes, and chunks its slices paired
+        with |grad Vtilde|^2 at the same nodes."""
         # halves: no difference of two values overflows.  A scale that
         # does (a range in the subnormals) or a flat Vtilde puts every
         # node in bucket 0.  No node maps past (buckets - 1)(1 + 2^-52)
@@ -412,15 +348,17 @@ def phase_space_tables(problem: ProblemSpec,
     weight = float(problem.w.evaluate(())) if is_constant(problem.w) \
         else None
     kind = "stable" if weight is None else None
-    vt, grad_sq = _evaluated(problem, grid)
-    w_field = None if weight is not None else _on_grid(problem.w, grid)
-    # the gradient's error waits until vt and w have evaluated, which
-    # report first
+    vt_expr = problem.effective_potential()
+    vt = np.empty(int(grid.mask.sum()))
     with problem.naming_fields(_FIELDS):
-        if isinstance(grad_sq, Exception):
-            raise grad_sq
-        index = _LevelIndex(vt, _node_chunks(vt, grad_sq, grid))
-    del grad_sq
+        for _ in _slab_sums([vt_expr], grid, out=vt):
+            pass
+    w_field = None if weight is not None else _on_grid(problem.w, grid)
+    # the gradient is evaluated after vt and w, whose errors report first
+    with problem.naming_fields(_FIELDS):
+        partials = [differentiate(vt_expr, axis) for axis in range(grid.nu)]
+        index = _LevelIndex(vt, ((vt[nodes], grad_sq) for nodes, grad_sq
+                                 in _slab_sums(partials, grid, square=True)))
     if weight is None:
         order = np.argsort(vt, kind=kind)
         if not grid.mask.all():
@@ -446,7 +384,7 @@ def phase_space_tables(problem: ProblemSpec,
             else np.empty(order.size)
         for start in range(0, order.size, _CHUNK):
             chunk = slice(start, start + _CHUNK)
-            w[chunk] = _gathered([w_field], order[chunk], grid.shape)
+            w[chunk] = _gathered(w_field, order[chunk], grid.shape)
         del order, w_field
     else:
         w = np.broadcast_to(weight, vt.shape)

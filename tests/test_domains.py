@@ -149,3 +149,12 @@ class TestQuadrature:
         assert g.mask.all()
         assert g.inside_values(f).tobytes() == \
             g.evaluate(f)[g.mask].tobytes()
+
+    @pytest.mark.parametrize("n", [24, 101])
+    def test_inside_values_of_a_mask_evaluate_inside_only(self, n):
+        # not finite at the corners of the bounding grid, and equal on the
+        # disk to a field that is finite everywhere
+        g = QuadratureGrid(Disk(1.0), n)
+        inside = g.inside_values(parse_field("sqrt(1 - x^2 - y^2)", 2))
+        f = parse_field("sqrt(abs(1 - x^2 - y^2))", 2)
+        assert inside.tobytes() == g.evaluate(f)[g.mask].tobytes()

@@ -20,9 +20,8 @@ from spectral_bounds.domains import (Box, Disk, MaskedBox, QuadratureGrid,
 from spectral_bounds.expressions import differentiate, parse_field
 from spectral_bounds.fdsolver import assemble, solve_lowest
 from spectral_bounds.phasespace import (_BLOCK, _CHUNK, PhaseSpaceData,
-                                        _block_moments, _evaluated,
-                                        _node_chunks, lambda_of_k,
-                                        phase_space_sum_bound,
+                                        _block_moments, _slab_sums,
+                                        lambda_of_k, phase_space_sum_bound,
                                         phase_space_tables)
 from spectral_bounds.problem import ProblemSpec
 from spectral_bounds.special import unit_ball_volume
@@ -566,7 +565,7 @@ def test_lip_at_evaluates_no_field_once_the_tables_are_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("fields evaluated again")
 
-    monkeypatch.setattr(phasespace, "_evaluated", refuse)
+    monkeypatch.setattr(phasespace, "_slab_sums", refuse)
     for lam in lip_levels(vt):
         psd.lip_at(float(lam))
 
@@ -608,9 +607,9 @@ def test_tables_peak_stays_near_what_they_keep(w):
 ], ids=["rho-xy", "broadcast"])
 def test_masked_tables_read_the_gradient_from_the_grid(fields):
     # the sort permutation becomes grid indices, and w is read at them in
-    # the shape it evaluates to; each squared partial is read at the
-    # inside nodes of a grid chunk.  Neither the gradient nor w is copied
-    # out at the inside nodes or spread over the grid: the tables peak at
+    # the shape it evaluates to; each squared partial is evaluated at the
+    # inside nodes of a slab.  Neither the gradient nor w is copied out
+    # at the inside nodes or spread over the grid: the tables peak at
     # 1.40x what they keep (3.2 MB), the permutation and the 4-byte grid
     # index of the inside nodes beside vt and the level index.  The bound
     # allows 3.2 MB; 1.2x of a kept set that held a running maximum as
@@ -647,12 +646,12 @@ def test_gradient_overflowing_outside_the_disk_is_not_formed():
 
 L_SHAPE = MaskedBox(Box((1.0, 1.0)), parse_field("min(x - 0.5, y - 0.5)", 2))
 # name -> (problem, n, grid-sized arrays the tables may hold beside Vtilde,
-# and beside what they keep).  The first count covers the evaluation of
-# the fields, the level index and the sort; the second, a grid-sized w
-# held while it is gathered
+# and beside what they keep).  The fields are evaluated a slab at a time,
+# so the first count covers the sort and the second a grid-sized w held
+# while it is gathered
 MATRIX_CASES = {
-    # every field that varies evaluates to a grid-sized array in 1-D:
-    # the gradient, w, and the stable sort's permutation and buffer
+    # a w that varies evaluates to a grid-sized array in 1-D, beside the
+    # stable sort's permutation and buffer
     "1-d": (ProblemSpec(Box((4.0,), origin=(-2.0,)), V="x^4 - x",
                         w="1 + 0.1*x"), 2 ** 18, (3, 0)),
     "flat": (ProblemSpec(Box((1.0, 1.0))), 512, (0, 0)),
@@ -661,25 +660,23 @@ MATRIX_CASES = {
     # w = 1 + 0.3xy spans the grid
     "l-shape": (ProblemSpec(L_SHAPE, V="x^2 + 3*y", w="1 + 0.3*x*y"), 600,
                 (0, 1)),
-    # the coordinates of a skew torus are whole-grid arrays, built anew
-    # for each evaluation beside the folded gradient
+    # the coordinates of a skew torus span a slab: two of them, a term
+    # and the slab's sum are a little more than the chunks allowed below
     "skew-torus": (ProblemSpec(TorusFundamental((1.0, 0.0), (0.3, 1.1)),
-                               V="sin(x) + y^2"), 512, (4, 0)),
+                               V="sin(x) + y^2"), 512, (1, 0)),
     # two partials that do not span the grid, (1, n, n) and (n, 1, n),
-    # are summed before the third, which spans it, takes them in place
+    # come before the third, which spans it
     "fold-after-two": (ProblemSpec(Box((2.1, 1.9, 1.7),
                                        origin=(-1.3, -0.7, 0.2)),
                                    V="x*y + x*y*z^2", w="1 + 0.1*z"), 64,
-                       (2, 0)),
-    # the middle partial, x z, does not span the grid: it is added to the
-    # running sum between the other two
+                       (0, 0)),
+    # the middle partial, x z, does not span the grid
     "span-small-span": (ProblemSpec(Box((2.1, 1.9, 1.7),
                                         origin=(-1.3, -0.7, 0.2)),
-                                    V="exp(x*z) + x*y*z"), 40, (0, 1)),
-    # every partial spans the grid: they fold into one running sum,
-    # evaluated before Vtilde, whose evaluation holds one more array
+                                    V="exp(x*z) + x*y*z"), 40, (0, 0)),
+    # every partial spans the grid
     "non-separable": (ProblemSpec(Box((1.0,) * 3), V="exp(x*y*z) + z^2"),
-                      64, (2, 0)),
+                      64, (0, 0)),
 }
 
 
@@ -704,13 +701,23 @@ def test_tables_match_the_reference_and_peak_at_what_they_keep(case):
     # whole-grid sum ((0 + t0) + t1) + t2, not only where it sets a
     # bucket's maximum, and comes paired with Vtilde at that node
     vt_expr = prob.effective_potential()
-    whole = np.broadcast_to(sum(
-        np.asarray(differentiate(vt_expr, axis).evaluate(grid.coords()),
-                   dtype=float) ** 2 for axis in range(prob.nu)), grid.shape)
-    vt, terms = _evaluated(prob, grid)
-    pairs = list(_node_chunks(vt, terms, grid))
-    assert np.concatenate([v for v, _ in pairs]).tobytes() == \
-        (grid.inside_values(vt_expr) + 0.0).tobytes()
+
+    def on_grid(expr):
+        return np.broadcast_to(np.asarray(expr.evaluate(grid.coords()),
+                                          dtype=float), grid.shape)
+
+    partials = [differentiate(vt_expr, axis) for axis in range(prob.nu)]
+    whole = np.broadcast_to(sum(on_grid(d) ** 2 for d in partials),
+                            grid.shape)
+    vt = np.empty(psd.vt_nodes.size)
+    assert [n for n, _ in _slab_sums([vt_expr], grid, out=vt)] == \
+        [n for n, _ in _slab_sums(partials, grid, square=True)]
+    assert vt.tobytes() == (on_grid(vt_expr)[grid.mask] + 0.0).tobytes()
+    # a slab's gradient is overwritten by the next one
+    pairs = [(n, g.copy()) for n, g in _slab_sums(partials, grid,
+                                                   square=True)]
+    assert pairs[0][0].start == 0 and pairs[-1][0].stop == vt.size
+    assert all(a.stop == b.start for (a, _), (b, _) in zip(pairs, pairs[1:]))
     assert np.concatenate([g for _, g in pairs]).tobytes() == \
         whole[grid.mask].tobytes()
     grid_bytes = 8 * grid.mask.size
@@ -729,12 +736,11 @@ def test_tables_match_the_reference_and_peak_at_what_they_keep(case):
                          ids=["l-shape", "disk"])
 def test_masked_tables_with_one_weight_peak_near_what_they_keep(domain):
     # with one constant w the tables keep only vt and the level index and
-    # need no permutation.  Vtilde, evaluated on the whole grid, moves to
-    # the inside nodes within its own buffer, so it is never held twice,
-    # and the tables peak in the level index's pass: 1.25x (L-shape) and
-    # 1.24x (disk) what they keep, 3.4 and 3.5 MB.  The bound allows 3.5
-    # and 3.7 MB; 1.9x, while Vtilde was copied out at the inside nodes,
-    # allowed 5.1 and 5.4 MB
+    # need no permutation.  Vtilde is evaluated a slab at a time at the
+    # inside nodes, into vt, and the tables peak in the level index's
+    # pass: 1.20x (L-shape) and 1.19x (disk) what they keep, 3.2 and
+    # 3.4 MB.  The bound allows 3.3 and 3.5 MB; 1.3x, while Vtilde was
+    # evaluated on the whole grid, allowed 3.5 and 3.7 MB
     prob = ProblemSpec(domain, V="x^2 + y^2")
     grid = QuadratureGrid(prob.domain, 600)
     tracemalloc.start()
@@ -744,11 +750,30 @@ def test_masked_tables_with_one_weight_peak_near_what_they_keep(domain):
     finally:
         tracemalloc.stop()
     assert psd.w_nodes.strides == (0,)
-    assert peak <= 1.3 * kept_bytes(psd)
+    assert peak <= 1.23 * kept_bytes(psd)
     ref = stable_order_tables(prob, grid)
     assert psd.vt_nodes.tobytes() == ref.vt_nodes.tobytes()
     assert psd.block_moments.tobytes() == ref.block_moments.tobytes()
     assert_lip_at_brackets(psd, ref, stride=8)
+
+
+def test_non_separable_cube_tables_peak_near_what_they_keep():
+    # every squared partial of exp(xyz) + z^2 spans the grid; evaluated a
+    # slab at a time, they peak at 1.04x what the tables keep (9.2 MB).
+    # The bound allows 9.4 MB; evaluated on the whole grid, they peaked
+    # at 2.42x (21.4 MB)
+    prob = ProblemSpec(Box((1.0,) * 3), V="exp(x*y*z) + z^2")
+    grid = QuadratureGrid(prob.domain, 96)
+    tracemalloc.start()
+    try:
+        psd = phase_space_tables(prob, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.06 * kept_bytes(psd)
+    ref = stable_order_tables(prob, grid)
+    assert psd.vt_nodes.tobytes() == ref.vt_nodes.tobytes()
+    assert_lip_at_brackets(psd, ref, stride=64)
 
 
 def test_signed_zeros_keep_the_order_of_the_permutation():

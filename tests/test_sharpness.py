@@ -15,7 +15,9 @@ and individual-sk approaches 1 more slowly.  A bound loosened or
 tightened by 1% moves the sums' slope to -0.39 or -0.69, the Riesz
 means' to -0.38 or -0.69 and the heat trace's to -0.41 or -0.53, each
 out of its window.  individual-sk's moves only to -0.226 or -0.250, so
-its window checks the rate and not the constant.  individual-pos is not
+its window checks the rate and not the constant; its slack at k = 10^4,
+0.8805, pins the constant, which a bound 1% looser reads as 0.8718 and
+1% tighter as 0.8893.  individual-pos is not
 sharp: the slack of its implicit form levels off below 1/2 (0.494 at
 k = 10^4), that of its max form below 1/8 (0.1236).
 
@@ -53,6 +55,8 @@ SLOPES = {
     "heat-lower": (-0.51, -0.43),
     "individual-sk": (-0.30, -0.20),
 }
+# the window of individual-sk's slack at k = 10^4
+SK_CONSTANT = (0.876, 0.885)
 # kind -> (limit, how far below it the slack at k = 10^4 may lie)
 LIMITS = {
     "individual-pos-implicit": (0.5, 0.01),
@@ -104,6 +108,13 @@ def test_individual_pos_levels_off_below_its_limit(rectangle, kind):
     (report,) = rectangle[kind]
     limit, below = LIMITS[kind]
     assert limit - below <= report.slack_ratio <= limit, report.slack_ratio
+
+
+def test_individual_sk_pins_its_constant_at_the_largest_k(rectangle):
+    report = rectangle["individual-sk"][-1]
+    assert report.parameter == KS[-1]
+    low, high = SK_CONSTANT
+    assert low <= report.slack_ratio <= high, report.slack_ratio
 
 
 def test_heat_torus_approaches_the_floor_at_the_shortest_period():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from spectral_bounds.domains import Disk, QuadratureGrid
-from spectral_bounds.expressions import is_constant
-from spectral_bounds.phasespace import (_squared_partials, lambda_of_k,
+from spectral_bounds.expressions import differentiate, is_constant
+from spectral_bounds.phasespace import (_on_grid, _slab_sums, lambda_of_k,
                                         phase_space_tables)
 from spectral_bounds.scenario import load_scenario
 
@@ -89,11 +89,20 @@ def test_the_table_scenarios_load_and_take_every_table_path(tmp_path):
     assert any(is_constant(p.effective_potential()) for p in problems)
     # a gradient term that spans the grid: Vtilde is not a sum of
     # functions of one coordinate each
-    assert any(_squared_partials(p.effective_potential(),
-                                 QuadratureGrid(p.domain, 8))[0].shape ==
-               (8,) * p.nu for p in problems if p.nu > 1)
+    assert any(_on_grid(differentiate(p.effective_potential(), axis),
+                        QuadratureGrid(p.domain, 8)).shape == (8,) * p.nu
+               for p in problems if p.nu > 1 for axis in range(p.nu))
     assert max(len(r.parameters) for s in tables for r in s.bounds
                if r.kind == "phase-space-sum") >= 100
+    # the inside nodes of each slab: a full grid whose last slab holds
+    # fewer rows than the others, and a masked one whose first holds none
+    grids = [QuadratureGrid(s.problem.domain, int(s.bounds[0].options[
+        "grid_n"])) for s in tables]
+    sizes = [[n.stop - n.start for n, _ in _slab_sums([p.V], g)]
+             for p, g in zip(problems, grids)]
+    assert any(g.mask.all() and size[-1] < size[0]
+               for g, size in zip(grids, sizes))
+    assert any(size[0] == 0 < size[1] for size in sizes)
     # Lambda(k) strictly between two values of one bucket of the Lipschitz
     # level index, which reads the nodes of that bucket above the level
     # too: every level of some table does

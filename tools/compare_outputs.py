@@ -13,8 +13,10 @@ with one fixed bound list, both bundled scenarios,
 `tests/golden/torus-kinds.scenario.json`, and the fixed phase-space
 scenarios of `TABLES`, which take the table paths the workloads do not:
 a masked domain with one weight, a varying weight, nu = 1 and 3, a flat
-and a non-separable effective potential, a list of 100 k, and levels
-strictly between two values of one bucket of the Lipschitz level index.
+and a non-separable effective potential, a list of 100 k, levels
+strictly between two values of one bucket of the Lipschitz level index,
+a last slab of fewer rows than the others and a first slab with no
+inside node.
 It runs `python -m spectral_bounds.cli run --format both` on each, once
 per tree, with one BLAS thread, and compares the JSON and CSV files,
 stdout and the exit status.  stderr holds paths and elapsed times, so it
@@ -72,6 +74,13 @@ TABLES = [
     _phase("ps-off-lattice", {"type": "box", "sides": [8.0, 8.0],
                               "origin": [-4.0, -4.0]},
            {"V": "x^2 + y^2 + 0.1*x"}, 24, 512, [1, 4, 5, 8, 10]),
+    # slabs of 16 rows of 1000 nodes, the last one of 8
+    _phase("ps-slab-rows", _SQUARE, {"V": "x^2 + y^2 + 0.3*x*y"}, 24, 1000,
+           [2, 5, 10]),
+    # the first slab, rows 0 to 39 of 400 nodes, holds no inside node
+    _phase("ps-empty-slab", {"type": "masked_box", "sides": [1.0, 1.0],
+                             "inside": "0.1 - x"},
+           {"V": "x^2 + 2*y^2"}, 24, 400, [2, 5, 10]),
 ]
 
 
