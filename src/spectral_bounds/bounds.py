@@ -80,7 +80,7 @@ def bound_context(problem: ProblemSpec, grid: QuadratureGrid,
         raise ValueError(
             f"weight w must be strictly positive on the domain; minimum "
             f"{w_min:.3g} on the {'x'.join(map(str, grid.shape))} grid")
-    volume = grid.measure() if solved and not grid.mask.all() else \
+    volume = grid.measure() if solved and not grid.full else \
         domain_volume(problem.domain, grid)
     return BoundContext(problem.domain, problem.nu, volume,
                         problem.mean_w(grid), problem.mean_veff_w(grid))

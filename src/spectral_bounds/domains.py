@@ -137,8 +137,15 @@ class QuadratureGrid:
         (lattice coordinates in [0,1) for a non-rectangular torus)
     spacing : tuple of float, grid step per axis
     mask : bool array of `shape`, True at nodes inside the domain
+    full : bool, True when every node is inside (a box or a torus)
     cell_volume : float, volume assigned to one node
     periodic : bool, True when opposite faces are identified
+
+    `sample` is the one way fields are read at the nodes and at the faces
+    between them.  On a full grid it evaluates a field on the open grid of
+    the points, so a field keeps the shape it varies in; on a masked grid
+    at the inside points alone, so a field need not be finite outside the
+    domain.
     """
 
     def __init__(self, domain: Domain, n: Union[int, Sequence[int]]):
@@ -170,9 +177,13 @@ class QuadratureGrid:
             self.cell_volume = float(np.prod(self.spacing))
             self._skew = False
 
+        for a in self.axes:
+            # `coords` hands out views of them
+            a.flags.writeable = False
         self.mask = self._build_mask()
         if not self.mask.any():
             raise ValueError("no grid node falls inside the domain")
+        self.full = bool(self.mask.all())
 
     def coords(self, rows: slice = slice(None)) -> Tuple[np.ndarray, ...]:
         """Per-axis coordinate arrays broadcasting to `shape`, or to the
@@ -184,8 +195,13 @@ class QuadratureGrid:
             x = s * d.e1[0] + u * d.e2[0]
             y = s * d.e1[1] + u * d.e2[1]
             return (x, y)
-        grids = np.meshgrid(first, *self.axes[1:], indexing="ij", sparse=True)
-        return tuple(grids)
+        return self._open((first,) + self.axes[1:])
+
+    def _open(self, axes) -> Tuple[np.ndarray, ...]:
+        """The open grid of one 1-D array per axis: views of them, shaped
+        to broadcast along every other axis."""
+        return tuple(a.reshape([-1 if b == i else 1 for b in range(self.nu)])
+                     for i, a in enumerate(axes))
 
     def evaluate(self, f: ScalarFieldExpr) -> np.ndarray:
         """Field values at every node of the full tensor grid."""
@@ -210,18 +226,54 @@ class QuadratureGrid:
         """Quadrature volume: cell volume times the number of inside nodes."""
         return float(self.mask.sum()) * self.cell_volume
 
+    def points(self, axis: Optional[int] = None, seam: bool = False,
+               rows: slice = slice(None)) -> Tuple[np.ndarray, ...]:
+        """The coordinates at which `sample` reads a field, per axis.
+
+        Without `axis`, the nodes, in those `rows` of the first axis.
+        With `axis` (on a rectangular grid), the faces along it that join
+        two inside nodes, at their midpoints (n - 1 along `axis`); with
+        `seam` too, the seam of a periodic `axis` instead, the face from
+        its last node to its first, which sits on the identified edge and
+        is read at the left edge (1 along `axis`).  On a full grid these
+        are the open grid's arrays, which broadcast to the points; on a
+        masked grid the coordinates of the inside points alone, gathered
+        in C order."""
+        if axis is None:
+            points, inside = self.coords(rows), self.mask[rows]
+        else:
+            along = np.full(1, self.domain.bounding_box().origin[axis]) \
+                if seam else self.axes[axis][:-1] + 0.5 * self.spacing[axis]
+            points = self._open(
+                [along if b == axis else a for b, a in enumerate(self.axes)])
+            if not self.full:
+                ends = np.moveaxis(self.mask, axis, 0)
+                inside = np.moveaxis(ends[:-1] & ends[1:], 0, axis)
+        if self.full:
+            return points
+        return tuple(np.broadcast_to(c, inside.shape)[inside] for c in points)
+
+    def sample(self, f: ScalarFieldExpr, axis: Optional[int] = None,
+               seam: bool = False) -> np.ndarray:
+        """Values of f at the points of `points(axis, seam)`.  On a
+        full grid they keep the shape f varies in, one axis per grid axis
+        and length 1 along an axis f does not depend on: (n, 1, 1) for a
+        field of x alone, (1, 1, 1) for a constant.  On a masked grid they
+        are one value per inside point, in C order."""
+        points = self.points(axis, seam)
+        values = np.asarray(f.evaluate(points), dtype=float)
+        if self.full:
+            return values.reshape((1,) * (self.nu - values.ndim) +
+                                   values.shape)
+        return np.broadcast_to(values, points[0].shape)
+
     def inside_values(self, f: ScalarFieldExpr) -> np.ndarray:
-        """Values of a field at the inside nodes, in C order.  On a full
-        mask that is every node, read without a boolean gather (and
-        possibly as a read-only view); on a masked grid the field is
-        evaluated at the inside nodes alone, so it need not be finite
-        outside the domain."""
-        if self.mask.all():
-            return self.evaluate(f).reshape(-1)
-        points = tuple(np.broadcast_to(c, self.shape)[self.mask]
-                       for c in self.coords())
-        return np.broadcast_to(np.asarray(f.evaluate(points), dtype=float),
-                               points[0].shape)
+        """`sample` at the nodes as one value per inside node, in C order
+        (on a full grid possibly a read-only view)."""
+        values = self.sample(f)
+        if self.full:
+            return np.broadcast_to(values, self.shape).reshape(-1)
+        return values
 
 
 def mean_value(f: ScalarFieldExpr, grid: QuadratureGrid) -> float:

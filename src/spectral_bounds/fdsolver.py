@@ -31,13 +31,17 @@ cache-sized blocks of contiguous rows, one per pair, and applies each
 Neumann axis as one shift by its stride over the flat grid
 (`DiscreteForm._apply_rows`), in three buffers reused block to block.
 
-The form holds the stencil itself (the nodal potential, one array of face
-coefficients per axis on the full grid, the nodal mass), not a matrix.
-`DiscreteForm._scaled` is the one builder of matrix entries: dense `eigh`,
-shift-invert's A - sigma I, with A = M^(-1/2) K M^(-1/2), and the CSR
-`DiscreteForm.stiffness` are all made from it.  scipy loads only on the
-shift-invert path or on a read of `stiffness`: an exact-source,
-separable, dense, mirrored or densely peeled run never loads it.
+Assembly reads w, rho and V by `QuadratureGrid.sample` alone: on a full
+box or torus in the shape they vary in, so no coordinate is gathered and
+an axis along which no sample varies repeats with no slice compared; on
+a masked grid at the inside nodes and faces only.  The form holds the
+stencil itself (the nodal potential, one array of face coefficients per
+axis on the full grid, the nodal mass), not a matrix.
+`DiscreteForm._scaled` is the one builder of matrix entries: dense
+`eigh`, shift-invert's A - sigma I, with A = M^(-1/2) K M^(-1/2), and the
+CSR `DiscreteForm.stiffness`.  scipy loads only on the shift-invert path
+or on a read of `stiffness`: an exact-source, separable, dense, mirrored
+or densely peeled run never loads it.
 """
 
 from __future__ import annotations
@@ -115,9 +119,15 @@ def _face_parts(nu: int, periodic: bool
 
 def _on_grid(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     """`values` of the inside nodes placed on the grid of `mask`, 0
-    outside; axes of `values` after the first trail the grid's."""
-    grid = np.zeros(mask.shape + values.shape[1:])
-    grid[mask] = values
+    outside; axes of `values` after the first trail the grid's.  On a full
+    mask that is a reshaped copy."""
+    shape = mask.shape + values.shape[1:]
+    if len(values) == mask.size:
+        grid = np.empty(shape)
+        grid.reshape(values.shape)[...] = values
+    else:
+        grid = np.zeros(shape)
+        grid[mask] = values
     return grid
 
 
@@ -200,8 +210,10 @@ class DiscreteForm:
         the face coefficient is 0 at the axis's last node, so a shift
         across the end of a grid line adds exactly 0, and each entry sums
         the terms of the grid-shaped stencil in the same order, to the
-        same bits.  A periodic axis holds its seam coefficient at the last
-        node, so a torus takes grid-shaped slices."""
+        same bits but for the sign of a zero: the first axis writes its
+        product rather than adding it to 0.  A periodic axis holds its
+        seam coefficient at the last node, so a torus takes grid-shaped
+        slices."""
         mask, m, dof = self.mask, len(u), self.dof_count
         grid, off, term = work[:, :m]
         if dof < mask.size:
@@ -212,8 +224,8 @@ class DiscreteForm:
             np.take(padded, self._node, axis=1, out=grid, mode="clip")
         else:
             grid = u
-        off[...] = 0.0
         if self.periodic:
+            off[...] = 0.0
             cells, sums = (a.reshape((m,) + mask.shape) for a in (grid, off))
             for axis, _, lo, hi in _face_parts(mask.ndim, True):
                 c = self.faces[axis][lo]
@@ -226,8 +238,13 @@ class DiscreteForm:
                 stride //= n
                 c = self.faces[axis].reshape(-1)[:-stride]
                 t = term[:, :-stride]
-                np.multiply(grid[:, stride:], c, out=t)
-                off[:, :-stride] += t
+                if axis:
+                    np.multiply(grid[:, stride:], c, out=t)
+                    off[:, :-stride] += t
+                else:
+                    # 0 + t would differ from t only in the sign of a zero
+                    np.multiply(grid[:, stride:], c, out=off[:, :-stride])
+                    off[:, -stride:] = 0.0
                 np.multiply(grid[:, :-stride], c, out=t)
                 off[:, stride:] += t
         # contiguous (m, dof) views, not strided rows of grid-sized ones
@@ -308,57 +325,48 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
         raise ValueError(
             f"grid too coarse for assembly: {grid.shape} (need >= 8 per axis)")
 
-    nu = grid.nu
-    cellvol = grid.cell_volume
-    mask = grid.mask
-    n = int(mask.sum())
+    nu, cellvol, mask = grid.nu, grid.cell_volume, grid.mask
+    # the axes along which some sample varies: on a full grid a field that
+    # keeps length 1 along an axis does not depend on it
+    varies = set()
 
-    def sample(points, *fields):
-        """w and `fields` at `points`, each in the points' shape; a w that
-        is not positive is refused once all have evaluated."""
-        w, *values = (np.broadcast_to(np.asarray(f.evaluate(points),
-                                                 dtype=float),
-                                      points[0].shape)
-                      for f in (problem.w,) + fields)
-        if np.any(w <= 0):
-            raise ValueError(
-                f"weight must be positive; sampled minimum {w.min()}")
-        return (w, *values)
+    def flat(x, shape):
+        # the values at points of `shape` in C order, as a gather reads them
+        return np.broadcast_to(x, shape).reshape(-1) if grid.full else x
 
-    full_coords = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape)
-                   for c in grid.coords()]
-    w_n, rho_n, v_n = sample(tuple(c[mask] for c in full_coords),
-                             problem.rho, problem.V)
+    def sample(part, shape, *fields):
+        """w and `fields` as the grid samples them at the nodes (part ()) or
+        at a part (axis, seam) of the faces, which has `shape` on the grid;
+        a w that is not positive is refused once all have evaluated."""
+        values = [grid.sample(f, *part) for f in (problem.w,) + fields]
+        if np.any(values[0] <= 0):
+            # the order of the values sets the sign of a zero minimum
+            low = values[0].min() or flat(values[0], shape).min()
+            raise ValueError(f"weight must be positive; sampled minimum {low}")
+        varies.update(a for v in values for a in range(v.ndim)
+                      if v.shape[a] > 1)
+        return values
+
+    w_n, rho_n, v_n = sample((), grid.shape, problem.rho, problem.V)
     dens_n = np.exp(-2.0 * rho_n)
-    mass_diag = dens_n * cellvol
+    mass_diag = flat(dens_n * cellvol, grid.shape)
 
-    box = grid.domain.bounding_box()
     faces = tuple(np.zeros(grid.shape) for _ in range(nu))
     for axis, seam, lo, hi in _face_parts(nu, grid.periodic):
         h = grid.spacing[axis]
-        both = mask[lo] & mask[hi]
-        count = (int(both.sum()),)
-        if seam:
-            # seam face sits on the identified edge: read fields there
-            face_pts = tuple(
-                np.full(count, box.origin[b]) if b == axis
-                else full_coords[b][lo][both] for b in range(nu))
-        else:
-            face_pts = tuple(
-                full_coords[b][lo][both] + (0.5 * h if b == axis else 0.0)
-                for b in range(nu))
-        w_f, rho_f = sample(face_pts, problem.rho)
         c = faces[axis][lo]     # a view: writes land in faces[axis]
-        c[both] = w_f * np.exp(-2.0 * rho_f) * cellvol / h / h
+        w_f, rho_f = sample((axis, seam), c.shape, problem.rho)
+        c[... if grid.full else mask[lo] & mask[hi]] = \
+            w_f * np.exp(-2.0 * rho_f) * cellvol / h / h
 
     vw = v_n * w_n
     form = DiscreteForm(
-        potential=vw * dens_n * cellvol,
+        potential=flat(vw * dens_n * cellvol, grid.shape),
         faces=faces,
         mass_diag=mass_diag,
-        dof_count=n,
+        dof_count=mass_diag.size,
         zero_potential=bool(np.max(np.abs(v_n)) == 0.0),
-        potential_floor=float(vw.min()),
+        potential_floor=float(vw.min() or flat(vw, grid.shape).min()),
         mask=mask,
         periodic=grid.periodic,
     )
@@ -367,11 +375,13 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
             np.isfinite(mass_diag).all() and mass_diag.min() > 0.0):
         raise ValueError(
             f"operator entries overflow or underflow on grid {grid.shape}")
-    form.factors = _factors(form)
+    # along an axis no sample varies on, a full grid's entries all repeat
+    form.factors = _factors(form, repeating=() if not grid.full else
+                            set(range(nu)) - varies)
     return form
 
 
-def _factors(form: DiscreteForm
+def _factors(form: DiscreteForm, repeating=()
              ) -> Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]]:
     """The axes along which the form factors, each with None when it
     repeats exactly, else (g, b): per slice a median over its inside
@@ -380,9 +390,12 @@ def _factors(form: DiscreteForm
     are finite and positive, and every entry lies within _FACTOR_RTOL of
     its factored value.  Ratios that are all 1 must hold exactly, which
     is the repeat; the summed diagonal can differ along such an axis in
-    the last bit, so it is not read."""
+    the last bit, so it is not read.  The axes `repeating`, along which the
+    caller knows the mask and every entry to repeat, are not compared."""
     mask = form.mask
     nu = mask.ndim
+    if set(range(nu)) <= set(repeating):
+        return dict.fromkeys(range(nu))
     potential, mass = (_on_grid(mask, x)
                        for x in (form.potential, form.mass_diag))
     factors = {}
@@ -390,6 +403,9 @@ def _factors(form: DiscreteForm
     # simply does not factor
     with np.errstate(all="ignore"):
         for axis in range(nu):
+            if axis in repeating:
+                factors[axis] = None
+                continue
             first = _along(axis, nu, slice(0, 1))
             if not (mask == mask[first]).all():
                 continue

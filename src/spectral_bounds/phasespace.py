@@ -54,7 +54,7 @@ the nodes of that bucket above the level, about _BUCKET of them on
 average.  That can only raise the sampled Lipschitz constant, and with it
 the bound.  A level at or above every node of its bucket reads the
 sublevel maximum exactly.  The tables of the 1024^2 oscillator build in
-about 28 ms and those of the 80^3 one in about 12 ms (one thread, 2 vCPU,
+about 25 ms and those of the 80^3 one in about 11 ms (one thread, 2 vCPU,
 numpy 2.4; the pass relies on ufunc.at, which is fast only since numpy
 1.25, the floor pyproject.toml declares).
 
@@ -67,10 +67,11 @@ exp(xyz) + z^2 (tracemalloc; 10.4, 5.2, 3.2 and 8.8 MiB).  Vtilde and
 at a time, at the inside nodes only on a masked grid, so a field that is
 not finite outside the domain is never formed: Vtilde into its own
 buffer, where it is sorted, and |grad Vtilde|^2 into the level index.
-With a varying w on a masked grid the permutation becomes grid indices
-through a 4-byte index of the inside nodes, and w is gathered into the
-permutation's own 8-byte buffer.  The block moments are summed a chunk
-of blocks at a time, with the bits of a whole-array sum.
+A varying w is read by the grid's sampler, on a masked grid at the
+inside nodes a slab at a time, before the sort, and the permutation
+gathers it into the permutation's own 8-byte buffer.  The block moments
+are summed a chunk of blocks at a time, with the bits of a whole-array
+sum.
 """
 
 from __future__ import annotations
@@ -221,19 +222,11 @@ def _block_moments(vt: np.ndarray, w: np.ndarray, top: int,
     return np.cumsum(moments, axis=1)
 
 
-def _on_grid(expr, grid: QuadratureGrid) -> np.ndarray:
-    """expr evaluated on grid.coords(), in the shape it evaluates to, with
-    one axis per grid axis: length 1 along an axis it does not vary on."""
-    values = np.asarray(expr.evaluate(grid.coords()), dtype=float)
-    if values.ndim == grid.nu:
-        return values
-    return values.reshape((1,) * (grid.nu - values.ndim) + values.shape)
-
-
 def _gathered(term: np.ndarray, index: np.ndarray, shape) -> np.ndarray:
-    """term, from _on_grid, at the flat grid indices index.  It is indexed
-    only along the axes it varies on: its own flat index is built from the
-    grid index by one division and one remainder per such axis."""
+    """term, sampled on a grid of `shape` in the shape it varies in, at
+    the flat grid indices index.  It is indexed only along the axes it
+    varies on: its own flat index is built from the grid index by one
+    division and one remainder per such axis."""
     flat = index
     if term.shape != shape:
         flat, stride, step = 0, 1, 1
@@ -252,48 +245,79 @@ def _gathered(term: np.ndarray, index: np.ndarray, shape) -> np.ndarray:
 def _slab_sums(exprs: list, grid: QuadratureGrid, out=None, square=False):
     """The sum in list order ((0 + t0) + t1) + t2 of exprs, each squared
     if square, at the inside nodes in grid order, a slab of whole rows of
-    the first axis, about _CHUNK nodes, at a time.  On a full grid a term
-    is evaluated at the slab's coordinates in the shape it evaluates to
-    ((rows, 1) for a term in x alone), on a masked grid at the slab's
-    inside nodes only, so no field is read outside the domain.  Yields the
-    slice of the inside nodes in a slab and the sum at them: in out[slice]
-    when out is given, else in one buffer that the next slab overwrites."""
-    shape, full = grid.shape, grid.mask.all()
+    the first axis, about _CHUNK nodes, at a time.  Each term is read by
+    the grid's sampler: on a masked grid at the slab's inside nodes only,
+    so no field is read outside the domain; on a full grid in the shape
+    it evaluates to ((rows, 1) for a term in x alone), and a term that
+    does not vary along the first axis, or along no other, is read once,
+    on the whole grid.
+    Yields the slice of the inside nodes in a slab and the sum at them:
+    in out[slice] when out is given, else in one buffer that the next
+    slab overwrites."""
+    shape, full = grid.shape, grid.full
     row = math.prod(shape[1:])
     rows = max(1, _CHUNK // row)
     buffer = np.empty(rows * row) if out is None else None
+
+    def read(expr, points):
+        term = np.asarray(expr.evaluate(points), dtype=float)
+        if square:
+            # in the evaluation's own buffer, unless it is a coordinate
+            term = np.square(term, out=None if any(
+                term is c for c in points) else term)
+        return term
+
+    # on a full grid, by index, the terms read once for every slab
+    once = {}
     found = 0
     for first in range(0, shape[0], rows):
         part = slice(first, first + rows)
-        points = grid.coords(part)
+        points = grid.points(rows=part)
         if full:
             slab = (min(rows, shape[0] - first),) + shape[1:]
         else:
-            inside = grid.mask[part]
-            points = tuple(np.broadcast_to(c, inside.shape)[inside]
-                           for c in points)
             slab = points[0].shape
         size = math.prod(slab)
         nodes = slice(found, found + size)
         found += size
         total = (buffer[:size] if out is None else out[nodes]).reshape(slab)
         for i, expr in enumerate(exprs):
-            term = np.asarray(expr.evaluate(points), dtype=float)
-            if square:
-                # in the evaluation's own buffer, unless it is a coordinate
-                term = np.square(term, out=None if any(
-                    term is c for c in points) else term)
+            if i in once:
+                term = once[i][part]
+            else:
+                term = read(expr, points)
+                # a term of the first slab that does not vary along the
+                # first axis serves every slab; one that may vary along it
+                # alone is read on the whole grid, n values
+                if full and first == 0 and (
+                        term.ndim < grid.nu or term.shape[0] < slab[0] or
+                        term.size == slab[0]):
+                    if term.ndim == grid.nu and term.size == slab[0]:
+                        term = read(expr, grid.points())
+                    term = term.reshape((1,) * (grid.nu - term.ndim) +
+                                        term.shape)
+                    once[i] = np.broadcast_to(term, shape[:1] +
+                                              term.shape[1:])
+                    term = once[i][part]
             if i:
                 total += term
             else:
                 # -0 + 0 = +0: tied zeros are one key, which an unstable
                 # sort cannot place apart from the permutation
                 np.add(term, 0.0, out=total)
-            # no term is held while the next evaluates, or while the
-            # caller reads the slab
+            # no term of a slab's size is held while the next evaluates,
+            # or while the caller reads the slab
             del term
         del points
         yield nodes, total.reshape(-1)
+
+
+def _sum_into(out: np.ndarray, exprs: list, grid: QuadratureGrid):
+    """out, filled by _slab_sums with the sum of exprs at every inside
+    node."""
+    for _ in _slab_sums(exprs, grid, out=out):
+        pass
+    return out
 
 
 class _LevelIndex:
@@ -351,32 +375,16 @@ def phase_space_tables(problem: ProblemSpec,
     vt_expr = problem.effective_potential()
     vt = np.empty(int(grid.mask.sum()))
     with problem.naming_fields(_FIELDS):
-        for _ in _slab_sums([vt_expr], grid, out=vt):
-            pass
-    w_field = None if weight is not None else _on_grid(problem.w, grid)
-    # the gradient is evaluated after vt and w, whose errors report first
-    with problem.naming_fields(_FIELDS):
-        partials = [differentiate(vt_expr, axis) for axis in range(grid.nu)]
-        index = _LevelIndex(vt, ((vt[nodes], grad_sq) for nodes, grad_sq
-                                 in _slab_sums(partials, grid, square=True)))
+        _sum_into(vt, [vt_expr], grid)
     if weight is None:
+        if grid.full:
+            # in the shape w varies in, indexed by the grid index
+            w_field, shape = grid.sample(problem.w), grid.shape
+        else:
+            # at the inside nodes, which the permutation indexes
+            w_field = _sum_into(np.empty(vt.size), [problem.w], grid)
+            shape = w_field.shape
         order = np.argsort(vt, kind=kind)
-        if not grid.mask.all():
-            # grid indices, a chunk at a time: a chunk's inside indices are
-            # read before its slots are written.  The index is built a grid
-            # chunk at a time, in 4-byte slots where the grid allows
-            flat = grid.mask.reshape(-1)
-            inside = np.empty(order.size, dtype=np.int32 if flat.size <=
-                              np.iinfo(np.int32).max else np.intp)
-            found = 0
-            for start in range(0, flat.size, _CHUNK):
-                nodes = start + np.flatnonzero(flat[start:start + _CHUNK])
-                inside[found:found + nodes.size] = nodes
-                found += nodes.size
-            for start in range(0, order.size, _CHUNK):
-                chunk = slice(start, start + _CHUNK)
-                order[chunk] = inside[order[chunk]]
-            del inside
         # w goes into sorted order a chunk at a time, into the
         # permutation's own 8-byte buffer: a chunk's indices are read
         # before its slots are written
@@ -384,10 +392,16 @@ def phase_space_tables(problem: ProblemSpec,
             else np.empty(order.size)
         for start in range(0, order.size, _CHUNK):
             chunk = slice(start, start + _CHUNK)
-            w[chunk] = _gathered(w_field, order[chunk], grid.shape)
+            w[chunk] = _gathered(w_field, order[chunk], shape)
         del order, w_field
     else:
         w = np.broadcast_to(weight, vt.shape)
+    # the gradient is evaluated after vt and w, whose errors report first,
+    # and once w no longer needs its inside-node copy
+    with problem.naming_fields(_FIELDS):
+        partials = [differentiate(vt_expr, axis) for axis in range(grid.nu)]
+        index = _LevelIndex(vt, ((vt[nodes], grad_sq) for nodes, grad_sq
+                                 in _slab_sums(partials, grid, square=True)))
     vt.sort(kind=kind)
 
     moments = None

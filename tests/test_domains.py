@@ -150,6 +150,37 @@ class TestQuadrature:
         assert g.inside_values(f).tobytes() == \
             g.evaluate(f)[g.mask].tobytes()
 
+    def test_sample_keeps_the_shape_a_field_varies_in(self):
+        g = QuadratureGrid(Box((1.0, 2.0, 3.0)), (4, 5, 6))
+        assert g.full
+        assert g.sample(parse_field("x", 3)).shape == (4, 1, 1)
+        assert g.sample(parse_field("2", 3)).shape == (1, 1, 1)
+        assert g.sample(parse_field("y*z", 3)).shape == (1, 5, 6)
+        # n - 1 faces along the axis, 1 at a seam
+        assert g.sample(parse_field("x*z", 3), axis=0).shape == (3, 1, 6)
+        assert g.sample(parse_field("x*y*z", 3), axis=2).shape == (4, 5, 5)
+
+    def test_faces_sit_at_midpoints_and_a_seam_at_the_left_edge(self):
+        g = QuadratureGrid(TorusFundamental((2.0, 0.0), (0.0, 1.0)), (4, 5))
+        x, y = parse_field("x", 2), parse_field("y", 2)
+        assert g.sample(x).ravel().tolist() == [0.25, 0.75, 1.25, 1.75]
+        assert g.sample(x, axis=0).ravel().tolist() == [0.5, 1.0, 1.5]
+        assert g.sample(x, axis=0, seam=True).ravel().tolist() == [0.0]
+        assert g.sample(y, axis=1, seam=True).ravel().tolist() == [0.0]
+        assert g.sample(y, axis=0).shape == (1, 5)
+
+    def test_a_masked_sample_gathers_the_inside_points(self):
+        # faces along an axis that join two inside nodes, in C order
+        g = QuadratureGrid(Disk(1.0), 24)
+        f = parse_field("sqrt(1 - x^2 - y^2) + 0.1*y", 2)
+        mask, h = g.mask, g.spacing[0]
+        both = mask[:-1] & mask[1:]
+        x, y = (np.broadcast_to(c, mask.shape) for c in g.coords())
+        want = f.evaluate((x[:-1][both] + 0.5 * h, y[:-1][both]))
+        assert g.sample(f, axis=0).tobytes() == want.tobytes()
+        assert g.sample(f).tobytes() == g.inside_values(f).tobytes() == \
+            f.evaluate((x[mask], y[mask])).tobytes()
+
     @pytest.mark.parametrize("n", [24, 101])
     def test_inside_values_of_a_mask_evaluate_inside_only(self, n):
         # not finite at the corners of the bounding grid, and equal on the

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1080,3 +1081,152 @@ class TestConvergence:
             for n in (50, 100)]
         orders = np.log2(errors[0] / errors[1])
         assert np.all(orders > 1.75) and np.all(orders < 2.25)
+
+
+def corner_cut(box, counts):
+    """The box with the node at its first corner outside: the sum of the
+    node indices (i + 1/2) is at least nu/2 + 1 at every other node."""
+    index = " + ".join(f"(x{a + 1} - ({o!r}))/{s / n!r}" for a, (o, s, n)
+                       in enumerate(zip(box.origin, box.sides, counts)))
+    return MaskedBox(box, parse_field(f"{box.nu / 2 + 0.5!r} - ({index})",
+                                      box.nu))
+
+
+def present_faces(mask, axis):
+    """Where a face along `axis` joins two inside nodes of a box."""
+    ends = np.moveaxis(mask, axis, 0)
+    present = np.zeros_like(ends)
+    present[:-1] = ends[:-1] & ends[1:]
+    return np.moveaxis(present, 0, axis)
+
+
+# box, nodes per axis, fields
+SAMPLED_CASES = {
+    # w of x alone and a constant nonzero rho
+    "2-d": (Box((1.0, 1.5)), (12, 10),
+            {"w": "1 + 0.5*x", "rho": "0.3", "V": "2*y"}),
+    "3-d": (Box((1.0, 1.0, 2.0), (-0.5, 0.0, 0.25)), (8, 9, 10),
+            {"w": "1 + 0.2*x*y", "rho": "0.2*z", "V": "sin(3*x) + z"}),
+    "3-d-constant-rho": (Box((1.0, 1.0, 1.0)), (8, 8, 8),
+                         {"w": "2 + exp(z)", "rho": "-0.4", "V": "3"}),
+}
+
+
+class TestSampledAssembly:
+    @pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
+    def test_a_full_box_agrees_with_its_corner_cut_bit_for_bit(self, case):
+        # the full box samples its fields on the open grid in the shape
+        # they vary in; the cut box at its inside nodes and faces, gathered.
+        # Every node and face of both has the same bits
+        box, counts, fields = SAMPLED_CASES[case]
+        full = assemble(ProblemSpec(box, **fields),
+                        QuadratureGrid(box, counts))
+        grid = QuadratureGrid(corner_cut(box, counts), counts)
+        assert not grid.mask.flat[0] and grid.mask.sum() == grid.mask.size - 1
+        cut = assemble(ProblemSpec(grid.domain, **fields), grid)
+        for name in ("potential", "mass_diag"):
+            on_full = fdsolver._on_grid(full.mask, getattr(full, name))
+            assert on_full[grid.mask].tobytes() == \
+                getattr(cut, name).tobytes(), name
+        for axis, (c_full, c_cut) in enumerate(zip(full.faces, cut.faces)):
+            present = present_faces(grid.mask, axis)
+            assert c_full[present].tobytes() == c_cut[present].tobytes()
+            assert not c_cut[~present].any()
+            assert (c_full[present] > 0).all()
+
+    @pytest.mark.parametrize("fields", [
+        {"w": "1 + x", "rho": "0.1*y"},
+        {"w": "1 + x"}], ids=["w-and-rho", "w-alone"])
+    def test_a_torus_reads_its_seam_at_the_left_edge(self, fields):
+        # w = 1 + x jumps across the seam of x, from 2.14 at the last node
+        # to 1 at the edge x = 0 where the seam is read.  The nodes and
+        # faces have the bits of the fields evaluated at their gathered
+        # points, faces at their midpoints and the seams at the left edge
+        prob = ProblemSpec(TorusFundamental((1.2, 0.0), (0.0, 0.9)), **fields)
+        grid = QuadratureGrid(prob.domain, (10, 12))
+        form = assemble(prob, grid)
+        nodes = [np.broadcast_to(c, grid.shape).ravel() for c in grid.coords()]
+        mass = np.exp(-2.0 * prob.rho.evaluate(nodes)) * grid.cell_volume
+        assert form.mass_diag.tobytes() == \
+            np.broadcast_to(mass, grid.mask.size).tobytes()
+        for axis, h in enumerate(grid.spacing):
+            points = [np.broadcast_to(c, grid.shape).copy()
+                      for c in grid.coords()]
+            points[axis] += 0.5 * h
+            np.moveaxis(points[axis], axis, 0)[-1] = 0.0
+            points = [p.ravel() for p in points]
+            want = np.broadcast_to(
+                prob.w.evaluate(points) *
+                np.exp(-2.0 * prob.rho.evaluate(points)) *
+                grid.cell_volume / h / h, grid.mask.size)
+            assert form.faces[axis].ravel().tobytes() == want.tobytes()
+        # y repeats only when nothing varies along it
+        assert (form.factors.get(1, 0) is None) == ("rho" not in fields)
+
+    def test_the_shape_shortcut_gives_the_compared_factors_on_every_bench_form(
+            self, tmp_path, monkeypatch):
+        # an axis along which no sample varies is recorded as repeating
+        # without comparing slices; on every fd form of the bench, the
+        # comparison finds the same factors, in the same order
+        import importlib.util
+        import pathlib
+
+        from spectral_bounds.scenario import load_scenario
+        root = pathlib.Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", root / "benchmarks" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        shortcut = 0
+        for name in workloads.WORKLOADS:
+            for case in workloads.build(name, 1, root, tmp_path / name):
+                s = load_scenario(case.path)
+                if case.expect_status is not None or s.source != "fd":
+                    continue
+                form = assemble(s.problem,
+                                QuadratureGrid(s.problem.domain, s.grid_n))
+                want = fdsolver._factors(form)
+                assert list(form.factors) == list(want), case.label
+                for axis, factor in want.items():
+                    got = form.factors[axis]
+                    assert (got is None) == (factor is None), case.label
+                    if factor is not None:
+                        assert all(a.tobytes() == b.tobytes()
+                                   for a, b in zip(got, factor)), case.label
+                shortcut += sum(f is None for f in want.values())
+        assert shortcut > 0
+
+    def test_a_zero_minimum_keeps_the_sign_the_nodes_in_c_order_give_it(self):
+        # (x - x) sin(294 x) is +0 or -0 from node to node, and the sign of
+        # a zero minimum depends on the order the values are read in: on
+        # this grid the column of x values and the whole grid read in C
+        # order give different signs.  The floor and the refusal take the
+        # sign of the nodes in C order
+        box, field = Box((1.0, 1.0)), "(x - x)*sin(294*x)"
+        grid = QuadratureGrid(box, (9, 12))
+        column = grid.sample(parse_field(field, 2))
+        least = np.broadcast_to(column, grid.shape).ravel().min()
+        assert least == 0.0 and \
+            np.signbit(least) != np.signbit(column.min())
+        form = assemble(ProblemSpec(box, V=field), grid)
+        assert np.signbit(form.potential_floor) == np.signbit(least)
+        with pytest.raises(ValueError, match=f"sampled minimum {least}$"):
+            assemble(ProblemSpec(box, w=field), grid)
+
+    def test_a_128_cube_assembles_without_gathered_copies(self):
+        # the form keeps the potential, the mass, three face arrays and
+        # the diagonal, 6 grid-sized arrays.  Assembly samples w, rho and
+        # V in the shape they vary in and gathers no coordinates: it peaks
+        # at 14.0 grid-sized arrays, in the factor check along x and z.
+        # Gathering the coordinates and the face points peaked at 23.1
+        prob = ProblemSpec(Box((1.0, 1.0, 1.0)), w="1 + 0.5*x", rho="0.2*z")
+        grid = QuadratureGrid(prob.domain, 128)
+        tracemalloc.start()
+        try:
+            form = assemble(prob, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 8 * grid.mask.size
+        assert list(form.factors) == [1, 2] and form.factors[1] is None

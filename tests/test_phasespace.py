@@ -677,6 +677,10 @@ MATRIX_CASES = {
     # every partial spans the grid
     "non-separable": (ProblemSpec(Box((1.0,) * 3), V="exp(x*y*z) + z^2"),
                       64, (0, 0)),
+    # slabs of one row: the partial along x is read once on the whole
+    # grid, and the one along y in every slab
+    "one-row-slabs": (ProblemSpec(Box((1.0, 4.0)), V="x^2 + 3*y^2 + x*y"),
+                      (6, 2 ** 14), (0, 0)),
 }
 
 

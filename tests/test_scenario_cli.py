@@ -463,6 +463,47 @@ def test_cli_runs_a_field_finite_on_the_disk_but_not_on_its_box(tmp_path,
         assert got["bound"] == pytest.approx(want["bound"], rel=1e-12)
 
 
+def test_cli_reads_a_weight_finite_on_the_disk_but_not_on_its_box(tmp_path):
+    # 1 + sqrt(1 - x^2 - y^2) is not finite at the corners of the disk's
+    # bounding grid: the phase-space tables read w at the inside nodes
+    # only, and give the reports of a weight equal to it on the disk
+    found = []
+    for i, w in enumerate(["1 + sqrt(1 - x^2 - y^2)",
+                           "1 + sqrt(abs(1 - x^2 - y^2))"]):
+        cfg = scenario_with(tmp_path, domain={"type": "disk", "radius": 1.0},
+                            fields={"V": "x^2 + y^2", "w": w},
+                            grid={"n": 24},
+                            spectrum={"source": "fd", "count": 12},
+                            bounds=[{"kind": "kroger-avg", "k": [2, 5]},
+                                    {"kind": "phase-space-sum", "k": [2]}])
+        out = tmp_path / str(i)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "square.json").read_text())
+        assert not payload.get("errors")
+        assert [r["kind"] for r in payload["bounds"]] == \
+            ["kroger-avg", "kroger-avg", "phase-space-sum"]
+        found.append(payload["bounds"])
+    assert found[0] == found[1]
+
+
+def test_cli_refuses_the_bench_bad_weight_in_one_line(tmp_path, capsys):
+    # cli-batch's cb-bad-weight: w = x - 0.5 on a full box
+    cfg = scenario_with(tmp_path, fields={"w": "x - 0.5"}, grid={"n": 16},
+                        spectrum={"source": "fd", "count": 8},
+                        bounds=[{"kind": "kroger-avg", "k": [2]}])
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: weight w must be strictly positive on the domain; minimum "
+        "-0.469 on the 16x16 grid"]
+    # assembly refuses it as well, naming the least nodal weight
+    s = load_scenario(cfg)
+    with pytest.raises(ValueError, match="^weight must be positive; "
+                       "sampled minimum -0.46875$"):
+        fdsolver.assemble(s.problem, QuadratureGrid(s.problem.domain,
+                                                    s.grid_n))
+
+
 def test_run_with_no_bounds_is_spectrum_only(tmp_path, capsys):
     cfg = scenario_with(tmp_path, bounds=[])
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

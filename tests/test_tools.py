@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from spectral_bounds.domains import Disk, QuadratureGrid
-from spectral_bounds.expressions import differentiate, is_constant
-from spectral_bounds.phasespace import (_on_grid, _slab_sums, lambda_of_k,
-                                        phase_space_tables)
+from spectral_bounds.expressions import (FieldEvaluationError,
+                                         differentiate, is_constant)
+from spectral_bounds.phasespace import _slab_sums, lambda_of_k, \
+    phase_space_tables
 from spectral_bounds.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,12 +86,20 @@ def test_the_table_scenarios_load_and_take_every_table_path(tmp_path):
     assert any(isinstance(p.domain, Disk) and is_constant(p.w)
                for p in problems)
     assert any(not is_constant(p.w) for p in problems)
+    # a varying w that is not finite on the domain's bounding grid
+    def finite_on_the_box(p):
+        try:
+            QuadratureGrid(p.domain, 8).evaluate(p.w)
+        except FieldEvaluationError:
+            return False
+        return True
+    assert not all(finite_on_the_box(p) for p in problems)
     assert {1, 2, 3} <= {p.nu for p in problems}
     assert any(is_constant(p.effective_potential()) for p in problems)
     # a gradient term that spans the grid: Vtilde is not a sum of
     # functions of one coordinate each
-    assert any(_on_grid(differentiate(p.effective_potential(), axis),
-                        QuadratureGrid(p.domain, 8)).shape == (8,) * p.nu
+    assert any(QuadratureGrid(p.domain, 8).sample(differentiate(
+        p.effective_potential(), axis)).shape == (8,) * p.nu
                for p in problems if p.nu > 1 for axis in range(p.nu))
     assert max(len(r.parameters) for s in tables for r in s.bounds
                if r.kind == "phase-space-sum") >= 100
@@ -121,6 +130,26 @@ def test_the_table_scenarios_load_and_take_every_table_path(tmp_path):
         return True
 
     assert any(splits_at_every_level(s) for s in tables)
+
+
+def test_the_form_scenarios_take_the_sampled_assembly_paths(tmp_path):
+    """The fixed fd scenarios load, and sample their fields on full grids
+    in the shapes the bench workloads do not."""
+    paths = compare.scenarios(tmp_path)
+    forms = [load_scenario(p) for p in paths if p.parent.name == "forms"]
+    assert [s.label for s in forms] == [d["label"] for d in compare.FORMS]
+    grids = [QuadratureGrid(s.problem.domain, s.grid_n) for s in forms]
+    assert all(g.full for g in grids)
+    # a weight that varies across the seam of a periodic axis
+    assert any(g.periodic and g.sample(s.problem.w).shape[0] > 1
+               for s, g in zip(forms, grids))
+    # a 3-D box with a constant nonzero rho and V
+    assert any(s.problem.nu == 3 and all(
+        is_constant(f) and f.evaluate(()) != 0.0
+        for f in (s.problem.rho, s.problem.V)) for s in forms)
+    # a weight that spans a box
+    assert any(not g.periodic and g.sample(s.problem.w).shape == g.shape
+               for s, g in zip(forms, grids))
 
 
 def test_moves_report_how_far_the_bounds_of_one_scenario_moved():

@@ -10,10 +10,14 @@ temporary directory.  A side that holds no package is refused.  Into the
 temporary directory the script writes, from this checkout, every scenario
 of the four bench workloads at seeds 1 and 3, every recorded fd variant
 with one fixed bound list, both bundled scenarios,
-`tests/golden/torus-kinds.scenario.json`, and the fixed phase-space
-scenarios of `TABLES`, which take the table paths the workloads do not:
-a masked domain with one weight, a varying weight, nu = 1 and 3, a flat
-and a non-separable effective potential, a list of 100 k, levels
+`tests/golden/torus-kinds.scenario.json`, the fixed fd scenarios of
+`FORMS`, which sample their fields in shapes the workloads do not (a
+torus whose weight varies across the seam, a 3-D box with a constant
+nonzero rho and V, a 2-D box with a weight that spans the grid), and
+the fixed phase-space scenarios of `TABLES`, which take the table paths
+the workloads do not: a masked domain with one weight, a varying weight,
+a weight finite on the disk but not on its bounding grid, nu = 1 and 3, a
+flat and a non-separable effective potential, a list of 100 k, levels
 strictly between two values of one bucket of the Lipschitz level index,
 a last slab of fewer rows than the others and a first slab with no
 inside node.
@@ -54,12 +58,36 @@ def _phase(label, domain, fields, n, grid_n, k, count=12) -> dict:
                         "grid_n": grid_n}], "seed": 0}
 
 
+def _fd(label, domain, fields, n, count=12) -> dict:
+    """An fd scenario of count values with the recorded variants' bounds."""
+    return {"label": label, "domain": domain, "fields": fields,
+            "grid": {"n": n}, "spectrum": {"source": "fd", "count": count},
+            "bounds": [{"kind": "kroger-avg", "k": [1, count // 2, count]},
+                       {"kind": "general-sum", "k": [2, count]},
+                       {"kind": "individual-sk", "k": [count // 2]}],
+            "seed": 0}
+
+
+FORMS = [
+    # w is read at the left edge on the seam of x, where it jumps
+    _fd("fd-torus-w-in-x", {"type": "torus", "e1": [1.2, 0.0],
+                            "e2": [0.0, 0.9]}, {"w": "1 + 0.5*x"}, 24),
+    _fd("fd-box3-constant-rho", {"type": "box", "sides": [1.0, 1.0, 1.3]},
+        {"rho": "0.3", "V": "2"}, 10),
+    _fd("fd-box2-w-xy", {"type": "box", "sides": [1.0, 1.0]},
+        {"w": "1 + x*y"}, 24),
+]
+
 _SQUARE = {"type": "box", "sides": [4.0, 4.0], "origin": [-2.0, -2.0]}
 TABLES = [
     _phase("ps-disk-w1", {"type": "disk", "radius": 1.0},
            {"V": "x^2 + 2*y^2"}, 24, 300, [2, 5, 10]),
     _phase("ps-varying-w", _SQUARE, {"V": "x^2 + y^2", "w": "1 + 0.1*x"},
            24, 256, [2, 5, 10]),
+    # w is not finite at the corners of the disk's bounding grid
+    _phase("ps-disk-weight", {"type": "disk", "radius": 1.0},
+           {"V": "x^2 + y^2", "w": "1 + sqrt(1 - x^2 - y^2)"}, 24, 200,
+           [2, 5, 10]),
     _phase("ps-nu1", {"type": "box", "sides": [4.0], "origin": [-2.0]},
            {"V": "x^4 - x"}, 64, 4096, [1, 3, 7, 11]),
     _phase("ps-nu3", {"type": "box", "sides": [2.0, 2.0, 2.0],
@@ -105,12 +133,12 @@ def scenarios(tmp: Path) -> list:
             path = recorded / f"{name}-{v}.json"
             path.write_text(json.dumps(doc, indent=1, sort_keys=True))
             paths.append(path)
-    tables = tmp / "tables"
-    tables.mkdir()
-    for doc in TABLES:
-        path = tables / f"{doc['label']}.json"
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
-        paths.append(path)
+    for name, docs in (("forms", FORMS), ("tables", TABLES)):
+        (tmp / name).mkdir()
+        for doc in docs:
+            path = tmp / name / f"{doc['label']}.json"
+            path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+            paths.append(path)
     paths += sorted((ROOT / workloads.BUNDLED).glob("*.json"))
     paths.append(ROOT / "tests" / "golden" / "torus-kinds.scenario.json")
     return list(dict.fromkeys(p.resolve() for p in paths))
