@@ -35,8 +35,8 @@ Assembly reads w, rho and V by `QuadratureGrid.sample` alone: on a full
 box or torus in the shape they vary in, so no coordinate is gathered and
 an axis along which no sample varies repeats with no slice compared; on
 a masked grid at the inside nodes and faces only.  The form holds the
-stencil itself (the nodal potential, one array of face coefficients per
-axis on the full grid, the nodal mass), not a matrix.
+stencil itself, not a matrix: the nodal potential, the face coefficients
+per axis and the nodal mass, each on the whole grid with 0 outside.
 `DiscreteForm._scaled` is the one builder of matrix entries: dense
 `eigh`, shift-invert's A - sigma I, with A = M^(-1/2) K M^(-1/2), and the
 CSR `DiscreteForm.stiffness`.  scipy loads only on the shift-invert path
@@ -120,14 +120,13 @@ def _face_parts(nu: int, periodic: bool
 def _on_grid(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     """`values` of the inside nodes placed on the grid of `mask`, 0
     outside; axes of `values` after the first trail the grid's.  On a full
-    mask that is a reshaped copy."""
+    mask that is `values` reshaped: a view where numpy can give one, so a
+    constant broadcast to the grid stays one number."""
     shape = mask.shape + values.shape[1:]
     if len(values) == mask.size:
-        grid = np.empty(shape)
-        grid.reshape(values.shape)[...] = values
-    else:
-        grid = np.zeros(shape)
-        grid[mask] = values
+        return values.reshape(shape)
+    grid = np.zeros(shape)
+    grid[mask] = values
     return grid
 
 
@@ -144,17 +143,17 @@ class SolverConvergenceError(RuntimeError):
 class DiscreteForm:
     """The flux stencil of the generalized problem K x = mu M x.
 
-    `faces[axis]` has the grid's shape: its entry at node i along `axis`
-    is the coefficient of the face to node i+1, or of the seam to node 0
-    when i is the last node of a periodic axis; it is 0 where that face is
-    absent.  K x = diagonal x - sum over faces of c times the neighbour,
-    where the diagonal is the nodal potential plus the node's faces."""
+    Every array has the grid's shape and is 0 outside the mask; on a full
+    grid the potential and the mass can be read-only broadcast views.
+    `faces[axis]` at node i along `axis` is the coefficient of the face to
+    node i+1, or of the seam to node 0 when i is the last node of a
+    periodic axis; it is 0 where that face is absent.  K x = diagonal x -
+    sum over faces of c times the neighbour, where the diagonal is the
+    nodal potential plus the node's faces."""
 
-    potential: np.ndarray      # V w e^(-2 rho) cellvol per inside node
+    potential: np.ndarray      # V w e^(-2 rho) cellvol per node
     faces: Tuple[np.ndarray, ...]
-    mass_diag: np.ndarray
-    dof_count: int
-    zero_potential: bool       # nodal V vanishes, so K annihilates constants
+    mass_diag: np.ndarray      # e^(-2 rho) cellvol per node
     potential_floor: float     # min nodal V*w, a lower bound for the spectrum
     mask: np.ndarray           # the grid's inside nodes
     periodic: bool
@@ -166,13 +165,22 @@ class DiscreteForm:
         field(default_factory=dict)
 
     @cached_property
+    def dof_count(self) -> int:
+        return int(self.mask.sum())
+
+    @cached_property
+    def zero_potential(self) -> bool:
+        """Whether the nodal potential vanishes, so K annihilates constants."""
+        return not self.potential.any()
+
+    @cached_property
     def diagonal(self) -> np.ndarray:
         """K's diagonal: the potential, then each face at its lower and at
         its upper end, part by part.  That is the order in which scipy sums
         the same entries given as a COO list, so `stiffness` equals that
         matrix bit for bit and shift-invert spectra do not move in the last
         digits."""
-        d = _on_grid(self.mask, self.potential)
+        d = self.potential.copy()
         for axis, _, lo, hi in _face_parts(self.mask.ndim, self.periodic):
             c = self.faces[axis][lo]
             d[lo] += c
@@ -293,16 +301,13 @@ class DiscreteForm:
         `level` times their coefficient on the diagonal.  The form factors
         along its other axes as it did, with the same g and b."""
         first = _along(axis, self.mask.ndim, 0)
-        mask = np.asarray(self.mask[first])
         return replace(
             self,
-            potential=_on_grid(self.mask, self.potential)[first][mask] +
-            level * self.faces[axis][first][mask],
+            potential=self.potential[first] + level * self.faces[axis][first],
             faces=tuple(c[first] for b, c in enumerate(self.faces)
                         if b != axis),
-            mass_diag=_on_grid(self.mask, self.mass_diag)[first][mask],
-            dof_count=int(mask.sum()),
-            mask=mask,
+            mass_diag=self.mass_diag[first],
+            mask=np.asarray(self.mask[first]),
             factors={b - (b > axis): f for b, f in self.factors.items()
                      if b != axis})
 
@@ -349,7 +354,7 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
 
     w_n, rho_n, v_n = sample((), grid.shape, problem.rho, problem.V)
     dens_n = np.exp(-2.0 * rho_n)
-    mass_diag = flat(dens_n * cellvol, grid.shape)
+    mass = dens_n * cellvol
 
     faces = tuple(np.zeros(grid.shape) for _ in range(nu))
     for axis, seam, lo, hi in _face_parts(nu, grid.periodic):
@@ -361,18 +366,16 @@ def assemble(problem: ProblemSpec, grid: QuadratureGrid) -> DiscreteForm:
 
     vw = v_n * w_n
     form = DiscreteForm(
-        potential=flat(vw * dens_n * cellvol, grid.shape),
+        potential=_on_grid(mask, flat(vw * dens_n * cellvol, grid.shape)),
         faces=faces,
-        mass_diag=mass_diag,
-        dof_count=mass_diag.size,
-        zero_potential=bool(np.max(np.abs(v_n)) == 0.0),
+        mass_diag=_on_grid(mask, flat(mass, grid.shape)),
         potential_floor=float(vw.min() or flat(vw, grid.shape).min()),
         mask=mask,
         periodic=grid.periodic,
     )
     if not (np.isfinite(form.diagonal).all() and
             all(np.isfinite(c).all() for c in faces) and
-            np.isfinite(mass_diag).all() and mass_diag.min() > 0.0):
+            np.isfinite(mass).all() and mass.min() > 0.0):
         raise ValueError(
             f"operator entries overflow or underflow on grid {grid.shape}")
     # along an axis no sample varies on, a full grid's entries all repeat
@@ -396,8 +399,6 @@ def _factors(form: DiscreteForm, repeating=()
     nu = mask.ndim
     if set(range(nu)) <= set(repeating):
         return dict.fromkeys(range(nu))
-    potential, mass = (_on_grid(mask, x)
-                       for x in (form.potential, form.mass_diag))
     factors = {}
     # a slice ratio can overflow where the mass does not: that axis
     # simply does not factor
@@ -426,7 +427,7 @@ def _factors(form: DiscreteForm, repeating=()
             # a Neumann axis has no face from its last slice
             present, faces_equal = median(
                 along, None if form.periodic else -1)
-            g, mass_equal = median(mass)
+            g, mass_equal = median(form.mass_diag)
             b = np.append(present, [0.0][form.periodic:])
             if not (np.isfinite(g).all() and g.min() > 0.0 and
                     np.isfinite(present).all() and present.min() > 0.0):
@@ -444,9 +445,9 @@ def _factors(form: DiscreteForm, repeating=()
 
             # the potential and the faces tell most forms apart, so they
             # go first
-            checks = [(potential, g, 0)] + \
+            checks = [(form.potential, g, 0)] + \
                 [(c, g, 0) for a, c in enumerate(form.faces) if a != axis] + \
-                [(along, b, faces_equal), (mass, g, mass_equal)]
+                [(along, b, faces_equal), (form.mass_diag, g, mass_equal)]
             if all(fits(*check) for check in checks):
                 factors[axis] = None if repeats else (g, b)
     return factors
@@ -486,8 +487,7 @@ def _axis_modes(form: DiscreteForm, axis: int, count: int):
     if solved:    # by the peel whose blocks share these factors
         return solved[0][:count], solved[1][:, :count]
     stencil = DiscreteForm(
-        potential=np.zeros(n), faces=(b,), mass_diag=g, dof_count=n,
-        zero_potential=True, potential_floor=0.0,
+        potential=np.zeros(n), faces=(b,), mass_diag=g, potential_floor=0.0,
         mask=np.ones(n, dtype=bool), periodic=form.periodic)
     return _lowest_pairs(stencil, count)[:2]
 
@@ -513,8 +513,8 @@ def _peel(form: DiscreteForm, k: int, axis: int):
     next is solved once, here.  A pair (u, m) lifts to u (x) v_m."""
     n = form.mask.shape[axis]
     rest = form.block(axis, 0.0)
-    along = form.faces[axis][_along(axis, form.mask.ndim, 0)][rest.mask]
-    ratio = along / rest.mass_diag
+    along = form.faces[axis][_along(axis, form.mask.ndim, 0)]
+    ratio = along[rest.mask] / rest.mass_diag[rest.mask]
     if not np.isfinite(ratio).all():
         # finite K and M can still overflow in K/M, as on the other paths
         raise ValueError(
@@ -566,7 +566,7 @@ def _mirror_axis(form: DiscreteForm):
     mirror exactly; the mass and the faces within _FACTOR_RTOL
     elementwise; the nodal V*w within _FACTOR_RTOL max|V*w|, which by
     Weyl moves no value by more than that."""
-    mask = form.mask
+    mask, mass = form.mask, form.mass_diag
     if form.periodic or form.dof_count < 2 * _MIRROR_MIN_DOF:
         return None
     flips = [a for a, n in enumerate(mask.shape) if n % 2 == 0 and n >= 4]
@@ -574,10 +574,9 @@ def _mirror_axis(form: DiscreteForm):
     swaps = [(a, b) for a, b in combinations(range(mask.ndim), 2)
              if mask.shape[a] == mask.shape[b] and form.dof_count -
              np.diagonal(mask, 0, a, b).sum() >= 2 * _MIRROR_MIN_DOF]
-    mass = _on_grid(mask, form.mass_diag)
     # an overflowing V*w gives inf - inf = nan, which mirrors nowhere
     with np.errstate(all="ignore"):
-        vw = _on_grid(mask, form.potential / form.mass_diag)
+        vw = np.where(mask, form.potential / mass, 0.0)
         spread = _FACTOR_RTOL * np.abs(vw).max()
         for refl in flips + swaps:
             if (mask == _reflect(mask, refl)).all() and \
@@ -605,9 +604,9 @@ def _mirror_halves(form: DiscreteForm, refl
     def restrict(keep, potential, faces):
         # without the faces that leave `keep` (a face from the last node
         # along an axis is absent, or the middle face, which is zeroed)
-        return replace(form, potential=potential[keep], faces=tuple(
+        return replace(form, potential=potential * keep, faces=tuple(
             c * (keep & np.roll(keep, -1, d)) for d, c in enumerate(faces)),
-            mass_diag=mass[keep], dof_count=int(keep.sum()), mask=keep)
+            mass_diag=mass * keep, mask=keep)
 
     if isinstance(refl, tuple):
         gap = np.subtract(*np.indices(mask.shape)[list(refl)])  # i_a - i_b
@@ -615,8 +614,8 @@ def _mirror_halves(form: DiscreteForm, refl
         def orbit(x, image):
             return np.where(gap == 0, x, x + image)
 
-        potential, mass = (orbit(x, _reflect(x, refl)) for x in (
-            _on_grid(mask, form.potential), _on_grid(mask, form.mass_diag)))
+        potential, mass = (orbit(x, _reflect(x, refl))
+                           for x in (form.potential, form.mass_diag))
         even = restrict(mask & (gap >= 0), potential, [
             c + image if d == refl[0] else orbit(c, image) for d, (c, image)
             in enumerate(zip(form.faces, _reflect_faces(form.faces, refl)))])
@@ -627,8 +626,7 @@ def _mirror_halves(form: DiscreteForm, refl
     else:
         half = _along(refl, mask.ndim, slice(None, mask.shape[refl] // 2))
         middle = _along(refl, mask.ndim, -1)
-        potential, mass = (_on_grid(mask, x)[half]
-                           for x in (form.potential, form.mass_diag))
+        potential, mass = form.potential[half].copy(), form.mass_diag[half]
         faces = [c[half] for c in form.faces]
         faces[refl] = faces[refl].copy()
         across = 2.0 * faces[refl][middle]
@@ -636,7 +634,6 @@ def _mirror_halves(form: DiscreteForm, refl
         even = restrict(mask[half], potential, faces)
         potential[middle] += across
         odd = restrict(mask[half], potential, faces)
-    odd.zero_potential = False
     for block in (even, odd):
         block.factors = _factors(block)
     return even, odd
@@ -682,12 +679,12 @@ def _lowest_pairs(form: DiscreteForm, k: int, method: Optional[str] = None):
         # the levels its blocks added) over its mass.  Within the 2 eps by
         # which assembly rounds that quotient away from the nodal V*w of a
         # constant form, it is that number, so such forms keep their bits.
-        value = float(form.potential[0] / form.mass_diag[0])
+        value = float(form.potential / form.mass_diag)
         floor = form.potential_floor
         if abs(value - floor) <= 2 * np.finfo(float).eps * abs(floor):
             value = floor
         return np.full(1, value), \
-            np.full((1, 1), 1.0 / math.sqrt(float(form.mass_diag[0]))), \
+            np.full((1, 1), 1.0 / math.sqrt(float(form.mass_diag))), \
             "separable"
     if method is None:
         axis = _peel_axis(form)
@@ -758,11 +755,14 @@ def _residuals(form: DiscreteForm, vals: np.ndarray,
     edges = [k * b // blocks for b in range(blocks + 1)]
     work = np.empty((3, -(-k // blocks), form.mask.size))
     out = np.empty(k)
+    mass = form.mass_diag.reshape(-1)   # a view on a full grid
+    if form.dof_count < mass.size:
+        mass = mass[form._inside]
     for lo, hi in zip(edges, edges[1:]):
         rows = np.ascontiguousarray(x[:, lo:hi].T)
         r = form._apply_rows(rows, work)
         mx = work[1].reshape(-1)[:rows.size].reshape(rows.shape)
-        np.multiply(rows, form.mass_diag, out=mx)
+        np.multiply(rows, mass, out=mx)
         mx *= vals[lo:hi, None]
         r -= mx
         # numpy's norm, sqrt(sum(r * r)), with the squares in the buffers
@@ -803,7 +803,7 @@ def _mass_scaled_pairs(form: DiscreteForm, k: int, method: str):
     """Lowest k pairs from A = M^(-1/2) K M^(-1/2), by dense `eigh` or by
     sparse shift-invert; returns the values and x = M^(-1/2) y."""
     n = form.dof_count
-    d = 1.0 / np.sqrt(form.mass_diag)
+    d = 1.0 / np.sqrt(form.mass_diag[form.mask])
     if method == "dense":
         entries, index = form._scaled(d, 0.0)
         a = np.zeros((n, n))

@@ -77,11 +77,17 @@ class TestPlainLaplacian:
         ref = [0.0, PI2, PI2, PI2, 2 * PI2]
         assert got.values == pytest.approx(ref, rel=0.02, abs=1e-8)
 
-    def test_zero_mode_snapped(self):
-        prob = ProblemSpec(Box((1.0, 1.0)))
-        grid = QuadratureGrid(prob.domain, (30, 30))
-        got = solve_lowest(assemble(prob, grid), 3)
-        assert got.values[0] == 0.0
+    @pytest.mark.parametrize("domain,n,method", [
+        (Box((1.0, 1.0)), 30, "separable"),
+        (Disk(1.0), 24, "mirrored")], ids=["box", "disk"])
+    def test_zero_mode_snapped(self, domain, n, method):
+        # the nodal potential is exactly 0 on the full box and on the
+        # disk's masked grid, so the constant's value is snapped to 0
+        form = assemble(ProblemSpec(domain), QuadratureGrid(domain, n))
+        assert form.zero_potential
+        res = solve_lowest_detailed(form, 3)
+        assert res.method == method
+        assert res.spectrum.values[0] == 0.0
 
 
 class TestPeriodic:
@@ -275,7 +281,7 @@ class TestSolverOptions:
         form = assemble(prob, QuadratureGrid(prob.domain, (8, 8)))
         res = solve_lowest_detailed(form, 64)
         assert res.method == "dense"
-        trace = float((form.diagonal / form.mass_diag).sum())
+        trace = float((form.diagonal / form.mass_diag[form.mask]).sum())
         assert res.spectrum.values.sum() == pytest.approx(trace, rel=1e-10)
 
     @pytest.mark.parametrize("method", ["dense", "iterative"])
@@ -332,7 +338,7 @@ GATE_CASES = {
 def whole_block_residuals(form, vals, x):
     x = np.asfortranarray(x)
     kx = form.matvec(x)
-    mx = form.mass_diag[:, None] * x
+    mx = form.mass_diag[form.mask][:, None] * x
     return np.linalg.norm(kx - vals[None, :] * mx, axis=0) / \
         np.linalg.norm(x, axis=0)
 
@@ -520,7 +526,7 @@ def test_shift_invert_factors_the_scaled_product(monkeypatch, name):
     monkeypatch.setattr(spla, "splu", capture)
     with pytest.raises(_Factored):
         solve_lowest_detailed(form, 4, method="iterative")
-    d = sp.diags(1.0 / np.sqrt(form.mass_diag))
+    d = sp.diags(1.0 / np.sqrt(form.mass_diag[form.mask]))
     sigma = min(0.0, form.potential_floor) - 1.0
     ref = (d @ form.stiffness @ d).tocsc() - \
         sigma * sp.identity(form.dof_count, format="csc")
@@ -551,7 +557,7 @@ def test_dense_eigh_takes_the_symmetrized_scaled_product(monkeypatch, name):
     k = form.stiffness.tocoo()
     a = np.zeros(k.shape)
     a[k.row, k.col] = k.data
-    d = 1.0 / np.sqrt(form.mass_diag)
+    d = 1.0 / np.sqrt(form.mass_diag[form.mask])
     a = a * d[:, None] * d[None, :]
     assert seen[0].tobytes() == (0.5 * (a + a.T)).tobytes()
 
@@ -587,7 +593,8 @@ class TestSeparable:
             assert res.spectrum.values == pytest.approx(
                 other.spectrum.values, rel=1e-10, abs=1e-12), method
         # the vectors are M-orthonormal, like those of the other paths
-        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        mass = form.mass_diag[form.mask][:, None]
+        gram = res.vectors.T @ (mass * res.vectors)
         assert gram == pytest.approx(np.eye(k), abs=1e-12)
 
     def test_torus_odd_even_matches_dispersion(self):
@@ -612,7 +619,7 @@ class TestSeparable:
         res = solve_lowest_detailed(form, k)
         assert res.method == "separable"
         levels, modes = fdsolver._axis_pairs(n, True, k)
-        levels = levels * (form.faces[0].flat[0] / form.mass_diag[0])
+        levels = levels * (form.faces[0].flat[0] / form.mass_diag.flat[0])
         sums = np.add.outer(levels, levels).ravel()
         order = np.argsort(sums, kind="stable")[:k]
         rest, mode = np.divmod(order, k)
@@ -729,7 +736,8 @@ class TestPeeled:
         scale = np.abs(dense.spectrum.values).max()
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-10 * scale)
-        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        mass = form.mass_diag[form.mask][:, None]
+        gram = res.vectors.T @ (mass * res.vectors)
         assert gram == pytest.approx(np.eye(k), abs=1e-10)
         assert res.residuals.max() <= 1e-8  # the default tolerance
         # (dof, k) in Fortran order on a full grid, whose gate blocks are
@@ -769,7 +777,7 @@ class TestPeeled:
         prob = ProblemSpec(Box((1.0, 1.0)), rho="0.2*y", w="1 + 1e-6*y")
         form = assemble(prob, QuadratureGrid(prob.domain, (12, 12)))
         assert form.factors == {0: None}
-        mass = form.mass_diag.reshape(12, 12)[0]
+        mass = form.mass_diag[0]
         faces = form.faces[1][0]
         form.factors = {1: (mass / mass[0], faces / faces[0])}
         with pytest.raises(SolverConvergenceError):
@@ -904,6 +912,16 @@ class TestMirrored:
     def test_matches_dense(self, monkeypatch, case):
         prob, n, sizes = MIRROR_CASES[case]
         form = assemble(prob, QuadratureGrid(prob.domain, n))
+        # the halves hold the form's layout: grid arrays, 0 outside their
+        # masks.  The odd one carries its cut faces on the potential
+        even, odd = fdsolver._mirror_halves(form, fdsolver._mirror_axis(form))
+        assert even.zero_potential == form.zero_potential
+        assert not odd.zero_potential
+        for block in (even, odd):
+            assert block.dof_count == block.mask.sum()
+            for x in (block.potential, block.mass_diag) + block.faces:
+                assert x.shape == block.mask.shape
+                assert not x[~block.mask].any()
         split = recorded_splits(monkeypatch)
         res = solve_lowest_detailed(form, 12)
         assert res.method == "mirrored"
@@ -912,7 +930,8 @@ class TestMirrored:
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-10)
         assert res.residuals.max() <= 1e-8
-        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        mass = form.mass_diag[form.mask][:, None]
+        gram = res.vectors.T @ (mass * res.vectors)
         assert gram == pytest.approx(np.eye(12), abs=1e-10)
         full = form.dof_count == form.mask.size
         assert res.vectors.flags["F_CONTIGUOUS" if full else "C_CONTIGUOUS"]
@@ -966,7 +985,8 @@ class TestMirrored:
         dense = solve_lowest_detailed(form, 12, method="dense")
         assert res.spectrum.values == pytest.approx(
             dense.spectrum.values, rel=1e-10, abs=1e-10)
-        gram = res.vectors.T @ (form.mass_diag[:, None] * res.vectors)
+        mass = form.mass_diag[form.mask][:, None]
+        gram = res.vectors.T @ (mass * res.vectors)
         assert gram == pytest.approx(np.eye(12), abs=1e-10)
 
     def test_odd_block_without_the_middle_face_fails_the_gate(
@@ -978,6 +998,8 @@ class TestMirrored:
 
         def dropped(form, axis):
             even, odd = original(form, axis)
+            # the halves share one mask, so even's potential is odd's
+            # without the middle layer's term
             return even, fdsolver.replace(odd, potential=even.potential)
 
         monkeypatch.setattr(fdsolver, "_mirror_halves", dropped)
@@ -995,8 +1017,8 @@ class TestMirrored:
 
         def dropped(form, refl):
             even, odd = original(form, refl)
-            potential = fdsolver._on_grid(even.mask, even.potential)
-            return even, fdsolver.replace(odd, potential=potential[odd.mask])
+            return even, fdsolver.replace(
+                odd, potential=even.potential * odd.mask)
 
         monkeypatch.setattr(fdsolver, "_mirror_halves", dropped)
         prob = ProblemSpec(Box((1.0, 1.0)), w="1 + 0.5*x*y")
@@ -1125,9 +1147,11 @@ class TestSampledAssembly:
         assert not grid.mask.flat[0] and grid.mask.sum() == grid.mask.size - 1
         cut = assemble(ProblemSpec(grid.domain, **fields), grid)
         for name in ("potential", "mass_diag"):
-            on_full = fdsolver._on_grid(full.mask, getattr(full, name))
+            on_full, on_cut = getattr(full, name), getattr(cut, name)
+            assert on_full.shape == on_cut.shape == grid.shape
             assert on_full[grid.mask].tobytes() == \
-                getattr(cut, name).tobytes(), name
+                on_cut[grid.mask].tobytes(), name
+            assert not on_cut[~grid.mask].any(), name
         for axis, (c_full, c_cut) in enumerate(zip(full.faces, cut.faces)):
             present = present_faces(grid.mask, axis)
             assert c_full[present].tobytes() == c_cut[present].tobytes()
@@ -1217,9 +1241,11 @@ class TestSampledAssembly:
     def test_a_128_cube_assembles_without_gathered_copies(self):
         # the form keeps the potential, the mass, three face arrays and
         # the diagonal, 6 grid-sized arrays.  Assembly samples w, rho and
-        # V in the shape they vary in and gathers no coordinates: it peaks
-        # at 14.0 grid-sized arrays, in the factor check along x and z.
-        # Gathering the coordinates and the face points peaked at 23.1
+        # V in the shape they vary in and gathers no coordinates, and the
+        # factor check along x and z reads the potential and the mass where
+        # the form holds them: it peaks at 12.0 grid-sized arrays.
+        # Copying both onto the grid for that check peaked at 14.0, and
+        # gathering the coordinates and the face points at 23.1
         prob = ProblemSpec(Box((1.0, 1.0, 1.0)), w="1 + 0.5*x", rho="0.2*z")
         grid = QuadratureGrid(prob.domain, 128)
         tracemalloc.start()
@@ -1228,5 +1254,5 @@ class TestSampledAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15 * 8 * grid.mask.size
+        assert peak <= 13 * 8 * grid.mask.size
         assert list(form.factors) == [1, 2] and form.factors[1] is None
