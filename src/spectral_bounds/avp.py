@@ -4,7 +4,7 @@ For a symmetric matrix H with eigenpairs (mu_j, psi_j) and a weighted
 family of test vectors {(f, w)}, the principle states
 
     sum_j (z - mu_j)_+  sum_f w |<psi_j, f>|^2
-        >= sum_{f in subset} w (z ||f||^2 - <f, H f>)
+        >= sum_{f in subset} w (z ||f||^2 - <f, H f>) = z W0 - E0
 
 for every z and every subset of the family.  Equality holds when the
 family is an orthonormal eigenbasis and the subset collects exactly the
@@ -26,58 +26,60 @@ __all__ = ["avp_check", "tight_frame_bound", "frame_constant"]
 Family = Sequence[Tuple[np.ndarray, float]]
 
 
-def _validate(Hmat: np.ndarray, family: Family):
+def _family(n: int, family: Family):
+    """The family as columns F (n x m) and weights w, each w > 0."""
+    vectors = [np.asarray(f, dtype=float) for f, _ in family]
+    w = np.array([weight for _, weight in family], dtype=float)
+    for f in vectors:
+        if f.shape != (n,):
+            raise ValueError(
+                f"family vector of shape {f.shape} does not match dim {n}")
+    if not (w > 0).all():
+        raise ValueError("family weights must be positive")
+    return np.column_stack(vectors), w
+
+
+def _validate(Hmat: np.ndarray, family: Family, subset: Sequence[int]):
+    """H, F, w and the subset's sums W0 = sum w ||f||^2 and
+    E0 = sum w <f, H f>; the subset must hold distinct indices in range."""
     H = np.asarray(Hmat, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
     scale = np.abs(H).max() or 1.0
     if np.abs(H - H.T).max() > 1e-12 * scale:
         raise ValueError("H must be symmetric")
-    n = H.shape[0]
-    vectors = []
-    weights = []
-    for f, w in family:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (n,):
-            raise ValueError(
-                f"family vector of shape {f.shape} does not match dim {n}")
-        if w <= 0:
-            raise ValueError("family weights must be positive")
-        vectors.append(f)
-        weights.append(float(w))
-    return H, np.column_stack(vectors), np.array(weights)
+    F, w = _family(H.shape[0], family)
+    idx = list(subset)
+    if not all(isinstance(i, (int, np.integer)) and type(i) is not bool
+               and 0 <= i < len(w) for i in idx) or len(set(idx)) < len(idx):
+        raise ValueError(
+            f"subset must hold distinct integer indices in [0, {len(w)})")
+    Fs, ws = F[:, idx], w[idx]
+    return (H, F, w, float(ws @ (Fs * Fs).sum(axis=0)),
+            float(ws @ (Fs * (H @ Fs)).sum(axis=0)))
+
+
+def _frame_constant(F: np.ndarray, w: np.ndarray) -> float:
+    t = (F * w) @ F.T
+    a = float(np.trace(t)) / len(t)
+    if np.abs(t - a * np.eye(len(t))).max() > 1e-9 * max(a, 1.0):
+        raise ValueError("family is not a tight frame")
+    return a
 
 
 def avp_check(Hmat: np.ndarray, family: Family,
               subset: Sequence[int], z: float) -> BoundReport:
     """Evaluate both sides of the averaged variational principle."""
-    H, F, w = _validate(Hmat, family)
-    subset = list(subset)
-    if subset and not (0 <= min(subset) and max(subset) < F.shape[1]):
-        raise ValueError("subset indices out of range")
-
+    H, F, w, w0, e0 = _validate(Hmat, family, subset)
     mu, psi = np.linalg.eigh(H)
     proj = psi.T @ F                      # proj[j, zeta] = <psi_j, f_zeta>
     lhs = float(np.clip(z - mu, 0.0, None) @ (proj ** 2 @ w))
-
-    rhs = 0.0
-    for zeta in subset:
-        f = F[:, zeta]
-        rhs += w[zeta] * (z * float(f @ f) - float(f @ (H @ f)))
-
-    return make_report("avp", z, rhs, lhs, "lower")
+    return make_report("avp", z, z * w0 - e0, lhs, "lower")
 
 
 def frame_constant(Hmat_dim: int, family: Family) -> float:
     """Frame constant A with sum_f w f f^T = A I; raises if not tight."""
-    t = np.zeros((Hmat_dim, Hmat_dim))
-    for f, w in family:
-        f = np.asarray(f, dtype=float)
-        t += w * np.outer(f, f)
-    a = float(np.trace(t)) / Hmat_dim
-    if np.abs(t - a * np.eye(Hmat_dim)).max() > 1e-9 * max(a, 1.0):
-        raise ValueError("family is not a tight frame")
-    return a
+    return _frame_constant(*_family(Hmat_dim, family))
 
 
 def tight_frame_bound(Hmat: np.ndarray, family: Family,
@@ -91,20 +93,11 @@ def tight_frame_bound(Hmat: np.ndarray, family: Family,
     right side needs (W0 - A k) mu_k >= 0 to simplify to E0/(A k); the
     report keeps the exact form, so it is valid unconditionally.
     """
-    H, F, w = _validate(Hmat, family)
-    n = H.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must be in [1, {n - 1}]")
-    a = frame_constant(n, family)
-    mu = np.linalg.eigh(H)[0]
-
-    w0 = 0.0
-    e0 = 0.0
-    for zeta in subset:
-        f = F[:, zeta]
-        w0 += w[zeta] * float(f @ f)
-        e0 += w[zeta] * float(f @ (H @ f))
-
+    H, F, w, w0, e0 = _validate(Hmat, family, subset)
+    if not 1 <= k < len(H):
+        raise ValueError(f"k must be in [1, {len(H) - 1}]")
+    a = _frame_constant(F, w)
+    mu = np.linalg.eigvalsh(H)
     bound = (mu[k] * (a * k - w0) + e0) / (a * k)
     computed = float(mu[:k].sum()) / k
     return make_report("avp-tight-frame", k, bound, computed, "upper",

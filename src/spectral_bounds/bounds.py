@@ -206,6 +206,16 @@ def heat_lower_bound(ctx: BoundContext, t: float, spectrum: Spectrum,
     return heat_report("heat-lower", WeylMinorant(ctx, H_omega), t, spectrum)
 
 
+def _individual_terms(ctx: BoundContext, k: int, spectrum: Spectrum,
+                      H_omega: Optional[float]) -> Tuple[float, float, float]:
+    """(H k/|Omega|)^(2/nu) w_mean, mu_0 + ... + mu_(k-1) and mu_k."""
+    H = _H(ctx, H_omega)
+    if len(spectrum) < k + 1:
+        raise ValueError(f"need {k + 1} eigenvalues, have {len(spectrum)}")
+    return ((H * k / ctx.volume) ** (2.0 / ctx.nu) * ctx.w_mean,
+            spectrum.partial_sum(k), float(spectrum.values[k]))
+
+
 def individual_bound_sk(ctx: BoundContext, k: int, spectrum: Spectrum,
                         H_omega: Optional[float] = None) -> BoundReport:
     """Individual shifted-eigenvalue bound:
@@ -216,11 +226,8 @@ def individual_bound_sk(ctx: BoundContext, k: int, spectrum: Spectrum,
     signals an inconsistent spectrum and raises.
     """
     nu = ctx.nu
-    H = _H(ctx, H_omega)
-    if len(spectrum) < k + 1:
-        raise ValueError(f"need {k + 1} eigenvalues, have {len(spectrum)}")
-    scale = (H * k / ctx.volume) ** (2.0 / nu) * ctx.w_mean
-    shifted_mean = spectrum.partial_sum(k) / k - ctx.vw_mean
+    scale, head, mu_k = _individual_terms(ctx, k, spectrum, H_omega)
+    shifted_mean = head / k - ctx.vw_mean
     s_k = shifted_mean / ((nu / (nu + 2.0)) * scale)
     if s_k > 1.0 + 1e-9:
         raise ValueError(
@@ -228,7 +235,7 @@ def individual_bound_sk(ctx: BoundContext, k: int, spectrum: Spectrum,
             "bound")
     s_k = min(s_k, 1.0)
     bound = (1.0 + 2.0 * math.sqrt((1.0 - s_k) / (nu + 2.0))) * scale
-    computed = float(spectrum.values[k]) - ctx.vw_mean
+    computed = mu_k - ctx.vw_mean
     return make_report("individual-sk", k, bound, computed, "upper",
                        notes=(f"S_k = {s_k:.12g}",))
 
@@ -246,17 +253,12 @@ def individual_bound_pos(ctx: BoundContext, k: int, spectrum: Spectrum,
     Returns the pair of reports (implicit, max).
     """
     nu = ctx.nu
-    H = _H(ctx, H_omega)
     vw_mean = ctx.vw_mean
-    if len(spectrum) < k + 1:
-        raise ValueError(f"need {k + 1} eigenvalues, have {len(spectrum)}")
-    head = spectrum.partial_sum(k)
+    scale, head, mu_k = _individual_terms(ctx, k, spectrum, H_omega)
     if head < -1e-9 * (1.0 + abs(head)):
         raise ValueError(
             f"sum of the first {k} eigenvalues is {head} < 0; the "
             "unshifted bounds do not apply")
-    mu_k = float(spectrum.values[k])
-    scale = (H * k / ctx.volume) ** (2.0 / nu) * ctx.w_mean
 
     if mu_k > 0:
         implicit_lhs = mu_k * max(1.0 - vw_mean / mu_k, 0.0) ** (1.0 + 2.0 / nu)

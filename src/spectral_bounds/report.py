@@ -60,6 +60,7 @@ def make_report(kind: str, parameter: float, bound_value: float,
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', "
                          f"got {direction!r}")
+    bound_value, computed_value = float(bound_value), float(computed_value)
     tol = _HOLD_RTOL * (1.0 + abs(bound_value))
     if direction == "upper":
         holds = computed_value <= bound_value + tol
@@ -71,6 +72,5 @@ def make_report(kind: str, parameter: float, bound_value: float,
             slack = computed_value / bound_value
         else:
             slack = bound_value / computed_value
-    return BoundReport(kind, float(parameter), float(bound_value),
-                       float(computed_value), direction, bool(holds),
-                       slack, tuple(notes))
+    return BoundReport(kind, float(parameter), bound_value, computed_value,
+                       direction, holds, slack, tuple(notes))

@@ -457,9 +457,13 @@ def _build_torus(s: Scenario, grid: QuadratureGrid, ctx: BoundContext):
     torus = s.problem.domain
     cutoff = s.cutoff
     if cutoff is None:
-        # enough dual points to cover `count` eigenvalues, Weyl-sized
+        # Weyl-sized for `count` values, doubled below while fewer come back
         cutoff = 4.0 * math.pi * (s.count + 4) / torus.covolume()
-    return torus_spectrum(torus, float(cutoff)), {
+    spectrum = torus_spectrum(torus, float(cutoff))
+    while s.cutoff is None and len(spectrum) < s.count:
+        cutoff *= 2.0
+        spectrum = torus_spectrum(torus, cutoff)
+    return spectrum, {
         "note": "affine shift of the free torus spectrum; exact for "
                 "constant fields"}
 

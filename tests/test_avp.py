@@ -96,19 +96,30 @@ def test_avp_empty_subset_and_low_z():
 def test_avp_input_validation():
     rng = np.random.default_rng(5)
     H = random_symmetric(rng, 5)
-    fam = random_family(rng, 5, 3)
+    # an orthonormal basis: a tight frame, so only the input is at fault
+    fam = [(np.eye(5)[:, j], 1.0) for j in range(5)]
+    for check in (lambda H, fam, subset: avp_check(H, fam, subset, 0.0),
+                  lambda H, fam, subset: tight_frame_bound(H, fam, subset, 1)):
+        _refuses_malformed_input(check, H, fam)
+
+
+def _refuses_malformed_input(check, H, fam):
+    assert check(H, fam, [np.int64(1), 3]).holds
     with pytest.raises(ValueError, match="square"):
-        avp_check(np.zeros((3, 4)), fam, [], 0.0)
+        check(np.zeros((3, 4)), fam, [])
     skew = H.copy()
     skew[0, 1] += 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        avp_check(skew, fam, [], 0.0)
+        check(skew, fam, [])
     with pytest.raises(ValueError, match="shape"):
-        avp_check(H, [(np.zeros(4), 1.0)], [], 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        avp_check(H, [(np.ones(5), 0.0)], [], 0.0)
-    with pytest.raises(ValueError, match="subset"):
-        avp_check(H, fam, [3], 0.0)
+        check(H, [(np.zeros(4), 1.0)], [])
+    for weight in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            check(H, fam[:4] + [(np.ones(5), weight)], [])
+    # repeated, negative, out of range, boolean and fractional indices
+    for subset in ([0, 0], [-1], [5], [True], [1.5]):
+        with pytest.raises(ValueError, match="subset"):
+            check(H, fam, subset)
 
 
 def test_frame_constant_orthonormal_and_union():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spectral_bounds import inputs_digest, make_report
@@ -61,6 +62,12 @@ class TestMakeReport:
         assert row[0] == "demo"
         assert row[-1] == "true"
         assert float(row[2]) == 4.0
+
+    def test_numpy_scalar_sides_give_python_floats(self):
+        r = make_report("demo", np.float64(2.0), bound_value=np.float64(4.0),
+                        computed_value=np.float64(3.0), direction="upper")
+        assert type(r.slack_ratio) is float
+        assert r.csv_row()[4] == "0.75"
 
 
 class TestDigest:

@@ -902,6 +902,29 @@ def test_cli_spectrum_text_and_json(tmp_path, capsys):
         [0.0, 9.869604401089358, 9.869604401089358, 19.739208802178716])
 
 
+def test_cli_exact_torus_computes_count_on_a_thin_torus(tmp_path, capsys):
+    # 4 pi^2 (m^2 + 400 n^2): the Weyl-sized cutoff for 40 values holds 33
+    cfg = scenario_with(tmp_path, domain={"type": "torus", "e1": [1.0, 0.0],
+                                          "e2": [0.0, 0.05]},
+                        spectrum={"source": "exact-torus", "count": 40},
+                        bounds=[{"kind": "kroger-avg", "k": [10, 40]}])
+    assert main(["spectrum", "--config", str(cfg), "--json"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert len(values) >= 40
+    expected = sorted(4 * math.pi ** 2 * (m * m + 400 * n * n)
+                      for m in range(-40, 41) for n in range(-2, 3))
+    assert values[:40] == pytest.approx(expected[:40], rel=1e-12)
+    # kroger-avg is a Neumann bound, no theorem on a torus: at k = 40 the
+    # sum 4 pi^2 * 5340 exceeds it, so run reports a violation, not an error
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    report = json.loads((tmp_path / "o" / "square.json").read_text())
+    assert report["errors"] == []
+    assert [b["holds"] for b in report["bounds"]] == [True, False]
+    assert report["bounds"][1]["computed"] == pytest.approx(
+        4 * math.pi ** 2 * 5340, rel=1e-12)
+
+
 def test_cli_spectrum_refuses_a_negative_count(tmp_path, capsys):
     cfg = scenario_with(tmp_path)
     assert main(["spectrum", "--config", str(cfg), "--count", "-3"]) == 2

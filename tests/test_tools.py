@@ -3,6 +3,7 @@ git revisions exported, and sides without the package refused."""
 
 import importlib.util
 import json
+import math
 import subprocess
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from spectral_bounds.expressions import (FieldEvaluationError,
                                          differentiate, is_constant)
 from spectral_bounds.phasespace import _slab_sums, lambda_of_k, \
     phase_space_tables
-from spectral_bounds.scenario import load_scenario
+from spectral_bounds.scenario import build_spectrum, load_scenario
+from spectral_bounds.spectra import torus_spectrum
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -150,6 +152,19 @@ def test_the_form_scenarios_take_the_sampled_assembly_paths(tmp_path):
     # a weight that spans a box
     assert any(not g.periodic and g.sample(s.problem.w).shape == g.shape
                for s, g in zip(forms, grids))
+
+
+def test_the_exact_scenarios_load_and_outgrow_the_weyl_cutoff(tmp_path):
+    """The fixed exact scenarios load, and the thin torus holds fewer
+    values under its Weyl-sized cutoff than its count asks for."""
+    paths = compare.scenarios(tmp_path)
+    exact = [load_scenario(p) for p in paths if p.parent.name == "exact"]
+    assert [s.label for s in exact] == [d["label"] for d in compare.EXACT]
+    (thin,) = exact
+    torus = thin.problem.domain
+    weyl = 4.0 * math.pi * (thin.count + 4) / torus.covolume()
+    assert len(torus_spectrum(torus, weyl)) < thin.count
+    assert len(build_spectrum(thin)[1]) >= thin.count
 
 
 def test_moves_report_how_far_the_bounds_of_one_scenario_moved():

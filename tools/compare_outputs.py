@@ -20,7 +20,8 @@ a weight finite on the disk but not on its bounding grid, nu = 1 and 3, a
 flat and a non-separable effective potential, a list of 100 k, levels
 strictly between two values of one bucket of the Lipschitz level index,
 a last slab of fewer rows than the others and a first slab with no
-inside node.
+inside node, and the exact scenarios of `EXACT`: a thin torus whose
+Weyl-sized cutoff holds fewer values than its `count`.
 It runs `python -m spectral_bounds.cli run --format both` on each, once
 per tree, with one BLAS thread, and compares the JSON and CSV files,
 stdout and the exit status.  stderr holds paths and elapsed times, so it
@@ -111,6 +112,14 @@ TABLES = [
            {"V": "x^2 + 2*y^2"}, 24, 400, [2, 5, 10]),
 ]
 
+EXACT = [
+    # 4 pi^2 (m^2 + 400 n^2): 33 values under the Weyl cutoff for 40
+    {"label": "exact-thin-torus",
+     "domain": {"type": "torus", "e1": [1.0, 0.0], "e2": [0.0, 0.05]},
+     "spectrum": {"source": "exact-torus", "count": 40},
+     "bounds": [{"kind": "kroger-avg", "k": [10, 40]}], "seed": 0},
+]
+
 
 def scenarios(tmp: Path) -> list:
     """The scenario paths to run, each once."""
@@ -133,7 +142,8 @@ def scenarios(tmp: Path) -> list:
             path = recorded / f"{name}-{v}.json"
             path.write_text(json.dumps(doc, indent=1, sort_keys=True))
             paths.append(path)
-    for name, docs in (("forms", FORMS), ("tables", TABLES)):
+    for name, docs in (("forms", FORMS), ("tables", TABLES),
+                       ("exact", EXACT)):
         (tmp / name).mkdir()
         for doc in docs:
             path = tmp / name / f"{doc['label']}.json"
